@@ -1,15 +1,26 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 A deliberately small op set tailored to a decoder-only transformer:
-broadcastable arithmetic, matmul, reductions, embedding gathers, and a
-fused numerically-stable logsumexp. Gradients are exact analytic
-derivatives; the test suite cross-checks them against central finite
-differences.
+broadcastable arithmetic, matmul, reductions and embedding gathers, plus
+fused ops for the model's hot composites: ``causal_softmax`` (attention
+weights with the causal mask applied inside), ``log_softmax``,
+``layer_norm``, ``gelu`` (tanh approximation) and ``ce_kl_loss`` (the
+weighted cross-entropy plus KL-to-reference training loss). Each fused op
+is one graph node with a closed-form VJP and keeps only what that VJP
+needs, where the primitive composition added a node and a full-size
+array per step. Gradients are exact analytic derivatives; the test suite
+cross-checks every op, fused ones included, against central finite
+differences and each fused op's forward against its primitive
+composition.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 class Tensor:
@@ -225,8 +236,141 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
     return Tensor(np.swapaxes(x.data, axis1, axis2), (x,), vjp)
 
 
+# sub, mul, exp, log, tanh, power, sumdim, logsumexp and take_along_last have no library caller:
+# they stay for the tests' reference compositions and the benchmark tracer, which wraps ops by name.
+
+
+def causal_softmax(x: Tensor, scale: float) -> Tensor:
+    """Softmax of ``scale * x`` over the last axis under a causal mask.
+
+    ``x`` holds [..., T, T] attention scores. Entry (i, j) with j > i gets
+    exactly zero weight, so a later position never changes an earlier
+    one. Masked entries are zeroed rather than exponentiated from -inf,
+    which numpy's exp handles about three times slower than finite values.
+    The VJP needs only the output.
+    """
+    t = x.data.shape[-1]
+    past = np.tri(t, dtype=bool)
+    m = np.max(x.data, axis=-1, keepdims=True, where=past, initial=-np.inf)
+    probs = x.data - m
+    probs *= scale
+    np.exp(probs, out=probs, where=past)
+    np.copyto(probs, 0.0, where=~past)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gx = g - np.einsum("...ij,...ij->...i", g, probs)[..., None]
+        gx *= probs
+        gx *= scale
+        return (gx,)
+
+    return Tensor(probs, (x,), vjp)
+
+
+def log_softmax(x: Tensor) -> Tensor:
+    """Stable log-softmax over the last axis; the VJP keeps the softmax."""
+    m = np.max(x.data, axis=-1, keepdims=True)
+    probs = x.data - m
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    out_data = x.data - (m + np.log(total))
+    probs /= total
+
+    def vjp(g):
+        gx = probs * -g.sum(axis=-1, keepdims=True)
+        gx += g
+        return (gx,)
+
+    return Tensor(out_data, (x,), vjp)
+
+
+def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale and shift."""
+    inv_d = 1.0 / x.data.shape[-1]
+    normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    inv = np.power((normed * normed).sum(axis=-1, keepdims=True) * inv_d + eps, -0.5)
+    normed *= inv
+    leading = tuple(range(x.data.ndim - 1))
+
+    def vjp(g):
+        g_normed = g * scale.data
+        gx = g_normed - g_normed.sum(axis=-1, keepdims=True) * inv_d
+        gx -= normed * ((g_normed * normed).sum(axis=-1, keepdims=True) * inv_d)
+        gx *= inv
+        return gx, (g * normed).sum(axis=leading), g.sum(axis=leading)
+
+    return Tensor(normed * scale.data + bias.data, (x, scale, bias), vjp)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    xd = x.data
+    t = np.tanh((xd + 0.044715 * (xd * xd * xd)) * _GELU_C)
+
+    def vjp(g):
+        slope = 1.0 - t * t
+        slope *= (1.0 + (3 * 0.044715) * (xd * xd)) * _GELU_C
+        slope *= xd
+        slope += 1.0 + t
+        slope *= g
+        slope *= 0.5
+        return (slope,)
+
+    return Tensor(0.5 * (xd * (1.0 + t)), (x,), vjp)
+
+
+def ce_kl_loss(
+    logprobs: Tensor,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    ref_logprobs: np.ndarray | None,
+    kl_weight: float,
+) -> tuple[Tensor, float, float]:
+    """Weighted cross-entropy plus ``kl_weight`` times KL(current || reference).
+
+    ``logprobs`` is [B, T, V]; ``targets`` holds the [B, T] ids to score,
+    ``weights`` the [B, T] averaging weights, and ``ref_logprobs`` the
+    reference model's [B, T, V] log-probabilities, held constant:
+
+        ce = -sum_bt w[b,t] * logprobs[b, t, targets[b,t]]
+        kl =  sum_bt w[b,t] * sum_v exp(logprobs) * (logprobs - ref_logprobs)
+
+    Returns ``(total, ce, kl)``: the scalar loss tensor and the two terms
+    as floats. Without a reference or at ``kl_weight == 0`` the KL is not
+    computed, ``kl`` is 0.0 and ``total`` is exactly ``ce``.
+    """
+    lp = logprobs.data
+    targets = np.asarray(targets)
+    weights = np.asarray(weights, dtype=np.float64)
+    rows = np.ix_(*[np.arange(n) for n in targets.shape])
+    ce = -(lp[(*rows, targets)] * weights).sum()
+    kl, total = 0.0, ce
+    use_kl = ref_logprobs is not None and kl_weight > 0
+    if use_kl:
+        probs = np.exp(lp)
+        diff = lp - ref_logprobs
+        kl = (np.einsum("...v,...v->...", probs, diff) * weights).sum()
+        total = ce + kl * kl_weight
+
+    def vjp(g):
+        if use_kl:
+            grad = diff + 1.0
+            grad *= probs
+            grad *= (g * kl_weight) * weights[..., None]
+        else:
+            grad = np.zeros_like(lp)
+        grad[(*rows, targets)] -= g * weights
+        return (grad,)
+
+    return Tensor(total, (logprobs,), vjp), float(ce), float(kl)
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of a scalar ``loss`` into every graph node."""
+    """Accumulate gradients of a scalar ``loss`` into the graph's leaves.
+
+    A node's own gradient is dropped once its VJP has consumed it, so only
+    leaves (tensors without a VJP) keep ``grad`` after the call.
+    """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
 
@@ -253,6 +397,7 @@ def backward(loss: Tensor) -> None:
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
+        node.grad = None
         for parent, grad in zip(node._parents, grads):
             if grad is None:
                 continue

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,9 +27,7 @@ BOS_ID = 256
 EOS_ID = 257
 PAD_ID = 258
 
-_NEG_INF = -1e30
 _LN_EPS = 1e-5
-_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 class ByteTokenizer:
@@ -154,27 +152,9 @@ class ForwardOutput:
     logprobs: np.ndarray
 
 
-def _layer_norm(x: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
-    d = x.data.shape[-1]
-    mu = tape.sumdim(x, axis=-1, keepdims=True) * (1.0 / d)
-    centered = x - mu
-    var = tape.sumdim(centered * centered, axis=-1, keepdims=True) * (1.0 / d)
-    inv = tape.power(var + _LN_EPS, -0.5)
-    return centered * inv * scale + bias
-
-
-def _gelu(x: Tensor) -> Tensor:
-    inner = tape.tanh((x + 0.044715 * (x * x * x)) * _GELU_C)
-    return 0.5 * (x * (1.0 + inner))
-
-
 def build_leaves(params: Parameters) -> dict[str, Tensor]:
     """Wrap every named parameter view as a graph leaf."""
     return {name: Tensor(params.view(name)) for name in params.names()}
-
-
-def _causal_mask(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), _NEG_INF), k=1)
 
 
 def batched_logprobs(leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarray) -> Tensor:
@@ -193,24 +173,25 @@ def batched_logprobs(leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarra
 
     heads, head_dim = cfg.n_heads, cfg.d_model // cfg.n_heads
     scale = 1.0 / math.sqrt(head_dim)
-    mask = _causal_mask(t)
 
     x = tape.gather_rows(leaves["tok_emb"], ids) + tape.slice_rows(leaves["pos_emb"], t)
     for i in range(cfg.n_layers):
-        h = _layer_norm(x, leaves[f"layer{i}.norm1_scale"], leaves[f"layer{i}.norm1_bias"])
+        h = tape.layer_norm(
+            x, leaves[f"layer{i}.norm1_scale"], leaves[f"layer{i}.norm1_bias"], _LN_EPS
+        )
         q = _split_heads(h @ leaves[f"layer{i}.attn_q"], b, t, heads, head_dim)
         k = _split_heads(h @ leaves[f"layer{i}.attn_k"], b, t, heads, head_dim)
         v = _split_heads(h @ leaves[f"layer{i}.attn_v"], b, t, heads, head_dim)
-        scores = (q @ tape.swapaxes(k, -1, -2)) * scale + mask
-        attn = tape.exp(scores - tape.logsumexp(scores, axis=-1))
+        attn = tape.causal_softmax(q @ tape.swapaxes(k, -1, -2), scale)
         context = tape.reshape(tape.swapaxes(attn @ v, 1, 2), (b, t, cfg.d_model))
         x = x + context @ leaves[f"layer{i}.attn_o"]
 
-        h2 = _layer_norm(x, leaves[f"layer{i}.norm2_scale"], leaves[f"layer{i}.norm2_bias"])
-        x = x + _gelu(h2 @ leaves[f"layer{i}.mlp_in"]) @ leaves[f"layer{i}.mlp_out"]
+        h2 = tape.layer_norm(
+            x, leaves[f"layer{i}.norm2_scale"], leaves[f"layer{i}.norm2_bias"], _LN_EPS
+        )
+        x = x + tape.gelu(h2 @ leaves[f"layer{i}.mlp_in"]) @ leaves[f"layer{i}.mlp_out"]
 
-    logits = x @ leaves["out_proj"]
-    return logits - tape.logsumexp(logits, axis=-1)
+    return tape.log_softmax(x @ leaves["out_proj"])
 
 
 def _split_heads(x: Tensor, b: int, t: int, heads: int, head_dim: int) -> Tensor:
@@ -272,7 +253,7 @@ def gradient_check(
     analytic: np.ndarray,
     n_coords: int = 200,
     h: float = 1e-4,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> tuple[float, list[tuple[int, float, float]]]:
     """Central-difference spot check of an analytic gradient.
 

@@ -287,21 +287,13 @@ def _graph_losses(
     batch: _Batch,
     ref_logprobs: np.ndarray | None,
     kl_weight: float,
-) -> tuple[dict[str, Tensor], Tensor, Tensor | None, Tensor]:
-    """Build (leaves, ce, kl, total) for one step's batch."""
+) -> tuple[dict[str, Tensor], float, float, Tensor]:
+    """Build (leaves, ce, kl, total) for one step's batch; kl is 0.0 when off."""
     leaves = tinylm.build_leaves(params)
     logprobs = tinylm.batched_logprobs(leaves, params.config, batch.ids)
-    weights = Tensor(batch.weights)
-    picked = tape.take_along_last(logprobs, batch.targets)
-    ce = -tape.sumdim(picked * weights)
-    kl = None
-    if ref_logprobs is not None and kl_weight > 0:
-        diff = logprobs - Tensor(ref_logprobs)
-        per_position = tape.sumdim(tape.exp(logprobs) * diff, axis=-1)
-        kl = tape.sumdim(per_position * weights)
-        total = ce + kl * kl_weight
-    else:
-        total = ce
+    total, ce, kl = tape.ce_kl_loss(
+        logprobs, batch.targets, batch.weights, ref_logprobs, kl_weight
+    )
     return leaves, ce, kl, total
 
 
@@ -386,20 +378,14 @@ def train(
 
         fd_err = None
         if cfg.grad_check_every and step % cfg.grad_check_every == 0:
-            rng = np.random.default_rng([cfg.seed, step])
-            coords = rng.choice(params.count, size=3, replace=False)
-            fd_err = 0.0
-            for idx in coords:
-                idx = int(idx)
-                plus, minus = params.copy(), params.copy()
-                plus.flat[idx] += 1e-4
-                minus.flat[idx] -= 1e-4
-                fd = (
-                    _batch_loss_value(plus, batch, ref_lp, cfg.kl_weight)
-                    - _batch_loss_value(minus, batch, ref_lp, cfg.kl_weight)
-                ) / 2e-4
-                denom = max(abs(fd), abs(gradient[idx]), 1e-6)
-                fd_err = max(fd_err, abs(fd - gradient[idx]) / denom)
+            fd_err, _ = tinylm.gradient_check(
+                params,
+                lambda p: _batch_loss_value(p, batch, ref_lp, cfg.kl_weight),
+                gradient,
+                n_coords=3,
+                h=1e-4,
+                seed=[cfg.seed, step],
+            )
 
         if cfg.optimizer == "gd":
             params.flat -= lr * gradient
@@ -415,8 +401,8 @@ def train(
             StepRecord(
                 step=step,
                 lr=lr,
-                ce=float(ce.data),
-                kl=float(kl.data) if kl is not None else 0.0,
+                ce=ce,
+                kl=kl,
                 total=total_value,
                 grad_norm=grad_norm,
                 fd_max_rel_err=fd_err,

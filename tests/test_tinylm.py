@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from granary import tape, tinylm, trainer
 from granary.dataset import TokenizedExample
 from granary.errors import ContextOverflow, NonFiniteLoss
@@ -187,6 +188,16 @@ class TestGrad:
         for idx in rng.choice(params.count, size=20, replace=False):
             assert abs(fd_oracle(value_fn, params, int(idx))) <= 1e-6
 
+    def test_backward_keeps_gradients_on_leaves_only(self):
+        a = tape.Tensor(np.array([1.0, 2.0]))
+        b = tape.Tensor(np.array([3.0, -1.0]))
+        hidden = a * b
+        loss = tape.sumdim(hidden * hidden)
+        tape.backward(loss)
+        assert np.array_equal(a.grad, 2.0 * hidden.data * b.data)
+        assert np.array_equal(b.grad, 2.0 * hidden.data * a.data)
+        assert hidden.grad is None and loss.grad is None
+
     def test_non_finite_loss_raises(self):
         params = init(ModelConfig(seed=0))
 
@@ -196,6 +207,154 @@ class TestGrad:
 
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
             value_and_grad(params, closure)
+
+
+def _fd_max_rel_err(build, inputs, n_coords=40, h=1e-4, seed=0):
+    """Worst relative error of ``build``'s VJP against central differences.
+
+    ``build(*inputs)`` returns a tensor; a fixed random projection turns
+    it into a scalar. Up to ``n_coords`` entries of every input are
+    perturbed by +/- h (error floored at 1e-6 like tinylm.gradient_check).
+    """
+    rng = np.random.default_rng(seed)
+    out = build(*inputs)
+    weights = rng.normal(size=out.data.shape)
+    tape.backward(tape.sumdim(out * weights))
+
+    def value() -> float:
+        return float(np.sum(build(*inputs).data * weights))
+
+    worst = 0.0
+    for tensor in inputs:
+        assert tensor.grad is not None
+        flat = tensor.data.reshape(-1)
+        for idx in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
+            saved = flat[idx]
+            flat[idx] = saved + h
+            up = value()
+            flat[idx] = saved - h
+            down = value()
+            flat[idx] = saved
+            fd = (up - down) / (2.0 * h)
+            analytic = tensor.grad.reshape(-1)[idx]
+            worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6))
+    return worst
+
+
+def _attention_scores(rng):
+    return tape.Tensor(rng.normal(0.0, 2.0, size=(2, 3, 7, 7)))
+
+
+def _loss_inputs(rng, b=3, t=5, v=11):
+    logits = rng.normal(0.0, 1.5, size=(b, t, v))
+    logprobs = logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True)
+    ref = rng.normal(0.0, 1.5, size=(b, t, v))
+    ref -= np.logaddexp.reduce(ref, axis=-1, keepdims=True)
+    targets = rng.integers(0, v, size=(b, t))
+    weights = rng.random((b, t)) * (rng.random((b, t)) < 0.7)
+    return logprobs, targets, weights, ref
+
+
+class TestFusedOps:
+    """Each fused tape op against central differences and its primitive composition."""
+
+    def test_causal_softmax_vjp(self):
+        x = _attention_scores(np.random.default_rng(1))
+        assert _fd_max_rel_err(lambda s: tape.causal_softmax(s, 0.35), [x]) <= 1e-4
+
+    def test_log_softmax_vjp(self):
+        x = tape.Tensor(np.random.default_rng(2).normal(0.0, 2.0, size=(3, 4, 13)))
+        assert _fd_max_rel_err(tape.log_softmax, [x]) <= 1e-4
+
+    def test_layer_norm_vjp(self):
+        rng = np.random.default_rng(3)
+        x = tape.Tensor(rng.normal(0.5, 2.0, size=(3, 4, 6)))
+        scale = tape.Tensor(rng.normal(1.0, 0.3, size=6))
+        bias = tape.Tensor(rng.normal(0.0, 0.3, size=6))
+        err = _fd_max_rel_err(lambda a, s, b: tape.layer_norm(a, s, b, 1e-5), [x, scale, bias])
+        assert err <= 1e-4
+
+    def test_gelu_vjp(self):
+        x = tape.Tensor(np.random.default_rng(4).normal(0.0, 2.0, size=(3, 4, 8)))
+        assert _fd_max_rel_err(tape.gelu, [x]) <= 1e-4
+
+    @pytest.mark.parametrize("kl_weight", [0.0, 0.3])
+    def test_ce_kl_loss_vjp(self, kl_weight):
+        logprobs, targets, weights, ref = _loss_inputs(np.random.default_rng(5))
+
+        def build(lp):
+            return tape.ce_kl_loss(lp, targets, weights, ref, kl_weight)[0]
+
+        assert _fd_max_rel_err(build, [tape.Tensor(logprobs)]) <= 1e-4
+
+    def test_forwards_match_compositions(self):
+        rng = np.random.default_rng(6)
+        x = _attention_scores(rng)
+        assert np.max(np.abs(
+            tape.causal_softmax(x, 0.35).data - oracles.causal_softmax(x, 0.35).data
+        )) <= 1e-12
+        logits = tape.Tensor(rng.normal(0.0, 2.0, size=(3, 4, 13)))
+        assert np.max(np.abs(
+            tape.log_softmax(logits).data - oracles.log_softmax(logits).data
+        )) <= 1e-12
+        h = tape.Tensor(rng.normal(0.5, 2.0, size=(3, 4, 6)))
+        scale = tape.Tensor(rng.normal(1.0, 0.3, size=6))
+        bias = tape.Tensor(rng.normal(0.0, 0.3, size=6))
+        assert np.max(np.abs(
+            tape.layer_norm(h, scale, bias, 1e-5).data
+            - oracles.layer_norm(h, scale, bias, 1e-5).data
+        )) <= 1e-12
+        assert np.max(np.abs(tape.gelu(h).data - oracles.gelu(h).data)) <= 1e-12
+
+    @pytest.mark.parametrize("kl_weight", [0.0, 0.3])
+    def test_loss_matches_composition(self, kl_weight):
+        logprobs, targets, weights, ref = _loss_inputs(np.random.default_rng(7))
+        lp = tape.Tensor(logprobs)
+        total, ce, kl = tape.ce_kl_loss(lp, targets, weights, ref, kl_weight)
+        want_total, want_ce, want_kl = oracles.ce_kl_loss(lp, targets, weights, ref, kl_weight)
+        assert abs(float(total.data) - float(want_total.data)) <= 1e-12
+        assert abs(ce - float(want_ce.data)) <= 1e-12
+        if kl_weight == 0:
+            assert want_kl is None and kl == 0.0
+            assert float(total.data) == ce
+        else:
+            assert abs(kl - float(want_kl.data)) <= 1e-12
+
+    def test_loss_without_reference_is_ce_only(self):
+        logprobs, targets, weights, _ = _loss_inputs(np.random.default_rng(8))
+        total, ce, kl = tape.ce_kl_loss(tape.Tensor(logprobs), targets, weights, None, 0.5)
+        assert kl == 0.0 and float(total.data) == ce
+
+    @pytest.mark.parametrize("init_std", [0.0, 0.2])
+    def test_model_forward_matches_composition(self, init_std):
+        cfg = ModelConfig(seed=5, init_std=init_std)
+        leaves = tinylm.build_leaves(init(cfg))
+        ids = np.asarray([[BOS_ID] + TOK.encode("fused forward check"),
+                          [BOS_ID] + TOK.encode("second row, padded!")])
+        fused = tinylm.batched_logprobs(leaves, cfg, ids).data
+        composed = oracles.batched_logprobs(leaves, cfg, ids).data
+        assert np.max(np.abs(fused - composed)) <= 1e-12
+        if init_std == 0.0:
+            assert np.all(fused == -math.log(259))
+            assert np.all(composed == -math.log(259))
+
+    def test_attention_keeps_two_square_tensors_per_layer(self):
+        # Only the scores and the softmax are [B, H, T, T]; the masked,
+        # shifted and exponentiated copies of the primitive composition
+        # are gone.
+        cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, context_window=16, seed=1)
+        b, t = 3, 5
+        ids = np.arange(b * t).reshape(b, t) % 256
+        out = tinylm.batched_logprobs(tinylm.build_leaves(init(cfg)), cfg, ids)
+        seen, stack, square = {id(out)}, [out], 0
+        while stack:
+            node = stack.pop()
+            square += node.data.shape == (b, cfg.n_heads, t, t)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert square <= 2 * cfg.n_layers
 
 
 class TestFreeze:

@@ -318,6 +318,46 @@ class TestTrainLoop:
         assert len(checked) == 2
         assert all(err <= 1e-4 for err in checked)
 
+    def test_grad_check_equals_inline_difference_loop(self, fixture_examples, monkeypatch):
+        # fd_max_rel_err must stay byte-identical to this loop: three
+        # coordinates drawn with seed [cfg.seed, step], h = 1e-4, and the
+        # denominator floored at 1e-6.
+        seen = []
+        collect = tinylm.collect_flat_grad
+
+        def capture(params, leaves):
+            gradient = collect(params, leaves)
+            seen.append((params.copy(), gradient))
+            return gradient
+
+        monkeypatch.setattr(tinylm, "collect_flat_grad", capture)
+        examples = fixture_examples[:3]
+        init_params = init(TRAIN_MODEL_CFG)
+        ref = freeze_reference(init_params)
+        cfg = TrainConfig(
+            mode="nsc_sft", total_steps=3, lr_max=1e-2, kl_weight=0.1, seed=7, grad_check_every=1
+        )
+        report = train(cfg, examples, init_params, ref_params=ref)
+
+        batch = trainer._batch_from_examples(examples)
+        ref_lp = tinylm.batched_logprobs(tinylm.build_leaves(ref), ref.config, batch.ids).data
+        assert len(seen) == len(report.records) == 3
+        for record, (params, gradient) in zip(report.records, seen):
+            rng = np.random.default_rng([cfg.seed, record.step])
+            want = 0.0
+            for idx in rng.choice(params.count, size=3, replace=False):
+                idx = int(idx)
+                plus, minus = params.copy(), params.copy()
+                plus.flat[idx] += 1e-4
+                minus.flat[idx] -= 1e-4
+                fd = (
+                    trainer._batch_loss_value(plus, batch, ref_lp, cfg.kl_weight)
+                    - trainer._batch_loss_value(minus, batch, ref_lp, cfg.kl_weight)
+                ) / 2e-4
+                denom = max(abs(fd), abs(gradient[idx]), 1e-6)
+                want = max(want, abs(fd - gradient[idx]) / denom)
+            assert record.fd_max_rel_err == want
+
     def test_non_finite_aborts_with_partial_report(self, fixture_examples):
         params = init(TRAIN_MODEL_CFG)
         params.flat[:] = 1e200  # guarantees overflow in the first forward
