@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from . import corpus, dataset, distiller, evalharness, tape, tinylm, trainer
+from . import corpus, dataset, distiller, evalharness, tinylm, trainer
 from .backend import HttpLlmBackend, MockLlmBackend, RetryPolicy
 from .errors import (
     ConfigError,
@@ -32,7 +32,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="pipeline config JSON file")
     parser.add_argument("--workdir", default=None, help="artifact directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="global seed override")
-    parser.add_argument("--mock-llm", action="store_true", help="force the deterministic mock backend")
+    parser.add_argument(
+        "--mock-llm", action="store_const", const=True, help="force the deterministic mock backend"
+    )
     parser.add_argument("--parallelism", type=int, default=None, help="worker count override")
     parser.add_argument("--dry-run", action="store_true", help="validate and print the plan; no side effects")
 
@@ -70,31 +72,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flag destination -> dotted config field. An absent flag is None and keeps
+# the config file's value; --mock-llm is True or None, so it can only turn
+# the mock backend on.
+_OVERRIDES = {
+    "workdir": "workdir",
+    "seed": "seed",
+    "mock_llm": "backend.mock",
+    "parallelism": "parallelism",
+    "corpus_dir": "corpus_dir",
+    "manifest": "manifest",
+    "max_len": "dataset.max_len",
+    "general": "dataset.general_path",
+    "mode": "train.mode",
+    "kl_weight": "train.kl_weight",
+    "steps": "train.total_steps",
+    "lr": "train.lr_max",
+}
+
+
 def _apply_overrides(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> cfgmod.PipelineConfig:
-    if args.workdir is not None:
-        cfg.workdir = args.workdir
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mock_llm:
-        cfg.backend.mock = True
-    if args.parallelism is not None:
-        cfg.parallelism = args.parallelism
-    if getattr(args, "corpus_dir", None) is not None:
-        cfg.corpus_dir = args.corpus_dir
-    if getattr(args, "manifest", None) is not None:
-        cfg.manifest = args.manifest
-    if getattr(args, "max_len", None) is not None:
-        cfg.dataset.max_len = args.max_len
-    if getattr(args, "general", None) is not None:
-        cfg.dataset.general_path = args.general
-    if getattr(args, "mode", None) is not None:
-        cfg.train.mode = args.mode
-    if getattr(args, "kl_weight", None) is not None:
-        cfg.train.kl_weight = args.kl_weight
-    if getattr(args, "steps", None) is not None:
-        cfg.train.total_steps = args.steps
-    if getattr(args, "lr", None) is not None:
-        cfg.train.lr_max = args.lr
+    for dest, path in _OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            section, _, name = path.rpartition(".")
+            setattr(getattr(cfg, section) if section else cfg, name, value)
     return cfg
 
 
@@ -125,15 +127,7 @@ def _backend_for(cfg: cfgmod.PipelineConfig, node_ids: list[str] | None = None):
 
 
 def _model_config(cfg: cfgmod.PipelineConfig) -> tinylm.ModelConfig:
-    m = cfg.model
-    return tinylm.ModelConfig(
-        d_model=m.d_model,
-        n_layers=m.n_layers,
-        n_heads=m.n_heads,
-        context_window=m.context_window,
-        init_std=m.init_std,
-        seed=cfg.seed,
-    )
+    return tinylm.ModelConfig(**dataclasses.asdict(cfg.model), seed=cfg.seed)
 
 
 def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str], outputs: list[str]) -> int:
@@ -300,16 +294,7 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
             for rec in read_jsonl(workdir / "sft_dataset.jsonl", schema=dataset.SFT_KEYS)
         ]
 
-    train_cfg = trainer.TrainConfig(
-        mode=mode,
-        total_steps=cfg.train.total_steps,
-        lr_max=cfg.train.lr_max,
-        warmup_frac=cfg.train.warmup_frac,
-        kl_weight=cfg.train.kl_weight,
-        seed=cfg.seed,
-        grad_check_every=cfg.train.grad_check_every,
-        optimizer=cfg.train.optimizer,
-    )
+    train_cfg = trainer.TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed)
     ref_params = tinylm.freeze_reference(init_params) if mode == "nsc_sft" else None
     try:
         report = trainer.train(train_cfg, data, init_params, ref_params=ref_params)
@@ -371,14 +356,11 @@ def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         ),
         tokenizer,
     )
-    batch = trainer._batch_from_examples([probe])
-    ref_lp = tinylm.batched_logprobs(tinylm.build_leaves(ref), ref.config, batch.ids).data
-    leaves, _, _, total = trainer._graph_losses(params, batch, ref_lp, cfg.train.kl_weight)
-    tape.backward(total)
-    analytic = tinylm.collect_flat_grad(params, leaves)
+    batch = trainer.make_batch([probe], ref)
+    _, analytic = trainer.loss_and_grad(params, batch, cfg.train.kl_weight)
     worst, _ = tinylm.gradient_check(
         params,
-        lambda p: trainer._batch_loss_value(p, batch, ref_lp, cfg.train.kl_weight),
+        lambda p: trainer.loss_value(p, batch, cfg.train.kl_weight),
         analytic,
         n_coords=200,
         seed=cfg.seed,

@@ -277,6 +277,23 @@ def postprocess(
     )
 
 
+def _read_records(path: Path) -> list[dict]:
+    """The JSON lines of an append-only file, minus a torn final line.
+
+    A final line without its newline is what a crash mid-append leaves;
+    it is cut off the file, so the next append starts on a fresh line.
+    A malformed line anywhere else still raises.
+    """
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with path.open("r+b") as fh:
+            fh.truncate(end)
+    return [json.loads(line) for line in data[:end].split(b"\n") if line.strip()]
+
+
 class DistillJournal:
     """Append-only commit log plus a results sidecar.
 
@@ -302,23 +319,11 @@ class DistillJournal:
         return self.path.with_name(self.path.name + ".results")
 
     def _load(self) -> None:
-        committed: set[tuple[str, int]] = set()
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    committed.add((rec["node_id"], rec["sample_idx"]))
-        if self._results_path().exists():
-            with self._results_path().open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    rec = json.loads(line)
-                    key = (rec["node_id"], rec["sample_idx"])
-                    if key in committed:
-                        self.results[key] = entry_from_record(rec)
+        committed = {(r["node_id"], r["sample_idx"]) for r in _read_records(self.path)}
+        for rec in _read_records(self._results_path()):
+            key = (rec["node_id"], rec["sample_idx"])
+            if key in committed:
+                self.results[key] = entry_from_record(rec)
 
     def completed(self) -> set[tuple[str, int]]:
         return set(self.results)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tape
-from .errors import ContextOverflow, NonFiniteLoss
+from .errors import ContextOverflow
 from .tape import Tensor
 
 VOCAB_SIZE = 259
@@ -203,35 +203,6 @@ def forward(params: Parameters, ids) -> ForwardOutput:
     ids = np.asarray(list(ids), dtype=np.int64)
     node = batched_logprobs(build_leaves(params), params.config, ids[None, :])
     return ForwardOutput(logprobs=node.data[0].copy())
-
-
-def value_and_grad(
-    params: Parameters, loss_closure: Callable[[Callable], Tensor]
-) -> tuple[float, np.ndarray]:
-    """Evaluate a scalar loss closure and its exact gradient.
-
-    ``loss_closure`` receives a forward function mapping a token sequence
-    to a [T, vocab] log-probability tensor and must return a scalar
-    tensor built from tape ops. Raises NonFiniteLoss if the value is NaN
-    or infinite.
-    """
-    leaves = build_leaves(params)
-
-    def fwd(ids) -> Tensor:
-        ids = np.asarray(list(ids), dtype=np.int64)
-        node = batched_logprobs(leaves, params.config, ids[None, :])
-        return tape.reshape(node, node.data.shape[1:])
-
-    loss = loss_closure(fwd)
-    value = float(loss.data)
-    if not math.isfinite(value):
-        raise NonFiniteLoss(f"loss evaluated to {value}")
-    tape.backward(loss)
-    return value, collect_flat_grad(params, leaves)
-
-
-def grad(params: Parameters, loss_closure: Callable[[Callable], Tensor]) -> np.ndarray:
-    return value_and_grad(params, loss_closure)[1]
 
 
 def collect_flat_grad(params: Parameters, leaves: dict[str, Tensor]) -> np.ndarray:

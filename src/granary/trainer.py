@@ -6,6 +6,11 @@ positions), and KL-anchored fine-tuning, which adds a weighted KL term
 tying the model's predictive distributions at those same positions to a
 frozen reference model. The KL is computed in log space throughout.
 
+The per-example losses are references for tests. Training, the CLI's
+gradient check and the tests share one batched path: ``make_batch``
+builds a run's batch once, and ``loss_and_grad`` / ``loss_value``
+evaluate CE plus the weighted KL on it (plain CE for cpt, sft and λ=0).
+
 The loop is plain gradient descent under a cosine schedule with linear
 warmup; every step records the loss breakdown and gradient norm so the
 descent behaviour (non-increasing losses, square-summable gradient
@@ -24,7 +29,6 @@ import numpy as np
 from . import tape, tinylm
 from .dataset import PackedSequence, TokenizedExample
 from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
-from .tape import Tensor
 from .tinylm import PAD_ID, Parameters
 
 MODES = ("cpt", "sft", "nsc_sft")
@@ -41,7 +45,6 @@ class TrainConfig:
     seed: int = 0
     grad_check_every: int | None = None
     optimizer: str = "gd"
-    batch_indices: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -228,82 +231,91 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 # -- batched training loop --------------------------------------------------
 
 
-@dataclass
-class _Batch:
-    ids: np.ndarray          # [B, T] padded token ids
-    targets: np.ndarray      # [B, T] ids shifted left by one (junk where unweighted)
-    weights: np.ndarray      # [B, T] per-distribution-position averaging weights
+@dataclass(frozen=True)
+class Batch:
+    """Padded rows and averaging weights for the batched NSC-SFT loss.
+
+    ``weights[b, i]`` weighs the distribution at position i of row b, whose
+    target is ``targets[b, i]`` (junk where the weight is 0).
+    ``ref_logprobs`` holds the frozen reference's log-probabilities when
+    the KL term is on, else None.
+    """
+
+    ids: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    ref_logprobs: np.ndarray | None = None
 
 
-def _batch_from_examples(examples: list[TokenizedExample]) -> _Batch:
-    n = len(examples)
-    t_max = max(ex.length for ex in examples)
-    ids = np.full((n, t_max), PAD_ID, dtype=np.int64)
-    targets = np.zeros((n, t_max), dtype=np.int64)
-    weights = np.zeros((n, t_max))
-    for b, ex in enumerate(examples):
-        row = np.asarray(ex.input_ids, dtype=np.int64)
-        ids[b, : ex.length] = row
-        supervised = _target_positions(ex)
-        if supervised.size == 0:
-            raise EmptyMask(f"example {b} has no supervised positions")
-        targets[b, : ex.length - 1] = row[1:]
-        weights[b, supervised - 1] = 1.0 / (supervised.size * n)
-    return _Batch(ids=ids, targets=targets, weights=weights)
+def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
+    """One batch from TokenizedExamples (sft) or PackedSequences (cpt).
 
+    An example is one row; each of its supervised positions i >= 1 weighs
+    1/(count * n) at i - 1, so every example counts equally. A pack gives
+    one row per segment and weighs each next-token position 1/(pack
+    positions * n): packing sets only the cpt weighting and the
+    ``packed.bin`` format, never which tokens attend to which. The
+    reference forward runs here, once, when ``ref_params`` is given.
+    """
+    n = len(items)
+    rows: list[tuple[np.ndarray, np.ndarray, float]] = []  # ids, weighted positions, weight
+    for k, item in enumerate(items):
+        if isinstance(item, PackedSequence):
+            segments = [
+                np.asarray(item.ids[s.offset : s.offset + s.length], dtype=np.int64)
+                for s in item.segments
+            ]
+            count = sum(max(seg.size - 1, 0) for seg in segments)
+            weight = 1.0 / (count * n) if count else 0.0  # a pack of 1-token segments
+            rows += [(seg, np.arange(seg.size - 1), weight) for seg in segments]
+        else:
+            positions = _target_positions(item) - 1
+            if positions.size == 0:
+                raise EmptyMask(f"example {k} has no supervised positions")
+            row = np.asarray(item.input_ids, dtype=np.int64)
+            rows.append((row, positions, 1.0 / (positions.size * n)))
 
-def _batch_from_packs(packs: list[PackedSequence]) -> _Batch:
-    rows: list[np.ndarray] = []
-    row_pack: list[int] = []
-    positions_per_pack = []
-    for p_idx, pack in enumerate(packs):
-        positions = 0
-        for seg in pack.segments:
-            seg_ids = np.asarray(
-                pack.ids[seg.offset : seg.offset + seg.length], dtype=np.int64
-            )
-            rows.append(seg_ids)
-            row_pack.append(p_idx)
-            positions += max(seg.length - 1, 0)
-        positions_per_pack.append(positions)
-
-    n = len(rows)
-    t_max = max(r.size for r in rows)
-    ids = np.full((n, t_max), PAD_ID, dtype=np.int64)
-    targets = np.zeros((n, t_max), dtype=np.int64)
-    weights = np.zeros((n, t_max))
-    n_packs = len(packs)
-    for b, row in enumerate(rows):
+    ids = np.full((len(rows), max(row.size for row, _, _ in rows)), PAD_ID, dtype=np.int64)
+    weights = np.zeros(ids.shape)
+    for b, (row, positions, weight) in enumerate(rows):
         ids[b, : row.size] = row
-        if row.size >= 2:
-            targets[b, : row.size - 1] = row[1:]
-            denom = positions_per_pack[row_pack[b]] * n_packs
-            weights[b, : row.size - 1] = 1.0 / denom
-    return _Batch(ids=ids, targets=targets, weights=weights)
+        weights[b, positions] = weight
+    targets = np.zeros_like(ids)
+    targets[:, :-1] = ids[:, 1:]
+    ref_logprobs = None
+    if ref_params is not None:
+        ref_leaves = tinylm.build_leaves(ref_params)
+        ref_logprobs = tinylm.batched_logprobs(ref_leaves, ref_params.config, ids).data
+    return Batch(ids=ids, targets=targets, weights=weights, ref_logprobs=ref_logprobs)
 
 
-def _graph_losses(
-    params: Parameters,
-    batch: _Batch,
-    ref_logprobs: np.ndarray | None,
-    kl_weight: float,
-) -> tuple[dict[str, Tensor], float, float, Tensor]:
-    """Build (leaves, ce, kl, total) for one step's batch; kl is 0.0 when off."""
+def _loss_graph(params: Parameters, batch: Batch, kl_weight: float):
     leaves = tinylm.build_leaves(params)
     logprobs = tinylm.batched_logprobs(leaves, params.config, batch.ids)
     total, ce, kl = tape.ce_kl_loss(
-        logprobs, batch.targets, batch.weights, ref_logprobs, kl_weight
+        logprobs, batch.targets, batch.weights, batch.ref_logprobs, kl_weight
     )
-    return leaves, ce, kl, total
+    return leaves, total, LossBreakdown(ce=ce, kl=kl, total=float(total.data))
 
 
-def _batch_loss_value(
-    params: Parameters,
-    batch: _Batch,
-    ref_logprobs: np.ndarray | None,
-    kl_weight: float,
-) -> float:
-    return float(_graph_losses(params, batch, ref_logprobs, kl_weight)[3].data)
+def loss_value(params: Parameters, batch: Batch, kl_weight: float) -> float:
+    """The batch loss alone, for finite-difference checks (no backward)."""
+    return _loss_graph(params, batch, kl_weight)[2].total
+
+
+def loss_and_grad(
+    params: Parameters, batch: Batch, kl_weight: float
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Batch loss (kl is 0.0 when off) and its exact flat gradient.
+
+    Raises NonFiniteLoss, before any backward pass, when the loss is NaN
+    or infinite.
+    """
+    leaves, total, losses = _loss_graph(params, batch, kl_weight)
+    if not math.isfinite(losses.total):
+        raise NonFiniteLoss(f"loss evaluated to {losses.total}")
+    tape.backward(total)
+    return losses, tinylm.collect_flat_grad(params, leaves)
 
 
 def train(
@@ -315,10 +327,10 @@ def train(
     """Run the full training loop; the input parameters are never mutated.
 
     ``data`` is a list of TokenizedExample for sft/nsc_sft and a list of
-    PackedSequence for cpt. Each step evaluates the whole batch (or the
-    configured index subset), takes one descent step at the scheduled
-    rate, and appends a record. A non-finite loss raises NonFiniteLoss
-    with the partial report attached.
+    PackedSequence for cpt. The batch, and the reference forward when the
+    KL term is on, are built once; each step evaluates the whole batch,
+    takes one descent step at the scheduled rate, and appends a record. A
+    non-finite loss raises NonFiniteLoss with the partial report attached.
     """
     if cfg.mode == "nsc_sft" and ref_params is None:
         raise ValueError("nsc_sft requires reference parameters")
@@ -328,59 +340,33 @@ def train(
     params = init_params.copy()
     ref_before = ref_params.fingerprint() if ref_params is not None else None
     use_kl = cfg.mode == "nsc_sft" and cfg.kl_weight > 0
-
-    def build_batch(items: list) -> _Batch:
-        if cfg.mode == "cpt":
-            return _batch_from_packs(items)
-        return _batch_from_examples(items)
-
-    batches: dict[tuple[int, ...] | None, tuple[_Batch, np.ndarray | None]] = {}
-
-    def batch_for(step: int) -> tuple[_Batch, np.ndarray | None]:
-        key = None
-        items = data
-        if cfg.batch_indices:
-            key = tuple(cfg.batch_indices[step % len(cfg.batch_indices)])
-            items = [data[i] for i in key]
-        if key not in batches:
-            batch = build_batch(items)
-            ref_lp = None
-            if use_kl:
-                ref_leaves = tinylm.build_leaves(ref_params)
-                ref_lp = tinylm.batched_logprobs(
-                    ref_leaves, ref_params.config, batch.ids
-                ).data
-            batches[key] = (batch, ref_lp)
-        return batches[key]
-
+    batch = make_batch(data, ref_params if use_kl else None)
     records: list[StepRecord] = []
+
+    def report() -> TrainReport:
+        return TrainReport(
+            records=records,
+            final_params=params,
+            ref_fingerprint_before=ref_before,
+            ref_fingerprint_after=(
+                ref_params.fingerprint() if ref_params is not None else None
+            ),
+        )
+
     moment1 = np.zeros(params.count)
     moment2 = np.zeros(params.count)
-
     for step in range(cfg.total_steps):
         lr = lr_at(step, cfg)
-        batch, ref_lp = batch_for(step)
-        leaves, ce, kl, total = _graph_losses(params, batch, ref_lp, cfg.kl_weight)
-        total_value = float(total.data)
-        if not math.isfinite(total_value):
-            partial = TrainReport(
-                records=records,
-                final_params=params,
-                ref_fingerprint_before=ref_before,
-                ref_fingerprint_after=(
-                    ref_params.fingerprint() if ref_params is not None else None
-                ),
-            )
-            raise NonFiniteLoss(f"loss became {total_value} at step {step}", report=partial)
-        tape.backward(total)
-        gradient = tinylm.collect_flat_grad(params, leaves)
-        grad_norm = float(np.linalg.norm(gradient))
+        try:
+            losses, gradient = loss_and_grad(params, batch, cfg.kl_weight)
+        except NonFiniteLoss as exc:
+            raise NonFiniteLoss(f"{exc} at step {step}", report=report()) from None
 
         fd_err = None
         if cfg.grad_check_every and step % cfg.grad_check_every == 0:
             fd_err, _ = tinylm.gradient_check(
                 params,
-                lambda p: _batch_loss_value(p, batch, ref_lp, cfg.kl_weight),
+                lambda p: loss_value(p, batch, cfg.kl_weight),
                 gradient,
                 n_coords=3,
                 h=1e-4,
@@ -401,19 +387,12 @@ def train(
             StepRecord(
                 step=step,
                 lr=lr,
-                ce=ce,
-                kl=kl,
-                total=total_value,
-                grad_norm=grad_norm,
+                ce=losses.ce,
+                kl=losses.kl,
+                total=losses.total,
+                grad_norm=float(np.linalg.norm(gradient)),
                 fd_max_rel_err=fd_err,
             )
         )
 
-    return TrainReport(
-        records=records,
-        final_params=params,
-        ref_fingerprint_before=ref_before,
-        ref_fingerprint_after=(
-            ref_params.fingerprint() if ref_params is not None else None
-        ),
-    )
+    return report()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import TRAIN_MODEL_CFG, central_difference
-from granary import tape, tinylm, trainer
+from granary import tinylm, trainer
 from granary.backend import ChatResponse, MockLlmBackend
 from granary.dataset import (
     TokenizedExample,
@@ -62,20 +62,15 @@ def test_criterion_1_gradient_correctness():
     ids = [BOS_ID] + TOK.encode("small gradient probe, forty bytes or so") + [EOS_ID]
     mask = [False] * 9 + [True] * (len(ids) - 9)
     example = TokenizedExample(input_ids=ids, loss_mask=mask)
-    batch = trainer._batch_from_examples([example])
 
     worst_overall = 0.0
     for seed in (0, 1, 2):
-        cfg = ModelConfig(seed=seed)
-        params = init(cfg)
-        ref = init(ModelConfig(seed=seed + 50))
-        ref_lp = tinylm.batched_logprobs(tinylm.build_leaves(ref), cfg, batch.ids).data
-        leaves, _, _, total = trainer._graph_losses(params, batch, ref_lp, 0.1)
-        tape.backward(total)
-        analytic = tinylm.collect_flat_grad(params, leaves)
+        params = init(ModelConfig(seed=seed))
+        batch = trainer.make_batch([example], init(ModelConfig(seed=seed + 50)))
+        _, analytic = trainer.loss_and_grad(params, batch, 0.1)
 
         def value_fn(p):
-            return trainer._batch_loss_value(p, batch, ref_lp, 0.1)
+            return trainer.loss_value(p, batch, 0.1)
 
         rng = np.random.default_rng(seed)
         for idx in rng.choice(params.count, size=200, replace=False):

@@ -1,11 +1,14 @@
 """End-to-end command-line pipeline on the fixture mini-book."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from granary.cli import main
+from granary import config as cfgmod
+from granary import tinylm, trainer
+from granary.cli import _OVERRIDES, _apply_overrides, build_parser, main
 from granary.jsonl import read_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures" / "minibook"
@@ -234,3 +237,107 @@ class TestGradcheckAndErrors:
             assert code == 0, command
             assert json.loads(out)["command"] == command
         assert not workdir.exists()
+
+
+# Config-file values that no flag below produces, so a flag that fails to
+# apply, or an absent flag that clobbers the file, shows up.
+FILE_VALUES = {
+    "workdir": "file_work",
+    "seed": 3,
+    "backend.mock": False,
+    "parallelism": 2,
+    "corpus_dir": "file_corpus",
+    "manifest": "file_manifest.json",
+    "dataset.max_len": 77,
+    "dataset.general_path": "file_general.jsonl",
+    "train.mode": "sft",
+    "train.kl_weight": 0.25,
+    "train.total_steps": 5,
+    "train.lr_max": 0.125,
+}
+
+FLAG_CASES = [
+    (["ingest", "--workdir", "w2"], "workdir", "w2"),
+    (["ingest", "--seed", "7"], "seed", 7),
+    (["ingest", "--mock-llm"], "backend.mock", True),
+    (["ingest", "--parallelism", "4"], "parallelism", 4),
+    (["ingest", "--corpus-dir", "c2"], "corpus_dir", "c2"),
+    (["ingest", "--manifest", "m2.json"], "manifest", "m2.json"),
+    (["build", "--max-len", "99"], "dataset.max_len", 99),
+    (["build", "--general", "g2.jsonl"], "dataset.general_path", "g2.jsonl"),
+    (["train", "--mode", "cpt"], "train.mode", "cpt"),
+    (["train", "--lambda", "0.5"], "train.kl_weight", 0.5),
+    (["train", "--steps", "9"], "train.total_steps", 9),
+    (["train", "--lr", "0.5"], "train.lr_max", 0.5),
+]
+
+
+def _field(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def _file_config(tmp_path, values):
+    data = {}
+    for path, value in values.items():
+        *sections, name = path.split(".")
+        target = data
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[name] = value
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _configured(argv, config_path):
+    args = build_parser().parse_args([*argv, "--config", config_path])
+    return _apply_overrides(cfgmod.load_config(args.config), args)
+
+
+class TestConfigWiring:
+    @pytest.mark.parametrize("argv,path,value", FLAG_CASES, ids=[c[0][1] for c in FLAG_CASES])
+    def test_flag_sets_its_field_and_absent_flags_keep_the_file(self, tmp_path, argv, path, value):
+        config_path = _file_config(tmp_path, FILE_VALUES)
+        flagged = _configured(argv, config_path)
+        assert {p: _field(flagged, p) for p in FILE_VALUES} == {**FILE_VALUES, path: value}
+        plain = _configured(argv[:1], config_path)
+        assert {p: _field(plain, p) for p in FILE_VALUES} == FILE_VALUES
+
+    def test_every_override_flag_is_covered(self):
+        assert {path for _, path, _ in FLAG_CASES} == set(FILE_VALUES) == set(_OVERRIDES.values())
+
+    def test_mock_llm_only_turns_the_mock_on(self, tmp_path):
+        for mock in (True, False):
+            config_path = _file_config(tmp_path, {"backend.mock": mock})
+            assert _configured(["eval"], config_path).backend.mock is mock
+            assert _configured(["eval", "--mock-llm"], config_path).backend.mock is True
+
+    def test_model_and_train_sections_reach_the_library_configs(self, pipeline, tmp_path, monkeypatch):
+        config, workdir, stage = pipeline
+        model = {"d_model": 16, "n_layers": 1, "n_heads": 4, "context_window": 512, "init_std": 0.05}
+        train = {
+            "mode": "sft", "total_steps": 3, "lr_max": 0.02, "warmup_frac": 0.2,
+            "kl_weight": 0.3, "grad_check_every": 2, "optimizer": "adam",
+        }
+        for defaults, values in ((cfgmod.ModelSettings(), model), (cfgmod.TrainSettings(), train)):
+            assert set(values) == {f.name for f in dataclasses.fields(defaults)}
+            assert all(getattr(defaults, name) != value for name, value in values.items())
+        write_config(tmp_path, seed=5, model=model, train=train)
+        for command in ("ingest", "distill", "build"):
+            assert stage(command)[0] == 0
+
+        class Seen(Exception):
+            pass
+
+        def fake_train(cfg, data, init_params, ref_params=None):
+            raise Seen(cfg, init_params.config)
+
+        monkeypatch.setattr(trainer, "train", fake_train)
+        with pytest.raises(Seen) as seen:
+            run("train", "--config", str(config))
+        assert seen.value.args == (
+            trainer.TrainConfig(seed=5, **train),
+            tinylm.ModelConfig(seed=5, **model),
+        )

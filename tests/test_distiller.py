@@ -1,5 +1,6 @@
 """Distillation agents, postprocessing, and the resumable run loop."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from granary.backend import ChatResponse, MockLlmBackend
 from granary.corpus import LearningNode
 from granary.distiller import (
     DistillConfig,
+    DistillJournal,
     QTSA_KEYS,
     RawAnswer,
     answer_question,
@@ -320,6 +322,50 @@ class TestDistillCorpus:
         )
         for line in journal.read_text().splitlines():
             assert set(json.loads(line)) == {"node_id", "sample_idx", "status", "timestamp"}
+
+    @pytest.mark.parametrize("suffix", ["", ".results"])
+    def test_torn_tail_at_any_byte_resumes(self, minibook_nodes, tmp_path, suffix):
+        # A crash mid-append leaves a final line without its newline; a
+        # resume must drop it, re-run that task and append cleanly after it.
+        nodes = minibook_nodes[:3]
+        journal = tmp_path / "journal.jsonl"
+        cfg = DistillConfig(n_samples=1, journal_path=journal)
+
+        def backend():
+            return MockLlmBackend(seed=0, node_ids=[n.node_id for n in nodes], n_samples=1)
+
+        want = json.dumps([entry_to_record(e) for e in distill_corpus(nodes, cfg, backend())])
+        torn = journal.with_name(journal.name + suffix)
+        full = {p: p.read_bytes() for p in (journal, journal.with_name(journal.name + ".results"))}
+        for cut in range(len(full[torn])):
+            for path, data in full.items():
+                path.write_bytes(data[:cut] if path == torn else data)
+            resumed = distill_corpus(nodes, cfg, backend())
+            assert json.dumps([entry_to_record(e) for e in resumed]) == want, cut
+            again = backend()
+            assert json.dumps([entry_to_record(e) for e in distill_corpus(nodes, cfg, again)]) == want, cut
+            assert again.transcript == [], cut
+
+    def test_journal_reload_keeps_unicode_line_separators(self, minibook_nodes, tmp_path):
+        # json.dumps(ensure_ascii=False) leaves U+2028 and NEL unescaped, so
+        # a reload must split records on "\n" only.
+        (entry,) = distill_corpus(minibook_nodes[:1], DistillConfig(n_samples=1), self._mock(minibook_nodes[:1]))
+        entry = dataclasses.replace(entry, question="one\u2028two\x85three")
+        journal = DistillJournal(tmp_path / "journal.jsonl")
+        journal.commit(entry)
+        journal.close()
+        reloaded = DistillJournal(tmp_path / "journal.jsonl")
+        reloaded.close()
+        assert reloaded.results == {(entry.node_id, entry.sample_idx): entry}
+
+    def test_corrupt_middle_line_still_raises(self, minibook_nodes, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        cfg = DistillConfig(n_samples=1, journal_path=journal)
+        distill_corpus(minibook_nodes[:3], cfg, self._mock(minibook_nodes[:3]))
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text(lines[0] + lines[1][:10] + "\n" + lines[2])
+        with pytest.raises(json.JSONDecodeError):
+            distill_corpus(minibook_nodes[:3], cfg, self._mock(minibook_nodes[:3]))
 
 
 class TestEntryIO:

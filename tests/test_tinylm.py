@@ -19,14 +19,12 @@ from granary.tinylm import (
     ModelConfig,
     forward,
     freeze_reference,
-    grad,
     greedy_decode,
     init,
     load_checkpoint,
     parameter_count,
     parameter_layout,
     save_checkpoint,
-    value_and_grad,
 )
 
 TOK = ByteTokenizer()
@@ -125,16 +123,11 @@ class TestGrad:
         ref = init(ModelConfig(seed=50))
         ids = [BOS_ID] + TOK.encode("check the gradient of this loss") + [EOS_ID]
         mask = [False] * 8 + [True] * (len(ids) - 8)
-        ex = TokenizedExample(input_ids=ids, loss_mask=mask)
-
-        batch = trainer._batch_from_examples([ex])
-        ref_lp = tinylm.batched_logprobs(tinylm.build_leaves(ref), cfg, batch.ids).data
-        leaves, _, _, total = trainer._graph_losses(params, batch, ref_lp, 0.1)
-        tape.backward(total)
-        analytic = tinylm.collect_flat_grad(params, leaves)
+        batch = trainer.make_batch([TokenizedExample(input_ids=ids, loss_mask=mask)], ref)
+        _, analytic = trainer.loss_and_grad(params, batch, 0.1)
 
         def value_fn(p):
-            return trainer._batch_loss_value(p, batch, ref_lp, 0.1)
+            return trainer.loss_value(p, batch, 0.1)
 
         rng = np.random.default_rng(0)
         worst = 0.0
@@ -145,14 +138,9 @@ class TestGrad:
 
     def test_unused_pad_embedding_gets_zero_gradient(self):
         params = init(ModelConfig(seed=1))
-        ids = np.asarray(TOK.encode("no pad here"))
-
-        def closure(fwd):
-            lp = tape.reshape(fwd(ids), (1, ids.size, params.config.vocab_size))
-            picked = tape.take_along_last(lp, ids[None, :])
-            return -tape.sumdim(picked) * (1.0 / ids.size)
-
-        gradient = grad(params, closure)
+        ids = TOK.encode("no pad here")
+        example = TokenizedExample(input_ids=ids, loss_mask=[True] * len(ids))
+        _, gradient = trainer.loss_and_grad(params, trainer.make_batch([example]), 0.0)
         offset = 0
         for name, shape in parameter_layout(params.config):
             size = int(np.prod(shape))
@@ -167,22 +155,18 @@ class TestGrad:
         cfg = ModelConfig(seed=6)
         params = init(cfg)
         ref = freeze_reference(params)
-        ids = np.asarray([BOS_ID] + TOK.encode("at the reference point") + [EOS_ID])
+        ids = [BOS_ID] + TOK.encode("at the reference point") + [EOS_ID]
+        batch = trainer.make_batch([TokenizedExample(input_ids=ids, loss_mask=[True] * len(ids))], ref)
+        with_kl = trainer.loss_and_grad(params, batch, 0.1)[1]
+        without_kl = trainer.loss_and_grad(params, batch, 0.0)[1]
+        assert np.max(np.abs(with_kl - without_kl)) <= 1e-10
+
         ref_lp = forward(ref, ids).logprobs
-
-        def closure(fwd):
-            lp = fwd(ids)
-            diff = lp - tape.Tensor(ref_lp)
-            per_pos = tape.sumdim(tape.exp(lp) * diff, axis=-1)
-            return tape.sumdim(per_pos) * (0.1 / ids.size)
-
-        analytic = grad(params, closure)
-        assert np.max(np.abs(analytic)) <= 1e-10
 
         def value_fn(p):
             cur = forward(p, ids).logprobs
             p_arr = np.exp(cur)
-            return float(0.1 * np.sum(p_arr * (cur - ref_lp)) / ids.size)
+            return float(0.1 * np.sum(p_arr * (cur - ref_lp)) / len(ids))
 
         rng = np.random.default_rng(1)
         for idx in rng.choice(params.count, size=20, replace=False):
@@ -198,15 +182,16 @@ class TestGrad:
         assert np.array_equal(b.grad, 2.0 * hidden.data * a.data)
         assert hidden.grad is None and loss.grad is None
 
-    def test_non_finite_loss_raises(self):
+    def test_non_finite_loss_raises(self, monkeypatch):
         params = init(ModelConfig(seed=0))
-
-        def closure(fwd):
-            lp = fwd([1, 2, 3])
-            return tape.sumdim(tape.log(lp))  # log of negative values -> nan
-
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
-            value_and_grad(params, closure)
+        params.flat[:] = 1e200  # overflows in the forward
+        ids = [1, 2, 3]
+        batch = trainer.make_batch([TokenizedExample(input_ids=ids, loss_mask=[True] * 3)])
+        backward_calls = []
+        monkeypatch.setattr(tape, "backward", backward_calls.append)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
+            trainer.loss_and_grad(params, batch, 0.0)
+        assert backward_calls == []
 
 
 def _fd_max_rel_err(build, inputs, n_coords=40, h=1e-4, seed=0):

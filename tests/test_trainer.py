@@ -1,5 +1,6 @@
 """Losses, the KL term, the schedule, and the training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import TRAIN_MODEL_CFG
 from granary import tinylm, trainer
-from granary.dataset import TokenizedExample, pack_sequences
+from granary.dataset import TokenizedExample, chunk_tokenized, pack_sequences, tokenize_cpt
 from granary.errors import EmptyMask, NonFiniteLoss, ShapeMismatch
 from granary.tinylm import BOS_ID, EOS_ID, ByteTokenizer, ModelConfig, freeze_reference, init
 from granary.trainer import (
@@ -36,6 +37,54 @@ def sft_example(text="supervise these bytes", prompt_len=6):
 
 def uniform_params(**kwargs):
     return init(ModelConfig(init_std=0.0, **kwargs))
+
+
+# Records as (step, lr, ce, kl, total, grad_norm, fd_max_rel_err) plus the
+# final parameter fingerprint of three short runs (see ``pinned_run``). A
+# change to how a training step is computed shows up here as a changed bit.
+PINNED_RUNS = {
+    "sft": (
+        [
+            (0, 0.01, 9.712312903211927, 0.0, 9.712312903211927, 13.230892119745416, 1.5399489491943645e-08),
+            (1, 0.0075, 8.409817594292374, 0.0, 8.409817594292374, 7.867065398252831, None),
+            (2, 0.0025000000000000014, 7.973362290635901, 0.0, 7.973362290635901, 7.0292893361593665, 9.846520640799451e-09),
+        ],
+        "807a65ca8b8498f722ab647aba47491c876d7fddb4f715a299c964a9b1d429c8",
+    ),
+    "nsc_sft": (
+        [
+            (0, 0.01, 9.712312903211927, 7.768917724935982, 10.489204675705526, 14.37283529909868, None),
+            (1, 0.0075, 8.361004740042535, 6.520190055950949, 9.01302374563763, 8.017742829986599, None),
+            (2, 0.0025000000000000014, 7.931615354052422, 6.278791847775516, 8.559494538829973, 7.1639541136240075, None),
+        ],
+        "ab626a058568a610cc8620c90d17f042f80b185cd5ed19283bdebd2dc7e9799e",
+    ),
+    "cpt": (
+        [
+            (0, 0.01, 5.556714934157407, 0.0, 5.556714934157407, 0.02600060147463264, None),
+            (1, 0.0075, 5.556708173441558, 0.0, 5.556708173441558, 0.026003758566521908, None),
+            (2, 0.0025000000000000014, 5.556703101732571, 0.0, 5.556703101732571, 0.026006282740503286, None),
+        ],
+        "d8d10905a0feb9d1a14e0d64d333a31d49bf39516bad989c1c4016ec8a722f26",
+    ),
+}
+
+
+def pinned_run(mode, fixture_examples, minibook_nodes):
+    """Three steps at lr 1e-2: sft with a gradient check every other step,
+    nsc_sft against a differently seeded reference, cpt on mini-book packs."""
+    if mode == "cpt":
+        pieces = []
+        for node in minibook_nodes[:2]:
+            pieces.extend(chunk_tokenized(tokenize_cpt(node.text, TOK), 96))
+        cfg = TrainConfig(mode="cpt", total_steps=3, lr_max=1e-2)
+        return train(cfg, pack_sequences(pieces, 96), init(ModelConfig(seed=0, context_window=96)))
+    cfg = TrainConfig(
+        mode=mode, total_steps=3, lr_max=1e-2, kl_weight=0.1, seed=2,
+        grad_check_every=2 if mode == "sft" else None,
+    )
+    ref = freeze_reference(init(dataclasses.replace(TRAIN_MODEL_CFG, seed=1)))
+    return train(cfg, fixture_examples[:3], init(TRAIN_MODEL_CFG), ref_params=ref if mode == "nsc_sft" else None)
 
 
 class TestLossSft:
@@ -306,6 +355,25 @@ class TestTrainLoop:
         oracle = np.mean([loss_cpt(params, pack) for pack in packs])
         assert report.records[0].ce == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("mode", sorted(PINNED_RUNS))
+    def test_short_runs_reproduce_pinned_records(self, mode, fixture_examples, minibook_nodes):
+        report = pinned_run(mode, fixture_examples, minibook_nodes)
+        records, fingerprint = PINNED_RUNS[mode]
+        assert [tuple(trainer.step_to_record(r).values()) for r in report.records] == records
+        assert report.final_params.fingerprint() == fingerprint
+
+    def test_cpt_lone_one_token_pack_weighs_nothing_but_counts(self):
+        # A 49-token text chunked at 24 leaves a 1-token tail that packs alone.
+        text = tokenize_cpt("a lone tail token ends up in its own pack here!", TOK)
+        assert text.length == 49
+        packs = pack_sequences(chunk_tokenized(text, 24), 24)
+        assert [p.total_length for p in packs] == [24, 24, 1]
+        params = init(ModelConfig(seed=0, context_window=24, init_std=0.2))
+        report = train(TrainConfig(mode="cpt", total_steps=1, lr_max=1e-3), packs, params)
+        oracle = np.mean([loss_cpt(params, pack) for pack in packs])
+        assert loss_cpt(params, packs[-1]) == 0.0
+        assert report.records[0].ce == pytest.approx(oracle, abs=1e-10)
+
     def test_nsc_requires_reference(self, fixture_examples):
         with pytest.raises(ValueError):
             train(TrainConfig(mode="nsc_sft", total_steps=1), fixture_examples, init(TRAIN_MODEL_CFG))
@@ -339,8 +407,7 @@ class TestTrainLoop:
         )
         report = train(cfg, examples, init_params, ref_params=ref)
 
-        batch = trainer._batch_from_examples(examples)
-        ref_lp = tinylm.batched_logprobs(tinylm.build_leaves(ref), ref.config, batch.ids).data
+        batch = trainer.make_batch(examples, ref)
         assert len(seen) == len(report.records) == 3
         for record, (params, gradient) in zip(report.records, seen):
             rng = np.random.default_rng([cfg.seed, record.step])
@@ -351,8 +418,8 @@ class TestTrainLoop:
                 plus.flat[idx] += 1e-4
                 minus.flat[idx] -= 1e-4
                 fd = (
-                    trainer._batch_loss_value(plus, batch, ref_lp, cfg.kl_weight)
-                    - trainer._batch_loss_value(minus, batch, ref_lp, cfg.kl_weight)
+                    trainer.loss_value(plus, batch, cfg.kl_weight)
+                    - trainer.loss_value(minus, batch, cfg.kl_weight)
                 ) / 2e-4
                 denom = max(abs(fd), abs(gradient[idx]), 1e-6)
                 want = max(want, abs(fd - gradient[idx]) / denom)
@@ -373,16 +440,6 @@ class TestTrainLoop:
             fixture_examples[:2], params,
         )
         assert len(report.records) == 3
-
-    def test_batch_indices_subset_schedule(self, fixture_examples):
-        params = init(TRAIN_MODEL_CFG)
-        cfg = TrainConfig(
-            mode="sft", total_steps=4, lr_max=1e-3,
-            batch_indices=((0, 1), (2, 3)),
-        )
-        report = train(cfg, fixture_examples[:4], params)
-        oracle = np.mean([loss_sft(params, ex) for ex in fixture_examples[:2]])
-        assert report.records[0].ce == pytest.approx(oracle, abs=1e-10)
 
     def test_grad_norms_square_summable_series_reported(self, fixture_examples):
         params = init(TRAIN_MODEL_CFG)
