@@ -42,6 +42,7 @@ class EvalItemResult:
     item_id: str
     extracted: str | None
     correct_flag: bool
+    response: str | None  # the raw response text; None when the backend failed
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class EvalReport:
                     "item_id": r.item_id,
                     "extracted": r.extracted,
                     "correct_flag": r.correct_flag,
+                    "response": r.response,
                 }
                 for r in self.per_item
             ],
@@ -115,10 +117,10 @@ def grade(items: list[McqItem], backend: LlmBackend, parallelism: int = 1) -> Ev
         try:
             response = backend.complete(render_eval_prompt(item))
         except BackendError:
-            return EvalItemResult(item_id=item.item_id, extracted=None, correct_flag=False)
+            return EvalItemResult(item.item_id, extracted=None, correct_flag=False, response=None)
         extracted = extract_answer(response.content)
         correct = extracted is not None and extracted.upper() == item.correct.upper()
-        return EvalItemResult(item_id=item.item_id, extracted=extracted, correct_flag=correct)
+        return EvalItemResult(item.item_id, extracted, correct, response=response.content)
 
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -8,10 +8,12 @@ weights with the causal mask applied inside), ``log_softmax``,
 weighted cross-entropy plus KL-to-reference training loss). Each fused op
 is one graph node with a closed-form VJP and keeps only what that VJP
 needs, where the primitive composition added a node and a full-size
-array per step. Gradients are exact analytic derivatives; the test suite
-cross-checks every op, fused ones included, against central finite
-differences and each fused op's forward against its primitive
-composition.
+array per step. The forward math of ``causal_softmax``, ``layer_norm``
+and ``gelu`` lives in array-level ``*_forward`` helpers, which the tape
+ops and the tape-free decoder in ``tinylm`` share. Gradients are exact
+analytic derivatives; the test suite cross-checks every op, fused ones
+included, against central finite differences and each fused op's
+forward against its primitive composition.
 """
 
 from __future__ import annotations
@@ -240,23 +242,56 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
 # they stay for the tests' reference compositions and the benchmark tracer, which wraps ops by name.
 
 
-def causal_softmax(x: Tensor, scale: float) -> Tensor:
+def causal_softmax_forward(x: np.ndarray, scale: float, offset: int = 0) -> np.ndarray:
     """Softmax of ``scale * x`` over the last axis under a causal mask.
 
-    ``x`` holds [..., T, T] attention scores. Entry (i, j) with j > i gets
-    exactly zero weight, so a later position never changes an earlier
-    one. Masked entries are zeroed rather than exponentiated from -inf,
-    which numpy's exp handles about three times slower than finite values.
-    The VJP needs only the output.
+    ``x`` holds [..., t, n] attention scores of t query rows against n
+    keys; query row i sits at key position ``offset + i``, so entry (i, j)
+    with j > offset + i gets exactly zero weight. With ``offset == 0`` and
+    t == n this is the square mask of one sequence; a positive offset lets
+    a block of new rows attend to cached keys. Masked entries are zeroed
+    rather than exponentiated from -inf, which numpy's exp handles about
+    three times slower than finite values.
     """
-    t = x.data.shape[-1]
-    past = np.tri(t, dtype=bool)
-    m = np.max(x.data, axis=-1, keepdims=True, where=past, initial=-np.inf)
-    probs = x.data - m
+    t, n = x.shape[-2:]
+    past = np.tri(t, n, k=offset, dtype=bool)
+    m = np.max(x, axis=-1, keepdims=True, where=past, initial=-np.inf)
+    probs = x - m
     probs *= scale
     np.exp(probs, out=probs, where=past)
     np.copyto(probs, 0.0, where=~past)
     probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def layer_norm_forward(
+    x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(out, normed, inv)``: the last axis normalised, scaled and shifted.
+
+    ``normed`` is ``x`` at zero mean and unit variance and ``inv`` the
+    reciprocal standard deviation; the VJP needs both.
+    """
+    inv_d = 1.0 / x.shape[-1]
+    normed = x - x.sum(axis=-1, keepdims=True) * inv_d
+    inv = np.power((normed * normed).sum(axis=-1, keepdims=True) * inv_d + eps, -0.5)
+    normed *= inv
+    return normed * scale + bias, normed, inv
+
+
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(out, t)``: GELU, tanh approximation, 0.5 x (1 + t) with t = tanh(c (x + 0.044715 x^3))."""
+    t = np.tanh((x + 0.044715 * (x * x * x)) * _GELU_C)
+    return 0.5 * (x * (1.0 + t)), t
+
+
+def causal_softmax(x: Tensor, scale: float) -> Tensor:
+    """Tape op of ``causal_softmax_forward`` over square [..., T, T] scores.
+
+    A later position never changes an earlier one. The VJP needs only the
+    output.
+    """
+    probs = causal_softmax_forward(x.data, scale)
 
     def vjp(g):
         gx = g - np.einsum("...ij,...ij->...i", g, probs)[..., None]
@@ -285,11 +320,9 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Normalise the last axis to zero mean and unit variance, then scale and shift."""
+    """Tape op of ``layer_norm_forward``."""
+    out, normed, inv = layer_norm_forward(x.data, scale.data, bias.data, eps)
     inv_d = 1.0 / x.data.shape[-1]
-    normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
-    inv = np.power((normed * normed).sum(axis=-1, keepdims=True) * inv_d + eps, -0.5)
-    normed *= inv
     leading = tuple(range(x.data.ndim - 1))
 
     def vjp(g):
@@ -299,13 +332,13 @@ def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
         gx *= inv
         return gx, (g * normed).sum(axis=leading), g.sum(axis=leading)
 
-    return Tensor(normed * scale.data + bias.data, (x, scale, bias), vjp)
+    return Tensor(out, (x, scale, bias), vjp)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    """Tape op of ``gelu_forward``."""
     xd = x.data
-    t = np.tanh((xd + 0.044715 * (xd * xd * xd)) * _GELU_C)
+    out, t = gelu_forward(xd)
 
     def vjp(g):
         slope = 1.0 - t * t
@@ -316,7 +349,7 @@ def gelu(x: Tensor) -> Tensor:
         slope *= 0.5
         return (slope,)
 
-    return Tensor(0.5 * (xd * (1.0 + t)), (x,), vjp)
+    return Tensor(out, (x,), vjp)
 
 
 def ce_kl_loss(

@@ -5,6 +5,14 @@ few pre-norm transformer blocks over a 259-symbol byte vocabulary, all
 math in float64, gradients from the reverse-mode tape and verified
 against central differences. Parameters live in one flat vector with
 named views so a frozen reference copy is a plain immutable snapshot.
+
+Greedy decoding runs forward-only on numpy arrays, with no tape. While
+the sequence fits the context window, each layer's keys and values are
+cached and a step runs only the new token's row. Once the window slides,
+every id moves to an earlier position; positions are learned embeddings
+added at the input, so no cached key or value stays valid and the window
+is recomputed. Either way, the last layer and the head run only the
+final row, whose logit argmax is the next token.
 """
 
 from __future__ import annotations
@@ -101,18 +109,23 @@ class Parameters:
             raise ValueError(f"expected flat vector of length {expected}, got {flat.shape}")
         self.config = config
         self.flat = flat
-        self._offsets: dict[str, tuple[int, tuple[int, ...]]] = {}
+        # name -> (offset, size, shape) of each view, in storage order.
+        self.offsets: dict[str, tuple[int, int, tuple[int, ...]]] = {}
         offset = 0
         for name, shape in parameter_layout(config):
-            self._offsets[name] = (offset, shape)
-            offset += int(np.prod(shape))
+            size = int(np.prod(shape))
+            self.offsets[name] = (offset, size, shape)
+            offset += size
 
     def view(self, name: str) -> np.ndarray:
-        offset, shape = self._offsets[name]
-        return self.flat[offset : offset + int(np.prod(shape))].reshape(shape)
+        offset, size, shape = self.offsets[name]
+        return self.flat[offset : offset + size].reshape(shape)
+
+    def views(self) -> dict[str, np.ndarray]:
+        return {name: self.view(name) for name in self.offsets}
 
     def names(self) -> list[str]:
-        return list(self._offsets)
+        return list(self.offsets)
 
     @property
     def count(self) -> int:
@@ -154,7 +167,14 @@ class ForwardOutput:
 
 def build_leaves(params: Parameters) -> dict[str, Tensor]:
     """Wrap every named parameter view as a graph leaf."""
-    return {name: Tensor(params.view(name)) for name in params.names()}
+    return {name: Tensor(view) for name, view in params.views().items()}
+
+
+def _check_ids(ids: np.ndarray, cfg: ModelConfig) -> None:
+    if ids.size == 0:
+        raise ValueError("no token ids to score")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise ValueError("token id out of range")
 
 
 def batched_logprobs(leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarray) -> Tensor:
@@ -168,8 +188,7 @@ def batched_logprobs(leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarra
     b, t = ids.shape
     if t > cfg.context_window:
         raise ContextOverflow(f"sequence length {t} exceeds context window {cfg.context_window}")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise ValueError("token id out of range")
+    _check_ids(ids, cfg)
 
     heads, head_dim = cfg.n_heads, cfg.d_model // cfg.n_heads
     scale = 1.0 / math.sqrt(head_dim)
@@ -208,13 +227,10 @@ def forward(params: Parameters, ids) -> ForwardOutput:
 def collect_flat_grad(params: Parameters, leaves: dict[str, Tensor]) -> np.ndarray:
     """Assemble per-view leaf gradients into one flat vector (zeros where unused)."""
     flat = np.zeros(params.count)
-    offset = 0
-    for name, shape in parameter_layout(params.config):
-        size = int(np.prod(shape))
+    for name, (offset, size, _) in params.offsets.items():
         leaf = leaves[name]
         if leaf.grad is not None:
             flat[offset : offset + size] = leaf.grad.reshape(-1)
-        offset += size
     return flat
 
 
@@ -272,6 +288,53 @@ def load_checkpoint(path: str | Path) -> Parameters:
     return Parameters(cfg, flat)
 
 
+def kv_cache(cfg: ModelConfig) -> np.ndarray:
+    """Room for every layer's keys and values over one window: [layers, 2, heads, w, head_dim]."""
+    head_dim = cfg.d_model // cfg.n_heads
+    return np.empty((cfg.n_layers, 2, cfg.n_heads, cfg.context_window, head_dim))
+
+
+def decode_block(
+    views: dict[str, np.ndarray], cfg: ModelConfig, ids, kv: np.ndarray, start: int
+) -> np.ndarray:
+    """Next-token logits after ``ids``, the window positions ``start..``, without a tape.
+
+    ``views`` are the parameter views (``Parameters.views``). ``kv`` (from
+    ``kv_cache``) holds each layer's keys and values for the window
+    positions before ``start``; the block's own are written after them.
+    Every layer but the last runs all rows of the block. The last layer
+    still stores keys and values for all of them, but computes the query,
+    attention and MLP for the final row only, and the head scores only
+    that row: the logits differ from ``batched_logprobs``' last row by a
+    per-row shift, so they have the same argmax.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    t = ids.size
+    end = start + t
+    heads, head_dim = cfg.n_heads, cfg.d_model // cfg.n_heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    x = views["tok_emb"][ids] + views["pos_emb"][start:end]
+    for i in range(cfg.n_layers):
+        p = f"layer{i}."
+        h = tape.layer_norm_forward(x, views[p + "norm1_scale"], views[p + "norm1_bias"], _LN_EPS)[0]
+        kv[i, 0, :, start:end] = (h @ views[p + "attn_k"]).reshape(t, heads, head_dim).swapaxes(0, 1)
+        kv[i, 1, :, start:end] = (h @ views[p + "attn_v"]).reshape(t, heads, head_dim).swapaxes(0, 1)
+        if i == cfg.n_layers - 1:
+            x, h = x[-1:], h[-1:]
+        rows = len(x)
+        q = (h @ views[p + "attn_q"]).reshape(rows, heads, head_dim).swapaxes(0, 1)
+        scores = q @ kv[i, 0, :, :end].swapaxes(-1, -2)
+        attn = tape.causal_softmax_forward(scores, scale, offset=end - rows)
+        context = (attn @ kv[i, 1, :, :end]).swapaxes(0, 1).reshape(rows, cfg.d_model)
+        x = x + context @ views[p + "attn_o"]
+
+        h2 = tape.layer_norm_forward(x, views[p + "norm2_scale"], views[p + "norm2_bias"], _LN_EPS)[0]
+        x = x + tape.gelu_forward(h2 @ views[p + "mlp_in"])[0] @ views[p + "mlp_out"]
+
+    return x[-1] @ views["out_proj"]
+
+
 def greedy_decode(
     params: Parameters,
     prompt_ids: list[int],
@@ -281,15 +344,28 @@ def greedy_decode(
     """Deterministic argmax decoding with a sliding context window.
 
     Prompts longer than the context are left-truncated; returns only the
-    newly generated ids (EOS included when it stops the decode).
+    newly generated ids (EOS included when it stops the decode). Each
+    step's token is the argmax of ``forward`` over the last ``w`` ids,
+    computed by ``decode_block`` without a tape. An empty prompt or an id
+    outside the vocabulary, even one the window drops, raises ValueError.
     """
-    w = params.config.context_window
+    cfg = params.config
+    w = cfg.context_window
     ids = list(prompt_ids)
+    _check_ids(np.asarray(ids, dtype=np.int64), cfg)
+    views = params.views()
+    kv = kv_cache(cfg)
+    cached = 0  # window positions whose keys and values are in kv
     generated: list[int] = []
     for _ in range(max_new_tokens):
-        window = ids[-w:]
-        out = forward(params, window)
-        next_id = int(np.argmax(out.logprobs[-1]))
+        if len(ids) <= w:
+            logits = decode_block(views, cfg, ids[cached:], kv, cached)
+            cached = len(ids)
+        else:
+            # The window slides: each id moves to the previous position,
+            # so every cached key and value is stale. Recompute the window.
+            logits = decode_block(views, cfg, ids[-w:], kv, 0)
+        next_id = int(np.argmax(logits))
         ids.append(next_id)
         generated.append(next_id)
         if stop_at_eos and next_id == EOS_ID:

@@ -1,17 +1,19 @@
-"""Primitive-op compositions of the fused tape ops, kept as test oracles.
+"""Reference implementations that only the tests use.
 
-Each function builds the same value as its fused counterpart in
+Each op function builds the same value as its fused counterpart in
 ``granary.tape`` out of separate tape primitives, one graph node per
 step, the way the model and the training loss were written before the
 fused ops existed. ``batched_logprobs`` is the whole model forward built
 that way. Tests compare the fused forwards against these to 1e-12.
+``greedy_decode_reference`` decodes with one full ``forward`` per token,
+the way ``tinylm.greedy_decode`` did before it cached keys and values.
 """
 
 import math
 
 import numpy as np
 
-from granary import tape
+from granary import tape, tinylm
 from granary.tape import Tensor
 
 _NEG_INF = -1e30
@@ -78,3 +80,18 @@ def batched_logprobs(leaves: dict[str, Tensor], cfg, ids: np.ndarray) -> Tensor:
         h2 = layer_norm(x, leaves[f"layer{i}.norm2_scale"], leaves[f"layer{i}.norm2_bias"], _LN_EPS)
         x = x + gelu(h2 @ leaves[f"layer{i}.mlp_in"]) @ leaves[f"layer{i}.mlp_out"]
     return log_softmax(x @ leaves["out_proj"])
+
+
+def greedy_decode_reference(params, prompt_ids, max_new_tokens, stop_at_eos=True):
+    """Argmax of the last row of ``tinylm.forward`` over the last ``w`` ids, per token."""
+    w = params.config.context_window
+    ids = list(prompt_ids)
+    generated = []
+    for _ in range(max_new_tokens):
+        out = tinylm.forward(params, ids[-w:])
+        next_id = int(np.argmax(out.logprobs[-1]))
+        ids.append(next_id)
+        generated.append(next_id)
+        if stop_at_eos and next_id == tinylm.EOS_ID:
+            break
+    return generated

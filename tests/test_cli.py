@@ -205,6 +205,9 @@ class TestBuildTrainEval:
         report = json.loads((workdir / "eval_report.json").read_text())
         assert set(report) == {"accuracy", "counts", "per_item"}
         assert len(report["per_item"]) == 4
+        for row in report["per_item"]:
+            assert set(row) == {"item_id", "extracted", "correct_flag", "response"}
+            assert isinstance(row["response"], str)
 
     def test_eval_with_mock_backend(self, pipeline):
         config, workdir, stage = pipeline

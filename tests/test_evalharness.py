@@ -126,6 +126,9 @@ class TestGrade:
         report = grade(self.quiz(), responder)
         assert report.unparsable == 1
         assert report.accuracy == 0.75
+        assert [r.response for r in report.per_item] == [
+            "<answer>A</answer>", None, "<answer>A</answer>", "<answer>A</answer>"
+        ]
 
     def test_accuracy_invariant_to_item_order(self):
         responder = ScriptedResponder(
@@ -146,11 +149,14 @@ class TestGrade:
         assert grade(self.quiz(), responder) == grade(self.quiz(), responder, parallelism=4)
 
     def test_report_dict_shape(self):
-        report = grade(self.quiz(), ScriptedResponder(default="<answer>A</answer>"))
-        data = report.to_dict()
-        assert data["accuracy"] == 1.0
-        assert data["counts"] == {"answered": 4, "unparsable": 0}
+        responder = ScriptedResponder(by_stem={"s3": "mumble"}, default="<answer>A</answer>")
+        data = grade(self.quiz(), responder).to_dict()
+        assert data["accuracy"] == 0.75
+        assert data["counts"] == {"answered": 3, "unparsable": 1}
         assert len(data["per_item"]) == 4
+        assert data["per_item"][2] == {
+            "item_id": "i2", "extracted": None, "correct_flag": False, "response": "mumble"
+        }
 
 
 class TestPackagedQuiz:

@@ -76,6 +76,11 @@ class TestInit:
         params = init(ModelConfig())
         total = sum(params.view(name).size for name in params.names())
         assert total == params.count
+        views = params.views()
+        assert list(views) == params.names()
+        for name, view in views.items():
+            assert np.shares_memory(view, params.flat)
+            assert np.array_equal(view, params.view(name))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +114,14 @@ class TestForward:
         cfg = ModelConfig(context_window=8)
         with pytest.raises(ContextOverflow):
             forward(init(cfg), list(range(9)))
+
+    def test_empty_ids_raise_value_error(self):
+        cfg = ModelConfig(context_window=8)
+        leaves = tinylm.build_leaves(init(cfg))
+        with pytest.raises(ValueError, match="no token ids"):
+            tinylm.batched_logprobs(leaves, cfg, np.zeros((1, 0), dtype=np.int64))
+        with pytest.raises(ValueError, match="no token ids"):
+            forward(init(cfg), [])
 
     def test_forward_deterministic(self):
         params = init(ModelConfig(seed=3))
@@ -340,6 +353,81 @@ class TestFusedOps:
                     seen.add(id(parent))
                     stack.append(parent)
         assert square <= 2 * cfg.n_layers
+
+
+W = 12  # context window of the decode tests
+
+
+def _decode_model(n_layers, seed, window=W, d_model=16):
+    cfg = ModelConfig(d_model=d_model, n_heads=2, n_layers=n_layers, context_window=window,
+                      init_std=0.5, seed=seed)
+    return init(cfg)
+
+
+class TestGreedyDecode:
+    """The cached, tape-free decode against one full forward per token."""
+
+    @pytest.mark.parametrize("stop_at_eos", [True, False])
+    @pytest.mark.parametrize("prompt_len", [1, W - 1, W, W + 1, 3 * W])
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_tokens_equal_reference(self, n_layers, prompt_len, stop_at_eos):
+        params = _decode_model(n_layers, seed=prompt_len)
+        rng = np.random.default_rng(prompt_len)
+        prompt = [BOS_ID] + [int(i) for i in rng.integers(0, 256, prompt_len - 1)]
+        # A random model seldom emits EOS; swap the head columns of a token
+        # it emits by step W with EOS's, so the decode meets EOS and, when
+        # not stopping, feeds it back in.
+        emitted = oracles.greedy_decode_reference(params, prompt, W + 1, stop_at_eos=False)[W]
+        out_proj = params.view("out_proj")
+        out_proj[:, [emitted, EOS_ID]] = out_proj[:, [EOS_ID, emitted]]
+        want = oracles.greedy_decode_reference(params, prompt, 2 * W, stop_at_eos)
+        assert EOS_ID in want
+        assert (want[-1] == EOS_ID and len(want) <= W + 1) if stop_at_eos else len(want) == 2 * W
+        assert greedy_decode(params, prompt, 2 * W, stop_at_eos) == want
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_logits_match_batched_logprobs(self, n_layers):
+        params = _decode_model(n_layers, seed=7)
+        cfg = params.config
+        views, kv, leaves = params.views(), tinylm.kv_cache(cfg), tinylm.build_leaves(params)
+
+        def assert_last_row_matches(logits, window):
+            want = tinylm.batched_logprobs(leaves, cfg, np.asarray([window])).data[0, -1]
+            assert np.max(np.abs(logits - np.logaddexp.reduce(logits) - want)) <= 1e-12
+
+        ids = [BOS_ID] + TOK.encode("prefill")
+        cached = 0
+        while len(ids) <= W:  # the prefill, then one cached step per token
+            logits = tinylm.decode_block(views, cfg, ids[cached:], kv, cached)
+            cached = len(ids)
+            assert_last_row_matches(logits, ids)
+            ids.append(int(np.argmax(logits)))
+        for _ in range(3):  # sliding windows, recomputed
+            logits = tinylm.decode_block(views, cfg, ids[-W:], kv, 0)
+            assert_last_row_matches(logits, ids[-W:])
+            ids.append(int(np.argmax(logits)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        window=st.integers(2, 10),
+        prompt_len=st.integers(1, 25),
+        max_new_tokens=st.integers(0, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_equals_reference(self, window, prompt_len, max_new_tokens, seed):
+        params = _decode_model(2, seed, window=window, d_model=8)
+        prompt = [int(i) for i in np.random.default_rng(seed).integers(0, 259, prompt_len)]
+        want = oracles.greedy_decode_reference(params, prompt, max_new_tokens)
+        assert greedy_decode(params, prompt, max_new_tokens) == want
+
+    def test_empty_prompt_raises_value_error(self):
+        with pytest.raises(ValueError, match="no token ids"):
+            greedy_decode(_decode_model(1, seed=0), [], 3)
+
+    @pytest.mark.parametrize("bad_id", [-1, 259])
+    def test_out_of_range_id_raises_value_error(self, bad_id):
+        with pytest.raises(ValueError, match="token id out of range"):
+            greedy_decode(_decode_model(1, seed=0), [BOS_ID, bad_id, 65], 3)
 
 
 class TestFreeze:
