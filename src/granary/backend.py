@@ -13,7 +13,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import requests
@@ -196,7 +196,8 @@ class MockLlmBackend:
     task (counted by the task's fixed position in node order x sample
     index, not by call arrival) omits the ``<answer>`` block; that keeps
     the injected failures stable across interrupted and resumed runs.
-    ``node_ids`` must then list the corpus nodes in distillation order.
+    ``node_ids`` must then list the corpus nodes in distillation order; it
+    is read once, at construction.
     """
 
     seed: int = 0
@@ -204,10 +205,14 @@ class MockLlmBackend:
     n_samples: int = 5
     malform_answer_every: int | None = None
     supports_seed: bool = True
-    transcript: list[ChatRequest] = field(default_factory=list)
+
+    def __post_init__(self):
+        # Answer markers carry 8-character id prefixes; the first node wins.
+        self._node_index: dict[str, int] = {}
+        for i, nid in enumerate(self.node_ids or ()):
+            self._node_index.setdefault(nid[:8], i)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self.transcript.append(request)
         system = request.messages[0].content
         user = request.messages[-1].content
         if system.startswith(prompts.QUESTION_TAG):
@@ -231,12 +236,8 @@ class MockLlmBackend:
         return ChatResponse(content=f"{marker} State the key relation the passage establishes.")
 
     def _task_ordinal(self, node_prefix: str, sample_idx: int) -> int | None:
-        if self.node_ids is None:
-            return None
-        for i, nid in enumerate(self.node_ids):
-            if nid.startswith(node_prefix):
-                return i * self.n_samples + sample_idx + 1
-        return None
+        i = self._node_index.get(node_prefix)
+        return None if i is None else i * self.n_samples + sample_idx + 1
 
     def _answer(self, user: str) -> ChatResponse:
         marker = _MARKER_RE.search(user)

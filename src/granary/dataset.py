@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -260,12 +261,8 @@ def save_packed(path: str | Path, packs: list[PackedSequence], max_len: int | No
     all_ids = np.concatenate(
         [np.asarray(p.ids, dtype="<i4") for p in packs]
     ) if packs else np.zeros(0, dtype="<i4")
-    all_masks = np.concatenate(
-        [
-            np.asarray([b for s in p.segments for b in s.loss_mask], dtype=np.uint8)
-            for p in packs
-        ]
-    ) if packs else np.zeros(0, dtype=np.uint8)
+    masks = chain.from_iterable(s.loss_mask for p in packs for s in p.segments)
+    all_masks = np.fromiter(masks, np.uint8, count=all_ids.size)
     with path.open("wb") as fh:
         fh.write(all_ids.tobytes())
         fh.write(all_masks.tobytes())

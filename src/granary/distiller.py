@@ -107,15 +107,13 @@ DANGLING_PATTERNS = (
     re.compile(r"\bas shown (?:above|below)\b", re.I),
     re.compile(r"\bthis (?:section|chapter)\b", re.I),
 )
+_DANGLING_RE = re.compile("|".join(f"(?:{p.pattern})" for p in DANGLING_PATTERNS), re.I)
 
 
 def find_dangling(text: str) -> str | None:
-    """Return the first dangling-reference match in ``text``, if any."""
-    for pattern in DANGLING_PATTERNS:
-        match = pattern.search(text)
-        if match:
-            return match.group(0)
-    return None
+    """Return the leftmost match of any of ``DANGLING_PATTERNS`` in ``text``, if any."""
+    match = _DANGLING_RE.search(text)
+    return match.group(0) if match else None
 
 
 def render_assistant(thinking: str, solution: str, answer: str) -> str:
@@ -250,6 +248,8 @@ def postprocess(
         if not value:
             return rejected(reason)
 
+    # q and s screened clean need no second look unless a rewrite replaced them.
+    screen = (t, a)
     if find_dangling(q) or find_dangling(s):
         try:
             q, s = _request_rewrite(q, s, node, backend)
@@ -257,7 +257,8 @@ def postprocess(
             return rejected("backend_failure")
         if not q or not s:
             return rejected("rewrite_failed")
-    if any(find_dangling(part) for part in (q, t, s, a)):
+        screen = (q, t, s, a)
+    if any(find_dangling(part) for part in screen):
         return rejected("dangling_reference")
 
     reparsed = parse_answer_spans(render_assistant(t, s, a))

@@ -1,13 +1,20 @@
 """Shared fixtures: the mini-book corpus and a compact training set."""
 
+import os
 from pathlib import Path
 
 import pytest
 
-from granary import corpus
-from granary.dataset import ChatExample, tokenize_and_mask
-from granary.distiller import render_assistant
-from granary.tinylm import ByteTokenizer, ModelConfig
+# One BLAS/OpenMP thread, set before numpy loads, as the benchmark runs:
+# the thread count changes the summation order inside matmuls, and the
+# pinned training records are bit-level literals.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from granary import corpus  # noqa: E402
+from granary.dataset import ChatExample, tokenize_and_mask  # noqa: E402
+from granary.distiller import render_assistant  # noqa: E402
+from granary.tinylm import ByteTokenizer, ModelConfig  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -7,6 +7,10 @@ fused ops existed. ``batched_logprobs`` is the whole model forward built
 that way. Tests compare the fused forwards against these to 1e-12.
 ``greedy_decode_reference`` decodes with one full ``forward`` per token,
 the way ``tinylm.greedy_decode`` did before it cached keys and values.
+``task_ordinal_reference`` scans the node ids linearly, the way the mock
+backend found a task's position before it indexed id prefixes, and
+``packed_bytes_reference`` gathers ``packed.bin`` one list per pack.
+``RecordingBackend`` keeps the requests a backend was sent.
 """
 
 import math
@@ -95,3 +99,37 @@ def greedy_decode_reference(params, prompt_ids, max_new_tokens, stop_at_eos=True
         if stop_at_eos and next_id == tinylm.EOS_ID:
             break
     return generated
+
+
+def task_ordinal_reference(node_ids, n_samples, node_prefix, sample_idx):
+    """1-based position of (first node starting with ``node_prefix``, sample)."""
+    if node_ids is None:
+        return None
+    for i, nid in enumerate(node_ids):
+        if nid.startswith(node_prefix):
+            return i * n_samples + sample_idx + 1
+    return None
+
+
+def packed_bytes_reference(packs) -> bytes:
+    """The ids (little-endian int32) then the masks (one byte each) of ``packs``."""
+    if not packs:
+        return b""
+    ids = np.concatenate([np.asarray(p.ids, dtype="<i4") for p in packs])
+    masks = np.concatenate(
+        [np.asarray([b for s in p.segments for b in s.loss_mask], dtype=np.uint8) for p in packs]
+    )
+    return ids.tobytes() + masks.tobytes()
+
+
+class RecordingBackend:
+    """Delegates to an inner backend and keeps every request it was sent."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.supports_seed = inner.supports_seed
+        self.transcript = []
+
+    def complete(self, request):
+        self.transcript.append(request)
+        return self.inner.complete(request)

@@ -1,6 +1,7 @@
 """Backends: request validation, mock determinism, and the HTTP wire protocol."""
 
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -15,6 +16,7 @@ from granary.backend import (
     RetryPolicy,
 )
 from granary.errors import BackendError
+from oracles import RecordingBackend, task_ordinal_reference
 
 
 def qrequest(node_id="a" * 16, sample_idx=0, text="some passage text"):
@@ -59,7 +61,7 @@ class TestMock:
         assert q0 != q1
 
     def test_transcript_records_requests(self):
-        backend = MockLlmBackend(seed=0)
+        backend = RecordingBackend(MockLlmBackend(seed=0))
         backend.complete(qrequest())
         assert len(backend.transcript) == 1
 
@@ -73,6 +75,44 @@ class TestMock:
         )
         content = backend.complete(request).content
         assert "<answer>" in content and content.split("<answer>")[1][0] in "AB"
+
+
+class TestTaskOrdinal:
+    """The mock's prefix index agrees with a linear scan of the node ids.
+
+    Answer markers always carry an 8-character prefix (``unknown0`` when
+    the question has none), so those are the prefixes checked.
+    """
+
+    @staticmethod
+    def check(node_ids, prefixes, n_samples=5):
+        backend = MockLlmBackend(seed=0, node_ids=node_ids, n_samples=n_samples)
+        for prefix in prefixes:
+            for k in (0, n_samples - 1):
+                want = task_ordinal_reference(node_ids, n_samples, prefix, k)
+                assert backend._task_ordinal(prefix, k) == want, (prefix, k)
+
+    def test_minibook_ids(self, minibook_nodes):
+        ids = [n.node_id for n in minibook_nodes]
+        self.check(ids, [nid[:8] for nid in ids] + ["00000000", "unknown0"])
+
+    def test_random_hex_ids(self):
+        rng = random.Random(0)
+        ids = [f"{rng.getrandbits(256):064x}" for _ in range(2000)]
+        absent = [f"{rng.getrandbits(32):08x}" for _ in range(200)]
+        self.check(ids, [nid[:8] for nid in ids] + absent, n_samples=3)
+
+    def test_shared_prefix_first_wins(self):
+        ids = ["abcdef01" + "1" * 56, "abcdef01" + "2" * 56, "0123abcd" + "3" * 56]
+        self.check(ids, ["abcdef01", "0123abcd"])
+        assert MockLlmBackend(node_ids=ids, n_samples=5)._task_ordinal("abcdef01", 2) == 3
+
+    def test_unknown_short_and_absent_ids(self):
+        ids = ["unknown0-node", "abc", "abcdef01" + "f" * 56]
+        self.check(ids, ["unknown0", "abc00000", "ffffffff"])
+        assert MockLlmBackend(node_ids=ids)._task_ordinal("unknown0", 1) == 2
+        self.check(None, ["unknown0", "abcdef01"])
+        assert MockLlmBackend()._task_ordinal("abcdef01", 0) is None
 
 
 class _Script(BaseHTTPRequestHandler):

@@ -1,11 +1,15 @@
 """Chat rendering, masked tokenization, packing, mixing, and persistence."""
 
+import hashlib
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from granary.dataset import (
     ASSISTANT_DELIM,
     ChatExample,
@@ -271,6 +275,27 @@ class TestPersistence:
         path = tmp_path / "packed.bin"
         save_packed(path, packs)
         assert load_packed(path) == packs
+
+    def test_packed_bytes_match_reference_gather(self, tmp_path):
+        rng = random.Random(0)
+        examples = [
+            TokenizedExample(
+                input_ids=[rng.randrange(256) for _ in range(n)],
+                loss_mask=[True] + [rng.random() < 0.5 for _ in range(n - 1)],
+            )
+            for n in (rng.randrange(1, 40) for _ in range(60))
+        ]
+        sidecar_sha256 = {
+            23: "3b5ba7e5084bb5389e484cf12aa345e4b0514cdf7651bbbac7e5be04088e1862",
+            0: "3d1e63d2a33f732dea208c21179275ab813b62b29e2d8caa06eab42bc876728f",
+        }
+        for packs in (pack_sequences(examples, max_len=64), []):
+            path = tmp_path / "packed.bin"
+            save_packed(path, packs, max_len=64)
+            assert path.read_bytes() == oracles.packed_bytes_reference(packs)
+            sidecar = Path(str(path) + ".json").read_bytes()
+            assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256[len(packs)]
+            assert load_packed(path) == packs
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Distillation agents, postprocessing, and the resumable run loop."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -11,9 +12,11 @@ from granary import prompts
 from granary.backend import ChatResponse, MockLlmBackend
 from granary.corpus import LearningNode
 from granary.distiller import (
+    DANGLING_PATTERNS,
     DistillConfig,
     DistillJournal,
     QTSA_KEYS,
+    QtsaEntry,
     RawAnswer,
     answer_question,
     distill_corpus,
@@ -27,6 +30,7 @@ from granary.distiller import (
 )
 from granary.errors import BackendError, EmptyGeneration, SchemaViolation
 from granary.jsonl import read_jsonl, write_jsonl
+from oracles import RecordingBackend
 
 
 def make_node(text="Ohm's law ties voltage, current, and resistance together.", nid="f" * 64):
@@ -83,7 +87,7 @@ class TestQuestionAgent:
 
     def test_prompt_embeds_node_text_and_sample_idx(self):
         node = make_node()
-        backend = MockLlmBackend(seed=7)
+        backend = RecordingBackend(MockLlmBackend(seed=7))
         generate_question(node, 3, backend)
         user = backend.transcript[-1].messages[-1].content
         assert node.text in user
@@ -108,7 +112,7 @@ class TestAnswerAgent:
 
     def test_prompt_contains_node_and_question(self):
         node = make_node()
-        backend = MockLlmBackend(seed=0)
+        backend = RecordingBackend(MockLlmBackend(seed=0))
         answer_question(node, "What gives?", backend)
         user = backend.transcript[-1].messages[-1].content
         assert node.text in user and "What gives?" in user
@@ -147,7 +151,7 @@ class TestPostprocess:
         assert entry.reject_reason == "missing_question"
 
     def test_dangling_reference_triggers_rewrite_and_keeps(self):
-        backend = MockLlmBackend(seed=0)
+        backend = RecordingBackend(MockLlmBackend(seed=0))
         raw = RawAnswer("t", "combine as shown in Table 4.1 here", "ok")
         entry = postprocess(raw, "Q?", make_node(), 0, backend)
         assert entry.kept
@@ -181,6 +185,65 @@ class TestPostprocess:
         raw = RawAnswer("t </think> t", "s", "a")
         entry = postprocess(raw, "Q?", make_node(), 0, StubBackend())
         assert entry.reject_reason == "malformed_tags"
+
+    def test_rewrite_result_pinned(self):
+        backend = RecordingBackend(MockLlmBackend(seed=0))
+        raw = RawAnswer("Relate the quantities.", "Use Eq. (3.2) as shown below.", "R = V / I")
+        entry = postprocess(raw, "In this chapter, what does Table 4.1 give?", make_node(), 2, backend)
+        assert len(backend.transcript) == 1
+        assert entry == QtsaEntry(
+            entry_id="c055afd6e63868ad",
+            node_id="f" * 64,
+            sample_idx=2,
+            question="in this material, what does the tabulated component values give?",
+            thinking="Relate the quantities.",
+            solution="Use the governing relation as derived here.",
+            answer="R = V / I",
+            status="kept",
+            reject_reason=None,
+        )
+
+    def test_dangling_answer_after_rewrite_pinned(self):
+        # The rewrite cleans the solution, but the answer still cites a table.
+        backend = RecordingBackend(MockLlmBackend(seed=0))
+        raw = RawAnswer("Relate the quantities.", "Read Fig. 2 first.", "see Table 2")
+        entry = postprocess(raw, "What does the circuit do?", make_node(), 3, backend)
+        assert len(backend.transcript) == 1
+        assert entry == QtsaEntry(
+            entry_id="9b86310ee894f12f",
+            node_id="f" * 64,
+            sample_idx=3,
+            question="What does the circuit do?",
+            thinking="Relate the quantities.",
+            solution="Read Fig. 2 first.",
+            answer="see Table 2",
+            status="rejected",
+            reject_reason="dangling_reference",
+        )
+
+
+_DANGLING_FRAGMENTS = (
+    "Eq. (3.2)", "Equation 4", "eq 7", "TABLE 4.1", "fig.2", "Figure 10.3.1",
+    "as shown below", "As Shown Above", "In this chapter", "this Section",
+    "Eq.", "Table", "Fig", "as shown", "this book", "chapter 3", "(3.2)", "4.1",
+)
+_FILLER = ("the", "gain", "node", "x", "1", "(", ")", ".", "equal", "tablet", "figs", "this")
+
+
+@st.composite
+def _screen_text(draw):
+    pieces = draw(st.lists(st.sampled_from(_DANGLING_FRAGMENTS + _FILLER), max_size=8))
+    cased = [draw(st.sampled_from((p, p.upper(), p.lower(), p.title()))) for p in pieces]
+    seps = [draw(st.sampled_from((" ", "", "\n", ", "))) for _ in cased]
+    return "".join(sep + piece for sep, piece in zip(seps, cased))
+
+
+class TestFindDangling:
+    @given(_screen_text())
+    @settings(max_examples=400)
+    def test_one_search_matches_exactly_when_a_pattern_does(self, text):
+        expected = any(pattern.search(text) for pattern in DANGLING_PATTERNS)
+        assert (find_dangling(text) is not None) == expected
 
 
 _clean_text = st.text(
@@ -298,7 +361,7 @@ class TestDistillCorpus:
         journal = tmp_path / "journal.jsonl"
         cfg = DistillConfig(n_samples=5, journal_path=journal)
         distill_corpus(minibook_nodes, cfg, self._mock(minibook_nodes))
-        fresh = self._mock(minibook_nodes)
+        fresh = RecordingBackend(self._mock(minibook_nodes))
         distill_corpus(minibook_nodes, cfg, fresh)
         assert fresh.transcript == []
 
@@ -312,6 +375,13 @@ class TestDistillCorpus:
                 for part in (entry.question, entry.thinking, entry.solution, entry.answer):
                     assert find_dangling(part) is None
                     assert "this section" not in part and "this chapter" not in part
+
+    def test_minibook_qtsa_bytes_pinned(self, minibook_nodes, tmp_path):
+        entries = distill_corpus(minibook_nodes, DistillConfig(n_samples=5), self._mock(minibook_nodes, malform=10))
+        path = tmp_path / "qtsa.jsonl"
+        write_jsonl(path, [entry_to_record(e) for e in entries], schema=QTSA_KEYS)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "e86cb250de11bd1bb4488453d266084dfdacb532aac39148a816075da7ac7dfe"
 
     def test_journal_schema(self, minibook_nodes, tmp_path):
         journal = tmp_path / "journal.jsonl"
@@ -342,7 +412,7 @@ class TestDistillCorpus:
                 path.write_bytes(data[:cut] if path == torn else data)
             resumed = distill_corpus(nodes, cfg, backend())
             assert json.dumps([entry_to_record(e) for e in resumed]) == want, cut
-            again = backend()
+            again = RecordingBackend(backend())
             assert json.dumps([entry_to_record(e) for e in distill_corpus(nodes, cfg, again)]) == want, cut
             assert again.transcript == [], cut
 

@@ -45,24 +45,24 @@ def uniform_params(**kwargs):
 PINNED_RUNS = {
     "sft": (
         [
-            (0, 0.01, 9.712312903211927, 0.0, 9.712312903211927, 13.230892119745416, 1.5399489491943645e-08),
-            (1, 0.0075, 8.409817594292374, 0.0, 8.409817594292374, 7.867065398252831, None),
-            (2, 0.0025000000000000014, 7.973362290635901, 0.0, 7.973362290635901, 7.0292893361593665, 9.846520640799451e-09),
+            (0, 0.01, 9.712312903211927, 0.0, 9.712312903211927, 13.230892119745416, 1.5399489336488244e-08),
+            (1, 0.0075, 8.409817594292374, 0.0, 8.409817594292374, 7.86706539825283, None),
+            (2, 0.0025000000000000014, 7.973362290635902, 0.0, 7.973362290635902, 7.0292893361593665, 9.884475769936703e-09),
         ],
-        "807a65ca8b8498f722ab647aba47491c876d7fddb4f715a299c964a9b1d429c8",
+        "a2209037b5b50c48c5faf395ac0c8cd07408599390b2df5aaf4d54aa3f1f6981",
     ),
     "nsc_sft": (
         [
-            (0, 0.01, 9.712312903211927, 7.768917724935982, 10.489204675705526, 14.37283529909868, None),
+            (0, 0.01, 9.712312903211927, 7.768917724935982, 10.489204675705526, 14.372835299098682, None),
             (1, 0.0075, 8.361004740042535, 6.520190055950949, 9.01302374563763, 8.017742829986599, None),
-            (2, 0.0025000000000000014, 7.931615354052422, 6.278791847775516, 8.559494538829973, 7.1639541136240075, None),
+            (2, 0.0025000000000000014, 7.931615354052422, 6.278791847775516, 8.559494538829973, 7.163954113624007, None),
         ],
-        "ab626a058568a610cc8620c90d17f042f80b185cd5ed19283bdebd2dc7e9799e",
+        "eca6acdaf4179a9236c17cb9a9ecae8d89e848917b128756f02fb128cc98f681",
     ),
     "cpt": (
         [
             (0, 0.01, 5.556714934157407, 0.0, 5.556714934157407, 0.02600060147463264, None),
-            (1, 0.0075, 5.556708173441558, 0.0, 5.556708173441558, 0.026003758566521908, None),
+            (1, 0.0075, 5.556708173441558, 0.0, 5.556708173441558, 0.026003758566521904, None),
             (2, 0.0025000000000000014, 5.556703101732571, 0.0, 5.556703101732571, 0.026006282740503286, None),
         ],
         "d8d10905a0feb9d1a14e0d64d333a31d49bf39516bad989c1c4016ec8a722f26",
