@@ -4,8 +4,9 @@ Three agents cooperate per (node, sample) task: a question writer, an
 answerer that reasons inside ``<think>`` tags and wraps the final answer
 in ``<answer>`` tags, and a postprocessor that rejects malformed output
 and rewrites dangling references ("Eq. (4.1)", "this section", ...) so
-each record stands alone. Every task is journaled, so interrupted runs
-resume without re-querying the backend.
+each record stands alone. Each finished task's record is appended to a
+one-file journal as it completes, so interrupted runs resume without
+re-querying the backend.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ QTSA_KEYS = (
     "status",
     "reject_reason",
 )
-JOURNAL_KEYS = ("node_id", "sample_idx", "status", "timestamp")
 
 STATUS_KEPT = "kept"
 STATUS_REJECTED = "rejected"
@@ -206,6 +206,30 @@ def _request_rewrite(
     return new_q, new_s
 
 
+_NO_ANSWER = RawAnswer(thinking="", solution="", answer="")
+
+
+def _rejected_entry(
+    node: LearningNode,
+    sample_idx: int,
+    reason: str,
+    question: str = "",
+    raw: RawAnswer = _NO_ANSWER,
+) -> QtsaEntry:
+    """A rejected record holding the agents' output as produced (question stripped)."""
+    return QtsaEntry(
+        entry_id=entry_id_for(node.node_id, sample_idx),
+        node_id=node.node_id,
+        sample_idx=sample_idx,
+        question=question.strip(),
+        thinking=raw.thinking,
+        solution=raw.solution,
+        answer=raw.answer,
+        status=STATUS_REJECTED,
+        reject_reason=reason,
+    )
+
+
 def postprocess(
     raw: RawAnswer,
     question: str,
@@ -222,19 +246,6 @@ def postprocess(
     template and ``parse_answer_spans`` unchanged.
     """
 
-    def rejected(reason: str) -> QtsaEntry:
-        return QtsaEntry(
-            entry_id=entry_id_for(node.node_id, sample_idx),
-            node_id=node.node_id,
-            sample_idx=sample_idx,
-            question=question.strip(),
-            thinking=raw.thinking,
-            solution=raw.solution,
-            answer=raw.answer,
-            status=STATUS_REJECTED,
-            reject_reason=reason,
-        )
-
     q = question.strip()
     t = raw.thinking.strip()
     s = raw.solution.strip()
@@ -246,7 +257,7 @@ def postprocess(
         (a, "missing_answer"),
     ):
         if not value:
-            return rejected(reason)
+            return _rejected_entry(node, sample_idx, reason, question, raw)
 
     # q and s screened clean need no second look unless a rewrite replaced them.
     screen = (t, a)
@@ -254,16 +265,16 @@ def postprocess(
         try:
             q, s = _request_rewrite(q, s, node, backend)
         except BackendError:
-            return rejected("backend_failure")
+            return _rejected_entry(node, sample_idx, "backend_failure", question, raw)
         if not q or not s:
-            return rejected("rewrite_failed")
+            return _rejected_entry(node, sample_idx, "rewrite_failed", question, raw)
         screen = (q, t, s, a)
     if any(find_dangling(part) for part in screen):
-        return rejected("dangling_reference")
+        return _rejected_entry(node, sample_idx, "dangling_reference", question, raw)
 
     reparsed = parse_answer_spans(render_assistant(t, s, a))
     if (reparsed.thinking, reparsed.solution, reparsed.answer) != (t, s, a):
-        return rejected("malformed_tags")
+        return _rejected_entry(node, sample_idx, "malformed_tags", question, raw)
 
     return QtsaEntry(
         entry_id=entry_id_for(node.node_id, sample_idx),
@@ -296,91 +307,62 @@ def _read_records(path: Path) -> list[dict]:
 
 
 class DistillJournal:
-    """Append-only commit log plus a results sidecar.
+    """Append-only log of finished tasks, one Q/T/S/A record per line.
 
-    The journal line is the commit point: a task counts as completed only
-    once its ``{node_id, sample_idx, status, timestamp}`` record is on
-    disk. Entry payloads live in a ``.results`` sidecar written just
-    before the commit, so a crash between the two writes simply re-runs
-    that task. Passing ``path=None`` keeps everything in memory.
+    Each line is the task's ``entry_to_record`` dict plus a ``timestamp``.
+    A task counts as completed once its line, newline included, is on
+    disk: a crash mid-append leaves a torn final line, which the next load
+    cuts off, so that task simply runs again. Passing ``path=None`` keeps
+    everything in memory.
     """
 
     def __init__(self, path: Path | None):
         self.path = Path(path) if path is not None else None
         self.results: dict[tuple[str, int], QtsaEntry] = {}
         self._lock = Lock()
-        self._journal_fh = None
-        self._results_fh = None
+        self._fh = None
         if self.path is not None:
-            self._load()
-            self._journal_fh = self.path.open("a", encoding="utf-8")
-            self._results_fh = self._results_path().open("a", encoding="utf-8")
-
-    def _results_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".results")
-
-    def _load(self) -> None:
-        committed = {(r["node_id"], r["sample_idx"]) for r in _read_records(self.path)}
-        for rec in _read_records(self._results_path()):
-            key = (rec["node_id"], rec["sample_idx"])
-            if key in committed:
-                self.results[key] = entry_from_record(rec)
+            for line_no, rec in enumerate(_read_records(self.path), 1):
+                # A two-file journal's lines hold only node_id, sample_idx,
+                # status and timestamp; its records are not recoverable here.
+                if not isinstance(rec, dict) or set(rec) != {*QTSA_KEYS, "timestamp"}:
+                    raise SchemaViolation(
+                        f"{self.path}: line {line_no} is not a Q/T/S/A record with a"
+                        " timestamp; delete the journal to distill from scratch"
+                    )
+                del rec["timestamp"]
+                entry = QtsaEntry(**rec)
+                self.results[(entry.node_id, entry.sample_idx)] = entry
+            self._fh = self.path.open("a", encoding="utf-8")
 
     def completed(self) -> set[tuple[str, int]]:
         return set(self.results)
 
     def commit(self, entry: QtsaEntry) -> None:
         with self._lock:
-            key = (entry.node_id, entry.sample_idx)
-            self.results[key] = entry
-            if self.path is None:
+            self.results[(entry.node_id, entry.sample_idx)] = entry
+            if self._fh is None:
                 return
-            self._results_fh.write(json.dumps(entry_to_record(entry), ensure_ascii=False) + "\n")
-            self._results_fh.flush()
-            self._journal_fh.write(
-                json.dumps(
-                    {
-                        "node_id": entry.node_id,
-                        "sample_idx": entry.sample_idx,
-                        "status": entry.status,
-                        "timestamp": time.time(),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            self._journal_fh.flush()
+            record = entry_to_record(entry)
+            record["timestamp"] = time.time()
+            self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._fh.flush()
 
     def close(self) -> None:
-        if self._journal_fh is not None:
-            self._journal_fh.close()
-        if self._results_fh is not None:
-            self._results_fh.close()
+        if self._fh is not None:
+            self._fh.close()
 
 
 def _run_task(
     node: LearningNode, sample_idx: int, backend: LlmBackend
 ) -> QtsaEntry:
-    def failed(reason: str) -> QtsaEntry:
-        return QtsaEntry(
-            entry_id=entry_id_for(node.node_id, sample_idx),
-            node_id=node.node_id,
-            sample_idx=sample_idx,
-            question="",
-            thinking="",
-            solution="",
-            answer="",
-            status=STATUS_REJECTED,
-            reject_reason=reason,
-        )
-
     try:
         question = generate_question(node, sample_idx, backend)
         raw = answer_question(node, question, backend)
     except EmptyGeneration:
-        return failed("empty_generation")
+        return _rejected_entry(node, sample_idx, "empty_generation")
     except BackendError:
-        return failed("backend_failure")
+        return _rejected_entry(node, sample_idx, "backend_failure")
     return postprocess(raw, question, node, sample_idx, backend)
 
 

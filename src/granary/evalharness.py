@@ -85,9 +85,8 @@ def render_eval_prompt(item: McqItem, max_tokens: int = 512) -> ChatRequest:
 
 
 _ANSWER_SPAN_RE = re.compile(r"<answer>(.*?)</answer>", re.S)
-_FALLBACK_RE = re.compile(
-    r"\b(?:answer|choice|option)\s*(?:is|:)?\s*\(?([A-Z])\)?(?![A-Za-z])", re.I
-)
+# Only the keywords ignore case; the option letter must be a capital.
+_FALLBACK_RE = re.compile(r"\b(?i:answer|choice|option)\s*(?i:is|:)?\s*\(?([A-Z])\)?(?![A-Za-z])")
 
 
 def extract_answer(text: str) -> str | None:

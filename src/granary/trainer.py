@@ -6,8 +6,9 @@ positions), and KL-anchored fine-tuning, which adds a weighted KL term
 tying the model's predictive distributions at those same positions to a
 frozen reference model. The KL is computed in log space throughout.
 
-The per-example losses are references for tests. Training, the CLI's
-gradient check and the tests share one batched path: ``make_batch``
+``loss_nsc_sft`` and ``kl_term`` are per-example references for tests
+and the benchmark's checks. Training, the CLI's gradient check and the
+tests share one batched path: ``make_batch``
 builds a run's batch once, and ``loss_and_grad`` / ``loss_value``
 evaluate CE plus the weighted KL on it (plain CE for cpt, sft and λ=0).
 
@@ -128,32 +129,6 @@ def _target_positions(ex: TokenizedExample) -> np.ndarray:
     """Indices i >= 1 whose token is supervised (mask true)."""
     mask = np.asarray(ex.loss_mask, dtype=bool)
     return np.nonzero(mask[1:])[0] + 1
-
-
-def loss_sft(params: Parameters, ex: TokenizedExample) -> float:
-    """Mean NLL of mask-true tokens given their prefixes."""
-    ids = np.asarray(ex.input_ids, dtype=np.int64)
-    targets = _target_positions(ex)
-    if targets.size == 0:
-        raise EmptyMask("no supervised positions after the first token")
-    logprobs = tinylm.forward(params, ids).logprobs
-    return float(-np.mean(logprobs[targets - 1, ids[targets]]))
-
-
-def loss_cpt(params: Parameters, packed: PackedSequence) -> float:
-    """Mean next-token NLL across a pack, segments forwarded independently."""
-    total = 0.0
-    count = 0
-    for seg in packed.segments:
-        ids = np.asarray(
-            packed.ids[seg.offset : seg.offset + seg.length], dtype=np.int64
-        )
-        if ids.size < 2:
-            continue
-        logprobs = tinylm.forward(params, ids).logprobs
-        total += float(-np.sum(logprobs[np.arange(ids.size - 1), ids[1:]]))
-        count += ids.size - 1
-    return total / count if count else 0.0
 
 
 def kl_term(logp_cur: np.ndarray, logp_ref: np.ndarray, mask: np.ndarray) -> float:

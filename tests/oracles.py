@@ -10,7 +10,9 @@ the way ``tinylm.greedy_decode`` did before it cached keys and values.
 ``task_ordinal_reference`` scans the node ids linearly, the way the mock
 backend found a task's position before it indexed id prefixes, and
 ``packed_bytes_reference`` gathers ``packed.bin`` one list per pack.
-``RecordingBackend`` keeps the requests a backend was sent.
+``RecordingBackend`` keeps the requests a backend was sent. ``loss_sft``
+and ``loss_cpt`` are the per-example training losses computed with one
+``tinylm.forward`` per example or pack segment.
 """
 
 import math
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from granary import tape, tinylm
+from granary.errors import EmptyMask
 from granary.tape import Tensor
 
 _NEG_INF = -1e30
@@ -84,6 +87,30 @@ def batched_logprobs(leaves: dict[str, Tensor], cfg, ids: np.ndarray) -> Tensor:
         h2 = layer_norm(x, leaves[f"layer{i}.norm2_scale"], leaves[f"layer{i}.norm2_bias"], _LN_EPS)
         x = x + gelu(h2 @ leaves[f"layer{i}.mlp_in"]) @ leaves[f"layer{i}.mlp_out"]
     return log_softmax(x @ leaves["out_proj"])
+
+
+def loss_sft(params, ex) -> float:
+    """Mean NLL of mask-true tokens given their prefixes."""
+    ids = np.asarray(ex.input_ids, dtype=np.int64)
+    targets = np.nonzero(np.asarray(ex.loss_mask, dtype=bool)[1:])[0] + 1
+    if targets.size == 0:
+        raise EmptyMask("no supervised positions after the first token")
+    logprobs = tinylm.forward(params, ids).logprobs
+    return float(-np.mean(logprobs[targets - 1, ids[targets]]))
+
+
+def loss_cpt(params, packed) -> float:
+    """Mean next-token NLL across a pack, segments forwarded independently."""
+    total = 0.0
+    count = 0
+    for seg in packed.segments:
+        ids = np.asarray(packed.ids[seg.offset : seg.offset + seg.length], dtype=np.int64)
+        if ids.size < 2:
+            continue
+        logprobs = tinylm.forward(params, ids).logprobs
+        total += float(-np.sum(logprobs[np.arange(ids.size - 1), ids[1:]]))
+        count += ids.size - 1
+    return total / count if count else 0.0
 
 
 def greedy_decode_reference(params, prompt_ids, max_new_tokens, stop_at_eos=True):

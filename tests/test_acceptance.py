@@ -31,7 +31,7 @@ from granary.tinylm import (
     freeze_reference,
     init,
 )
-from granary.trainer import TrainConfig, kl_term, loss_sft, lr_at, train, write_report
+from granary.trainer import TrainConfig, kl_term, lr_at, train, write_report
 
 TOK = ByteTokenizer()
 

@@ -99,6 +99,16 @@ class TestDistill:
         assert (workdir / "qtsa.jsonl").read_bytes() == first
         assert (workdir / "journal.jsonl").stat().st_size == journal_size
 
+    def test_two_file_journal_exits_1(self, pipeline, capsys):
+        config, workdir, stage = pipeline
+        stage("ingest")
+        node_id = read_jsonl(workdir / "nodes.jsonl")[0]["node_id"]
+        marker = {"node_id": node_id, "sample_idx": 0, "status": "kept", "timestamp": 1.0}
+        (workdir / "journal.jsonl").write_text(json.dumps(marker) + "\n")
+        assert run("distill", "--config", str(config)) == 1
+        assert str(workdir / "journal.jsonl") in capsys.readouterr().err
+        assert not (workdir / "qtsa.jsonl").exists()
+
     def test_requires_ingest_first(self, pipeline):
         config, workdir, stage = pipeline
         code, _ = stage("distill")
@@ -126,6 +136,18 @@ class TestBuildTrainEval:
         assert (workdir / "cpt_dataset.jsonl").exists()
         assert (workdir / "packed.bin").exists()
         assert (workdir / "packed.bin.json").exists()
+
+    def test_manifest_outputs_are_the_files_each_stage_creates(self, pipeline):
+        config, workdir, stage = pipeline
+        before: set[str] = set()
+        for name in ("ingest", "distill", "build", "train"):
+            code, _ = stage(name)
+            assert code == 0, name
+            files = {str(p.relative_to(workdir)) for p in workdir.rglob("*") if p.is_file()}
+            files.discard("manifest.json")
+            outputs = cfgmod.load_stage_manifest(workdir)["stages"][name]["outputs"]
+            assert sorted(outputs) == sorted(files - before), name
+            before = files
 
     def test_general_mixing(self, pipeline, tmp_path):
         config, workdir, stage = pipeline

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from granary.distiller import (
     answer_question,
     distill_corpus,
     entry_from_record,
+    entry_id_for,
     entry_to_record,
     find_dangling,
     generate_question,
@@ -186,6 +188,37 @@ class TestPostprocess:
         entry = postprocess(raw, "Q?", make_node(), 0, StubBackend())
         assert entry.reject_reason == "malformed_tags"
 
+    @pytest.mark.parametrize(
+        "raw,content,error,reason",
+        [
+            (RawAnswer(" t ", " s ", " "), "", None, "missing_answer"),
+            (RawAnswer(" t ", " see Fig. 2 ", " a "), "", BackendError("x"), "backend_failure"),
+            (RawAnswer(" t ", " see Fig. 2 ", " a "), "no tags", None, "rewrite_failed"),
+            (
+                RawAnswer(" t ", " see Fig. 2 ", " a "),
+                "<question>Which row of Table 1?</question>\n<solution>fine</solution>",
+                None,
+                "dangling_reference",
+            ),
+            (RawAnswer(" t </think> ", " s ", " a "), "", None, "malformed_tags"),
+        ],
+    )
+    def test_rejected_entry_keeps_the_agents_output(self, raw, content, error, reason):
+        # The stripped original question and the raw, unstripped T/S/A,
+        # never the rewrite's question or solution.
+        entry = postprocess(raw, "  Q?  ", make_node(), 1, StubBackend(content, error))
+        assert entry == QtsaEntry(
+            entry_id=entry_id_for("f" * 64, 1),
+            node_id="f" * 64,
+            sample_idx=1,
+            question="Q?",
+            thinking=raw.thinking,
+            solution=raw.solution,
+            answer=raw.answer,
+            status="rejected",
+            reject_reason=reason,
+        )
+
     def test_rewrite_result_pinned(self):
         backend = RecordingBackend(MockLlmBackend(seed=0))
         raw = RawAnswer("Relate the quantities.", "Use Eq. (3.2) as shown below.", "R = V / I")
@@ -322,6 +355,17 @@ class TestDistillCorpus:
             )
             assert len(entries) == len(minibook_nodes) * n_samples
 
+    @pytest.mark.parametrize(
+        "backend,reason",
+        [(StubBackend(content="  "), "empty_generation"), (StubBackend(error=BackendError("x")), "backend_failure")],
+    )
+    def test_failed_task_is_an_empty_rejected_entry(self, backend, reason):
+        node = make_node()
+        assert distill_corpus([node], DistillConfig(n_samples=2), backend) == [
+            QtsaEntry(entry_id_for(node.node_id, k), node.node_id, k, "", "", "", "", "rejected", reason)
+            for k in range(2)
+        ]
+
     def test_determinism_across_runs(self, minibook_nodes):
         cfg = DistillConfig(n_samples=5)
         first = distill_corpus(minibook_nodes, cfg, self._mock(minibook_nodes))
@@ -390,11 +434,31 @@ class TestDistillCorpus:
             DistillConfig(n_samples=1, journal_path=journal),
             MockLlmBackend(seed=0, node_ids=[n.node_id for n in minibook_nodes], n_samples=1),
         )
-        for line in journal.read_text().splitlines():
-            assert set(json.loads(line)) == {"node_id", "sample_idx", "status", "timestamp"}
+        lines = journal.read_text().splitlines()
+        assert len(lines) == len(minibook_nodes)
+        for line in lines:
+            assert set(json.loads(line)) == {*QTSA_KEYS, "timestamp"}
+        assert not journal.with_name(journal.name + ".results").exists()
 
-    @pytest.mark.parametrize("suffix", ["", ".results"])
-    def test_torn_tail_at_any_byte_resumes(self, minibook_nodes, tmp_path, suffix):
+    def test_journal_records_are_the_qtsa_records(self, minibook_nodes, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        cfg = DistillConfig(n_samples=5, journal_path=journal)
+        killer = _KillAfter(self._mock(minibook_nodes, malform=10), calls=23)
+        with pytest.raises(KeyboardInterrupt):
+            distill_corpus(minibook_nodes, cfg, killer)
+        entries = distill_corpus(minibook_nodes, cfg, self._mock(minibook_nodes, malform=10))
+        qtsa = tmp_path / "qtsa.jsonl"
+        write_jsonl(qtsa, [entry_to_record(e) for e in entries], schema=QTSA_KEYS)
+
+        order = {n.node_id: i for i, n in enumerate(minibook_nodes)}
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        for rec in records:
+            del rec["timestamp"]
+        records.sort(key=lambda r: (order[r["node_id"]], r["sample_idx"]))
+        assert any(r["status"] == "rejected" for r in records)
+        assert records == read_jsonl(qtsa, schema=QTSA_KEYS)
+
+    def test_torn_tail_at_any_byte_resumes(self, minibook_nodes, tmp_path):
         # A crash mid-append leaves a final line without its newline; a
         # resume must drop it, re-run that task and append cleanly after it.
         nodes = minibook_nodes[:3]
@@ -405,16 +469,51 @@ class TestDistillCorpus:
             return MockLlmBackend(seed=0, node_ids=[n.node_id for n in nodes], n_samples=1)
 
         want = json.dumps([entry_to_record(e) for e in distill_corpus(nodes, cfg, backend())])
-        torn = journal.with_name(journal.name + suffix)
-        full = {p: p.read_bytes() for p in (journal, journal.with_name(journal.name + ".results"))}
-        for cut in range(len(full[torn])):
-            for path, data in full.items():
-                path.write_bytes(data[:cut] if path == torn else data)
+        full = journal.read_bytes()
+        for cut in range(len(full)):
+            journal.write_bytes(full[:cut])
             resumed = distill_corpus(nodes, cfg, backend())
             assert json.dumps([entry_to_record(e) for e in resumed]) == want, cut
             again = RecordingBackend(backend())
             assert json.dumps([entry_to_record(e) for e in distill_corpus(nodes, cfg, again)]) == want, cut
             assert again.transcript == [], cut
+
+    def test_two_file_journal_is_refused(self, minibook_nodes, tmp_path):
+        # Before records moved into the journal, its lines were commit
+        # markers and the records lived in a journal.jsonl.results sidecar.
+        nodes = minibook_nodes[:2]
+        journal = tmp_path / "journal.jsonl"
+        cfg = DistillConfig(n_samples=1, journal_path=journal)
+        entries = distill_corpus(nodes, DistillConfig(n_samples=1), self._mock(nodes))
+        with journal.with_name(journal.name + ".results").open("w") as fh:
+            for entry in entries:
+                fh.write(json.dumps(entry_to_record(entry)) + "\n")
+        with journal.open("w") as fh:
+            for entry in entries:
+                marker = {"node_id": entry.node_id, "sample_idx": 0, "status": entry.status, "timestamp": 1.0}
+                fh.write(json.dumps(marker) + "\n")
+        before = journal.read_bytes()
+        backend = RecordingBackend(self._mock(nodes))
+        with pytest.raises(SchemaViolation, match=re.escape(str(journal))):
+            distill_corpus(nodes, cfg, backend)
+        assert backend.transcript == []
+        assert journal.read_bytes() == before
+
+    def test_leftover_results_sidecar_is_ignored(self, minibook_nodes, tmp_path):
+        nodes = minibook_nodes[:3]
+        journal = tmp_path / "journal.jsonl"
+        cfg = DistillConfig(n_samples=1, journal_path=journal)
+        want = distill_corpus(nodes, cfg, self._mock(nodes))
+        sidecar = journal.with_name(journal.name + ".results")
+        sidecar.write_text("not json\n")
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text(lines[0])
+        backend = RecordingBackend(self._mock(nodes))
+        assert distill_corpus(nodes, cfg, backend) == want
+        rerun = RecordingBackend(self._mock(nodes))
+        distill_corpus(nodes[1:], DistillConfig(n_samples=1), rerun)
+        assert backend.transcript == rerun.transcript
+        assert sidecar.read_text() == "not json\n"
 
     def test_journal_reload_keeps_unicode_line_separators(self, minibook_nodes, tmp_path):
         # json.dumps(ensure_ascii=False) leaves U+2028 and NEL unescaped, so

@@ -88,6 +88,10 @@ class TestExtractAnswer:
             ("<answer>not a letter</answer> but Answer: B", "B"),
             ("no letter here", None),
             ("the answer is unclear", None),
+            ("The answer is a resistor.", None),
+            ("answer: b", None),
+            ("ANSWER: C", "C"),
+            ("OPTION IS D", "D"),
             ("", None),
         ],
     )

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRAIN_MODEL_CFG
+from oracles import loss_cpt, loss_sft
 from granary import tinylm, trainer
 from granary.dataset import TokenizedExample, chunk_tokenized, pack_sequences, tokenize_cpt
 from granary.errors import EmptyMask, NonFiniteLoss, ShapeMismatch
@@ -17,9 +18,7 @@ from granary.trainer import (
     LossBreakdown,
     TrainConfig,
     kl_term,
-    loss_cpt,
     loss_nsc_sft,
-    loss_sft,
     lr_at,
     train,
     write_report,
