@@ -57,8 +57,6 @@ class ChatResponse:
 class LlmBackend(Protocol):
     """Anything that can answer a chat request."""
 
-    supports_seed: bool
-
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
 
@@ -204,7 +202,6 @@ class MockLlmBackend:
     node_ids: list[str] | None = None
     n_samples: int = 5
     malform_answer_every: int | None = None
-    supports_seed: bool = True
 
     def __post_init__(self):
         # Answer markers carry 8-character id prefixes; the first node wins.

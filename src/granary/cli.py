@@ -131,13 +131,14 @@ def _model_config(cfg: cfgmod.PipelineConfig) -> tinylm.ModelConfig:
 
 
 def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str], outputs: list[str]) -> int:
+    """Print the plan; ``outputs`` are workdir-relative names, as the manifest records them."""
     print(
         json.dumps(
             {
                 "command": command,
                 "dry_run": True,
                 "inputs": inputs,
-                "outputs": outputs,
+                "outputs": [str(Path(cfg.workdir) / name) for name in outputs],
                 "config": dataclasses.asdict(cfg),
             },
             indent=2,
@@ -147,9 +148,9 @@ def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str], outputs: 
 
 
 def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    nodes_path = Path(cfg.workdir) / "nodes.jsonl"
+    outputs = ["nodes.jsonl"]
     if args.dry_run:
-        return _plan("ingest", cfg, [cfg.corpus_dir, cfg.manifest], [str(nodes_path)])
+        return _plan("ingest", cfg, [cfg.corpus_dir, cfg.manifest], outputs)
     workdir = _workdir(cfg)
     decompose_cfg = corpus.DecomposeConfig(
         min_node_tokens=cfg.min_node_tokens,
@@ -159,9 +160,10 @@ def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     for doc in corpus.load_corpus(cfg.corpus_dir, cfg.manifest):
         tree = corpus.parse_markdown_tree(doc)
         nodes.extend(corpus.decompose_to_nodes(tree, doc.doc_id, decompose_cfg))
-    write_jsonl(nodes_path, [corpus.node_to_record(n) for n in nodes], schema=corpus.NODE_KEYS)
+    records = [corpus.node_to_record(n) for n in nodes]
+    write_jsonl(workdir / "nodes.jsonl", records, schema=corpus.NODE_KEYS)
     stats = corpus.corpus_stats(nodes)
-    cfgmod.record_stage(workdir, "ingest", cfg, ["nodes.jsonl"])
+    cfgmod.record_stage(workdir, "ingest", cfg, outputs)
     print(json.dumps(dataclasses.asdict(stats)))
     return 0
 
@@ -169,41 +171,32 @@ def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     workdir = Path(cfg.workdir)
     nodes_path = workdir / "nodes.jsonl"
-    out_path = workdir / "qtsa.jsonl"
+    outputs = ["qtsa.jsonl", "journal.jsonl"]
     if args.dry_run:
-        return _plan("distill", cfg, [str(nodes_path)], [str(out_path)])
+        return _plan("distill", cfg, [str(nodes_path)], outputs)
     cfgmod.check_upstream(workdir, "distill", cfg)
     nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
     backend = _backend_for(cfg, node_ids=[n.node_id for n in nodes])
     distill_cfg = distiller.DistillConfig(
         n_samples=cfg.n_samples,
         parallelism=cfg.parallelism,
-        retry=RetryPolicy(
-            max_attempts=cfg.backend.max_attempts, base_backoff=cfg.backend.base_backoff
-        ),
         journal_path=workdir / "journal.jsonl",
     )
     entries = distiller.distill_corpus(nodes, distill_cfg, backend)
-    write_jsonl(
-        out_path, [distiller.entry_to_record(e) for e in entries], schema=distiller.QTSA_KEYS
-    )
+    records = [distiller.entry_to_record(e) for e in entries]
+    write_jsonl(workdir / "qtsa.jsonl", records, schema=distiller.QTSA_KEYS)
     kept = sum(e.kept for e in entries)
-    cfgmod.record_stage(workdir, "distill", cfg, ["qtsa.jsonl", "journal.jsonl"])
+    cfgmod.record_stage(workdir, "distill", cfg, outputs)
     print(json.dumps({"attempted": len(entries), "kept": kept, "rejected": len(entries) - kept}))
     return 0
 
 
 def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     workdir = Path(cfg.workdir)
-    outputs = ["sft_dataset.jsonl", "cpt_dataset.jsonl"]
-    if cfg.dataset.pack_cpt:
-        outputs += ["packed.bin", "packed.bin.json"]
+    outputs = ["sft_dataset.jsonl", "cpt_dataset.jsonl", "packed.bin", "packed.bin.json"]
     if args.dry_run:
         return _plan(
-            "build",
-            cfg,
-            [str(workdir / "qtsa.jsonl"), str(workdir / "nodes.jsonl")],
-            [str(workdir / o) for o in outputs],
+            "build", cfg, [str(workdir / "qtsa.jsonl"), str(workdir / "nodes.jsonl")], outputs
         )
     cfgmod.check_upstream(workdir, "build", cfg)
 
@@ -242,14 +235,8 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         [{"node_id": n.node_id, "text": n.text} for n in nodes],
         schema=dataset.CPT_KEYS,
     )
-    if cfg.dataset.pack_cpt:
-        tokenizer = tinylm.ByteTokenizer()
-        pieces: list[dataset.TokenizedExample] = []
-        for node in nodes:
-            tokenized = dataset.tokenize_cpt(node.text, tokenizer)
-            pieces.extend(dataset.chunk_tokenized(tokenized, cfg.dataset.max_len))
-        packs = dataset.pack_sequences(pieces, cfg.dataset.max_len)
-        dataset.save_packed(workdir / "packed.bin", packs, max_len=cfg.dataset.max_len)
+    packs = dataset.pack_cpt_texts((n.text for n in nodes), cfg.dataset.max_len)
+    dataset.save_packed(workdir / "packed.bin", packs, max_len=cfg.dataset.max_len)
 
     cfgmod.record_stage(workdir, "build", cfg, outputs)
     print(json.dumps({"sft_examples": len(mixed), "cpt_records": len(nodes)}))
@@ -264,7 +251,7 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
             "train",
             cfg,
             [str(workdir / "sft_dataset.jsonl"), str(workdir / "cpt_dataset.jsonl")],
-            [str(workdir / o) for o in outputs],
+            outputs,
         )
     cfgmod.check_upstream(workdir, "train", cfg)
 
@@ -279,15 +266,8 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     fit_len = min(cfg.dataset.max_len, model_cfg.context_window)
     mode = cfg.train.mode
     if mode == "cpt":
-        cache = workdir / "packed.bin"
-        if cache.exists() and dataset.packed_max_len(cache) == fit_len:
-            data: list = dataset.load_packed(cache)
-        else:
-            pieces: list[dataset.TokenizedExample] = []
-            for rec in read_jsonl(workdir / "cpt_dataset.jsonl", schema=dataset.CPT_KEYS):
-                tokenized = dataset.tokenize_cpt(rec["text"], tokenizer)
-                pieces.extend(dataset.chunk_tokenized(tokenized, fit_len))
-            data = dataset.pack_sequences(pieces, fit_len)
+        records = read_jsonl(workdir / "cpt_dataset.jsonl", schema=dataset.CPT_KEYS)
+        data: list = dataset.pack_cpt_texts((rec["text"] for rec in records), fit_len)
     else:
         data = [
             dataset.truncate_chat_example(dataset.chat_example_from_record(rec), tokenizer, fit_len)
@@ -313,29 +293,24 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    workdir = Path(cfg.workdir)
     quiz_path = args.quiz or str(evalharness.default_quiz_path())
-    out_path = workdir / "eval_report.json"
     if args.dry_run:
-        return _plan("eval", cfg, [quiz_path], [str(out_path)])
-    _workdir(cfg)
+        return _plan("eval", cfg, [quiz_path], ["eval_report.json"])
+    workdir = _workdir(cfg)
 
     items = evalharness.read_quiz(quiz_path)
     checkpoint = args.checkpoint
-    if checkpoint is None and not cfg.backend.mock:
-        responder = _backend_for(cfg)
-    elif checkpoint is not None:
-        responder = evalharness.TinyLmResponder(tinylm.load_checkpoint(checkpoint))
-    elif (workdir / "model.ckpt").exists():
+    if checkpoint is None and cfg.backend.mock and (workdir / "model.ckpt").exists():
         cfgmod.check_upstream(workdir, "eval", cfg)
-        responder = evalharness.TinyLmResponder(tinylm.load_checkpoint(workdir / "model.ckpt"))
+        checkpoint = workdir / "model.ckpt"
+    if checkpoint is None:
+        report = evalharness.grade(items, _backend_for(cfg), parallelism=cfg.parallelism)
     else:
-        responder = _backend_for(cfg)
-
-    # Local greedy decode stays sequential; parallelism applies to backends.
-    local = isinstance(responder, evalharness.TinyLmResponder)
-    report = evalharness.grade(items, responder, parallelism=1 if local else cfg.parallelism)
-    out_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+        # Local greedy decode stays sequential; parallelism applies to backends.
+        responder = evalharness.TinyLmResponder(tinylm.load_checkpoint(checkpoint))
+        report = evalharness.grade(items, responder, parallelism=1)
+    report_json = json.dumps(report.to_dict(), indent=2) + "\n"
+    (workdir / "eval_report.json").write_text(report_json, encoding="utf-8")
     print(json.dumps({"accuracy": report.accuracy, "unparsable": report.unparsable}))
     return 0
 

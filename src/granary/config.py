@@ -36,7 +36,6 @@ class DatasetSettings:
     mix_ratio: float = 1.0
     general_path: str | None = None
     system_prompt: str = ""
-    pack_cpt: bool = True
 
 
 @dataclass
@@ -56,7 +55,6 @@ class TrainSettings:
     warmup_frac: float = 0.10
     kl_weight: float = 0.1
     grad_check_every: int | None = None
-    optimizer: str = "gd"
 
 
 @dataclass

@@ -5,12 +5,17 @@ the canonical ``<think>/solution/<answer>`` rendering. Tokenization is
 byte-level with a loss mask that is true exactly on assistant-content
 tokens plus the final EOS; short sequences are packed greedily in order
 up to a length bound.
+
+``pack_cpt_texts`` packs raw text for continued pre-training: ``train``
+at the length it trains on, and ``build`` at ``dataset.max_len`` for the
+``packed.bin`` export, which no stage reads back.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -236,6 +241,13 @@ def pack_sequences(examples: list[TokenizedExample], max_len: int = 8192) -> lis
     return packs
 
 
+def pack_cpt_texts(texts: Iterable[str], max_len: int) -> list[PackedSequence]:
+    """Raw texts tokenized, cut into ``max_len`` windows and packed in order."""
+    tokenizer = ByteTokenizer()
+    pieces = [p for t in texts for p in chunk_tokenized(tokenize_cpt(t, tokenizer), max_len)]
+    return pack_sequences(pieces, max_len)
+
+
 def mix_datasets(domain: list, general: list, ratio: float, seed: int) -> list:
     """All domain examples plus a seeded sample of general ones, shuffled.
 
@@ -288,39 +300,6 @@ def _pack_offsets(packs: list[PackedSequence]) -> list[int]:
         offsets.append(cursor)
         cursor += p.total_length
     return offsets
-
-
-def packed_max_len(path: str | Path) -> int | None:
-    sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    return sidecar.get("max_len")
-
-
-def load_packed(path: str | Path) -> list[PackedSequence]:
-    path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    if sidecar.get("format_version") != PACKED_FORMAT_VERSION:
-        raise ValueError(f"unsupported packed format {sidecar.get('format_version')}")
-    total = sidecar["total_tokens"]
-    raw = path.read_bytes()
-    ids = np.frombuffer(raw[: 4 * total], dtype="<i4")
-    masks = np.frombuffer(raw[4 * total : 4 * total + total], dtype=np.uint8)
-    packs = []
-    for meta in sidecar["packs"]:
-        base = meta["offset"]
-        pack_ids = ids[base : base + meta["length"]].tolist()
-        segments = [
-            Segment(
-                offset=s["offset"],
-                length=s["length"],
-                loss_mask=tuple(
-                    bool(b)
-                    for b in masks[base + s["offset"] : base + s["offset"] + s["length"]]
-                ),
-            )
-            for s in meta["segments"]
-        ]
-        packs.append(PackedSequence(ids=pack_ids, segments=segments))
-    return packs
 
 
 def chat_example_to_record(example: ChatExample, example_id: str) -> dict:

@@ -21,7 +21,7 @@ from pathlib import Path
 from threading import Lock
 
 from . import prompts
-from .backend import ChatMessage, ChatRequest, LlmBackend, RetryPolicy
+from .backend import ChatMessage, ChatRequest, LlmBackend
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration, SchemaViolation
 
@@ -77,7 +77,6 @@ class DistillConfig:
 
     n_samples: int = 5
     parallelism: int = 1
-    retry: RetryPolicy = RetryPolicy()
     journal_path: Path | None = None
 
     def __post_init__(self):

@@ -144,8 +144,6 @@ class TinyLmResponder:
     at EOS or the new-token budget. Purely deterministic.
     """
 
-    supports_seed = True
-
     def __init__(self, params: Parameters, max_new_tokens: int = 48):
         self.params = params
         self.max_new_tokens = max_new_tokens

@@ -1,10 +1,11 @@
 """Training objectives and a deterministic full-batch gradient-descent loop.
 
-Three objectives: continued pre-training (mean next-token NLL over packed
-raw text), supervised fine-tuning (mean NLL over mask-true target
-positions), and KL-anchored fine-tuning, which adds a weighted KL term
-tying the model's predictive distributions at those same positions to a
-frozen reference model. The KL is computed in log space throughout.
+Three objectives: continued pre-training (mean next-token NLL over
+``dataset.pack_cpt_texts`` packs), supervised fine-tuning (mean NLL over
+mask-true target positions), and KL-anchored fine-tuning, which adds a
+weighted KL term tying the model's predictive distributions at those same
+positions to a frozen reference model. The KL is computed in log space
+throughout.
 
 ``loss_nsc_sft`` and ``kl_term`` are per-example references for tests
 and the benchmark's checks. Training, the CLI's gradient check and the
@@ -12,10 +13,10 @@ tests share one batched path: ``make_batch``
 builds a run's batch once, and ``loss_and_grad`` / ``loss_value``
 evaluate CE plus the weighted KL on it (plain CE for cpt, sft and λ=0).
 
-The loop is plain gradient descent under a cosine schedule with linear
-warmup; every step records the loss breakdown and gradient norm so the
-descent behaviour (non-increasing losses, square-summable gradient
-norms) can be checked mechanically.
+The loop is plain gradient descent, the only update rule, under a cosine
+schedule with linear warmup; every step records the loss breakdown and
+gradient norm so the descent behaviour (non-increasing losses,
+square-summable gradient norms) can be checked mechanically.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
 from .tinylm import PAD_ID, Parameters
 
 MODES = ("cpt", "sft", "nsc_sft")
-OPTIMIZERS = ("gd", "adam")
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class TrainConfig:
     kl_weight: float = 0.1
     seed: int = 0
     grad_check_every: int | None = None
-    optimizer: str = "gd"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -56,8 +55,6 @@ class TrainConfig:
             raise ValueError("warmup_frac must be in (0, 1)")
         if self.kl_weight < 0:
             raise ValueError("kl_weight must be >= 0")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
 
 
 @dataclass(frozen=True)
@@ -228,9 +225,9 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
     An example is one row; each of its supervised positions i >= 1 weighs
     1/(count * n) at i - 1, so every example counts equally. A pack gives
     one row per segment and weighs each next-token position 1/(pack
-    positions * n): packing sets only the cpt weighting and the
-    ``packed.bin`` format, never which tokens attend to which. The
-    reference forward runs here, once, when ``ref_params`` is given.
+    positions * n): packing sets only the cpt weighting, never which
+    tokens attend to which. The reference forward runs here, once, when
+    ``ref_params`` is given.
     """
     n = len(items)
     rows: list[tuple[np.ndarray, np.ndarray, float]] = []  # ids, weighted positions, weight
@@ -328,8 +325,6 @@ def train(
             ),
         )
 
-    moment1 = np.zeros(params.count)
-    moment2 = np.zeros(params.count)
     for step in range(cfg.total_steps):
         lr = lr_at(step, cfg)
         try:
@@ -348,16 +343,7 @@ def train(
                 seed=[cfg.seed, step],
             )
 
-        if cfg.optimizer == "gd":
-            params.flat -= lr * gradient
-        else:
-            beta1, beta2, eps = 0.9, 0.999, 1e-8
-            moment1 = beta1 * moment1 + (1 - beta1) * gradient
-            moment2 = beta2 * moment2 + (1 - beta2) * gradient**2
-            m_hat = moment1 / (1 - beta1 ** (step + 1))
-            v_hat = moment2 / (1 - beta2 ** (step + 1))
-            params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
+        params.flat -= lr * gradient
         records.append(
             StepRecord(
                 step=step,

@@ -8,18 +8,23 @@ that way. Tests compare the fused forwards against these to 1e-12.
 ``greedy_decode_reference`` decodes with one full ``forward`` per token,
 the way ``tinylm.greedy_decode`` did before it cached keys and values.
 ``task_ordinal_reference`` scans the node ids linearly, the way the mock
-backend found a task's position before it indexed id prefixes, and
-``packed_bytes_reference`` gathers ``packed.bin`` one list per pack.
+backend found a task's position before it indexed id prefixes,
+``packed_bytes_reference`` gathers ``packed.bin`` one list per pack, and
+``load_packed`` is the reference reader of the ``packed.bin`` format,
+which no pipeline stage reads back.
 ``RecordingBackend`` keeps the requests a backend was sent. ``loss_sft``
 and ``loss_cpt`` are the per-example training losses computed with one
 ``tinylm.forward`` per example or pack segment.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from granary import tape, tinylm
+from granary.dataset import PACKED_FORMAT_VERSION, PackedSequence, Segment
 from granary.errors import EmptyMask
 from granary.tape import Tensor
 
@@ -149,12 +154,39 @@ def packed_bytes_reference(packs) -> bytes:
     return ids.tobytes() + masks.tobytes()
 
 
+def load_packed(path) -> list:
+    """The PackedSequences that ``dataset.save_packed`` wrote to ``path`` and its sidecar."""
+    path = Path(path)
+    sidecar = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
+    if sidecar.get("format_version") != PACKED_FORMAT_VERSION:
+        raise ValueError(f"unsupported packed format {sidecar.get('format_version')}")
+    total = sidecar["total_tokens"]
+    raw = path.read_bytes()
+    ids = np.frombuffer(raw[: 4 * total], dtype="<i4")
+    masks = np.frombuffer(raw[4 * total : 4 * total + total], dtype=np.uint8)
+    packs = []
+    for meta in sidecar["packs"]:
+        base = meta["offset"]
+        segments = [
+            Segment(
+                offset=s["offset"],
+                length=s["length"],
+                loss_mask=tuple(
+                    bool(b) for b in masks[base + s["offset"] : base + s["offset"] + s["length"]]
+                ),
+            )
+            for s in meta["segments"]
+        ]
+        pack_ids = ids[base : base + meta["length"]].tolist()
+        packs.append(PackedSequence(ids=pack_ids, segments=segments))
+    return packs
+
+
 class RecordingBackend:
     """Delegates to an inner backend and keeps every request it was sent."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.supports_seed = inner.supports_seed
         self.transcript = []
 
     def complete(self, request):

@@ -212,8 +212,6 @@ def test_criterion_5_nsc_directional_effect(descent_runs, fixture_examples):
 
 
 class _KillAfter:
-    supports_seed = True
-
     def __init__(self, inner, calls):
         self.inner, self.remaining = inner, calls
 
@@ -332,8 +330,6 @@ def test_criterion_8_masking_soundness():
 
 
 class _ScriptedResponder:
-    supports_seed = True
-
     def __init__(self, answers):
         self.answers = answers
 

@@ -1,17 +1,28 @@
 """End-to-end command-line pipeline on the fixture mini-book."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import oracles
 from granary import config as cfgmod
-from granary import tinylm, trainer
+from granary import dataset, evalharness, tinylm, trainer
+from granary.backend import HttpLlmBackend, MockLlmBackend
 from granary.cli import _OVERRIDES, _apply_overrides, build_parser, main
 from granary.jsonl import read_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures" / "minibook"
+
+# `train --mode cpt --steps 2` on the minibook config below (BLAS pinned to
+# one thread by conftest), captured when train still re-read `packed.bin`
+# whenever its width matched the training length, as it does here.
+CPT_SHA256 = {
+    "model.ckpt": "40e2112f4042bb7e0f0cf2a25050b9055682c52d25f19219982bc8af10503fd3",
+    "train_report.jsonl": "1ceb8e066dfcfed59f1f3eaeb08ca99c1b5c6e0a2d6501bee2e1619f8491c5f4",
+}
 
 
 def write_config(tmp_path, **overrides):
@@ -149,6 +160,16 @@ class TestBuildTrainEval:
             assert sorted(outputs) == sorted(files - before), name
             before = files
 
+    def test_dry_run_outputs_are_the_manifest_outputs(self, pipeline):
+        config, workdir, stage = pipeline
+        for name in ("ingest", "distill", "build", "train"):
+            code, out = stage(name, "--dry-run")
+            assert code == 0, name
+            planned = json.loads(out)["outputs"]
+            assert stage(name)[0] == 0, name
+            outputs = cfgmod.load_stage_manifest(workdir)["stages"][name]["outputs"]
+            assert sorted(planned) == sorted(str(workdir / o) for o in outputs), name
+
     def test_general_mixing(self, pipeline, tmp_path):
         config, workdir, stage = pipeline
         stage("ingest")
@@ -197,6 +218,10 @@ class TestBuildTrainEval:
             )
         assert outputs["sft"] == outputs["nsc0"]
 
+    @staticmethod
+    def _cpt_digests(workdir):
+        return {n: hashlib.sha256((workdir / n).read_bytes()).hexdigest() for n in CPT_SHA256}
+
     def test_cpt_mode_trains_on_packs(self, pipeline):
         config, workdir, stage = pipeline
         stage("ingest")
@@ -204,6 +229,41 @@ class TestBuildTrainEval:
         stage("build")
         code, _ = stage("train", "--mode", "cpt", "--steps", "2")
         assert code == 0
+        assert self._cpt_digests(workdir) == CPT_SHA256
+
+    def test_cpt_mode_never_reads_packed_bin(self, pipeline):
+        config, workdir, stage = pipeline
+        for command in ("ingest", "distill", "build"):
+            stage(command)
+        (workdir / "packed.bin").write_bytes(b"\x07" * 1000)
+        (workdir / "packed.bin.json").write_text("not json")
+        code, _ = stage("train", "--mode", "cpt", "--steps", "2")
+        assert code == 0
+        assert self._cpt_digests(workdir) == CPT_SHA256
+
+    def test_cpt_mode_packs_at_the_context_window(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, dataset={"max_len": 256}, model={"context_window": 64})
+        for command in ("ingest", "distill", "build"):
+            assert run(command, "--config", str(config)) == 0
+        seen = []
+        original = trainer.train
+
+        def spy(cfg, data, init_params, ref_params=None):
+            seen.append(data)
+            return original(cfg, data, init_params, ref_params=ref_params)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        assert run("train", "--config", str(config), "--mode", "cpt", "--steps", "2") == 0
+        workdir = tmp_path / "work"
+        assert len((workdir / "train_report.jsonl").read_text().splitlines()) == 2
+        [packs] = seen
+        assert max(p.total_length for p in packs) == 64
+        built = oracles.load_packed(workdir / "packed.bin")
+        assert max(p.total_length for p in built) > 64
+        texts = [r["text"] for r in read_jsonl(workdir / "cpt_dataset.jsonl")]
+        assert packs == dataset.pack_cpt_texts(texts, 64)
+        # Both widths carry the same token stream.
+        assert [i for p in packs for i in p.ids] == [i for p in built for i in p.ids]
 
     def test_build_and_train_reruns_are_idempotent(self, pipeline):
         config, workdir, stage = pipeline
@@ -230,6 +290,46 @@ class TestBuildTrainEval:
         for row in report["per_item"]:
             assert set(row) == {"item_id", "extracted", "correct_flag", "response"}
             assert isinstance(row["response"], str)
+
+    def test_eval_responder_choice(self, pipeline, tmp_path, monkeypatch):
+        config, workdir, stage = pipeline
+
+        class Graded(Exception):
+            pass
+
+        def fake_grade(items, responder, parallelism=1):
+            params = getattr(responder, "params", None)
+            raise Graded(type(responder), parallelism, params and params.fingerprint())
+
+        def graded(*argv, config=config):
+            with pytest.raises(Graded) as seen:
+                run("eval", "--config", str(config), "--parallelism", "3", *argv)
+            return seen.value.args
+
+        monkeypatch.setattr(evalharness, "grade", fake_grade)
+        given = tmp_path / "given.ckpt"
+        tinylm.save_checkpoint(given, tinylm.init(tinylm.ModelConfig(seed=1)))
+        mock_off = write_config(tmp_path / "off", workdir=str(workdir), backend={"mock": False})
+
+        # Mock on, no model.ckpt: the mock answers.
+        assert graded() == (MockLlmBackend, 3, None)
+
+        trained = tinylm.init(tinylm.ModelConfig(seed=2))
+        tinylm.save_checkpoint(workdir / "model.ckpt", trained)
+        # The workdir's model.ckpt is graded only once its upstream stages are current.
+        assert run("eval", "--config", str(config)) == 1
+        cfg = cfgmod.load_config(config)
+        for name in ("ingest", "distill", "build", "train"):
+            cfgmod.record_stage(workdir, name, cfg, [])
+        local = evalharness.TinyLmResponder
+        given_print = tinylm.load_checkpoint(given).fingerprint()
+        cases = {
+            "explicit --checkpoint": (config, ["--checkpoint", str(given)], (local, 1, given_print)),
+            "mock off": (mock_off, [], (HttpLlmBackend, 3, None)),
+            "mock on with model.ckpt": (config, [], (local, 1, trained.fingerprint())),
+        }
+        for case, (path, argv, want) in cases.items():
+            assert graded(*argv, config=path) == want, case
 
     def test_eval_with_mock_backend(self, pipeline):
         config, workdir, stage = pipeline
@@ -344,7 +444,7 @@ class TestConfigWiring:
         model = {"d_model": 16, "n_layers": 1, "n_heads": 4, "context_window": 512, "init_std": 0.05}
         train = {
             "mode": "sft", "total_steps": 3, "lr_max": 0.02, "warmup_frac": 0.2,
-            "kl_weight": 0.3, "grad_check_every": 2, "optimizer": "adam",
+            "kl_weight": 0.3, "grad_check_every": 2,
         }
         for defaults, values in ((cfgmod.ModelSettings(), model), (cfgmod.TrainSettings(), train)):
             assert set(values) == {f.name for f in dataclasses.fields(defaults)}

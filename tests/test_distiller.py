@@ -44,8 +44,6 @@ def make_node(text="Ohm's law ties voltage, current, and resistance together.", 
 class StubBackend:
     """Returns canned content; optionally records requests."""
 
-    supports_seed = True
-
     def __init__(self, content="", error=None):
         self.content = content
         self.error = error
@@ -305,8 +303,6 @@ class TestRoundTrip:
 
 class _KillAfter:
     """Delegates to an inner backend, then simulates a crash."""
-
-    supports_seed = True
 
     def __init__(self, inner, calls):
         self.inner = inner

@@ -29,8 +29,6 @@ def item(item_id="q1", correct="B"):
 class ScriptedResponder:
     """Maps the item stem (or a default) to a canned response string."""
 
-    supports_seed = True
-
     def __init__(self, by_stem=None, default="", fail_stems=()):
         self.by_stem = by_stem or {}
         self.default = default

@@ -432,14 +432,6 @@ class TestTrainLoop:
         assert exc_info.value.report is not None
         assert exc_info.value.report.records == []
 
-    def test_adam_flag_runs(self, fixture_examples):
-        params = init(TRAIN_MODEL_CFG)
-        report = train(
-            TrainConfig(mode="sft", total_steps=3, lr_max=1e-3, optimizer="adam"),
-            fixture_examples[:2], params,
-        )
-        assert len(report.records) == 3
-
     def test_grad_norms_square_summable_series_reported(self, fixture_examples):
         params = init(TRAIN_MODEL_CFG)
         report = train(TrainConfig(mode="sft", total_steps=20, lr_max=1e-2), fixture_examples, params)
