@@ -195,9 +195,10 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     workdir = Path(cfg.workdir)
     outputs = ["sft_dataset.jsonl", "cpt_dataset.jsonl", "packed.bin", "packed.bin.json"]
     if args.dry_run:
-        return _plan(
-            "build", cfg, [str(workdir / "qtsa.jsonl"), str(workdir / "nodes.jsonl")], outputs
-        )
+        inputs = [str(workdir / "qtsa.jsonl"), str(workdir / "nodes.jsonl")]
+        if cfg.dataset.general_path:
+            inputs.append(cfg.dataset.general_path)
+        return _plan("build", cfg, inputs, outputs)
     cfgmod.check_upstream(workdir, "build", cfg)
 
     entries = [
@@ -246,13 +247,12 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     workdir = Path(cfg.workdir)
     outputs = ["model.ckpt", "train_report.jsonl", "train_summary.json"]
+    mode = cfg.train.mode
     if args.dry_run:
-        return _plan(
-            "train",
-            cfg,
-            [str(workdir / "sft_dataset.jsonl"), str(workdir / "cpt_dataset.jsonl")],
-            outputs,
-        )
+        inputs = [str(workdir / ("cpt_dataset.jsonl" if mode == "cpt" else "sft_dataset.jsonl"))]
+        if args.init_checkpoint:
+            inputs.append(args.init_checkpoint)
+        return _plan("train", cfg, inputs, outputs)
     cfgmod.check_upstream(workdir, "train", cfg)
 
     model_cfg = _model_config(cfg)
@@ -264,7 +264,6 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 
     tokenizer = tinylm.ByteTokenizer()
     fit_len = min(cfg.dataset.max_len, model_cfg.context_window)
-    mode = cfg.train.mode
     if mode == "cpt":
         records = read_jsonl(workdir / "cpt_dataset.jsonl", schema=dataset.CPT_KEYS)
         data: list = dataset.pack_cpt_texts((rec["text"] for rec in records), fit_len)

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -94,7 +94,7 @@ class CorpusStats:
     mean_tokens: float
 
 
-NODE_KEYS = ("node_id", "doc_id", "heading_path", "text", "token_estimate")
+NODE_KEYS = tuple(f.name for f in fields(LearningNode))
 
 _HEADING_RE = re.compile(r"^(#{1,6})[ \t]+(.+?)[ \t]*$")
 
@@ -284,20 +284,8 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[Sourc
 
 
 def node_to_record(node: LearningNode) -> dict:
-    return {
-        "node_id": node.node_id,
-        "doc_id": node.doc_id,
-        "heading_path": list(node.heading_path),
-        "text": node.text,
-        "token_estimate": node.token_estimate,
-    }
+    return dict(vars(node))
 
 
 def node_from_record(rec: dict) -> LearningNode:
-    return LearningNode(
-        node_id=rec["node_id"],
-        doc_id=rec["doc_id"],
-        heading_path=list(rec["heading_path"]),
-        text=rec["text"],
-        token_estimate=rec["token_estimate"],
-    )
+    return LearningNode(**rec)

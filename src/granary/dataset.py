@@ -4,7 +4,9 @@ Kept distillation records become chat examples whose assistant side is
 the canonical ``<think>/solution/<answer>`` rendering. Tokenization is
 byte-level with a loss mask that is true exactly on assistant-content
 tokens plus the final EOS; short sequences are packed greedily in order
-up to a length bound.
+up to a length bound. ``chat_prompt_ids`` is the one chat template up to
+the assistant's turn: training examples and the tiny model's eval
+prompts (``evalharness.TinyLmResponder``) are both built on it.
 
 ``pack_cpt_texts`` packs raw text for continued pre-training: ``train``
 at the length it trains on, and ``build`` at ``dataset.max_len`` for the
@@ -51,17 +53,18 @@ class TokenizedExample:
 
     input_ids: list[int]
     loss_mask: list[bool]
-    length: int = -1
 
     def __post_init__(self):
-        if self.length == -1:
-            self.length = len(self.input_ids)
-        if self.length != len(self.input_ids) or self.length != len(self.loss_mask):
-            raise ValueError("length, input_ids, and loss_mask must agree")
+        if len(self.input_ids) != len(self.loss_mask):
+            raise ValueError("input_ids and loss_mask must have the same length")
         if not any(self.loss_mask):
             raise ValueError("loss mask needs at least one true position")
         if self.input_ids and not 0 <= min(self.input_ids) <= max(self.input_ids) < ByteTokenizer.vocab_size:
             raise ValueError("token id out of vocabulary range")
+
+    @property
+    def length(self) -> int:
+        return len(self.input_ids)
 
 
 @dataclass(frozen=True)
@@ -102,26 +105,21 @@ def render_chat_template(entry: QtsaEntry, system_prompt: str = "") -> ChatExamp
     )
 
 
-def tokenize_and_mask(example: ChatExample, tokenizer: ByteTokenizer) -> TokenizedExample:
-    """BOS + role-delimited blocks + EOS; mask true on assistant text and EOS.
+def chat_prompt_ids(system: str, user: str, tokenizer: ByteTokenizer) -> list[int]:
+    """The chat template up to the assistant's first token.
 
-    An empty system prompt omits the system block entirely.
+    BOS, the system block (omitted entirely when ``system`` is empty), the
+    user block and the assistant delimiter.
     """
-    ids: list[int] = [BOS_ID]
-    mask: list[bool] = [False]
-    prefix = ""
-    if example.system:
-        prefix += SYSTEM_DELIM + example.system
-    prefix += USER_DELIM + example.user + ASSISTANT_DELIM
-    prefix_ids = tokenizer.encode(prefix)
-    ids += prefix_ids
-    mask += [False] * len(prefix_ids)
-    assistant_ids = tokenizer.encode(example.assistant)
-    ids += assistant_ids
-    mask += [True] * len(assistant_ids)
-    ids.append(EOS_ID)
-    mask.append(True)
-    return TokenizedExample(input_ids=ids, loss_mask=mask)
+    system_block = SYSTEM_DELIM + system if system else ""
+    return [BOS_ID] + tokenizer.encode(system_block + USER_DELIM + user + ASSISTANT_DELIM)
+
+
+def tokenize_and_mask(example: ChatExample, tokenizer: ByteTokenizer) -> TokenizedExample:
+    """``chat_prompt_ids`` + assistant text + EOS; mask true on assistant text and EOS."""
+    prompt = chat_prompt_ids(example.system, example.user, tokenizer)
+    reply = tokenizer.encode(example.assistant) + [EOS_ID]
+    return TokenizedExample(input_ids=prompt + reply, loss_mask=[False] * len(prompt) + [True] * len(reply))
 
 
 def tokenize_cpt(text: str, tokenizer: ByteTokenizer) -> TokenizedExample:

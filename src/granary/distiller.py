@@ -16,7 +16,7 @@ import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from threading import Lock
 
@@ -24,18 +24,7 @@ from . import prompts
 from .backend import ChatMessage, ChatRequest, LlmBackend
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration, SchemaViolation
-
-QTSA_KEYS = (
-    "entry_id",
-    "node_id",
-    "sample_idx",
-    "question",
-    "thinking",
-    "solution",
-    "answer",
-    "status",
-    "reject_reason",
-)
+from .jsonl import check_keys
 
 STATUS_KEPT = "kept"
 STATUS_REJECTED = "rejected"
@@ -62,6 +51,9 @@ class QtsaEntry:
     @property
     def kept(self) -> bool:
         return self.status == STATUS_KEPT
+
+
+QTSA_KEYS = tuple(f.name for f in fields(QtsaEntry))
 
 
 @dataclass(frozen=True)
@@ -403,24 +395,9 @@ def distill_corpus(
 
 
 def entry_to_record(entry: QtsaEntry) -> dict:
-    return {
-        "entry_id": entry.entry_id,
-        "node_id": entry.node_id,
-        "sample_idx": entry.sample_idx,
-        "question": entry.question,
-        "thinking": entry.thinking,
-        "solution": entry.solution,
-        "answer": entry.answer,
-        "status": entry.status,
-        "reject_reason": entry.reject_reason,
-    }
+    return dict(vars(entry))
 
 
 def entry_from_record(rec: dict) -> QtsaEntry:
-    extra = set(rec) - set(QTSA_KEYS)
-    missing = set(QTSA_KEYS) - set(rec)
-    if extra or missing:
-        raise SchemaViolation(
-            f"qtsa record keys mismatch (missing={sorted(missing)}, unknown={sorted(extra)})"
-        )
+    check_keys(rec, QTSA_KEYS, "qtsa record")
     return QtsaEntry(**rec)

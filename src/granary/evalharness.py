@@ -3,24 +3,26 @@
 Items are graded at temperature 0. The extractor prefers the last
 well-formed ``<answer>X</answer>`` span and falls back to phrasing like
 "Answer: C"; responses yielding neither count as unparsable and score
-as incorrect.
+as incorrect. A tiny-model checkpoint answers through
+``TinyLmResponder``, which renders each request with
+``dataset.chat_prompt_ids``, the template the model was trained on.
+Quiz items and the report's per-item rows are written and read field
+for field from ``McqItem`` and ``EvalItemResult``.
 """
 
 from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import prompts
 from .backend import ChatMessage, ChatRequest, ChatResponse, LlmBackend
-from .dataset import ASSISTANT_DELIM, SYSTEM_DELIM, USER_DELIM
+from .dataset import chat_prompt_ids
 from .errors import BackendError, SchemaViolation
 from .jsonl import read_jsonl
-from .tinylm import BOS_ID, ByteTokenizer, Parameters, greedy_decode
-
-QUIZ_KEYS = ("item_id", "stem", "options", "correct")
+from .tinylm import ByteTokenizer, Parameters, greedy_decode
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,9 @@ class McqItem:
             raise ValueError(f"item {self.item_id}: need at least 2 options")
         if self.correct not in self.options:
             raise ValueError(f"item {self.item_id}: correct letter not among options")
+
+
+QUIZ_KEYS = tuple(f.name for f in fields(McqItem))
 
 
 @dataclass(frozen=True)
@@ -56,15 +61,7 @@ class EvalReport:
         return {
             "accuracy": self.accuracy,
             "counts": {"answered": self.answered, "unparsable": self.unparsable},
-            "per_item": [
-                {
-                    "item_id": r.item_id,
-                    "extracted": r.extracted,
-                    "correct_flag": r.correct_flag,
-                    "response": r.response,
-                }
-                for r in self.per_item
-            ],
+            "per_item": [dict(vars(r)) for r in self.per_item],
         }
 
 
@@ -140,8 +137,10 @@ def grade(items: list[McqItem], backend: LlmBackend, parallelism: int = 1) -> Ev
 class TinyLmResponder:
     """Adapter letting the tiny model answer chat requests by greedy decode.
 
-    Prompts longer than the model context are left-truncated; output stops
-    at EOS or the new-token budget. Purely deterministic.
+    A request is an optional system message and one user message, rendered
+    by ``chat_prompt_ids`` exactly as training renders them. Prompts longer
+    than the model context are left-truncated; output stops at EOS or the
+    new-token budget. Purely deterministic.
     """
 
     def __init__(self, params: Parameters, max_new_tokens: int = 48):
@@ -150,16 +149,11 @@ class TinyLmResponder:
         self._tokenizer = ByteTokenizer()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        text = ""
-        for message in request.messages:
-            if message.role == "system" and message.content:
-                text += SYSTEM_DELIM + message.content
-            elif message.role == "user":
-                text += USER_DELIM + message.content
-            elif message.role == "assistant":
-                text += ASSISTANT_DELIM + message.content
-        text += ASSISTANT_DELIM
-        ids = [BOS_ID] + self._tokenizer.encode(text)
+        roles = [m.role for m in request.messages]
+        if roles not in (["system", "user"], ["user"]):
+            raise ValueError(f"expected an optional system message, then a user message; got {roles}")
+        content = {m.role: m.content for m in request.messages}
+        ids = chat_prompt_ids(content.get("system", ""), content["user"], self._tokenizer)
         generated = greedy_decode(self.params, ids, self.max_new_tokens)
         return ChatResponse(content=self._tokenizer.decode(generated, errors="replace"))
 
@@ -169,14 +163,7 @@ def read_quiz(path: str | Path) -> list[McqItem]:
     for rec in read_jsonl(path, schema=QUIZ_KEYS):
         if not isinstance(rec["options"], dict):
             raise SchemaViolation(f"quiz item {rec['item_id']}: options must be an object")
-        items.append(
-            McqItem(
-                item_id=rec["item_id"],
-                stem=rec["stem"],
-                options=dict(rec["options"]),
-                correct=rec["correct"],
-            )
-        )
+        items.append(McqItem(**rec))
     return items
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 from .errors import SchemaViolation
 
 
-def _check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
+def check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
     keys, want = set(rec), set(schema)
     if keys != want:
         missing = sorted(want - keys)
@@ -25,7 +25,7 @@ def write_jsonl(path: str | Path, records: list[dict], schema: tuple[str, ...] |
     with path.open("w", encoding="utf-8") as fh:
         for i, rec in enumerate(records):
             if schema is not None:
-                _check_keys(rec, schema, f"{path}:{i + 1}")
+                check_keys(rec, schema, f"{path}:{i + 1}")
             fh.write(json.dumps(rec, ensure_ascii=False))
             fh.write("\n")
 
@@ -43,6 +43,6 @@ def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[
             except json.JSONDecodeError as exc:
                 raise SchemaViolation(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if schema is not None:
-                _check_keys(rec, schema, f"{path}:{lineno}")
+                check_keys(rec, schema, f"{path}:{lineno}")
             records.append(rec)
     return records

@@ -135,13 +135,6 @@ def exp(x: Tensor) -> Tensor:
     return Tensor(out_data, (x,), vjp)
 
 
-def log(x: Tensor) -> Tensor:
-    def vjp(g):
-        return (g / x.data,)
-
-    return Tensor(np.log(x.data), (x,), vjp)
-
-
 def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
@@ -238,7 +231,7 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
     return Tensor(np.swapaxes(x.data, axis1, axis2), (x,), vjp)
 
 
-# sub, mul, exp, log, tanh, power, sumdim, logsumexp and take_along_last have no library caller:
+# sub, mul, exp, tanh, power, sumdim, logsumexp and take_along_last have no library caller:
 # they stay for the tests' reference compositions and the benchmark tracer, which wraps ops by name.
 
 

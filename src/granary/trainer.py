@@ -31,6 +31,7 @@ import numpy as np
 from . import tape, tinylm
 from .dataset import PackedSequence, TokenizedExample
 from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
+from .jsonl import write_jsonl
 from .tinylm import PAD_ID, Parameters
 
 MODES = ("cpt", "sft", "nsc_sft")
@@ -99,21 +100,11 @@ class TrainReport:
 
 
 def step_to_record(r: StepRecord) -> dict:
-    return {
-        "step": r.step,
-        "lr": r.lr,
-        "ce": r.ce,
-        "kl": r.kl,
-        "total": r.total,
-        "grad_norm": r.grad_norm,
-        "fd_max_rel_err": r.fd_max_rel_err,
-    }
+    return dict(vars(r))
 
 
 def write_report(report: TrainReport, jsonl_path: str | Path, summary_path: str | Path) -> None:
-    with Path(jsonl_path).open("w", encoding="utf-8") as fh:
-        for r in report.records:
-            fh.write(json.dumps(step_to_record(r)) + "\n")
+    write_jsonl(jsonl_path, [step_to_record(r) for r in report.records])
     Path(summary_path).write_text(
         json.dumps(report.summary(), indent=2) + "\n", encoding="utf-8"
     )

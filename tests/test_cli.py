@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from granary.cli import _OVERRIDES, _apply_overrides, build_parser, main
 from granary.jsonl import read_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures" / "minibook"
+SRC = Path(__file__).parents[1] / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # `train --mode cpt --steps 2` on the minibook config below (BLAS pinned to
 # one thread by conftest), captured when train still re-read `packed.bin`
@@ -23,6 +28,25 @@ CPT_SHA256 = {
     "model.ckpt": "40e2112f4042bb7e0f0cf2a25050b9055682c52d25f19219982bc8af10503fd3",
     "train_report.jsonl": "1ceb8e066dfcfed59f1f3eaeb08ca99c1b5c6e0a2d6501bee2e1619f8491c5f4",
 }
+
+# The minibook config below run through ingest, distill, build, train
+# (sft, 4 steps) and eval of the trained checkpoint, BLAS pinned to one
+# thread by conftest; captured before the record writers were derived
+# from their dataclasses.
+MINIBOOK_SHA256 = {
+    "nodes.jsonl": "b1458ec26e76aa15f6a69ef3187b652e6d521d1ad44a9a5af25d836f4e761508",
+    "qtsa.jsonl": "337dfcbd69fedfcca759000bc6b682f4a887b50293143377b3e4eac64d2ebf1e",
+    "sft_dataset.jsonl": "e2b4ae56cc5b7a20bfd28852ae9949fd6650f161af5dcd6c76ad2ce71acab99f",
+    "cpt_dataset.jsonl": "559a34a2481ef848a8feb7befe02982ca00498a63411ed8669f3f7e59474cb17",
+    "train_report.jsonl": "6bd57660f6508afea63ff6cbf564bef3d3f9bf16e4551fc50df76cada6f713f4",
+    "train_summary.json": "ec6604ed2d2d8861fe51f649154c3775d51d3145130ca37416dd0f79335457e6",
+    "model.ckpt": "7857225e1f36ce957b84586cdb0b84358552da157e3d754408da12d6ff06b311",
+    "eval_report.json": "b408f087c460b617476f512e211e1359928f91754aecc76e2f966f4e4476eb10",
+}
+
+
+def digests(workdir, names):
+    return {n: hashlib.sha256((workdir / n).read_bytes()).hexdigest() for n in names}
 
 
 def write_config(tmp_path, **overrides):
@@ -220,7 +244,7 @@ class TestBuildTrainEval:
 
     @staticmethod
     def _cpt_digests(workdir):
-        return {n: hashlib.sha256((workdir / n).read_bytes()).hexdigest() for n in CPT_SHA256}
+        return digests(workdir, CPT_SHA256)
 
     def test_cpt_mode_trains_on_packs(self, pipeline):
         config, workdir, stage = pipeline
@@ -331,6 +355,12 @@ class TestBuildTrainEval:
         for case, (path, argv, want) in cases.items():
             assert graded(*argv, config=path) == want, case
 
+    def test_minibook_run_reproduces_pinned_bytes(self, pipeline):
+        config, workdir, stage = pipeline
+        for command in ("ingest", "distill", "build", "train", "eval"):
+            assert stage(command)[0] == 0, command
+        assert digests(workdir, MINIBOOK_SHA256) == MINIBOOK_SHA256
+
     def test_eval_with_mock_backend(self, pipeline):
         config, workdir, stage = pipeline
         code, out = stage("eval", "--mock-llm")
@@ -362,6 +392,49 @@ class TestGradcheckAndErrors:
             assert code == 0, command
             assert json.loads(out)["command"] == command
         assert not workdir.exists()
+
+    @pytest.mark.parametrize(
+        "argv,inputs",
+        [
+            (["train", "--mode", "cpt"], ["{work}/cpt_dataset.jsonl"]),
+            (
+                ["train", "--mode", "sft", "--init-checkpoint", "base.ckpt"],
+                ["{work}/sft_dataset.jsonl", "base.ckpt"],
+            ),
+            (
+                ["build", "--general", "general.jsonl"],
+                ["{work}/qtsa.jsonl", "{work}/nodes.jsonl", "general.jsonl"],
+            ),
+        ],
+        ids=["train-cpt", "train-sft-init-checkpoint", "build-general"],
+    )
+    def test_dry_run_inputs_are_what_the_run_reads(self, pipeline, argv, inputs):
+        config, workdir, stage = pipeline
+        code, out = stage(*argv, "--dry-run")
+        assert code == 0
+        assert json.loads(out)["inputs"] == [i.format(work=workdir) for i in inputs]
+
+
+class TestBlasThreads:
+    @staticmethod
+    def _env(**values):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return {**env, **values}
+
+    def test_cli_reproduces_pinned_bytes_with_no_thread_count_set(self, tmp_path):
+        config = write_config(tmp_path)
+        env = self._env()
+        for argv in (["ingest"], ["distill"], ["build"], ["train", "--mode", "cpt", "--steps", "2"]):
+            cmd = [sys.executable, "-m", "granary.cli", *argv, "--config", str(config)]
+            subprocess.run(cmd, env=env, check=True, capture_output=True)
+        assert digests(tmp_path / "work", CPT_SHA256) == CPT_SHA256
+
+    def test_a_thread_count_already_set_wins(self):
+        code = "import os, granary; print([os.environ[v] for v in %r])" % (BLAS_VARS,)
+        env = self._env(OPENBLAS_NUM_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "['2', '1', '1']"
 
 
 # Config-file values that no flag below produces, so a flag that fails to

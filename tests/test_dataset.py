@@ -89,6 +89,14 @@ class TestTokenizeAndMask:
         tokenized = tokenize_and_mask(ChatExample(system="sys", user="u", assistant="A"), TOK)
         assert "<|system|>\nsys" in TOK.decode(tokenized.input_ids)
 
+    def test_length_is_read_only(self):
+        tokenized = tokenize_and_mask(ChatExample(system="", user="u", assistant="A"), TOK)
+        assert tokenized.length == len(tokenized.input_ids)
+        with pytest.raises(AttributeError):
+            tokenized.length = 3
+        with pytest.raises(TypeError):
+            TokenizedExample(input_ids=[1], loss_mask=[True], length=1)
+
     def test_mask_false_on_prompt_tokens(self):
         example = ChatExample(system="sys", user="user text", assistant="reply")
         tokenized = tokenize_and_mask(example, TOK)

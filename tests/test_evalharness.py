@@ -2,7 +2,9 @@
 
 import pytest
 
-from granary.backend import ChatResponse
+from granary import evalharness
+from granary.backend import ChatMessage, ChatRequest, ChatResponse
+from granary.dataset import ChatExample, tokenize_and_mask
 from granary.errors import BackendError
 from granary.evalharness import (
     EvalReport,
@@ -14,7 +16,7 @@ from granary.evalharness import (
     read_quiz,
     render_eval_prompt,
 )
-from granary.tinylm import ModelConfig, init
+from granary.tinylm import ByteTokenizer, ModelConfig, init
 
 
 def item(item_id="q1", correct="B"):
@@ -189,3 +191,27 @@ class TestTinyLmResponder:
         report = grade([item(), item(item_id="q2")], TinyLmResponder(params, max_new_tokens=8))
         assert isinstance(report, EvalReport)
         assert 0.0 <= report.accuracy <= 1.0
+
+    def test_prompt_is_the_training_template_up_to_the_answer(self, monkeypatch):
+        prompts = []
+        monkeypatch.setattr(evalharness, "greedy_decode", lambda params, ids, n: prompts.append(ids) or [])
+        responder = TinyLmResponder(init(ModelConfig(seed=1, context_window=48)))
+        requests = [
+            render_eval_prompt(item()),
+            ChatRequest(messages=(ChatMessage("user", "Which letter?"),)),
+        ]
+        for request in requests:
+            responder.complete(request)
+        trained = []
+        for request in requests:
+            *system, user = (m.content for m in request.messages)
+            example = ChatExample(system="".join(system), user=user, assistant="B")
+            trained.append(tokenize_and_mask(example, ByteTokenizer()).input_ids[:-2])
+        assert prompts == trained
+
+    def test_rejects_requests_outside_the_template(self):
+        responder = TinyLmResponder(init(ModelConfig(seed=1, context_window=48)))
+        for roles in (("system", "user", "assistant"), ("user", "system"), ("system",)):
+            request = ChatRequest(messages=tuple(ChatMessage(r, "x") for r in roles))
+            with pytest.raises(ValueError):
+                responder.complete(request)
