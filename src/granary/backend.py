@@ -47,11 +47,15 @@ class ChatRequest:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 
+    @classmethod
+    def of(cls, system: str, user: str, **options) -> ChatRequest:
+        """The request every agent sends; ``options`` set temperature, seed or max_tokens."""
+        return cls((ChatMessage("system", system), ChatMessage("user", user)), **options)
+
 
 @dataclass(frozen=True)
 class ChatResponse:
     content: str
-    finish_reason: str = "stop"
 
 
 class LlmBackend(Protocol):
@@ -160,10 +164,7 @@ class HttpLlmBackend:
         try:
             body = resp.json()
             choice = body["choices"][0]
-            return ChatResponse(
-                content=choice["message"]["content"],
-                finish_reason=choice.get("finish_reason", "stop"),
-            )
+            return ChatResponse(content=choice["message"]["content"])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
 
@@ -241,30 +242,22 @@ class MockLlmBackend:
         prefix, k = (marker.group(1), int(marker.group(2))) if marker else ("unknown0", 0)
         thinking = f"Trace the passage's definitions for variation {k}."
         solution = "Combine the defined quantities as the passage directs."
-        answer = f"relation-{prefix}-{k}"
+        content = prompts.render_assistant(thinking, solution, f"relation-{prefix}-{k}")
         if self.malform_answer_every:
             ordinal = self._task_ordinal(prefix, k)
             if ordinal is not None and ordinal % self.malform_answer_every == 0:
-                return ChatResponse(
-                    content=f"<think>\n{thinking}\n</think>\n\n{solution}\n"
-                )
-        return ChatResponse(
-            content=f"<think>\n{thinking}\n</think>\n\n{solution}\n\n<answer>{answer}</answer>"
-        )
+                content = content.partition("\n<answer>")[0]
+        return ChatResponse(content=content)
 
     def _rewrite(self, user: str) -> ChatResponse:
-        q_match = re.search(r"<question>(.*?)</question>", user, re.S)
-        s_match = re.search(r"<solution>(.*?)</solution>", user, re.S)
-        question = q_match.group(1) if q_match else ""
-        solution = s_match.group(1) if s_match else ""
+        question, solution = prompts.parse_rewrite(user)
         for pattern, replacement in _MOCK_REWRITES:
             question = pattern.sub(replacement, question)
             solution = pattern.sub(replacement, solution)
-        return ChatResponse(
-            content=f"<question>{question}</question>\n<solution>{solution}</solution>"
-        )
+        return ChatResponse(content=prompts.render_rewrite(question, solution))
 
     def _eval(self, user: str) -> ChatResponse:
         letters = _OPTION_LINE_RE.findall(user) or ["A"]
         pick = letters[_stable_digest(f"{self.seed}:{user}") % len(letters)]
-        return ChatResponse(content=f"Considering the options, I pick one.\n<answer>{pick}</answer>")
+        answer = prompts.render_answer_span(pick)
+        return ChatResponse(content=f"Considering the options, I pick one.\n{answer}")

@@ -293,15 +293,17 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     quiz_path = args.quiz or str(evalharness.default_quiz_path())
+    workdir = Path(cfg.workdir)
+    trained_here = args.checkpoint is None and cfg.backend.mock and (workdir / "model.ckpt").exists()
+    checkpoint = str(workdir / "model.ckpt") if trained_here else args.checkpoint
     if args.dry_run:
-        return _plan("eval", cfg, [quiz_path], ["eval_report.json"])
-    workdir = _workdir(cfg)
+        inputs = [quiz_path] if checkpoint is None else [quiz_path, checkpoint]
+        return _plan("eval", cfg, inputs, ["eval_report.json"])
+    _workdir(cfg)
 
     items = evalharness.read_quiz(quiz_path)
-    checkpoint = args.checkpoint
-    if checkpoint is None and cfg.backend.mock and (workdir / "model.ckpt").exists():
+    if trained_here:
         cfgmod.check_upstream(workdir, "eval", cfg)
-        checkpoint = workdir / "model.ckpt"
     if checkpoint is None:
         report = evalharness.grade(items, _backend_for(cfg), parallelism=cfg.parallelism)
     else:
@@ -326,7 +328,7 @@ def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         dataset.ChatExample(
             system="",
             user="State the loop law.",
-            assistant="<think>\nsum drops\n</think>\n\nAdd voltages around the loop.\n\n<answer>They sum to zero.</answer>",
+            assistant=distiller.render_assistant("sum drops", "Add voltages around the loop.", "They sum to zero."),
         ),
         tokenizer,
     )

@@ -147,13 +147,8 @@ def stage_hash(cfg: PipelineConfig, stage: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-STAGE_PARENTS = {
-    "ingest": [],
-    "distill": ["ingest"],
-    "build": ["ingest", "distill"],
-    "train": ["ingest", "distill", "build"],
-    "eval": ["ingest", "distill", "build", "train"],
-}
+# The pipeline runs in this order; a stage's parents are the stages before it.
+STAGES = ("ingest", "distill", "build", "train", "eval")
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -183,7 +178,7 @@ def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig, outputs: 
 def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
     """Fail when any ancestor stage is missing or ran under a different config."""
     manifest = load_stage_manifest(workdir)
-    for parent in STAGE_PARENTS.get(stage, []):
+    for parent in STAGES[: STAGES.index(stage)]:
         recorded = manifest["stages"].get(parent)
         if recorded is None:
             raise StaleArtifact(

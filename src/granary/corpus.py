@@ -51,7 +51,9 @@ class SectionNode:
     heading, line endings preserved, so that re-serializing the tree
     reproduces the source exactly. ``heading_line`` keeps the original
     heading text (including its ``#`` run and trailing newline); it is empty
-    for the document root.
+    for the document root. No pipeline stage reads it: it is there so the
+    tests can re-serialize a tree (``oracles.serialize_tree``) and check
+    that parsing loses nothing.
     """
 
     heading_path: list[str]
@@ -150,20 +152,6 @@ def parse_markdown_tree(doc: SourceDocument) -> SectionNode:
 
     fill(root)
     return root
-
-
-def serialize_tree(root: SectionNode) -> str:
-    """Reproduce the (line-ending-normalized) source from a section tree."""
-    parts: list[str] = []
-
-    def walk(node: SectionNode) -> None:
-        parts.append(node.heading_line)
-        parts.append(node.body)
-        for child in node.children:
-            walk(child)
-
-    walk(root)
-    return "".join(parts)
 
 
 def iter_sections(root: SectionNode):

@@ -6,7 +6,9 @@ in ``<answer>`` tags, and a postprocessor that rejects malformed output
 and rewrites dangling references ("Eq. (4.1)", "this section", ...) so
 each record stands alone. Each finished task's record is appended to a
 one-file journal as it completes, so interrupted runs resume without
-re-querying the backend.
+re-querying the backend. The text formats the agents exchange, and
+``RawAnswer``, ``render_assistant`` and ``parse_answer_spans`` with them,
+are defined in ``prompts``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from pathlib import Path
 from threading import Lock
 
 from . import prompts
-from .backend import ChatMessage, ChatRequest, LlmBackend
+from .backend import ChatRequest, LlmBackend
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration, SchemaViolation
 from .jsonl import check_keys
+from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
 STATUS_KEPT = "kept"
 STATUS_REJECTED = "rejected"
@@ -57,13 +60,6 @@ QTSA_KEYS = tuple(f.name for f in fields(QtsaEntry))
 
 
 @dataclass(frozen=True)
-class RawAnswer:
-    thinking: str
-    solution: str
-    answer: str
-
-
-@dataclass(frozen=True)
 class DistillConfig:
     """Sampling and execution knobs for a distillation run."""
 
@@ -88,9 +84,6 @@ def sample_seed(*parts: object) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-_THINK_RE = re.compile(r"<think>(.*?)</think>", re.S)
-_ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.S)
-
 DANGLING_PATTERNS = (
     re.compile(r"\bEq(?:uation)?\.?\s*\(?\s*\d+(?:\.\d+)*\s*\)?", re.I),
     re.compile(r"\bTable\s+\d+(?:\.\d+)*", re.I),
@@ -107,41 +100,14 @@ def find_dangling(text: str) -> str | None:
     return match.group(0) if match else None
 
 
-def render_assistant(thinking: str, solution: str, answer: str) -> str:
-    """Canonical serialized form of a Q/T/S/A record's response side."""
-    return f"<think>\n{thinking}\n</think>\n\n{solution}\n\n<answer>{answer}</answer>"
-
-
-def parse_answer_spans(text: str) -> RawAnswer:
-    """Split a raw model response into thinking / solution / answer.
-
-    Thinking is the content of the first well-formed ``<think>`` span,
-    solution the text between ``</think>`` and the first ``<answer>``,
-    answer the content of the first well-formed ``<answer>`` span. Absent
-    spans yield empty fields; whitespace is trimmed.
-    """
-    think_match = _THINK_RE.search(text)
-    thinking = think_match.group(1).strip() if think_match else ""
-    rest = text[think_match.end():] if think_match else text
-    answer_match = _ANSWER_RE.search(rest)
-    answer = answer_match.group(1).strip() if answer_match else ""
-    solution = (rest[: answer_match.start()] if answer_match else rest).strip()
-    return RawAnswer(thinking=thinking, solution=solution, answer=answer)
-
-
 def generate_question(node: LearningNode, sample_idx: int, backend: LlmBackend) -> str:
     """Ask the question agent for one question grounded in ``node.text``."""
     if not node.text:
         raise ValueError("node text must be nonempty")
-    request = ChatRequest(
-        messages=(
-            ChatMessage("system", prompts.QUESTION_PROMPT),
-            ChatMessage(
-                "user",
-                prompts.QUESTION_USER_TEMPLATE.format(
-                    node_id=node.node_id, sample_idx=sample_idx, node_text=node.text
-                ),
-            ),
+    request = ChatRequest.of(
+        prompts.QUESTION_PROMPT,
+        prompts.QUESTION_USER_TEMPLATE.format(
+            node_id=node.node_id, sample_idx=sample_idx, node_text=node.text
         ),
         temperature=QUESTION_TEMPERATURE,
         seed=sample_seed(node.node_id, sample_idx),
@@ -158,14 +124,9 @@ def answer_question(node: LearningNode, question: str, backend: LlmBackend) -> R
     """Ask the answering agent and split its response into T/S/A spans."""
     if not question:
         raise ValueError("question must be nonempty")
-    request = ChatRequest(
-        messages=(
-            ChatMessage("system", prompts.ANSWER_PROMPT),
-            ChatMessage(
-                "user",
-                prompts.ANSWER_USER_TEMPLATE.format(node_text=node.text, question=question),
-            ),
-        ),
+    request = ChatRequest.of(
+        prompts.ANSWER_PROMPT,
+        prompts.ANSWER_USER_TEMPLATE.format(node_text=node.text, question=question),
         temperature=ANSWER_TEMPERATURE,
         seed=sample_seed(node.node_id, question),
         max_tokens=2048,
@@ -176,25 +137,14 @@ def answer_question(node: LearningNode, question: str, backend: LlmBackend) -> R
 def _request_rewrite(
     question: str, solution: str, node: LearningNode, backend: LlmBackend
 ) -> tuple[str, str]:
-    request = ChatRequest(
-        messages=(
-            ChatMessage("system", prompts.REWRITE_PROMPT),
-            ChatMessage(
-                "user",
-                prompts.REWRITE_USER_TEMPLATE.format(
-                    question=question, solution=solution, node_text=node.text
-                ),
-            ),
-        ),
+    exchange = prompts.render_rewrite(question, solution)
+    request = ChatRequest.of(
+        prompts.REWRITE_PROMPT,
+        prompts.REWRITE_USER_TEMPLATE.format(exchange=exchange, node_text=node.text),
         temperature=REWRITE_TEMPERATURE,
         seed=sample_seed(node.node_id, 0),
     )
-    content = backend.complete(request).content
-    q_match = re.search(r"<question>(.*?)</question>", content, re.S)
-    s_match = re.search(r"<solution>(.*?)</solution>", content, re.S)
-    new_q = q_match.group(1).strip() if q_match else ""
-    new_s = s_match.group(1).strip() if s_match else ""
-    return new_q, new_s
+    return prompts.parse_rewrite(backend.complete(request).content)
 
 
 _NO_ANSWER = RawAnswer(thinking="", solution="", answer="")

@@ -7,7 +7,8 @@ as incorrect. A tiny-model checkpoint answers through
 ``TinyLmResponder``, which renders each request with
 ``dataset.chat_prompt_ids``, the template the model was trained on.
 Quiz items and the report's per-item rows are written and read field
-for field from ``McqItem`` and ``EvalItemResult``.
+for field from ``McqItem`` and ``EvalItemResult``. The answer span the
+extractor reads is defined, with its renderer, in ``prompts``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import prompts
-from .backend import ChatMessage, ChatRequest, ChatResponse, LlmBackend
+from .backend import ChatRequest, ChatResponse, LlmBackend
 from .dataset import chat_prompt_ids
 from .errors import BackendError, SchemaViolation
 from .jsonl import read_jsonl
@@ -70,18 +71,9 @@ def render_eval_prompt(item: McqItem, max_tokens: int = 512) -> ChatRequest:
     lines = [item.stem, ""]
     for letter in sorted(item.options):
         lines.append(f"{letter}) {item.options[letter]}")
-    return ChatRequest(
-        messages=(
-            ChatMessage("system", prompts.EVAL_PROMPT),
-            ChatMessage("user", "\n".join(lines)),
-        ),
-        temperature=0.0,
-        seed=0,
-        max_tokens=max_tokens,
-    )
+    return ChatRequest.of(prompts.EVAL_PROMPT, "\n".join(lines), max_tokens=max_tokens)
 
 
-_ANSWER_SPAN_RE = re.compile(r"<answer>(.*?)</answer>", re.S)
 # Only the keywords ignore case; the option letter must be a capital.
 _FALLBACK_RE = re.compile(r"\b(?i:answer|choice|option)\s*(?i:is|:)?\s*\(?([A-Z])\)?(?![A-Za-z])")
 
@@ -93,7 +85,7 @@ def extract_answer(text: str) -> str | None:
     span (whitespace-trimmed, case preserved). Fallback: the last capital
     letter in an "Answer: C"-style phrase. None when neither matches.
     """
-    spans = _ANSWER_SPAN_RE.findall(text)
+    spans = prompts.ANSWER_RE.findall(text)
     if spans:
         candidate = spans[-1].strip()
         if re.fullmatch(r"[A-Za-z]", candidate):

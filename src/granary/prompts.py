@@ -1,11 +1,15 @@
-"""Versioned prompt assets for the distillation and evaluation agents.
+"""Versioned prompts and the message formats the agents exchange.
 
 Each prompt file starts with a bracketed tag line; backends (notably the
-deterministic mock) classify requests by that tag.
+deterministic mock) classify requests by that tag. This module owns every
+format the distiller, the eval harness and the mock exchange, each with one
+renderer and one parser: the answer response, its answer span and the rewrite.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from importlib import resources
 
 QUESTION_TAG = "[granary-agent question v1]"
@@ -27,7 +31,54 @@ EVAL_PROMPT = _load("eval_v1.txt")
 
 QUESTION_USER_TEMPLATE = "Passage id: {node_id}\nVariation: {sample_idx}\n\n{node_text}\n"
 ANSWER_USER_TEMPLATE = "{node_text}\n\nQuestion: {question}\n"
-REWRITE_USER_TEMPLATE = (
-    "<question>{question}</question>\n<solution>{solution}</solution>\n\n"
-    "Passage:\n{node_text}\n"
-)
+REWRITE_USER_TEMPLATE = "{exchange}\n\nPassage:\n{node_text}\n"
+
+_THINK_RE = re.compile(r"<think>(.*?)</think>", re.S)
+ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.S)
+_QUESTION_RE = re.compile(r"<question>(.*?)</question>", re.S)
+_SOLUTION_RE = re.compile(r"<solution>(.*?)</solution>", re.S)
+
+
+@dataclass(frozen=True)
+class RawAnswer:
+    thinking: str
+    solution: str
+    answer: str
+
+
+def render_answer_span(answer: str) -> str:
+    """The span holding a final answer, which ``ANSWER_RE`` finds."""
+    return f"<answer>{answer}</answer>"
+
+
+def render_assistant(thinking: str, solution: str, answer: str) -> str:
+    """Canonical serialized form of a Q/T/S/A record's response side."""
+    return f"<think>\n{thinking}\n</think>\n\n{solution}\n\n{render_answer_span(answer)}"
+
+
+def parse_answer_spans(text: str) -> RawAnswer:
+    """Split a raw model response into thinking / solution / answer.
+
+    Thinking is the content of the first well-formed ``<think>`` span,
+    solution the text between ``</think>`` and the first ``<answer>``,
+    answer the content of the first well-formed ``<answer>`` span. Absent
+    spans yield empty fields; whitespace is trimmed.
+    """
+    think_match = _THINK_RE.search(text)
+    thinking = think_match.group(1).strip() if think_match else ""
+    rest = text[think_match.end():] if think_match else text
+    answer_match = ANSWER_RE.search(rest)
+    answer = answer_match.group(1).strip() if answer_match else ""
+    solution = (rest[: answer_match.start()] if answer_match else rest).strip()
+    return RawAnswer(thinking=thinking, solution=solution, answer=answer)
+
+
+def render_rewrite(question: str, solution: str) -> str:
+    """A question and solution as the rewrite agent reads and returns them."""
+    return f"<question>{question}</question>\n<solution>{solution}</solution>"
+
+
+def parse_rewrite(text: str) -> tuple[str, str]:
+    """The first question and solution spans of ``text``, trimmed; "" when absent."""
+    spans = (_QUESTION_RE.search(text), _SOLUTION_RE.search(text))
+    return tuple(m.group(1).strip() if m else "" for m in spans)

@@ -11,12 +11,15 @@ the way ``tinylm.greedy_decode`` did before it cached keys and values.
 backend found a task's position before it indexed id prefixes,
 ``packed_bytes_reference`` gathers ``packed.bin`` one list per pack, and
 ``load_packed`` is the reference reader of the ``packed.bin`` format,
-which no pipeline stage reads back.
-``RecordingBackend`` keeps the requests a backend was sent. ``loss_sft``
+which no pipeline stage reads back. ``serialize_tree`` re-joins a parsed
+section tree, so the tests can check that parsing is lossless.
+``RecordingBackend`` keeps the requests a backend was sent and its
+replies, and digests that traffic. ``loss_sft``
 and ``loss_cpt`` are the per-example training losses computed with one
 ``tinylm.forward`` per example or pack segment.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -154,6 +157,20 @@ def packed_bytes_reference(packs) -> bytes:
     return ids.tobytes() + masks.tobytes()
 
 
+def serialize_tree(root) -> str:
+    """Reproduce the (line-ending-normalized) source from a section tree."""
+    parts = []
+
+    def walk(node) -> None:
+        parts.append(node.heading_line)
+        parts.append(node.body)
+        for child in node.children:
+            walk(child)
+
+    walk(root)
+    return "".join(parts)
+
+
 def load_packed(path) -> list:
     """The PackedSequences that ``dataset.save_packed`` wrote to ``path`` and its sidecar."""
     path = Path(path)
@@ -183,12 +200,34 @@ def load_packed(path) -> list:
 
 
 class RecordingBackend:
-    """Delegates to an inner backend and keeps every request it was sent."""
+    """Delegates to an inner backend and keeps every request and reply."""
 
     def __init__(self, inner):
         self.inner = inner
         self.transcript = []
+        self.replies = []
 
     def complete(self, request):
         self.transcript.append(request)
-        return self.inner.complete(request)
+        response = self.inner.complete(request)
+        self.replies.append(response.content)
+        return response
+
+    def traffic_sha256(self) -> str:
+        """sha256 of the canonical JSON of every exchange.
+
+        An exchange is the request's messages (role and content), its
+        temperature, seed and ``max_tokens``, and the reply's content.
+        """
+        exchanges = [
+            {
+                "messages": [[m.role, m.content] for m in request.messages],
+                "temperature": request.temperature,
+                "seed": request.seed,
+                "max_tokens": request.max_tokens,
+                "reply": reply,
+            }
+            for request, reply in zip(self.transcript, self.replies, strict=True)
+        ]
+        blob = json.dumps(exchanges, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()

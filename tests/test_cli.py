@@ -394,22 +394,42 @@ class TestGradcheckAndErrors:
         assert not workdir.exists()
 
     @pytest.mark.parametrize(
-        "argv,inputs",
+        "argv,made,inputs",
         [
-            (["train", "--mode", "cpt"], ["{work}/cpt_dataset.jsonl"]),
+            (["train", "--mode", "cpt"], [], ["{work}/cpt_dataset.jsonl"]),
             (
                 ["train", "--mode", "sft", "--init-checkpoint", "base.ckpt"],
+                [],
                 ["{work}/sft_dataset.jsonl", "base.ckpt"],
             ),
             (
                 ["build", "--general", "general.jsonl"],
+                [],
                 ["{work}/qtsa.jsonl", "{work}/nodes.jsonl", "general.jsonl"],
             ),
+            (["eval", "--quiz", "quiz.jsonl"], [], ["quiz.jsonl"]),
+            (["eval", "--quiz", "quiz.jsonl"], ["model.ckpt"], ["quiz.jsonl", "{work}/model.ckpt"]),
+            (
+                ["eval", "--quiz", "quiz.jsonl", "--checkpoint", "given.ckpt"],
+                ["model.ckpt"],
+                ["quiz.jsonl", "given.ckpt"],
+            ),
         ],
-        ids=["train-cpt", "train-sft-init-checkpoint", "build-general"],
+        ids=[
+            "train-cpt",
+            "train-sft-init-checkpoint",
+            "build-general",
+            "eval-mock",
+            "eval-workdir-checkpoint",
+            "eval-given-checkpoint",
+        ],
     )
-    def test_dry_run_inputs_are_what_the_run_reads(self, pipeline, argv, inputs):
+    def test_dry_run_inputs_are_what_the_run_reads(self, pipeline, argv, made, inputs):
+        # ``made`` names workdir files present before the dry run.
         config, workdir, stage = pipeline
+        for name in made:
+            workdir.mkdir(exist_ok=True)
+            (workdir / name).write_bytes(b"")
         code, out = stage(*argv, "--dry-run")
         assert code == 0
         assert json.loads(out)["inputs"] == [i.format(work=workdir) for i in inputs]

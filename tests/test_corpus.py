@@ -19,10 +19,10 @@ from granary.corpus import (
     node_from_record,
     node_to_record,
     parse_markdown_tree,
-    serialize_tree,
 )
 from granary.errors import InvalidEncoding, SchemaViolation
 from granary.jsonl import read_jsonl, write_jsonl
+from oracles import serialize_tree
 
 
 def make_doc(markdown, doc_id="doc"):
