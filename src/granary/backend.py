@@ -169,10 +169,8 @@ class HttpLlmBackend:
             raise BackendError(f"malformed completion response: {exc}") from exc
 
 
+# The marker the mock's questions carry and its answers read back.
 _MARKER_RE = re.compile(r"\[([0-9a-f]{8})#(\d+)\]")
-_OPTION_LINE_RE = re.compile(r"^([A-Z])\) ", re.M)
-_PASSAGE_ID_RE = re.compile(r"^Passage id: (\S+)$", re.M)
-_VARIATION_RE = re.compile(r"^Variation: (\d+)$", re.M)
 
 # Substitutions the mock rewrite agent applies; mirrors the dangling
 # patterns the postprocessor screens for.
@@ -226,11 +224,10 @@ class MockLlmBackend:
     # -- agents ----------------------------------------------------------
 
     def _question(self, user: str) -> ChatResponse:
-        node_id = _PASSAGE_ID_RE.search(user)
-        variation = _VARIATION_RE.search(user)
-        if node_id is None or variation is None:
+        header = prompts.QUESTION_HEADER_RE.search(user)
+        if header is None:
             return ChatResponse(content="What does the passage establish?")
-        marker = f"[{node_id.group(1)[:8]}#{int(variation.group(1))}]"
+        marker = f"[{header.group(1)[:8]}#{int(header.group(2))}]"
         return ChatResponse(content=f"{marker} State the key relation the passage establishes.")
 
     def _task_ordinal(self, node_prefix: str, sample_idx: int) -> int | None:
@@ -257,7 +254,7 @@ class MockLlmBackend:
         return ChatResponse(content=prompts.render_rewrite(question, solution))
 
     def _eval(self, user: str) -> ChatResponse:
-        letters = _OPTION_LINE_RE.findall(user) or ["A"]
+        letters = prompts.EVAL_OPTION_RE.findall(user) or ["A"]
         pick = letters[_stable_digest(f"{self.seed}:{user}") % len(letters)]
         answer = prompts.render_answer_span(pick)
         return ChatResponse(content=f"Considering the options, I pick one.\n{answer}")

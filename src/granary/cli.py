@@ -3,6 +3,8 @@
 Subcommands: ingest -> distill -> build -> train -> eval, plus gradcheck.
 All artifacts live under a work directory whose manifest records the
 config hash each stage ran with, so stale upstream outputs are refused.
+Each stage's order, config slice and output files come from
+``config.STAGES``; a command here names only the files it reads.
 Exit codes: 0 success, 1 validation/config error, 2 runtime failure.
 """
 
@@ -58,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lambda", dest="kl_weight", type=float, default=None)
     p_train.add_argument("--steps", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None)
-    p_train.add_argument("--max-len", type=int, default=None)
     p_train.add_argument("--init-checkpoint", default=None)
 
     p_eval = sub.add_parser("eval", help="grade a quiz with a checkpoint or backend")
@@ -130,14 +131,15 @@ def _model_config(cfg: cfgmod.PipelineConfig) -> tinylm.ModelConfig:
     return tinylm.ModelConfig(**dataclasses.asdict(cfg.model), seed=cfg.seed)
 
 
-def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str], outputs: list[str]) -> int:
-    """Print the plan; ``outputs`` are workdir-relative names, as the manifest records them."""
+def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str | Path]) -> int:
+    """Print the plan: the files the run reads, and the stage's outputs from ``config.STAGES``."""
+    outputs = cfgmod.STAGES[command].outputs if command in cfgmod.STAGES else ()
     print(
         json.dumps(
             {
                 "command": command,
                 "dry_run": True,
-                "inputs": inputs,
+                "inputs": [str(path) for path in inputs],
                 "outputs": [str(Path(cfg.workdir) / name) for name in outputs],
                 "config": dataclasses.asdict(cfg),
             },
@@ -147,10 +149,16 @@ def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str], outputs: 
     return 0
 
 
+def _finish(workdir: Path, stage: str, cfg: cfgmod.PipelineConfig, summary: dict) -> int:
+    """Record a finished stage in the manifest and print its summary line."""
+    cfgmod.record_stage(workdir, stage, cfg)
+    print(json.dumps(summary))
+    return 0
+
+
 def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    outputs = ["nodes.jsonl"]
     if args.dry_run:
-        return _plan("ingest", cfg, [cfg.corpus_dir, cfg.manifest], outputs)
+        return _plan("ingest", cfg, [cfg.corpus_dir, cfg.manifest])
     workdir = _workdir(cfg)
     decompose_cfg = corpus.DecomposeConfig(
         min_node_tokens=cfg.min_node_tokens,
@@ -162,18 +170,14 @@ def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         nodes.extend(corpus.decompose_to_nodes(tree, doc.doc_id, decompose_cfg))
     records = [corpus.node_to_record(n) for n in nodes]
     write_jsonl(workdir / "nodes.jsonl", records, schema=corpus.NODE_KEYS)
-    stats = corpus.corpus_stats(nodes)
-    cfgmod.record_stage(workdir, "ingest", cfg, outputs)
-    print(json.dumps(dataclasses.asdict(stats)))
-    return 0
+    return _finish(workdir, "ingest", cfg, dataclasses.asdict(corpus.corpus_stats(nodes)))
 
 
 def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     workdir = Path(cfg.workdir)
     nodes_path = workdir / "nodes.jsonl"
-    outputs = ["qtsa.jsonl", "journal.jsonl"]
     if args.dry_run:
-        return _plan("distill", cfg, [str(nodes_path)], outputs)
+        return _plan("distill", cfg, [nodes_path])
     cfgmod.check_upstream(workdir, "distill", cfg)
     nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
     backend = _backend_for(cfg, node_ids=[n.node_id for n in nodes])
@@ -186,33 +190,27 @@ def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     records = [distiller.entry_to_record(e) for e in entries]
     write_jsonl(workdir / "qtsa.jsonl", records, schema=distiller.QTSA_KEYS)
     kept = sum(e.kept for e in entries)
-    cfgmod.record_stage(workdir, "distill", cfg, outputs)
-    print(json.dumps({"attempted": len(entries), "kept": kept, "rejected": len(entries) - kept}))
-    return 0
+    summary = {"attempted": len(entries), "kept": kept, "rejected": len(entries) - kept}
+    return _finish(workdir, "distill", cfg, summary)
 
 
 def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     workdir = Path(cfg.workdir)
-    outputs = ["sft_dataset.jsonl", "cpt_dataset.jsonl", "packed.bin", "packed.bin.json"]
+    qtsa_path, nodes_path = workdir / "qtsa.jsonl", workdir / "nodes.jsonl"
+    general_path = cfg.dataset.general_path
     if args.dry_run:
-        inputs = [str(workdir / "qtsa.jsonl"), str(workdir / "nodes.jsonl")]
-        if cfg.dataset.general_path:
-            inputs.append(cfg.dataset.general_path)
-        return _plan("build", cfg, inputs, outputs)
+        return _plan("build", cfg, [qtsa_path, nodes_path] + ([general_path] if general_path else []))
     cfgmod.check_upstream(workdir, "build", cfg)
 
-    entries = [
-        distiller.entry_from_record(r)
-        for r in read_jsonl(workdir / "qtsa.jsonl", schema=distiller.QTSA_KEYS)
-    ]
+    entries = [distiller.entry_from_record(r) for r in read_jsonl(qtsa_path, schema=distiller.QTSA_KEYS)]
     domain = [
         (e.entry_id, dataset.render_chat_template(e, cfg.dataset.system_prompt))
         for e in entries
         if e.kept
     ]
     general: list[tuple[str, dataset.ChatExample]] = []
-    if cfg.dataset.general_path:
-        for rec in read_jsonl(cfg.dataset.general_path, schema=dataset.SFT_KEYS):
+    if general_path:
+        for rec in read_jsonl(general_path, schema=dataset.SFT_KEYS):
             ex = dataset.chat_example_from_record(rec)
             general.append(
                 (rec["id"], dataset.ChatExample(ex.system, ex.user, ex.assistant, dataset.ORIGIN_GENERAL))
@@ -227,10 +225,7 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         schema=dataset.SFT_KEYS,
     )
 
-    nodes = [
-        corpus.node_from_record(r)
-        for r in read_jsonl(workdir / "nodes.jsonl", schema=corpus.NODE_KEYS)
-    ]
+    nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
     write_jsonl(
         workdir / "cpt_dataset.jsonl",
         [{"node_id": n.node_id, "text": n.text} for n in nodes],
@@ -238,21 +233,15 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     )
     packs = dataset.pack_cpt_texts((n.text for n in nodes), cfg.dataset.max_len)
     dataset.save_packed(workdir / "packed.bin", packs, max_len=cfg.dataset.max_len)
-
-    cfgmod.record_stage(workdir, "build", cfg, outputs)
-    print(json.dumps({"sft_examples": len(mixed), "cpt_records": len(nodes)}))
-    return 0
+    return _finish(workdir, "build", cfg, {"sft_examples": len(mixed), "cpt_records": len(nodes)})
 
 
 def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     workdir = Path(cfg.workdir)
-    outputs = ["model.ckpt", "train_report.jsonl", "train_summary.json"]
     mode = cfg.train.mode
+    data_path = workdir / ("cpt_dataset.jsonl" if mode == "cpt" else "sft_dataset.jsonl")
     if args.dry_run:
-        inputs = [str(workdir / ("cpt_dataset.jsonl" if mode == "cpt" else "sft_dataset.jsonl"))]
-        if args.init_checkpoint:
-            inputs.append(args.init_checkpoint)
-        return _plan("train", cfg, inputs, outputs)
+        return _plan("train", cfg, [data_path] + ([args.init_checkpoint] if args.init_checkpoint else []))
     cfgmod.check_upstream(workdir, "train", cfg)
 
     model_cfg = _model_config(cfg)
@@ -265,30 +254,27 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     tokenizer = tinylm.ByteTokenizer()
     fit_len = min(cfg.dataset.max_len, model_cfg.context_window)
     if mode == "cpt":
-        records = read_jsonl(workdir / "cpt_dataset.jsonl", schema=dataset.CPT_KEYS)
+        records = read_jsonl(data_path, schema=dataset.CPT_KEYS)
         data: list = dataset.pack_cpt_texts((rec["text"] for rec in records), fit_len)
     else:
         data = [
             dataset.truncate_chat_example(dataset.chat_example_from_record(rec), tokenizer, fit_len)
-            for rec in read_jsonl(workdir / "sft_dataset.jsonl", schema=dataset.SFT_KEYS)
+            for rec in read_jsonl(data_path, schema=dataset.SFT_KEYS)
         ]
 
     train_cfg = trainer.TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed)
     ref_params = tinylm.freeze_reference(init_params) if mode == "nsc_sft" else None
+    report_paths = (workdir / "train_report.jsonl", workdir / "train_summary.json")
     try:
         report = trainer.train(train_cfg, data, init_params, ref_params=ref_params)
     except NonFiniteLoss as exc:
         if exc.report is not None:
-            trainer.write_report(
-                exc.report, workdir / "train_report.jsonl", workdir / "train_summary.json"
-            )
+            trainer.write_report(exc.report, *report_paths)
         raise
 
     tinylm.save_checkpoint(workdir / "model.ckpt", report.final_params)
-    trainer.write_report(report, workdir / "train_report.jsonl", workdir / "train_summary.json")
-    cfgmod.record_stage(workdir, "train", cfg, outputs)
-    print(json.dumps(report.summary()))
-    return 0
+    trainer.write_report(report, *report_paths)
+    return _finish(workdir, "train", cfg, report.summary())
 
 
 def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
@@ -297,8 +283,7 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     trained_here = args.checkpoint is None and cfg.backend.mock and (workdir / "model.ckpt").exists()
     checkpoint = str(workdir / "model.ckpt") if trained_here else args.checkpoint
     if args.dry_run:
-        inputs = [quiz_path] if checkpoint is None else [quiz_path, checkpoint]
-        return _plan("eval", cfg, inputs, ["eval_report.json"])
+        return _plan("eval", cfg, [quiz_path] if checkpoint is None else [quiz_path, checkpoint])
     _workdir(cfg)
 
     items = evalharness.read_quiz(quiz_path)
@@ -318,7 +303,7 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     if args.dry_run:
-        return _plan("gradcheck", cfg, [], [])
+        return _plan("gradcheck", cfg, [])
     model_cfg = _model_config(cfg)
     params = tinylm.init(model_cfg)
     ref = tinylm.freeze_reference(tinylm.init(dataclasses.replace(model_cfg, seed=cfg.seed + 101)))

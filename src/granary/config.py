@@ -1,8 +1,9 @@
 """Pipeline configuration: one JSON file, documented defaults, flag overrides.
 
-Every stage of the CLI reads the same ``PipelineConfig``. Stage-relevant
-subsets are hashed into the work-directory manifest so downstream
-commands can detect stale upstream artifacts.
+Every stage of the CLI reads the same ``PipelineConfig``. The stage
+contract lives in ``STAGES`` alone: the pipeline order, each stage's
+config slice (hashed into the work-directory manifest so downstream
+commands can detect stale upstream artifacts) and the files it writes.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,11 +76,26 @@ class PipelineConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has an annotation's type; a bool is never a number."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _from_dict(cls, data: dict, where: str):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name in data and not _fits(data[f.name], hints[f.name]):
+            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {json.dumps(data[f.name])}")
     kwargs = {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data}
     return cls(**kwargs)
 
@@ -116,39 +134,37 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     return config_from_dict(data)
 
 
+@dataclass(frozen=True)
+class Stage:
+    """A stage's config slice (the ``PipelineConfig`` fields whose change
+    makes its output stale) and the workdir files it writes."""
+
+    fields: tuple[str, ...]
+    outputs: tuple[str, ...]
+
+
+# The pipeline runs in this order; a stage's parents are the stages before it.
+STAGES = {
+    "ingest": Stage(("corpus_dir", "manifest", "min_node_tokens", "stop_headings"), ("nodes.jsonl",)),
+    "distill": Stage(("n_samples", "seed", "backend"), ("qtsa.jsonl", "journal.jsonl")),
+    "build": Stage(
+        ("seed", "dataset"), ("sft_dataset.jsonl", "cpt_dataset.jsonl", "packed.bin", "packed.bin.json")
+    ),
+    "train": Stage(("seed", "model", "train"), ("model.ckpt", "train_report.jsonl", "train_summary.json")),
+    "eval": Stage((), ("eval_report.json",)),
+}
+
+
 def stage_config_subset(cfg: PipelineConfig, stage: str) -> dict:
     """The configuration slice whose change invalidates a stage's output."""
-    if stage == "ingest":
-        return {
-            "corpus_dir": cfg.corpus_dir,
-            "manifest": cfg.manifest,
-            "min_node_tokens": cfg.min_node_tokens,
-            "stop_headings": list(cfg.stop_headings),
-        }
-    if stage == "distill":
-        return {
-            "n_samples": cfg.n_samples,
-            "seed": cfg.seed,
-            "backend": dataclasses.asdict(cfg.backend),
-        }
-    if stage == "build":
-        return {"seed": cfg.seed, "dataset": dataclasses.asdict(cfg.dataset)}
-    if stage == "train":
-        return {
-            "seed": cfg.seed,
-            "model": dataclasses.asdict(cfg.model),
-            "train": dataclasses.asdict(cfg.train),
-        }
-    raise ValueError(f"unknown stage {stage!r}")
+    values = dataclasses.asdict(cfg)
+    return {name: values[name] for name in STAGES[stage].fields}
 
 
 def stage_hash(cfg: PipelineConfig, stage: str) -> str:
     payload = json.dumps(stage_config_subset(cfg, stage), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
-
-# The pipeline runs in this order; a stage's parents are the stages before it.
-STAGES = ("ingest", "distill", "build", "train", "eval")
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -164,11 +180,11 @@ def load_stage_manifest(workdir: str | Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig, outputs: list[str]) -> None:
+def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
     manifest = load_stage_manifest(workdir)
     manifest["stages"][stage] = {
         "config_hash": stage_hash(cfg, stage),
-        "outputs": outputs,
+        "outputs": list(STAGES[stage].outputs),
     }
     _manifest_path(workdir).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -178,7 +194,8 @@ def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig, outputs: 
 def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
     """Fail when any ancestor stage is missing or ran under a different config."""
     manifest = load_stage_manifest(workdir)
-    for parent in STAGES[: STAGES.index(stage)]:
+    order = list(STAGES)
+    for parent in order[: order.index(stage)]:
         recorded = manifest["stages"].get(parent)
         if recorded is None:
             raise StaleArtifact(

@@ -70,7 +70,7 @@ def render_eval_prompt(item: McqItem, max_tokens: int = 512) -> ChatRequest:
     """Deterministic grading request: options in letter order, temperature 0."""
     lines = [item.stem, ""]
     for letter in sorted(item.options):
-        lines.append(f"{letter}) {item.options[letter]}")
+        lines.append(prompts.EVAL_OPTION_LINE.format(letter=letter, text=item.options[letter]))
     return ChatRequest.of(prompts.EVAL_PROMPT, "\n".join(lines), max_tokens=max_tokens)
 
 

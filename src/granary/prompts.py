@@ -3,7 +3,8 @@
 Each prompt file starts with a bracketed tag line; backends (notably the
 deterministic mock) classify requests by that tag. This module owns every
 format the distiller, the eval harness and the mock exchange, each with one
-renderer and one parser: the answer response, its answer span and the rewrite.
+renderer and one parser: the question header, the answer response, its
+answer span, the rewrite and the eval option lines.
 """
 
 from __future__ import annotations
@@ -30,8 +31,13 @@ REWRITE_PROMPT = _load("rewrite_v1.txt")
 EVAL_PROMPT = _load("eval_v1.txt")
 
 QUESTION_USER_TEMPLATE = "Passage id: {node_id}\nVariation: {sample_idx}\n\n{node_text}\n"
+# The header ``QUESTION_USER_TEMPLATE`` writes; groups: node_id, sample_idx.
+QUESTION_HEADER_RE = re.compile(r"^Passage id: (\S+)\nVariation: (\d+)$", re.M)
 ANSWER_USER_TEMPLATE = "{node_text}\n\nQuestion: {question}\n"
 REWRITE_USER_TEMPLATE = "{exchange}\n\nPassage:\n{node_text}\n"
+# One line per option of an eval question; the regex finds each line's letter.
+EVAL_OPTION_LINE = "{letter}) {text}"
+EVAL_OPTION_RE = re.compile(r"^([A-Z])\) ", re.M)
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.S)
 ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.S)

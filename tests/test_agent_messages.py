@@ -61,5 +61,26 @@ def test_rewrite_exchange_round_trips(question, solution):
     assert prompts.parse_rewrite(exchange) == (question.strip(), solution.strip())
 
 
+@given(
+    st.text(alphabet="0123456789abcdef", min_size=1, max_size=64),
+    st.integers(min_value=0, max_value=10**6),
+    st.text(),
+)
+def test_question_header_round_trips(node_id, sample_idx, node_text):
+    user = prompts.QUESTION_USER_TEMPLATE.format(node_id=node_id, sample_idx=sample_idx, node_text=node_text)
+    assert prompts.QUESTION_HEADER_RE.search(user).groups() == (node_id, str(sample_idx))
+
+
+# No newline and no ")", so neither the stem nor an option's text reads as an option line.
+_one_line = st.text(alphabet=st.characters(blacklist_characters="\n)"))
+
+
+@given(st.sets(st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXYZ"), min_size=2), _one_line, _one_line)
+def test_eval_option_letters_round_trip(letters, stem, text):
+    item = evalharness.McqItem("q", stem, {letter: text for letter in letters}, min(letters))
+    user = evalharness.render_eval_prompt(item).messages[-1].content
+    assert prompts.EVAL_OPTION_RE.findall(user) == sorted(letters)
+
+
 def test_rendered_answer_span_is_extracted():
     assert evalharness.extract_answer("I pick one.\n" + prompts.render_answer_span("C")) == "C"

@@ -344,7 +344,7 @@ class TestBuildTrainEval:
         assert run("eval", "--config", str(config)) == 1
         cfg = cfgmod.load_config(config)
         for name in ("ingest", "distill", "build", "train"):
-            cfgmod.record_stage(workdir, name, cfg, [])
+            cfgmod.record_stage(workdir, name, cfg)
         local = evalharness.TinyLmResponder
         given_print = tinylm.load_checkpoint(given).fingerprint()
         cases = {
@@ -384,6 +384,12 @@ class TestGradcheckAndErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"frobnicate": 1}))
         assert run("ingest", "--config", str(path)) == 1
+
+    def test_wrong_config_type_exits_1_before_any_stage_runs(self, tmp_path, capsys):
+        config = write_config(tmp_path, n_samples="5")
+        assert run("ingest", "--config", str(config)) == 1
+        assert "config.n_samples" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
 
     def test_every_command_supports_dry_run(self, pipeline):
         config, workdir, stage = pipeline
@@ -525,6 +531,23 @@ class TestConfigWiring:
 
     def test_every_override_flag_is_covered(self):
         assert {path for _, path, _ in FLAG_CASES} == set(FILE_VALUES) == set(_OVERRIDES.values())
+
+    def test_stage_flags_set_only_their_own_stage_slice(self):
+        # A flag that writes another stage's field cannot take effect: that
+        # stage's output turns stale instead.
+        parser = build_parser()
+        flags = {name: set(vars(parser.parse_args([name]))) & set(_OVERRIDES) for name in cfgmod.STAGES}
+        common = set.intersection(*flags.values())
+        assert set().union(*flags.values()) == set(_OVERRIDES)
+        for name, stage in cfgmod.STAGES.items():
+            for dest in flags[name] - common:
+                assert _OVERRIDES[dest].split(".")[0] in stage.fields, (name, dest)
+
+    def test_train_has_no_max_len_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["train", "--max-len", "128"])
+        assert exit_info.value.code == 2
+        assert "--max-len" in capsys.readouterr().err
 
     def test_mock_llm_only_turns_the_mock_on(self, tmp_path):
         for mock in (True, False):
