@@ -96,7 +96,8 @@ def _from_dict(cls, data: dict, where: str):
     for f in dataclasses.fields(cls):
         if f.name in data and not _fits(data[f.name], hints[f.name]):
             raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {json.dumps(data[f.name])}")
-    kwargs = {f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data}
+    # An int given for a float field becomes that float, so both spellings hash alike.
+    kwargs = {name: float(value) if hints[name] is float else value for name, value in data.items()}
     return cls(**kwargs)
 
 

@@ -8,11 +8,12 @@ weights with the causal mask applied inside), ``log_softmax``,
 weighted cross-entropy plus KL-to-reference training loss). Each fused op
 is one graph node with a closed-form VJP and keeps only what that VJP
 needs, where the primitive composition added a node and a full-size
-array per step. The forward math of ``causal_softmax``, ``layer_norm``
-and ``gelu`` lives in array-level ``*_forward`` helpers, which the tape
-ops and the tape-free decoder in ``tinylm`` share. Gradients are exact
-analytic derivatives; the test suite cross-checks every op, fused ones
-included, against central finite differences and each fused op's
+array per step. A tensor marked ``const`` takes no gradient: an op whose
+inputs are all ``const`` records no parents and no VJP, so a forward over
+``const`` leaves (greedy decoding) keeps no graph and frees each
+intermediate array as soon as the next op has consumed it. Gradients are
+exact analytic derivatives; the test suite cross-checks every op, fused
+ones included, against central finite differences and each fused op's
 forward against its primitive composition.
 """
 
@@ -30,14 +31,18 @@ class Tensor:
 
     ``data`` is always a float64 ndarray. ``_vjp`` maps the output
     gradient to a tuple of parent gradients (None for parents that need
-    no gradient, e.g. integer indices held elsewhere).
+    no gradient, e.g. integer indices held elsewhere). A result computed
+    from ``const`` parents alone is ``const`` itself and keeps neither.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "const", "_parents", "_vjp")
 
-    def __init__(self, data, parents=(), vjp=None):
+    def __init__(self, data, parents=(), vjp=None, const=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        if parents and all(p.const for p in parents):
+            parents, vjp, const = (), None, True
+        self.const = const
         self._parents: tuple[Tensor, ...] = parents
         self._vjp = vjp
 
@@ -206,12 +211,13 @@ def take_along_last(x: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor(out_data, (x,), vjp)
 
 
-def slice_rows(x: Tensor, n: int) -> Tensor:
-    out_data = x.data[:n]
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of the second-to-last axis."""
+    out_data = x.data[..., start:stop, :]
 
     def vjp(g):
         grad_x = np.zeros_like(x.data)
-        grad_x[:n] = g
+        grad_x[..., start:stop, :] = g
         return (grad_x,)
 
     return Tensor(out_data, (x,), vjp)
@@ -235,56 +241,26 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
 # they stay for the tests' reference compositions and the benchmark tracer, which wraps ops by name.
 
 
-def causal_softmax_forward(x: np.ndarray, scale: float, offset: int = 0) -> np.ndarray:
+def causal_softmax(x: Tensor, scale: float, offset: int = 0) -> Tensor:
     """Softmax of ``scale * x`` over the last axis under a causal mask.
 
     ``x`` holds [..., t, n] attention scores of t query rows against n
     keys; query row i sits at key position ``offset + i``, so entry (i, j)
-    with j > offset + i gets exactly zero weight. With ``offset == 0`` and
-    t == n this is the square mask of one sequence; a positive offset lets
-    a block of new rows attend to cached keys. Masked entries are zeroed
-    rather than exponentiated from -inf, which numpy's exp handles about
-    three times slower than finite values.
+    with j > offset + i gets exactly zero weight and a later position
+    never changes an earlier one. With ``offset == 0`` and t == n this is
+    the square mask of one sequence; a positive offset lets a block of new
+    rows attend to cached keys. Masked entries are zeroed rather than
+    exponentiated from -inf, which numpy's exp handles about three times
+    slower than finite values. The VJP needs only the output.
     """
-    t, n = x.shape[-2:]
+    t, n = x.data.shape[-2:]
     past = np.tri(t, n, k=offset, dtype=bool)
-    m = np.max(x, axis=-1, keepdims=True, where=past, initial=-np.inf)
-    probs = x - m
+    m = np.max(x.data, axis=-1, keepdims=True, where=past, initial=-np.inf)
+    probs = x.data - m
     probs *= scale
     np.exp(probs, out=probs, where=past)
     np.copyto(probs, 0.0, where=~past)
     probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
-
-
-def layer_norm_forward(
-    x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(out, normed, inv)``: the last axis normalised, scaled and shifted.
-
-    ``normed`` is ``x`` at zero mean and unit variance and ``inv`` the
-    reciprocal standard deviation; the VJP needs both.
-    """
-    inv_d = 1.0 / x.shape[-1]
-    normed = x - x.sum(axis=-1, keepdims=True) * inv_d
-    inv = np.power((normed * normed).sum(axis=-1, keepdims=True) * inv_d + eps, -0.5)
-    normed *= inv
-    return normed * scale + bias, normed, inv
-
-
-def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(out, t)``: GELU, tanh approximation, 0.5 x (1 + t) with t = tanh(c (x + 0.044715 x^3))."""
-    t = np.tanh((x + 0.044715 * (x * x * x)) * _GELU_C)
-    return 0.5 * (x * (1.0 + t)), t
-
-
-def causal_softmax(x: Tensor, scale: float) -> Tensor:
-    """Tape op of ``causal_softmax_forward`` over square [..., T, T] scores.
-
-    A later position never changes an earlier one. The VJP needs only the
-    output.
-    """
-    probs = causal_softmax_forward(x.data, scale)
 
     def vjp(g):
         gx = g - np.einsum("...ij,...ij->...i", g, probs)[..., None]
@@ -313,9 +289,16 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Tape op of ``layer_norm_forward``."""
-    out, normed, inv = layer_norm_forward(x.data, scale.data, bias.data, eps)
+    """The last axis normalised to zero mean and unit variance, scaled and shifted.
+
+    The VJP keeps ``normed`` (``x`` normalised) and ``inv`` (the
+    reciprocal standard deviation).
+    """
     inv_d = 1.0 / x.data.shape[-1]
+    normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    inv = np.power((normed * normed).sum(axis=-1, keepdims=True) * inv_d + eps, -0.5)
+    normed *= inv
+    out = normed * scale.data + bias.data
     leading = tuple(range(x.data.ndim - 1))
 
     def vjp(g):
@@ -329,9 +312,10 @@ def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tape op of ``gelu_forward``."""
+    """GELU, tanh approximation: 0.5 x (1 + t) with t = tanh(c (x + 0.044715 x^3))."""
     xd = x.data
-    out, t = gelu_forward(xd)
+    t = np.tanh((xd + 0.044715 * (xd * xd * xd)) * _GELU_C)
+    out = 0.5 * (xd * (1.0 + t))
 
     def vjp(g):
         slope = 1.0 - t * t

@@ -6,13 +6,15 @@ math in float64, gradients from the reverse-mode tape and verified
 against central differences. Parameters live in one flat vector with
 named views so a frozen reference copy is a plain immutable snapshot.
 
-Greedy decoding runs forward-only on numpy arrays, with no tape. While
-the sequence fits the context window, each layer's keys and values are
-cached and a step runs only the new token's row. Once the window slides,
-every id moves to an earlier position; positions are learned embeddings
-added at the input, so no cached key or value stays valid and the window
-is recomputed. Either way, the last layer and the head run only the
-final row, whose logit argmax is the next token.
+Training and greedy decoding run the same forward, ``batched_logprobs``.
+Decoding passes ``const`` leaves, so no graph is recorded, and a key/value
+cache. While the sequence fits the context window, each layer's keys and
+values are cached and a step runs only the new token's row. Once the
+window slides, every id moves to an earlier position; positions are
+learned embeddings added at the input, so no cached key or value stays
+valid and the window is recomputed. Either way, the last layer and the
+head run only the final row, whose log-probability argmax is the next
+token.
 """
 
 from __future__ import annotations
@@ -165,9 +167,9 @@ class ForwardOutput:
     logprobs: np.ndarray
 
 
-def build_leaves(params: Parameters) -> dict[str, Tensor]:
-    """Wrap every named parameter view as a graph leaf."""
-    return {name: Tensor(view) for name, view in params.views().items()}
+def build_leaves(params: Parameters, const: bool = False) -> dict[str, Tensor]:
+    """Wrap every named parameter view as a graph leaf (``const``: no gradient, no graph)."""
+    return {name: Tensor(view, const=const) for name, view in params.views().items()}
 
 
 def _check_ids(ids: np.ndarray, cfg: ModelConfig) -> None:
@@ -177,23 +179,32 @@ def _check_ids(ids: np.ndarray, cfg: ModelConfig) -> None:
         raise ValueError("token id out of range")
 
 
-def batched_logprobs(leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarray) -> Tensor:
+def batched_logprobs(
+    leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarray, kv: np.ndarray | None = None, start: int = 0
+) -> Tensor:
     """Forward a [B, T] id matrix to [B, T, vocab] log-probabilities.
 
     Rows are independent sequences: positions restart at zero per row and
     attention is causal within a row, so right-padding one row never
     leaks into another row or into earlier positions.
+
+    With ``kv`` (from ``kv_cache``) the one row of ``ids`` holds the window
+    positions ``start..``: ``kv`` holds each layer's keys and values for
+    the positions before ``start``, and the row's own are written after
+    them. The last layer and the head then run the final position only,
+    so the result is [1, 1, vocab].
     """
     ids = np.asarray(ids)
     b, t = ids.shape
-    if t > cfg.context_window:
-        raise ContextOverflow(f"sequence length {t} exceeds context window {cfg.context_window}")
+    end = start + t
+    if end > cfg.context_window:
+        raise ContextOverflow(f"sequence length {end} exceeds context window {cfg.context_window}")
     _check_ids(ids, cfg)
 
     heads, head_dim = cfg.n_heads, cfg.d_model // cfg.n_heads
     scale = 1.0 / math.sqrt(head_dim)
 
-    x = tape.gather_rows(leaves["tok_emb"], ids) + tape.slice_rows(leaves["pos_emb"], t)
+    x = tape.gather_rows(leaves["tok_emb"], ids) + tape.slice_rows(leaves["pos_emb"], start, end)
     for i in range(cfg.n_layers):
         h = tape.layer_norm(
             x, leaves[f"layer{i}.norm1_scale"], leaves[f"layer{i}.norm1_bias"], _LN_EPS
@@ -201,8 +212,16 @@ def batched_logprobs(leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarra
         q = _split_heads(h @ leaves[f"layer{i}.attn_q"], b, t, heads, head_dim)
         k = _split_heads(h @ leaves[f"layer{i}.attn_k"], b, t, heads, head_dim)
         v = _split_heads(h @ leaves[f"layer{i}.attn_v"], b, t, heads, head_dim)
-        attn = tape.causal_softmax(q @ tape.swapaxes(k, -1, -2), scale)
-        context = tape.reshape(tape.swapaxes(attn @ v, 1, 2), (b, t, cfg.d_model))
+        if kv is not None:
+            kv[i, 0, :, start:end] = k.data
+            kv[i, 1, :, start:end] = v.data
+            k = Tensor(kv[i, 0, :, :end], const=True)
+            v = Tensor(kv[i, 1, :, :end], const=True)
+            if i == cfg.n_layers - 1:
+                x, q = tape.slice_rows(x, t - 1, t), tape.slice_rows(q, t - 1, t)
+        rows = x.shape[1]
+        attn = tape.causal_softmax(q @ tape.swapaxes(k, -1, -2), scale, offset=end - rows)
+        context = tape.reshape(tape.swapaxes(attn @ v, 1, 2), (b, rows, cfg.d_model))
         x = x + context @ leaves[f"layer{i}.attn_o"]
 
         h2 = tape.layer_norm(
@@ -294,47 +313,6 @@ def kv_cache(cfg: ModelConfig) -> np.ndarray:
     return np.empty((cfg.n_layers, 2, cfg.n_heads, cfg.context_window, head_dim))
 
 
-def decode_block(
-    views: dict[str, np.ndarray], cfg: ModelConfig, ids, kv: np.ndarray, start: int
-) -> np.ndarray:
-    """Next-token logits after ``ids``, the window positions ``start..``, without a tape.
-
-    ``views`` are the parameter views (``Parameters.views``). ``kv`` (from
-    ``kv_cache``) holds each layer's keys and values for the window
-    positions before ``start``; the block's own are written after them.
-    Every layer but the last runs all rows of the block. The last layer
-    still stores keys and values for all of them, but computes the query,
-    attention and MLP for the final row only, and the head scores only
-    that row: the logits differ from ``batched_logprobs``' last row by a
-    per-row shift, so they have the same argmax.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    t = ids.size
-    end = start + t
-    heads, head_dim = cfg.n_heads, cfg.d_model // cfg.n_heads
-    scale = 1.0 / math.sqrt(head_dim)
-
-    x = views["tok_emb"][ids] + views["pos_emb"][start:end]
-    for i in range(cfg.n_layers):
-        p = f"layer{i}."
-        h = tape.layer_norm_forward(x, views[p + "norm1_scale"], views[p + "norm1_bias"], _LN_EPS)[0]
-        kv[i, 0, :, start:end] = (h @ views[p + "attn_k"]).reshape(t, heads, head_dim).swapaxes(0, 1)
-        kv[i, 1, :, start:end] = (h @ views[p + "attn_v"]).reshape(t, heads, head_dim).swapaxes(0, 1)
-        if i == cfg.n_layers - 1:
-            x, h = x[-1:], h[-1:]
-        rows = len(x)
-        q = (h @ views[p + "attn_q"]).reshape(rows, heads, head_dim).swapaxes(0, 1)
-        scores = q @ kv[i, 0, :, :end].swapaxes(-1, -2)
-        attn = tape.causal_softmax_forward(scores, scale, offset=end - rows)
-        context = (attn @ kv[i, 1, :, :end]).swapaxes(0, 1).reshape(rows, cfg.d_model)
-        x = x + context @ views[p + "attn_o"]
-
-        h2 = tape.layer_norm_forward(x, views[p + "norm2_scale"], views[p + "norm2_bias"], _LN_EPS)[0]
-        x = x + tape.gelu_forward(h2 @ views[p + "mlp_in"])[0] @ views[p + "mlp_out"]
-
-    return x[-1] @ views["out_proj"]
-
-
 def greedy_decode(
     params: Parameters,
     prompt_ids: list[int],
@@ -346,26 +324,27 @@ def greedy_decode(
     Prompts longer than the context are left-truncated; returns only the
     newly generated ids (EOS included when it stops the decode). Each
     step's token is the argmax of ``forward`` over the last ``w`` ids,
-    computed by ``decode_block`` without a tape. An empty prompt or an id
-    outside the vocabulary, even one the window drops, raises ValueError.
+    computed by ``batched_logprobs`` over ``const`` leaves with a key/value
+    cache. An empty prompt or an id outside the vocabulary, even one the
+    window drops, raises ValueError.
     """
     cfg = params.config
     w = cfg.context_window
     ids = list(prompt_ids)
     _check_ids(np.asarray(ids, dtype=np.int64), cfg)
-    views = params.views()
+    leaves = build_leaves(params, const=True)
     kv = kv_cache(cfg)
     cached = 0  # window positions whose keys and values are in kv
     generated: list[int] = []
     for _ in range(max_new_tokens):
         if len(ids) <= w:
-            logits = decode_block(views, cfg, ids[cached:], kv, cached)
+            out = batched_logprobs(leaves, cfg, np.asarray([ids[cached:]]), kv, cached)
             cached = len(ids)
         else:
             # The window slides: each id moves to the previous position,
             # so every cached key and value is stale. Recompute the window.
-            logits = decode_block(views, cfg, ids[-w:], kv, 0)
-        next_id = int(np.argmax(logits))
+            out = batched_logprobs(leaves, cfg, np.asarray([ids[-w:]]), kv, 0)
+        next_id = int(np.argmax(out.data[0, -1]))
         ids.append(next_id)
         generated.append(next_id)
         if stop_at_eos and next_id == EOS_ID:

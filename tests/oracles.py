@@ -83,7 +83,7 @@ def batched_logprobs(leaves: dict[str, Tensor], cfg, ids: np.ndarray) -> Tensor:
     def split(x: Tensor) -> Tensor:
         return tape.swapaxes(tape.reshape(x, (b, t, heads, head_dim)), 1, 2)
 
-    x = tape.gather_rows(leaves["tok_emb"], ids) + tape.slice_rows(leaves["pos_emb"], t)
+    x = tape.gather_rows(leaves["tok_emb"], ids) + tape.slice_rows(leaves["pos_emb"], 0, t)
     for i in range(cfg.n_layers):
         h = layer_norm(x, leaves[f"layer{i}.norm1_scale"], leaves[f"layer{i}.norm1_bias"], _LN_EPS)
         q = split(h @ leaves[f"layer{i}.attn_q"])

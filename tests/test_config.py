@@ -69,6 +69,14 @@ class TestStageContract:
             else:
                 assert defaults[key] != value, key
 
+    @pytest.mark.parametrize(
+        "section,key,value,stage", [("backend", "timeout", 60, "distill"), ("train", "kl_weight", 0, "train")]
+    )
+    def test_integer_spelling_of_a_float_field_hashes_the_same(self, section, key, value, stage):
+        as_int = cfgmod.config_from_dict({section: {key: value}})
+        as_float = cfgmod.config_from_dict({section: {key: float(value)}})
+        assert cfgmod.stage_hash(as_int, stage) == cfgmod.stage_hash(as_float, stage)
+
     def test_every_field_but_workdir_and_parallelism_makes_some_stage_stale(self):
         cfg = cfgmod.PipelineConfig()
         sliced = {key for stage in RECORDED for key in cfgmod.stage_config_subset(cfg, stage)}

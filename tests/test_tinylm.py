@@ -260,6 +260,15 @@ class TestFusedOps:
         x = _attention_scores(np.random.default_rng(1))
         assert _fd_max_rel_err(lambda s: tape.causal_softmax(s, 0.35), [x]) <= 1e-4
 
+    def test_causal_softmax_with_offset_vjp(self):
+        # Four new query rows against nine keys, the first five of them cached.
+        x = tape.Tensor(np.random.default_rng(9).normal(0.0, 2.0, size=(2, 3, 4, 9)))
+        assert _fd_max_rel_err(lambda s: tape.causal_softmax(s, 0.35, offset=5), [x]) <= 1e-4
+
+    def test_slice_rows_vjp(self):
+        x = tape.Tensor(np.random.default_rng(10).normal(size=(2, 3, 7, 4)))
+        assert _fd_max_rel_err(lambda a: tape.slice_rows(a, 2, 5), [x]) <= 1e-4
+
     def test_log_softmax_vjp(self):
         x = tape.Tensor(np.random.default_rng(2).normal(0.0, 2.0, size=(3, 4, 13)))
         assert _fd_max_rel_err(tape.log_softmax, [x]) <= 1e-4
@@ -365,7 +374,7 @@ def _decode_model(n_layers, seed, window=W, d_model=16):
 
 
 class TestGreedyDecode:
-    """The cached, tape-free decode against one full forward per token."""
+    """The cached decode over ``const`` leaves against one full forward per token."""
 
     @pytest.mark.parametrize("stop_at_eos", [True, False])
     @pytest.mark.parametrize("prompt_len", [1, W - 1, W, W + 1, 3 * W])
@@ -389,23 +398,39 @@ class TestGreedyDecode:
     def test_logits_match_batched_logprobs(self, n_layers):
         params = _decode_model(n_layers, seed=7)
         cfg = params.config
-        views, kv, leaves = params.views(), tinylm.kv_cache(cfg), tinylm.build_leaves(params)
+        kv, leaves = tinylm.kv_cache(cfg), tinylm.build_leaves(params)
 
-        def assert_last_row_matches(logits, window):
+        def cached_last_row(window, start):
+            got = tinylm.batched_logprobs(leaves, cfg, np.asarray([window[start:]]), kv, start).data[0, -1]
             want = tinylm.batched_logprobs(leaves, cfg, np.asarray([window])).data[0, -1]
-            assert np.max(np.abs(logits - np.logaddexp.reduce(logits) - want)) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-12
+            return got
 
         ids = [BOS_ID] + TOK.encode("prefill")
         cached = 0
         while len(ids) <= W:  # the prefill, then one cached step per token
-            logits = tinylm.decode_block(views, cfg, ids[cached:], kv, cached)
+            logprobs = cached_last_row(ids, cached)
             cached = len(ids)
-            assert_last_row_matches(logits, ids)
-            ids.append(int(np.argmax(logits)))
+            ids.append(int(np.argmax(logprobs)))
         for _ in range(3):  # sliding windows, recomputed
-            logits = tinylm.decode_block(views, cfg, ids[-W:], kv, 0)
-            assert_last_row_matches(logits, ids[-W:])
-            ids.append(int(np.argmax(logits)))
+            ids.append(int(np.argmax(cached_last_row(ids[-W:], 0))))
+
+    def test_cached_block_past_the_window_overflows(self):
+        params = _decode_model(1, seed=0)
+        cfg, ids = params.config, np.full((1, W), BOS_ID)
+        leaves, kv = tinylm.build_leaves(params, const=True), tinylm.kv_cache(cfg)
+        tinylm.batched_logprobs(leaves, cfg, ids[:, :-1], kv, 0)
+        tinylm.batched_logprobs(leaves, cfg, ids[:, -1:], kv, W - 1)  # the last position fits
+        with pytest.raises(ContextOverflow):
+            tinylm.batched_logprobs(leaves, cfg, ids[:, -2:], kv, W - 1)
+
+    def test_forward_over_const_leaves_records_no_graph(self):
+        params = _decode_model(2, seed=0)
+        ids = np.asarray([[BOS_ID] + TOK.encode("no graph")])
+        out = tinylm.batched_logprobs(tinylm.build_leaves(params, const=True), params.config, ids)
+        assert out._parents == () and out._vjp is None and out.const
+        want = tinylm.batched_logprobs(tinylm.build_leaves(params), params.config, ids)
+        assert want._parents != () and np.array_equal(out.data, want.data)
 
     @settings(max_examples=40, deadline=None)
     @given(
