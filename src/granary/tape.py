@@ -2,8 +2,8 @@
 
 A deliberately small op set tailored to a decoder-only transformer:
 broadcastable arithmetic, matmul, reductions and embedding gathers, plus
-fused ops for the model's hot composites: ``causal_softmax`` (attention
-weights with the causal mask applied inside), ``log_softmax``,
+fused ops for the model's hot composites: ``causal_attention`` (causal
+softmax attention, scored in blocks of query rows), ``log_softmax``,
 ``layer_norm``, ``gelu`` (tanh approximation) and ``ce_kl_loss`` (the
 weighted cross-entropy plus KL-to-reference training loss). Each fused op
 is one graph node with a closed-form VJP and keeps only what that VJP
@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_ATTENTION_BLOCK = 32  # query rows per block of causal_attention
 
 
 class Tensor:
@@ -241,34 +242,52 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
 # they stay for the tests' reference compositions and the benchmark tracer, which wraps ops by name.
 
 
-def causal_softmax(x: Tensor, scale: float, offset: int = 0) -> Tensor:
-    """Softmax of ``scale * x`` over the last axis under a causal mask.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int = 0) -> Tensor:
+    """softmax(scale * q kᵀ) v under a causal mask, for [..., t, d] queries.
 
-    ``x`` holds [..., t, n] attention scores of t query rows against n
-    keys; query row i sits at key position ``offset + i``, so entry (i, j)
-    with j > offset + i gets exactly zero weight and a later position
-    never changes an earlier one. With ``offset == 0`` and t == n this is
-    the square mask of one sequence; a positive offset lets a block of new
-    rows attend to cached keys. Masked entries are zeroed rather than
-    exponentiated from -inf, which numpy's exp handles about three times
-    slower than finite values. The VJP needs only the output.
+    Query row i sits at key position ``offset + i`` of the [..., n, d] keys
+    and values and gives every later key exactly zero weight; a positive
+    offset lets new rows attend to cached keys. Block [lo, hi) of
+    ``_ATTENTION_BLOCK`` rows scores keys [0, offset + hi) only, which skips
+    most of the masked half, and sees its whole key prefix, so no
+    online-softmax rescaling is needed. Masked entries are zeroed rather
+    than exponentiated from -inf, which numpy's exp handles about three
+    times slower. The VJP keeps each block's probabilities.
     """
-    t, n = x.data.shape[-2:]
-    past = np.tri(t, n, k=offset, dtype=bool)
-    m = np.max(x.data, axis=-1, keepdims=True, where=past, initial=-np.inf)
-    probs = x.data - m
-    probs *= scale
-    np.exp(probs, out=probs, where=past)
-    np.copyto(probs, 0.0, where=~past)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    t = q.data.shape[-2]
+    out = np.empty(q.data.shape[:-1] + v.data.shape[-1:])
+    blocks = []
+    for lo in range(0, t, _ATTENTION_BLOCK):
+        hi = min(lo + _ATTENTION_BLOCK, t)
+        n = offset + hi
+        probs = q.data[..., lo:hi, :] @ np.swapaxes(k.data[..., :n, :], -1, -2)
+        past = np.tri(hi - lo, n, k=offset + lo, dtype=bool)
+        probs -= np.max(probs, axis=-1, keepdims=True, where=past, initial=-np.inf)
+        probs *= scale
+        np.exp(probs, out=probs, where=past)
+        np.copyto(probs, 0.0, where=~past)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out[..., lo:hi, :] = probs @ v.data[..., :n, :]
+        blocks.append((lo, hi, probs))
 
     def vjp(g):
-        gx = g - np.einsum("...ij,...ij->...i", g, probs)[..., None]
-        gx *= probs
-        gx *= scale
-        return (gx,)
+        gq = np.empty(q.data.shape)
+        gk = np.zeros(k.data.shape)
+        gv = np.zeros(v.data.shape)
+        for lo, hi, probs in blocks:
+            n = offset + hi
+            g_block = g[..., lo:hi, :]
+            # swapaxes(p) @ g beats swapaxes(swapaxes(g) @ p) at these shapes.
+            gv[..., :n, :] += np.swapaxes(probs, -1, -2) @ g_block
+            gs = g_block @ np.swapaxes(v.data[..., :n, :], -1, -2)
+            gs -= np.einsum("...ij,...ij->...i", gs, probs)[..., None]
+            gs *= probs
+            gs *= scale
+            gq[..., lo:hi, :] = gs @ k.data[..., :n, :]
+            gk[..., :n, :] += np.swapaxes(gs, -1, -2) @ q.data[..., lo:hi, :]
+        return gq, gk, gv
 
-    return Tensor(probs, (x,), vjp)
+    return Tensor(out, (q, k, v), vjp)
 
 
 def log_softmax(x: Tensor) -> Tensor:

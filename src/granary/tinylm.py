@@ -6,7 +6,8 @@ math in float64, gradients from the reverse-mode tape and verified
 against central differences. Parameters live in one flat vector with
 named views so a frozen reference copy is a plain immutable snapshot.
 
-Training and greedy decoding run the same forward, ``batched_logprobs``.
+Training and greedy decoding run the same forward, ``batched_logprobs``,
+whose attention is one blocked tape op, ``tape.causal_attention``.
 Decoding passes ``const`` leaves, so no graph is recorded, and a key/value
 cache. While the sequence fits the context window, each layer's keys and
 values are cached and a step runs only the new token's row. Once the
@@ -220,8 +221,8 @@ def batched_logprobs(
             if i == cfg.n_layers - 1:
                 x, q = tape.slice_rows(x, t - 1, t), tape.slice_rows(q, t - 1, t)
         rows = x.shape[1]
-        attn = tape.causal_softmax(q @ tape.swapaxes(k, -1, -2), scale, offset=end - rows)
-        context = tape.reshape(tape.swapaxes(attn @ v, 1, 2), (b, rows, cfg.d_model))
+        attended = tape.causal_attention(q, k, v, scale, offset=end - rows)
+        context = tape.reshape(tape.swapaxes(attended, 1, 2), (b, rows, cfg.d_model))
         x = x + context @ leaves[f"layer{i}.attn_o"]
 
         h2 = tape.layer_norm(

@@ -218,7 +218,7 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
     one row per segment and weighs each next-token position 1/(pack
     positions * n): packing sets only the cpt weighting, never which
     tokens attend to which. The reference forward runs here, once, when
-    ``ref_params`` is given.
+    ``ref_params`` is given, over ``const`` leaves, so it records no graph.
     """
     n = len(items)
     rows: list[tuple[np.ndarray, np.ndarray, float]] = []  # ids, weighted positions, weight
@@ -247,7 +247,7 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
     targets[:, :-1] = ids[:, 1:]
     ref_logprobs = None
     if ref_params is not None:
-        ref_leaves = tinylm.build_leaves(ref_params)
+        ref_leaves = tinylm.build_leaves(ref_params, const=True)
         ref_logprobs = tinylm.batched_logprobs(ref_leaves, ref_params.config, ids).data
     return Batch(ids=ids, targets=targets, weights=weights, ref_logprobs=ref_logprobs)
 

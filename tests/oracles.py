@@ -36,10 +36,14 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _LN_EPS = 1e-5
 
 
-def causal_softmax(x: Tensor, scale: float) -> Tensor:
-    t = x.data.shape[-1]
-    scores = x * scale + np.triu(np.full((t, t), _NEG_INF), k=1)
+def causal_softmax(x: Tensor, scale: float, offset: int = 0) -> Tensor:
+    t, n = x.data.shape[-2:]
+    scores = x * scale + np.triu(np.full((t, n), _NEG_INF), k=offset + 1)
     return tape.exp(scores - tape.logsumexp(scores, axis=-1))
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int = 0) -> Tensor:
+    return causal_softmax(q @ tape.swapaxes(k, -1, -2), scale, offset) @ v
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -89,8 +93,7 @@ def batched_logprobs(leaves: dict[str, Tensor], cfg, ids: np.ndarray) -> Tensor:
         q = split(h @ leaves[f"layer{i}.attn_q"])
         k = split(h @ leaves[f"layer{i}.attn_k"])
         v = split(h @ leaves[f"layer{i}.attn_v"])
-        attn = causal_softmax(q @ tape.swapaxes(k, -1, -2), scale)
-        context = tape.reshape(tape.swapaxes(attn @ v, 1, 2), (b, t, cfg.d_model))
+        context = tape.reshape(tape.swapaxes(causal_attention(q, k, v, scale), 1, 2), (b, t, cfg.d_model))
         x = x + context @ leaves[f"layer{i}.attn_o"]
         h2 = layer_norm(x, leaves[f"layer{i}.norm2_scale"], leaves[f"layer{i}.norm2_bias"], _LN_EPS)
         x = x + gelu(h2 @ leaves[f"layer{i}.mlp_in"]) @ leaves[f"layer{i}.mlp_out"]

@@ -23,16 +23,18 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # `train --mode cpt --steps 2` on the minibook config below (BLAS pinned to
 # one thread by conftest), captured when train still re-read `packed.bin`
-# whenever its width matched the training length, as it does here.
+# whenever its width matched the training length, as it does here;
+# model.ckpt re-captured when attention began to run in blocks of rows.
 CPT_SHA256 = {
-    "model.ckpt": "40e2112f4042bb7e0f0cf2a25050b9055682c52d25f19219982bc8af10503fd3",
+    "model.ckpt": "2485eafa29639a5800665c668a07edb07fb24438bac563b13bf2d6e55dd8be57",
     "train_report.jsonl": "1ceb8e066dfcfed59f1f3eaeb08ca99c1b5c6e0a2d6501bee2e1619f8491c5f4",
 }
 
 # The minibook config below run through ingest, distill, build, train
 # (sft, 4 steps) and eval of the trained checkpoint, BLAS pinned to one
 # thread by conftest; captured before the record writers were derived
-# from their dataclasses.
+# from their dataclasses, model.ckpt re-captured when attention began to
+# run in blocks of rows.
 MINIBOOK_SHA256 = {
     "nodes.jsonl": "b1458ec26e76aa15f6a69ef3187b652e6d521d1ad44a9a5af25d836f4e761508",
     "qtsa.jsonl": "337dfcbd69fedfcca759000bc6b682f4a887b50293143377b3e4eac64d2ebf1e",
@@ -40,7 +42,7 @@ MINIBOOK_SHA256 = {
     "cpt_dataset.jsonl": "559a34a2481ef848a8feb7befe02982ca00498a63411ed8669f3f7e59474cb17",
     "train_report.jsonl": "6bd57660f6508afea63ff6cbf564bef3d3f9bf16e4551fc50df76cada6f713f4",
     "train_summary.json": "ec6604ed2d2d8861fe51f649154c3775d51d3145130ca37416dd0f79335457e6",
-    "model.ckpt": "7857225e1f36ce957b84586cdb0b84358552da157e3d754408da12d6ff06b311",
+    "model.ckpt": "c6a6a789bddca4839720af551a54d5e0e833a6fbd1f9d860502ba1010d451cf3",
     "eval_report.json": "b408f087c460b617476f512e211e1359928f91754aecc76e2f966f4e4476eb10",
 }
 

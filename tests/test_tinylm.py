@@ -239,8 +239,20 @@ def _fd_max_rel_err(build, inputs, n_coords=40, h=1e-4, seed=0):
     return worst
 
 
-def _attention_scores(rng):
-    return tape.Tensor(rng.normal(0.0, 2.0, size=(2, 3, 7, 7)))
+# (leading dims, query rows, offset) of causal_attention's cases: the
+# square mask of one sequence; four new rows against nine keys, the first
+# five cached; 70 rows, whose last block of 32 is ragged; and 40 new rows,
+# two blocks, against 75 keys, the first 35 cached.
+ATTENTION_CASES = [((2, 3), 7, 0), ((2, 3), 4, 5), ((1, 2), 70, 0), ((1, 2), 40, 35)]
+ATTENTION_IDS = ["square", "cached", "ragged_blocks", "cached_blocks"]
+
+
+def _attention_inputs(rng, lead, rows, offset, head_dim=4):
+    """q with ``rows`` rows; k and v with ``offset + rows`` rows."""
+    return [
+        tape.Tensor(rng.normal(0.0, 1.0, size=(*lead, n, head_dim)))
+        for n in (rows, offset + rows, offset + rows)
+    ]
 
 
 def _loss_inputs(rng, b=3, t=5, v=11):
@@ -256,14 +268,26 @@ def _loss_inputs(rng, b=3, t=5, v=11):
 class TestFusedOps:
     """Each fused tape op against central differences and its primitive composition."""
 
-    def test_causal_softmax_vjp(self):
-        x = _attention_scores(np.random.default_rng(1))
-        assert _fd_max_rel_err(lambda s: tape.causal_softmax(s, 0.35), [x]) <= 1e-4
+    @pytest.mark.parametrize("lead, rows, offset", ATTENTION_CASES, ids=ATTENTION_IDS)
+    def test_causal_attention_vjp(self, lead, rows, offset):
+        q, k, v = _attention_inputs(np.random.default_rng(rows + offset), lead, rows, offset)
+        err = _fd_max_rel_err(lambda a, b, c: tape.causal_attention(a, b, c, 0.35, offset), [q, k, v])
+        assert err <= 1e-4
 
-    def test_causal_softmax_with_offset_vjp(self):
-        # Four new query rows against nine keys, the first five of them cached.
-        x = tape.Tensor(np.random.default_rng(9).normal(0.0, 2.0, size=(2, 3, 4, 9)))
-        assert _fd_max_rel_err(lambda s: tape.causal_softmax(s, 0.35, offset=5), [x]) <= 1e-4
+    @pytest.mark.parametrize("rows, offset", [(20, 0), (64, 0), (246, 0), (40, 35)])
+    def test_causal_attention_matches_composition(self, rows, offset):
+        # One block, a whole number of blocks, the demo length (ragged), and
+        # a decode-shaped block of new rows against cached keys.
+        inputs = _attention_inputs(np.random.default_rng(rows), (2, 2), rows, offset, head_dim=8)
+        weights = np.random.default_rng(0).normal(size=(2, 2, rows, 8))
+        grads = []
+        for attend in (tape.causal_attention, oracles.causal_attention):
+            leaves = [tape.Tensor(x.data) for x in inputs]
+            out = attend(*leaves, 0.35, offset)
+            tape.backward(tape.sumdim(out * weights))
+            grads.append([out.data] + [x.grad for x in leaves])
+        for fused, composed in zip(*grads):
+            assert np.max(np.abs(fused - composed)) <= 1e-12
 
     def test_slice_rows_vjp(self):
         x = tape.Tensor(np.random.default_rng(10).normal(size=(2, 3, 7, 4)))
@@ -296,10 +320,12 @@ class TestFusedOps:
 
     def test_forwards_match_compositions(self):
         rng = np.random.default_rng(6)
-        x = _attention_scores(rng)
-        assert np.max(np.abs(
-            tape.causal_softmax(x, 0.35).data - oracles.causal_softmax(x, 0.35).data
-        )) <= 1e-12
+        for lead, rows, offset in ATTENTION_CASES:
+            q, k, v = _attention_inputs(rng, lead, rows, offset)
+            assert np.max(np.abs(
+                tape.causal_attention(q, k, v, 0.35, offset).data
+                - oracles.causal_attention(q, k, v, 0.35, offset).data
+            )) <= 1e-12
         logits = tape.Tensor(rng.normal(0.0, 2.0, size=(3, 4, 13)))
         assert np.max(np.abs(
             tape.log_softmax(logits).data - oracles.log_softmax(logits).data
@@ -334,34 +360,76 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("init_std", [0.0, 0.2])
     def test_model_forward_matches_composition(self, init_std):
-        cfg = ModelConfig(seed=5, init_std=init_std)
-        leaves = tinylm.build_leaves(init(cfg))
-        ids = np.asarray([[BOS_ID] + TOK.encode("fused forward check"),
-                          [BOS_ID] + TOK.encode("second row, padded!")])
-        fused = tinylm.batched_logprobs(leaves, cfg, ids).data
-        composed = oracles.batched_logprobs(leaves, cfg, ids).data
-        assert np.max(np.abs(fused - composed)) <= 1e-12
-        if init_std == 0.0:
-            assert np.all(fused == -math.log(259))
-            assert np.all(composed == -math.log(259))
+        # A short batch in one attention block, then 150 positions in five.
+        cfg = ModelConfig(seed=5, init_std=init_std, context_window=150)
+        params = init(cfg)
+        short = np.asarray([[BOS_ID] + TOK.encode("fused forward check"),
+                            [BOS_ID] + TOK.encode("second row, padded!")])
+        long = np.random.default_rng(5).integers(0, 259, size=(2, 150))
+        for ids in (short, long):
+            weights = np.random.default_rng(6).normal(size=(*ids.shape, 259)) / ids.size
+            results = []
+            for model in (tinylm.batched_logprobs, oracles.batched_logprobs):
+                leaves = tinylm.build_leaves(params)
+                out = model(leaves, cfg, ids)
+                tape.backward(tape.sumdim(out * weights))
+                results.append((out.data, tinylm.collect_flat_grad(params, leaves)))
+            (fused, fused_grad), (composed, composed_grad) = results
+            assert np.max(np.abs(fused - composed)) <= 1e-12
+            assert np.max(np.abs(fused_grad - composed_grad)) <= 1e-12
+            if init_std == 0.0:
+                assert np.all(fused == -math.log(259))
+                assert np.all(composed == -math.log(259))
 
     def test_attention_keeps_two_square_tensors_per_layer(self):
-        # Only the scores and the softmax are [B, H, T, T]; the masked,
-        # shifted and exponentiated copies of the primitive composition
-        # are gone.
+        # At most two [B, H, T, T] arrays per layer; the masked, shifted and
+        # exponentiated copies of the primitive composition are gone.
         cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, context_window=16, seed=1)
         b, t = 3, 5
         ids = np.arange(b * t).reshape(b, t) % 256
         out = tinylm.batched_logprobs(tinylm.build_leaves(init(cfg)), cfg, ids)
-        seen, stack, square = {id(out)}, [out], 0
-        while stack:
-            node = stack.pop()
-            square += node.data.shape == (b, cfg.n_heads, t, t)
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
+        square = sum(a.shape == (b, cfg.n_heads, t, t) for a in _graph_arrays(out, closures=False))
         assert square <= 2 * cfg.n_layers
+
+    def test_attention_keeps_under_six_tenths_of_a_square_per_layer(self):
+        # At T = 256 the arrays that backward keeps with attention weights,
+        # [B, H, rows, keys] in graph nodes or VJP closures, stay below 0.6
+        # of one [B, H, T, T] float64 square per layer. The blocked op keeps
+        # only its blocks' key prefixes; the composition kept two squares.
+        cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, context_window=256, seed=1)
+        b, t, head_dim = 2, 256, 4
+        ids = np.arange(b * t).reshape(b, t) % 256
+        out = tinylm.batched_logprobs(tinylm.build_leaves(init(cfg)), cfg, ids)
+        owners = {}
+        for a in _graph_arrays(out, closures=True):
+            while a.base is not None:
+                a = a.base
+            owners[id(a)] = a
+        kept = sum(
+            a.nbytes for a in owners.values()
+            if a.ndim == 4 and a.shape[:2] == (b, cfg.n_heads) and min(a.shape[2:]) > head_dim
+        )
+        assert kept <= 0.6 * 8 * b * cfg.n_heads * t * t * cfg.n_layers
+
+
+def _graph_arrays(out, closures):
+    """Every node's data in the graph under ``out``, plus with ``closures``
+    the arrays its VJP closes over, bare or nested in lists and tuples."""
+    seen, stack = {id(out)}, [out]
+    while stack:
+        node = stack.pop()
+        yield node.data
+        held = [c.cell_contents for c in node._vjp.__closure__ or ()] if closures and node._vjp else []
+        while held:
+            item = held.pop()
+            if isinstance(item, np.ndarray):
+                yield item
+            elif isinstance(item, (list, tuple)):
+                held.extend(item)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
 
 
 W = 12  # context window of the decode tests
