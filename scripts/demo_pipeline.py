@@ -25,7 +25,6 @@ def run(workdir: str) -> int:
         "workdir": workdir,
         "seed": 0,
         "backend": {"mock": True},
-        "dataset": {"max_len": 256},
         "model": {"context_window": 256, "init_std": 0.2},
         "train": {"mode": "nsc_sft", "total_steps": 60, "lr_max": 1e-2, "kl_weight": 0.1},
     }

@@ -13,8 +13,10 @@ import random
 import re
 import threading
 import time
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 import requests
 
@@ -80,6 +82,17 @@ class RetryPolicy:
         # attempt is 0-based; jitter up to +25% avoids lockstep retries
         base = min(self.base_backoff * (2**attempt), self.backoff_cap)
         return base * (1.0 + 0.25 * rng.random())
+
+
+def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
+    """Yield ``fn(item)`` for each item, in item order: inline at 1, else from a thread pool."""
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
+    if parallelism == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        yield from pool.map(fn, items)
 
 
 def _stable_digest(text: str) -> int:
@@ -172,16 +185,6 @@ class HttpLlmBackend:
 # The marker the mock's questions carry and its answers read back.
 _MARKER_RE = re.compile(r"\[([0-9a-f]{8})#(\d+)\]")
 
-# Substitutions the mock rewrite agent applies; mirrors the dangling
-# patterns the postprocessor screens for.
-_MOCK_REWRITES = (
-    (re.compile(r"\bEq(?:uation)?\.?\s*\(?\s*\d+(?:\.\d+)*\s*\)?", re.I), "the governing relation"),
-    (re.compile(r"\bTable\s+\d+(?:\.\d+)*", re.I), "the tabulated component values"),
-    (re.compile(r"\bFig(?:ure)?\.?\s*\d+(?:\.\d+)*", re.I), "the described circuit diagram"),
-    (re.compile(r"\bas shown (?:above|below)\b", re.I), "as derived here"),
-    (re.compile(r"\b(?:in\s+)?this (?:section|chapter)\b", re.I), "in this material"),
-)
-
 
 @dataclass
 class MockLlmBackend:
@@ -248,7 +251,7 @@ class MockLlmBackend:
 
     def _rewrite(self, user: str) -> ChatResponse:
         question, solution = prompts.parse_rewrite(user)
-        for pattern, replacement in _MOCK_REWRITES:
+        for pattern, replacement in prompts.DANGLING_REFERENCES:
             question = pattern.sub(replacement, question)
             solution = pattern.sub(replacement, solution)
         return ChatResponse(content=prompts.render_rewrite(question, solution))

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_distill = sub.add_parser("distill", help="run the agents over every node (resumable)")
 
     p_build = sub.add_parser("build", help="render, mix, and tokenize the training datasets")
-    p_build.add_argument("--max-len", type=int, default=None)
     p_build.add_argument("--general", default=None, help="general-domain sft JSONL to mix in")
 
     p_train = sub.add_parser("train", help="train the tiny model and emit a report")
@@ -83,7 +82,6 @@ _OVERRIDES = {
     "parallelism": "parallelism",
     "corpus_dir": "corpus_dir",
     "manifest": "manifest",
-    "max_len": "dataset.max_len",
     "general": "dataset.general_path",
     "mode": "train.mode",
     "kl_weight": "train.kl_weight",
@@ -208,17 +206,11 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         for e in entries
         if e.kept
     ]
-    general: list[tuple[str, dataset.ChatExample]] = []
-    if general_path:
-        for rec in read_jsonl(general_path, schema=dataset.SFT_KEYS):
-            ex = dataset.chat_example_from_record(rec)
-            general.append(
-                (rec["id"], dataset.ChatExample(ex.system, ex.user, ex.assistant, dataset.ORIGIN_GENERAL))
-            )
-    if general:
-        mixed = dataset.mix_datasets(domain, general, cfg.dataset.mix_ratio, cfg.seed)
-    else:
-        mixed = domain
+    general = [
+        (rec["id"], dataclasses.replace(dataset.chat_example_from_record(rec), origin=dataset.ORIGIN_GENERAL))
+        for rec in (read_jsonl(general_path, schema=dataset.SFT_KEYS) if general_path else [])
+    ]
+    mixed = dataset.mix_datasets(domain, general, cfg.dataset.mix_ratio, cfg.seed) if general else domain
     write_jsonl(
         workdir / "sft_dataset.jsonl",
         [dataset.chat_example_to_record(ex, example_id) for example_id, ex in mixed],
@@ -231,8 +223,6 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         [{"node_id": n.node_id, "text": n.text} for n in nodes],
         schema=dataset.CPT_KEYS,
     )
-    packs = dataset.pack_cpt_texts((n.text for n in nodes), cfg.dataset.max_len)
-    dataset.save_packed(workdir / "packed.bin", packs, max_len=cfg.dataset.max_len)
     return _finish(workdir, "build", cfg, {"sft_examples": len(mixed), "cpt_records": len(nodes)})
 
 
@@ -244,21 +234,20 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         return _plan("train", cfg, [data_path] + ([args.init_checkpoint] if args.init_checkpoint else []))
     cfgmod.check_upstream(workdir, "train", cfg)
 
-    model_cfg = _model_config(cfg)
     if args.init_checkpoint:
         init_params = tinylm.load_checkpoint(args.init_checkpoint)
-        model_cfg = init_params.config
     else:
-        init_params = tinylm.init(model_cfg)
+        init_params = tinylm.init(_model_config(cfg))
 
+    # Every sequence is fit to the model's context window.
     tokenizer = tinylm.ByteTokenizer()
-    fit_len = min(cfg.dataset.max_len, model_cfg.context_window)
+    window = init_params.config.context_window
     if mode == "cpt":
         records = read_jsonl(data_path, schema=dataset.CPT_KEYS)
-        data: list = dataset.pack_cpt_texts((rec["text"] for rec in records), fit_len)
+        data: list = dataset.pack_cpt_texts((rec["text"] for rec in records), window)
     else:
         data = [
-            dataset.truncate_chat_example(dataset.chat_example_from_record(rec), tokenizer, fit_len)
+            dataset.truncate_chat_example(dataset.chat_example_from_record(rec), tokenizer, window)
             for rec in read_jsonl(data_path, schema=dataset.SFT_KEYS)
         ]
 

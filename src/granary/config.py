@@ -35,7 +35,6 @@ class BackendSettings:
 
 @dataclass
 class DatasetSettings:
-    max_len: int = 8192
     mix_ratio: float = 1.0
     general_path: str | None = None
     system_prompt: str = ""
@@ -148,9 +147,7 @@ class Stage:
 STAGES = {
     "ingest": Stage(("corpus_dir", "manifest", "min_node_tokens", "stop_headings"), ("nodes.jsonl",)),
     "distill": Stage(("n_samples", "seed", "backend"), ("qtsa.jsonl", "journal.jsonl")),
-    "build": Stage(
-        ("seed", "dataset"), ("sft_dataset.jsonl", "cpt_dataset.jsonl", "packed.bin", "packed.bin.json")
-    ),
+    "build": Stage(("seed", "dataset"), ("sft_dataset.jsonl", "cpt_dataset.jsonl")),
     "train": Stage(("seed", "model", "train"), ("model.ckpt", "train_report.jsonl", "train_summary.json")),
     "eval": Stage((), ("eval_report.json",)),
 }

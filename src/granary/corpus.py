@@ -238,6 +238,8 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[Sourc
     docs: list[SourceDocument] = []
     seen_ids: set[str] = set()
     for filename, meta in manifest.items():
+        if not isinstance(meta, dict):
+            raise SchemaViolation(f"manifest entry {filename!r} must be a JSON object")
         missing = {"doc_id", "title", "learning_stage"} - set(meta)
         if missing:
             raise SchemaViolation(

@@ -8,9 +8,8 @@ up to a length bound. ``chat_prompt_ids`` is the one chat template up to
 the assistant's turn: training examples and the tiny model's eval
 prompts (``evalharness.TinyLmResponder``) are both built on it.
 
-``pack_cpt_texts`` packs raw text for continued pre-training: ``train``
-at the length it trains on, and ``build`` at ``dataset.max_len`` for the
-``packed.bin`` export, which no stage reads back.
+``pack_cpt_texts`` packs raw text for continued pre-training at the
+model's context window; ``train`` calls it on ``cpt_dataset.jsonl``.
 """
 
 from __future__ import annotations
@@ -207,7 +206,7 @@ def chunk_tokenized(example: TokenizedExample, max_len: int) -> list[TokenizedEx
     return pieces
 
 
-def pack_sequences(examples: list[TokenizedExample], max_len: int = 8192) -> list[PackedSequence]:
+def pack_sequences(examples: list[TokenizedExample], max_len: int) -> list[PackedSequence]:
     """Greedy in-order fill: append to the open pack if it fits, else start anew.
 
     The (id, mask) multiset is preserved exactly and relative order is kept
@@ -262,6 +261,7 @@ def mix_datasets(domain: list, general: list, ratio: float, seed: int) -> list:
     return mixed
 
 
+# No stage writes packed.bin: save_packed stays for the benchmark's prep_synth, which calls it by name.
 PACKED_FORMAT_VERSION = 1
 
 

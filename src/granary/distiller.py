@@ -17,13 +17,12 @@ import hashlib
 import json
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from threading import Lock
 
 from . import prompts
-from .backend import ChatRequest, LlmBackend
+from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration, SchemaViolation
 from .jsonl import check_keys
@@ -84,13 +83,7 @@ def sample_seed(*parts: object) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-DANGLING_PATTERNS = (
-    re.compile(r"\bEq(?:uation)?\.?\s*\(?\s*\d+(?:\.\d+)*\s*\)?", re.I),
-    re.compile(r"\bTable\s+\d+(?:\.\d+)*", re.I),
-    re.compile(r"\bFig(?:ure)?\.?\s*\d+(?:\.\d+)*", re.I),
-    re.compile(r"\bas shown (?:above|below)\b", re.I),
-    re.compile(r"\bthis (?:section|chapter)\b", re.I),
-)
+DANGLING_PATTERNS = tuple(pattern for pattern, _ in prompts.DANGLING_REFERENCES)
 _DANGLING_RE = re.compile("|".join(f"(?:{p.pattern})" for p in DANGLING_PATTERNS), re.I)
 
 
@@ -326,15 +319,8 @@ def distill_corpus(
             for k in range(cfg.n_samples)
             if (node.node_id, k) not in done
         ]
-        if cfg.parallelism == 1:
-            for node, k in pending:
-                journal.commit(_run_task(node, k, backend))
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-                for entry in pool.map(
-                    lambda task: _run_task(task[0], task[1], backend), pending
-                ):
-                    journal.commit(entry)
+        for entry in fan_out(lambda task: _run_task(*task, backend), pending, cfg.parallelism):
+            journal.commit(entry)
         return [
             journal.results[(node.node_id, k)]
             for node in nodes

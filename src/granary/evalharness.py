@@ -14,12 +14,11 @@ extractor reads is defined, with its renderer, in ``prompts``.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import prompts
-from .backend import ChatRequest, ChatResponse, LlmBackend
+from .backend import ChatRequest, ChatResponse, LlmBackend, fan_out
 from .dataset import chat_prompt_ids
 from .errors import BackendError, SchemaViolation
 from .jsonl import read_jsonl
@@ -110,11 +109,7 @@ def grade(items: list[McqItem], backend: LlmBackend, parallelism: int = 1) -> Ev
         correct = extracted is not None and extracted.upper() == item.correct.upper()
         return EvalItemResult(item.item_id, extracted, correct, response=response.content)
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run, items))
-    else:
-        results = [run(item) for item in items]
+    results = list(fan_out(run, items, parallelism))
 
     correct_count = sum(r.correct_flag for r in results)
     unparsable = sum(r.extracted is None for r in results)

@@ -4,7 +4,8 @@ Each prompt file starts with a bracketed tag line; backends (notably the
 deterministic mock) classify requests by that tag. This module owns every
 format the distiller, the eval harness and the mock exchange, each with one
 renderer and one parser: the question header, the answer response, its
-answer span, the rewrite and the eval option lines.
+answer span, the rewrite and the eval option lines. It also holds the
+dangling references the distiller screens for and the mock rewrites.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ REWRITE_USER_TEMPLATE = "{exchange}\n\nPassage:\n{node_text}\n"
 # One line per option of an eval question; the regex finds each line's letter.
 EVAL_OPTION_LINE = "{letter}) {text}"
 EVAL_OPTION_RE = re.compile(r"^([A-Z])\) ", re.M)
+
+# Citations a standalone record cannot carry, which the distiller screens for,
+# each with the wording the mock rewrite agent puts in its place.
+DANGLING_REFERENCES = (
+    (re.compile(r"\bEq(?:uation)?\.?\s*\(?\s*\d+(?:\.\d+)*\s*\)?", re.I), "the governing relation"),
+    (re.compile(r"\bTable\s+\d+(?:\.\d+)*", re.I), "the tabulated component values"),
+    (re.compile(r"\bFig(?:ure)?\.?\s*\d+(?:\.\d+)*", re.I), "the described circuit diagram"),
+    (re.compile(r"\bas shown (?:above|below)\b", re.I), "as derived here"),
+    (re.compile(r"\b(?:in\s+)?this (?:section|chapter)\b", re.I), "in this material"),
+)
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.S)
 ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.S)

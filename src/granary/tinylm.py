@@ -301,9 +301,14 @@ def save_checkpoint(path: str | Path, params: Parameters) -> None:
 def load_checkpoint(path: str | Path) -> Parameters:
     with Path(path).open("rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header must be a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-        cfg = ModelConfig(**header["model_config"])
+        try:
+            cfg = ModelConfig(**header["model_config"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: bad checkpoint model_config: {exc}") from None
         flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
     return Parameters(cfg, flat)
 

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import oracles
 from granary import config as cfgmod
 from granary import dataset, evalharness, tinylm, trainer
 from granary.backend import HttpLlmBackend, MockLlmBackend
@@ -58,7 +57,6 @@ def write_config(tmp_path, **overrides):
         "workdir": str(tmp_path / "work"),
         "seed": 0,
         "backend": {"mock": True},
-        "dataset": {"max_len": 256},
         "model": {"context_window": 256, "init_std": 0.2},
         "train": {"mode": "sft", "total_steps": 4, "lr_max": 1e-3},
     }
@@ -171,8 +169,6 @@ class TestBuildTrainEval:
         assert counts == {"sft_examples": 30, "cpt_records": 6}
         assert (workdir / "sft_dataset.jsonl").exists()
         assert (workdir / "cpt_dataset.jsonl").exists()
-        assert (workdir / "packed.bin").exists()
-        assert (workdir / "packed.bin.json").exists()
 
     def test_manifest_outputs_are_the_files_each_stage_creates(self, pipeline):
         config, workdir, stage = pipeline
@@ -268,7 +264,7 @@ class TestBuildTrainEval:
         assert self._cpt_digests(workdir) == CPT_SHA256
 
     def test_cpt_mode_packs_at_the_context_window(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, dataset={"max_len": 256}, model={"context_window": 64})
+        config = write_config(tmp_path, model={"context_window": 64})
         for command in ("ingest", "distill", "build"):
             assert run(command, "--config", str(config)) == 0
         seen = []
@@ -284,12 +280,8 @@ class TestBuildTrainEval:
         assert len((workdir / "train_report.jsonl").read_text().splitlines()) == 2
         [packs] = seen
         assert max(p.total_length for p in packs) == 64
-        built = oracles.load_packed(workdir / "packed.bin")
-        assert max(p.total_length for p in built) > 64
         texts = [r["text"] for r in read_jsonl(workdir / "cpt_dataset.jsonl")]
         assert packs == dataset.pack_cpt_texts(texts, 64)
-        # Both widths carry the same token stream.
-        assert [i for p in packs for i in p.ids] == [i for p in built for i in p.ids]
 
     def test_build_and_train_reruns_are_idempotent(self, pipeline):
         config, workdir, stage = pipeline
@@ -393,6 +385,28 @@ class TestGradcheckAndErrors:
         assert "config.n_samples" in capsys.readouterr().err
         assert not (tmp_path / "work").exists()
 
+    def test_non_object_manifest_entry_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"a.md": 5}))
+        config = write_config(tmp_path, corpus_dir=str(tmp_path), manifest=str(manifest))
+        assert run("ingest", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: manifest entry 'a.md' must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "header", [b"[1]\n", b'{"format_version": 1, "model_config": {"width": 3}}\n'], ids=["list", "unknown-key"]
+    )
+    def test_malformed_checkpoint_header_exits_1(self, pipeline, tmp_path, capsys, header):
+        config, workdir, stage = pipeline
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header)
+        assert run("eval", "--config", str(config), "--checkpoint", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_eval_parallelism_0_exits_1(self, pipeline, capsys):
+        config, workdir, stage = pipeline
+        assert run("eval", "--config", str(config), "--mock-llm", "--parallelism", "0") == 1
+        assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+
     def test_every_command_supports_dry_run(self, pipeline):
         config, workdir, stage = pipeline
         for command in ("ingest", "distill", "build", "train", "eval", "gradcheck"):
@@ -474,7 +488,6 @@ FILE_VALUES = {
     "parallelism": 2,
     "corpus_dir": "file_corpus",
     "manifest": "file_manifest.json",
-    "dataset.max_len": 77,
     "dataset.general_path": "file_general.jsonl",
     "train.mode": "sft",
     "train.kl_weight": 0.25,
@@ -489,7 +502,6 @@ FLAG_CASES = [
     (["ingest", "--parallelism", "4"], "parallelism", 4),
     (["ingest", "--corpus-dir", "c2"], "corpus_dir", "c2"),
     (["ingest", "--manifest", "m2.json"], "manifest", "m2.json"),
-    (["build", "--max-len", "99"], "dataset.max_len", 99),
     (["build", "--general", "g2.jsonl"], "dataset.general_path", "g2.jsonl"),
     (["train", "--mode", "cpt"], "train.mode", "cpt"),
     (["train", "--lambda", "0.5"], "train.kl_weight", 0.5),
@@ -546,10 +558,12 @@ class TestConfigWiring:
                 assert _OVERRIDES[dest].split(".")[0] in stage.fields, (name, dest)
 
     def test_train_has_no_max_len_flag(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["train", "--max-len", "128"])
-        assert exit_info.value.code == 2
-        assert "--max-len" in capsys.readouterr().err
+        # Nor has build: every sequence is fit to model.context_window.
+        for command in ("build", "train"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([command, "--max-len", "128"])
+            assert exit_info.value.code == 2, command
+            assert "--max-len" in capsys.readouterr().err, command
 
     def test_mock_llm_only_turns_the_mock_on(self, tmp_path):
         for mock in (True, False):

@@ -23,7 +23,7 @@ NON_DEFAULT = {
         "timeout": 12.5, "max_attempts": 2, "base_backoff": 0.25, "mock_malform_answer_every": 7,
     },
     "dataset": {
-        "max_len": 512, "mix_ratio": 0.5, "general_path": "g.jsonl",
+        "mix_ratio": 0.5, "general_path": "g.jsonl",
         "system_prompt": "You are an analog expert.",
     },
     "model": {"d_model": 16, "n_layers": 1, "n_heads": 4, "context_window": 128, "init_std": 0.05},
@@ -35,17 +35,18 @@ NON_DEFAULT = {
 
 # ``stage_hash`` of each recorded stage, captured while each stage's slice
 # was still spelled out by hand; every existing manifest.json carries these.
+# The build entries were re-captured when dataset.max_len was removed.
 STAGE_HASHES = {
     "default": {
         "ingest": "c18b1ff04132b4c7",
         "distill": "d49a9ebe683cd68f",
-        "build": "99b87bd8d5645ace",
+        "build": "ca23e1f27e988f94",
         "train": "03da800c63da86f9",
     },
     "non_default": {
         "ingest": "2a304de00d421701",
         "distill": "a49ff7990931f3c8",
-        "build": "058b6bda93ffb75b",
+        "build": "4bf1c33012b1070e",
         "train": "8a438fa22ed037e2",
     },
 }

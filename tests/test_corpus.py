@@ -248,3 +248,9 @@ class TestIO:
         )
         with pytest.raises(SchemaViolation):
             corpus.load_corpus(tmp_path, manifest)
+
+    def test_non_object_entry_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"a.md": 5}))
+        with pytest.raises(SchemaViolation, match=r"^manifest entry 'a.md' must be a JSON object$"):
+            corpus.load_corpus(tmp_path, manifest)

@@ -1,5 +1,6 @@
 """Tiny model: tokenizer, init, forward contracts, gradients, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -555,6 +556,20 @@ class TestCheckpoint:
         assert loaded.config == params.config
         assert np.array_equal(loaded.flat, params.flat)
         assert loaded.fingerprint() == params.fingerprint()
+
+    @pytest.mark.parametrize(
+        "header,problem",
+        [
+            ([1], "header must be a JSON object"),
+            ({"format_version": 1, "model_config": {"d_model": 16, "width": 3}}, "width"),
+        ],
+        ids=["non-object-header", "unknown-model-config-key"],
+    )
+    def test_malformed_header_is_a_value_error(self, tmp_path, header, problem):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+        with pytest.raises(ValueError, match=problem):
+            load_checkpoint(path)
 
     def test_greedy_decode_deterministic(self):
         params = init(ModelConfig(seed=2, context_window=32))
