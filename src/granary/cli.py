@@ -342,7 +342,7 @@ _VALIDATION_ERRORS = (
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+        cfg = cfgmod.check_config(_apply_overrides(cfgmod.load_config(args.config), args))
         return _COMMANDS[args.command](cfg, args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,6 +121,13 @@ def config_from_dict(data: dict) -> PipelineConfig:
     return cfg
 
 
+def check_config(cfg: PipelineConfig) -> PipelineConfig:
+    """Refuse values that no command can run with, after flag overrides."""
+    if cfg.parallelism < 1:
+        raise ConfigError("parallelism must be >= 1")
+    return cfg
+
+
 def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()

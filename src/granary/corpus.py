@@ -245,6 +245,11 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[Sourc
             raise SchemaViolation(
                 f"manifest entry {filename!r} missing keys: {sorted(missing)}"
             )
+        for key in ("doc_id", "title"):
+            if not isinstance(meta[key], str):
+                raise SchemaViolation(
+                    f"manifest entry {filename!r}: {key} must be a string, got {json.dumps(meta[key])}"
+                )
         try:
             stage = LearningStage(meta["learning_stage"])
         except ValueError:

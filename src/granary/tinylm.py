@@ -7,15 +7,16 @@ against central differences. Parameters live in one flat vector with
 named views so a frozen reference copy is a plain immutable snapshot.
 
 Training and greedy decoding run the same forward, ``batched_logprobs``,
-whose attention is one blocked tape op, ``tape.causal_attention``.
+whose attention is one blocked tape op, ``tape.causal_attention``. Its
+``span`` names the columns to score, and the last layer and the head run
+only those: training scores the columns that carry loss weight, decoding
+the final column, whose log-probability argmax is the next token.
 Decoding passes ``const`` leaves, so no graph is recorded, and a key/value
 cache. While the sequence fits the context window, each layer's keys and
 values are cached and a step runs only the new token's row. Once the
 window slides, every id moves to an earlier position; positions are
 learned embeddings added at the input, so no cached key or value stays
-valid and the window is recomputed. Either way, the last layer and the
-head run only the final row, whose log-probability argmax is the next
-token.
+valid and the window is recomputed.
 """
 
 from __future__ import annotations
@@ -181,19 +182,28 @@ def _check_ids(ids: np.ndarray, cfg: ModelConfig) -> None:
 
 
 def batched_logprobs(
-    leaves: dict[str, Tensor], cfg: ModelConfig, ids: np.ndarray, kv: np.ndarray | None = None, start: int = 0
+    leaves: dict[str, Tensor],
+    cfg: ModelConfig,
+    ids: np.ndarray,
+    kv: np.ndarray | None = None,
+    start: int = 0,
+    span: tuple[int, int] | None = None,
 ) -> Tensor:
-    """Forward a [B, T] id matrix to [B, T, vocab] log-probabilities.
+    """Forward a [B, T] id matrix to [B, hi - lo, vocab] log-probabilities.
 
     Rows are independent sequences: positions restart at zero per row and
     attention is causal within a row, so right-padding one row never
     leaks into another row or into earlier positions.
 
+    ``span = (lo, hi)`` selects the columns to score, all T by default.
+    Every layer but the last runs all columns, whose keys and values the
+    span's queries attend to; the last layer's queries, residual stream
+    and MLP, and the head, run columns ``lo..hi-1`` only.
+
     With ``kv`` (from ``kv_cache``) the one row of ``ids`` holds the window
     positions ``start..``: ``kv`` holds each layer's keys and values for
     the positions before ``start``, and the row's own are written after
-    them. The last layer and the head then run the final position only,
-    so the result is [1, 1, vocab].
+    them. Greedy decode scores the final column alone, ``span=(t-1, t)``.
     """
     ids = np.asarray(ids)
     b, t = ids.shape
@@ -201,11 +211,15 @@ def batched_logprobs(
     if end > cfg.context_window:
         raise ContextOverflow(f"sequence length {end} exceeds context window {cfg.context_window}")
     _check_ids(ids, cfg)
+    lo, hi = (0, t) if span is None else span
+    if not 0 <= lo <= hi <= t:
+        raise ValueError(f"span {span} outside the {t} columns")
 
     heads, head_dim = cfg.n_heads, cfg.d_model // cfg.n_heads
     scale = 1.0 / math.sqrt(head_dim)
 
     x = tape.gather_rows(leaves["tok_emb"], ids) + tape.slice_rows(leaves["pos_emb"], start, end)
+    first = 0  # the column of x's first row
     for i in range(cfg.n_layers):
         h = tape.layer_norm(
             x, leaves[f"layer{i}.norm1_scale"], leaves[f"layer{i}.norm1_bias"], _LN_EPS
@@ -218,10 +232,12 @@ def batched_logprobs(
             kv[i, 1, :, start:end] = v.data
             k = Tensor(kv[i, 0, :, :end], const=True)
             v = Tensor(kv[i, 1, :, :end], const=True)
-            if i == cfg.n_layers - 1:
-                x, q = tape.slice_rows(x, t - 1, t), tape.slice_rows(q, t - 1, t)
+        if i == cfg.n_layers - 1 and (lo, hi) != (0, t):
+            # Query row r attends keys up to start + lo + r only, so the
+            # keys past start + hi are never read.
+            x, q, first = tape.slice_rows(x, lo, hi), tape.slice_rows(q, lo, hi), lo
         rows = x.shape[1]
-        attended = tape.causal_attention(q, k, v, scale, offset=end - rows)
+        attended = tape.causal_attention(q, k, v, scale, offset=start + first)
         context = tape.reshape(tape.swapaxes(attended, 1, 2), (b, rows, cfg.d_model))
         x = x + context @ leaves[f"layer{i}.attn_o"]
 
@@ -344,12 +360,13 @@ def greedy_decode(
     generated: list[int] = []
     for _ in range(max_new_tokens):
         if len(ids) <= w:
-            out = batched_logprobs(leaves, cfg, np.asarray([ids[cached:]]), kv, cached)
+            row, start = ids[cached:], cached
             cached = len(ids)
         else:
             # The window slides: each id moves to the previous position,
             # so every cached key and value is stale. Recompute the window.
-            out = batched_logprobs(leaves, cfg, np.asarray([ids[-w:]]), kv, 0)
+            row, start = ids[-w:], 0
+        out = batched_logprobs(leaves, cfg, np.asarray([row]), kv, start, span=(len(row) - 1, len(row)))
         next_id = int(np.argmax(out.data[0, -1]))
         ids.append(next_id)
         generated.append(next_id)

@@ -198,13 +198,17 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 class Batch:
     """Padded rows and averaging weights for the batched NSC-SFT loss.
 
-    ``weights[b, i]`` weighs the distribution at position i of row b, whose
-    target is ``targets[b, i]`` (junk where the weight is 0).
-    ``ref_logprobs`` holds the frozen reference's log-probabilities when
-    the KL term is on, else None.
+    ``span = (lo, hi)`` is the columns of ``ids`` that carry weight: from
+    the first column with any weight to one past the last ((0, 0) when
+    none does). The other arrays hold those columns only: ``weights[b, j]``
+    weighs the distribution at position lo + j of row b, whose target is
+    ``targets[b, j]`` (junk where the weight is 0), and ``ref_logprobs``
+    holds the frozen reference's log-probabilities there when the KL term
+    is on, else None.
     """
 
     ids: np.ndarray
+    span: tuple[int, int]
     targets: np.ndarray
     weights: np.ndarray
     ref_logprobs: np.ndarray | None = None
@@ -218,7 +222,8 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
     one row per segment and weighs each next-token position 1/(pack
     positions * n): packing sets only the cpt weighting, never which
     tokens attend to which. The reference forward runs here, once, when
-    ``ref_params`` is given, over ``const`` leaves, so it records no graph.
+    ``ref_params`` is given, over ``const`` leaves, so it records no graph;
+    like the loss, it scores the batch's weighted span only.
     """
     n = len(items)
     rows: list[tuple[np.ndarray, np.ndarray, float]] = []  # ids, weighted positions, weight
@@ -245,16 +250,18 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
         weights[b, positions] = weight
     targets = np.zeros_like(ids)
     targets[:, :-1] = ids[:, 1:]
+    weighted = np.flatnonzero(weights.any(axis=0))
+    lo, hi = (int(weighted[0]), int(weighted[-1]) + 1) if weighted.size else (0, 0)
     ref_logprobs = None
     if ref_params is not None:
         ref_leaves = tinylm.build_leaves(ref_params, const=True)
-        ref_logprobs = tinylm.batched_logprobs(ref_leaves, ref_params.config, ids).data
-    return Batch(ids=ids, targets=targets, weights=weights, ref_logprobs=ref_logprobs)
+        ref_logprobs = tinylm.batched_logprobs(ref_leaves, ref_params.config, ids, span=(lo, hi)).data
+    return Batch(ids, (lo, hi), targets[:, lo:hi], weights[:, lo:hi], ref_logprobs)
 
 
 def _loss_graph(params: Parameters, batch: Batch, kl_weight: float):
     leaves = tinylm.build_leaves(params)
-    logprobs = tinylm.batched_logprobs(leaves, params.config, batch.ids)
+    logprobs = tinylm.batched_logprobs(leaves, params.config, batch.ids, span=batch.span)
     total, ce, kl = tape.ce_kl_loss(
         logprobs, batch.targets, batch.weights, batch.ref_logprobs, kl_weight
     )

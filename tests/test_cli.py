@@ -23,9 +23,11 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # `train --mode cpt --steps 2` on the minibook config below (BLAS pinned to
 # one thread by conftest), captured when train still re-read `packed.bin`
 # whenever its width matched the training length, as it does here;
-# model.ckpt re-captured when attention began to run in blocks of rows.
+# model.ckpt re-captured when attention began to run in blocks of rows,
+# and again when the last layer and the head began to run only the
+# batch's weighted span.
 CPT_SHA256 = {
-    "model.ckpt": "2485eafa29639a5800665c668a07edb07fb24438bac563b13bf2d6e55dd8be57",
+    "model.ckpt": "b2ff67245dc5cfa56a07ce8e079a09dcb34af99a56d95a049910ea2d5b4a50db",
     "train_report.jsonl": "1ceb8e066dfcfed59f1f3eaeb08ca99c1b5c6e0a2d6501bee2e1619f8491c5f4",
 }
 
@@ -33,7 +35,8 @@ CPT_SHA256 = {
 # (sft, 4 steps) and eval of the trained checkpoint, BLAS pinned to one
 # thread by conftest; captured before the record writers were derived
 # from their dataclasses, model.ckpt re-captured when attention began to
-# run in blocks of rows.
+# run in blocks of rows, and again when the last layer and the head began
+# to run only the batch's weighted span.
 MINIBOOK_SHA256 = {
     "nodes.jsonl": "b1458ec26e76aa15f6a69ef3187b652e6d521d1ad44a9a5af25d836f4e761508",
     "qtsa.jsonl": "337dfcbd69fedfcca759000bc6b682f4a887b50293143377b3e4eac64d2ebf1e",
@@ -41,7 +44,7 @@ MINIBOOK_SHA256 = {
     "cpt_dataset.jsonl": "559a34a2481ef848a8feb7befe02982ca00498a63411ed8669f3f7e59474cb17",
     "train_report.jsonl": "6bd57660f6508afea63ff6cbf564bef3d3f9bf16e4551fc50df76cada6f713f4",
     "train_summary.json": "ec6604ed2d2d8861fe51f649154c3775d51d3145130ca37416dd0f79335457e6",
-    "model.ckpt": "c6a6a789bddca4839720af551a54d5e0e833a6fbd1f9d860502ba1010d451cf3",
+    "model.ckpt": "aeb78c5cb028ac5c87191bde820d12ccf162dbc307861da452f3c8d04ca75679",
     "eval_report.json": "b408f087c460b617476f512e211e1359928f91754aecc76e2f966f4e4476eb10",
 }
 
@@ -406,6 +409,29 @@ class TestGradcheckAndErrors:
         config, workdir, stage = pipeline
         assert run("eval", "--config", str(config), "--mock-llm", "--parallelism", "0") == 1
         assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ingest"], ["distill"], ["build"], ["train"], ["gradcheck"], ["eval", "--checkpoint", "given.ckpt"],
+         ["ingest", "--dry-run"]],
+        ids=["ingest", "distill", "build", "train", "gradcheck", "eval-checkpoint", "dry-run"],
+    )
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_parallelism_below_1_is_refused_by_every_command(self, tmp_path, capsys, argv, where):
+        # Refused in config validation, before any stage reads or writes a file.
+        config = write_config(tmp_path, **({"parallelism": 0} if where == "file" else {}))
+        flag = ["--parallelism", "0"] if where == "flag" else []
+        assert run(*argv, "--config", str(config), *flag) == 1
+        assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+        assert not (tmp_path / "work").exists()
+
+    def test_non_string_manifest_doc_id_exits_1(self, tmp_path, capsys):
+        (tmp_path / "a.md").write_text("# A\nbody\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"a.md": {"doc_id": [1], "title": "A", "learning_stage": "advanced"}}))
+        config = write_config(tmp_path, corpus_dir=str(tmp_path), manifest=str(manifest))
+        assert run("ingest", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: manifest entry 'a.md': doc_id must be a string, got [1]\n"
 
     def test_every_command_supports_dry_run(self, pipeline):
         config, workdir, stage = pipeline

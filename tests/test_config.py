@@ -131,3 +131,9 @@ class TestConfigTypes:
         path.write_text(json.dumps({"n_samples": "5"}))
         with pytest.raises(ConfigError, match="config.n_samples"):
             cfgmod.load_config(path)
+
+    @pytest.mark.parametrize("parallelism", [0, -2])
+    def test_parallelism_below_1_is_a_config_error(self, parallelism):
+        with pytest.raises(ConfigError, match=r"^parallelism must be >= 1$"):
+            cfgmod.check_config(cfgmod.config_from_dict({"parallelism": parallelism}))
+        assert cfgmod.check_config(cfgmod.config_from_dict({"parallelism": 1})).parallelism == 1

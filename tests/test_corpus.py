@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +248,16 @@ class TestIO:
             json.dumps({"ok.md": {"doc_id": "a", "title": "A", "learning_stage": "nope"}})
         )
         with pytest.raises(SchemaViolation):
+            corpus.load_corpus(tmp_path, manifest)
+
+    @pytest.mark.parametrize("key, value", [("doc_id", [1]), ("doc_id", 7), ("title", {"t": 1}), ("title", None)])
+    def test_non_string_doc_id_or_title_rejected(self, tmp_path, key, value):
+        (tmp_path / "a.md").write_text("# A\nx")
+        meta = {"doc_id": "a", "title": "A", "learning_stage": "advanced", key: value}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"a.md": meta}))
+        want = f"manifest entry 'a.md': {key} must be a string, got {json.dumps(value)}"
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(want)}$"):
             corpus.load_corpus(tmp_path, manifest)
 
     def test_non_object_entry_rejected(self, tmp_path):

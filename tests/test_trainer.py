@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRAIN_MODEL_CFG
+import oracles
+from conftest import TRAIN_MODEL_CFG, central_difference
 from oracles import loss_cpt, loss_sft
-from granary import tinylm, trainer
-from granary.dataset import TokenizedExample, chunk_tokenized, pack_sequences, tokenize_cpt
+from granary import tape, tinylm, trainer
+from granary.dataset import TokenizedExample, chunk_tokenized, pack_cpt_texts, pack_sequences, tokenize_cpt
 from granary.errors import EmptyMask, NonFiniteLoss, ShapeMismatch
 from granary.tinylm import BOS_ID, EOS_ID, ByteTokenizer, ModelConfig, freeze_reference, init
 from granary.trainer import (
@@ -41,30 +42,32 @@ def uniform_params(**kwargs):
 # Records as (step, lr, ce, kl, total, grad_norm, fd_max_rel_err) plus the
 # final parameter fingerprint of three short runs (see ``pinned_run``). A
 # change to how a training step is computed shows up here as a changed bit.
+# Re-captured when the last layer and the head began to run only the
+# batch's weighted span, which sums over fewer rows inside BLAS.
 PINNED_RUNS = {
     "sft": (
         [
-            (0, 0.01, 9.712312903211927, 0.0, 9.712312903211927, 13.230892119745416, 1.5399490113765245e-08),
+            (0, 0.01, 9.712312903211927, 0.0, 9.712312903211927, 13.230892119745416, 3.5540135264816704e-08),
             (1, 0.0075, 8.409817594292374, 0.0, 8.409817594292374, 7.867065398252831, None),
-            (2, 0.0025000000000000014, 7.973362290635901, 0.0, 7.973362290635901, 7.0292893361593665, 9.846521233844644e-09),
+            (2, 0.0025000000000000014, 7.973362290635901, 0.0, 7.973362290635901, 7.0292893361593665, 9.846520640799451e-09),
         ],
-        "644c2852fe494082404fb9c0775b8d3c9e6a9d47329616d849c3ef565013c4f9",
+        "8228de9e604f2b3f99e1717028398c8c3e3af2ceaf9f1eafafd3df87c44aa32b",
     ),
     "nsc_sft": (
         [
             (0, 0.01, 9.712312903211927, 7.7689177249359815, 10.489204675705526, 14.372835299098682, None),
-            (1, 0.0075, 8.361004740042535, 6.520190055950949, 9.01302374563763, 8.0177428299866, None),
-            (2, 0.0025000000000000014, 7.931615354052422, 6.278791847775516, 8.559494538829973, 7.163954113624007, None),
+            (1, 0.0075, 8.361004740042535, 6.520190055950949, 9.01302374563763, 8.017742829986599, None),
+            (2, 0.0025000000000000014, 7.931615354052422, 6.2787918477755165, 8.559494538829973, 7.163954113624007, None),
         ],
-        "be9ca12727646c0a6f133351e2ce4f172920f32b86a890d2b9166885cfba8cce",
+        "a955c2e9d9c56b2e99b35fa97eb7ee1f48184ac8e0a3304450b67497de926533",
     ),
     "cpt": (
         [
-            (0, 0.01, 5.556714934157407, 0.0, 5.556714934157407, 0.02600060147463264, None),
+            (0, 0.01, 5.556714934157408, 0.0, 5.556714934157408, 0.02600060147463264, None),
             (1, 0.0075, 5.556708173441558, 0.0, 5.556708173441558, 0.026003758566521904, None),
             (2, 0.0025000000000000014, 5.556703101732571, 0.0, 5.556703101732571, 0.026006282740503286, None),
         ],
-        "9d2f9ec8ff2631d19dde8504057a4eba744136b6624ed298695b4101547b720b",
+        "07b3d2a6bf1658e8511ff0ba329caa37acc49bbfda9f1149603cab50094ed86d",
     ),
 }
 
@@ -247,6 +250,85 @@ class TestLossNscSft:
         assert breakdown.total == pytest.approx(ce_oracle + 0.1 * kl_oracle, abs=1e-12)
 
 
+SPAN_CFG = ModelConfig(context_window=48, seed=3, init_std=0.2)
+
+
+def span_batch_items(kind):
+    """Items of the span gate batches: ragged prompts, CPT packs, or 1-token segments."""
+    if kind == "ragged":
+        # Rows of 11 to 25 ids with prompts of 9, 3 and 11 ids: the span
+        # starts at the shortest prompt's last id and ends at the longest
+        # row's last target.
+        texts = [("short row", 9), ("a longer supervised row", 3), ("middle row here!", 11)]
+        return [sft_example(text, prompt_len) for text, prompt_len in texts]
+    if kind == "cpt":
+        return pack_cpt_texts(["packed pre-training text, cut at the window", "second text"], 24)
+    ones = [TokenizedExample(input_ids=[i], loss_mask=[True]) for i in (65, BOS_ID, 66)]
+    return pack_sequences(ones, 4)
+
+
+class TestWeightedSpan:
+    """The span path against oracles' full-position forward, sliced to the span."""
+
+    @pytest.mark.parametrize("kind", ["ragged", "cpt", "one_token_segments"])
+    def test_matches_full_position_oracle(self, kind):
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(span_batch_items(kind), ref)
+        lo, hi = batch.span
+        b = batch.ids.shape[0]
+        assert batch.targets.shape == batch.weights.shape == (b, hi - lo)
+        assert batch.ref_logprobs.shape == (b, hi - lo, 259)
+
+        leaves = tinylm.build_leaves(params)
+        full = oracles.batched_logprobs(leaves, SPAN_CFG, batch.ids)
+        ref_full = oracles.batched_logprobs(tinylm.build_leaves(ref), SPAN_CFG, batch.ids).data
+        total, ce, kl = oracles.ce_kl_loss(
+            tape.slice_rows(full, lo, hi), batch.targets, batch.weights, ref_full[:, lo:hi], 0.1
+        )
+        tape.backward(total)
+        want_grad = tinylm.collect_flat_grad(params, leaves)
+
+        got = tinylm.batched_logprobs(tinylm.build_leaves(params), SPAN_CFG, batch.ids, span=batch.span).data
+        assert np.max(np.abs(got - full.data[:, lo:hi]), initial=0.0) <= 1e-12
+        assert np.max(np.abs(batch.ref_logprobs - ref_full[:, lo:hi]), initial=0.0) <= 1e-12
+        losses, grad = trainer.loss_and_grad(params, batch, 0.1)
+        assert abs(losses.total - float(total.data)) <= 1e-12
+        assert abs(losses.ce - float(ce.data)) <= 1e-12
+        assert abs(losses.kl - float(kl.data)) <= 1e-12
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+        if kind == "one_token_segments":
+            # Nothing to score: the span is empty, the loss 0 and the gradient zero.
+            assert batch.span == (0, 0)
+            assert losses == trainer.LossBreakdown(ce=0.0, kl=0.0, total=0.0)
+            assert not grad.any()
+        else:
+            # The span is tight and drops no weight: each item weighs 1/n.
+            assert lo > 0 if kind == "ragged" else lo == 0
+            assert batch.weights[:, 0].any() and batch.weights[:, -1].any()
+            assert batch.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_finite_differences_agree_on_a_ragged_batch(self):
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(span_batch_items("ragged"), ref)
+        _, analytic = trainer.loss_and_grad(params, batch, 0.1)
+
+        def value_fn(p):
+            return trainer.loss_value(p, batch, 0.1)
+
+        worst = 0.0
+        for idx in np.random.default_rng(0).choice(params.count, size=60, replace=False):
+            fd = central_difference(value_fn, params, int(idx))
+            worst = max(worst, abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), 1e-6))
+        assert worst <= 1e-4
+
+    @pytest.mark.parametrize("span", [(-1, 2), (3, 2), (0, 9)])
+    def test_span_outside_the_columns_is_refused(self, span):
+        ids = np.full((1, 8), BOS_ID)
+        with pytest.raises(ValueError, match="span"):
+            tinylm.batched_logprobs(tinylm.build_leaves(init(SPAN_CFG)), SPAN_CFG, ids, span=span)
+
+
 class TestSchedule:
     def cfg(self, total=200, lr=1e-3):
         return TrainConfig(mode="sft", total_steps=total, lr_max=lr)
@@ -336,13 +418,17 @@ class TestTrainLoop:
         assert report.ref_fingerprint_before == report.ref_fingerprint_after == before
 
     def test_reference_logprobs_equal_a_recorded_forward(self, fixture_examples):
-        # make_batch runs the reference over const leaves; its values are a
-        # graph-recording forward's, bit for bit.
+        # make_batch runs the reference over const leaves at the weighted
+        # span; its values are a graph-recording forward's over that span,
+        # bit for bit, and the full forward's columns lo..hi-1 to 1e-12.
         ref = freeze_reference(init(dataclasses.replace(TRAIN_MODEL_CFG, seed=1)))
         batch = trainer.make_batch(fixture_examples, ref)
-        recorded = tinylm.batched_logprobs(tinylm.build_leaves(ref), ref.config, batch.ids)
-        assert recorded._parents != () and batch.ids.shape[1] > 32
+        leaves, (lo, hi) = tinylm.build_leaves(ref), batch.span
+        recorded = tinylm.batched_logprobs(leaves, ref.config, batch.ids, span=batch.span)
+        assert recorded._parents != () and batch.ids.shape[1] > 32 and 0 < lo < hi
         assert np.array_equal(batch.ref_logprobs, recorded.data)
+        full = tinylm.batched_logprobs(leaves, ref.config, batch.ids).data
+        assert np.max(np.abs(batch.ref_logprobs - full[:, lo:hi])) <= 1e-12
 
     def test_first_step_ce_matches_single_example_losses(self, fixture_examples):
         # The batched graph must agree with the per-example op.
