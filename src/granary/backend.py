@@ -7,6 +7,7 @@ is what makes the whole distillation pipeline reproducible in tests.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import os
 import random
@@ -85,14 +86,19 @@ class RetryPolicy:
 
 
 def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
-    """Yield ``fn(item)`` for each item, in item order: inline at 1, else from a thread pool."""
+    """Yield ``fn(item)`` for each item, in item order: inline at 1, else from a thread pool.
+
+    A pool thread runs each item in a copy of the caller's ``contextvars``
+    context, so context-local settings such as ``np.errstate`` reach it.
+    """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if parallelism == 1:
         yield from map(fn, items)
         return
+    context = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        yield from pool.map(fn, items)
+        yield from pool.map(lambda item: context.copy().run(fn, item), items)
 
 
 def _stable_digest(text: str) -> int:

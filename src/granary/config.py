@@ -125,6 +125,8 @@ def check_config(cfg: PipelineConfig) -> PipelineConfig:
     """Refuse values that no command can run with, after flag overrides."""
     if cfg.parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
+    if cfg.train.grad_check_every is not None and cfg.train.grad_check_every < 1:
+        raise ConfigError("train.grad_check_every must be >= 1 or null")
     return cfg
 
 

@@ -10,8 +10,10 @@ throughout.
 ``loss_nsc_sft`` and ``kl_term`` are per-example references for tests
 and the benchmark's checks. Training, the CLI's gradient check and the
 tests share one batched path: ``make_batch``
-builds a run's batch once, and ``loss_and_grad`` / ``loss_value``
-evaluate CE plus the weighted KL on it (plain CE for cpt, sft and λ=0).
+builds a run's batch once, in shards of ``_SHARD_ROWS`` rows, and
+``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted KL on it
+(plain CE for cpt, sft and λ=0), one thread per shard, adding the
+shards' results in shard order.
 
 The loop is plain gradient descent, the only update rule, under a cosine
 schedule with linear warmup; every step records the loss breakdown and
@@ -23,12 +25,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tape, tinylm
+from .backend import fan_out
 from .dataset import PackedSequence, TokenizedExample
 from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
 from .jsonl import write_jsonl
@@ -56,6 +60,8 @@ class TrainConfig:
             raise ValueError("warmup_frac must be in (0, 1)")
         if self.kl_weight < 0:
             raise ValueError("kl_weight must be >= 0")
+        if self.grad_check_every is not None and self.grad_check_every < 1:
+            raise ValueError("grad_check_every must be >= 1, or None for no checks")
 
 
 @dataclass(frozen=True)
@@ -194,14 +200,19 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 # -- batched training loop --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Padded rows and averaging weights for the batched NSC-SFT loss.
+_SHARD_ROWS = 8  # batch rows per shard: one worker's forward and backward
 
-    ``span = (lo, hi)`` is the columns of ``ids`` that carry weight: from
-    the first column with any weight to one past the last ((0, 0) when
-    none does). The other arrays hold those columns only: ``weights[b, j]``
-    weighs the distribution at position lo + j of row b, whose target is
+
+@dataclass(frozen=True)
+class Shard:
+    """Up to ``_SHARD_ROWS`` consecutive rows of a batch, padded to their own width.
+
+    ``span = (lo, hi)`` is the columns that carry weight: from the first
+    column with any weight to one past the last ((0, 0) when none does).
+    ``ids`` keeps the columns before ``hi``, the ones the span's
+    distributions read (the first column alone when none carries weight).
+    The other arrays hold the span's columns only: ``weights[b, j]`` weighs
+    the distribution at position lo + j of row b, whose target is
     ``targets[b, j]`` (junk where the weight is 0), and ``ref_logprobs``
     holds the frozen reference's log-probabilities there when the KL term
     is on, else None.
@@ -214,6 +225,43 @@ class Batch:
     ref_logprobs: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class Batch:
+    """A run's padded rows and averaging weights for the batched NSC-SFT loss.
+
+    The rows, in the order ``make_batch`` was given them, are cut into
+    ``shards`` of ``_SHARD_ROWS`` rows (the last may hold fewer). Weights
+    carry the whole batch's normalisation, so the batch loss and gradient
+    are the sums of the shards'.
+    """
+
+    shards: tuple[Shard, ...]
+
+
+def _workers(items: tuple) -> int:
+    """One thread per item, up to the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(len(items), cpus)
+
+
+def _shard(rows: list[tuple[np.ndarray, np.ndarray, float]], ref_params: Parameters | None) -> Shard:
+    ids = np.full((len(rows), max(row.size for row, _, _ in rows)), PAD_ID, dtype=np.int64)
+    weights = np.zeros(ids.shape)
+    for b, (row, positions, weight) in enumerate(rows):
+        ids[b, : row.size] = row
+        weights[b, positions] = weight
+    targets = np.zeros_like(ids)
+    targets[:, :-1] = ids[:, 1:]
+    weighted = np.flatnonzero(weights.any(axis=0))
+    lo, hi = (int(weighted[0]), int(weighted[-1]) + 1) if weighted.size else (0, 0)
+    ids = ids[:, : max(hi, 1)]
+    ref_logprobs = None
+    if ref_params is not None:
+        ref_leaves = tinylm.build_leaves(ref_params, const=True)
+        ref_logprobs = tinylm.batched_logprobs(ref_leaves, ref_params.config, ids, span=(lo, hi)).data
+    return Shard(ids, (lo, hi), targets[:, lo:hi], weights[:, lo:hi], ref_logprobs)
+
+
 def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
     """One batch from TokenizedExamples (sft) or PackedSequences (cpt).
 
@@ -221,9 +269,12 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
     1/(count * n) at i - 1, so every example counts equally. A pack gives
     one row per segment and weighs each next-token position 1/(pack
     positions * n): packing sets only the cpt weighting, never which
-    tokens attend to which. The reference forward runs here, once, when
-    ``ref_params`` is given, over ``const`` leaves, so it records no graph;
-    like the loss, it scores the batch's weighted span only.
+    tokens attend to which, and a pack's segments may fall in different
+    shards. Rows keep the items' order and are cut into shards of
+    ``_SHARD_ROWS``. The reference forward runs here, once per shard on
+    the ``fan_out`` threads, when ``ref_params`` is given, over ``const``
+    leaves, so it records no graph; like the loss, it scores each shard's
+    weighted span only.
     """
     n = len(items)
     rows: list[tuple[np.ndarray, np.ndarray, float]] = []  # ids, weighted positions, weight
@@ -243,34 +294,44 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
             row = np.asarray(item.input_ids, dtype=np.int64)
             rows.append((row, positions, 1.0 / (positions.size * n)))
 
-    ids = np.full((len(rows), max(row.size for row, _, _ in rows)), PAD_ID, dtype=np.int64)
-    weights = np.zeros(ids.shape)
-    for b, (row, positions, weight) in enumerate(rows):
-        ids[b, : row.size] = row
-        weights[b, positions] = weight
-    targets = np.zeros_like(ids)
-    targets[:, :-1] = ids[:, 1:]
-    weighted = np.flatnonzero(weights.any(axis=0))
-    lo, hi = (int(weighted[0]), int(weighted[-1]) + 1) if weighted.size else (0, 0)
-    ref_logprobs = None
-    if ref_params is not None:
-        ref_leaves = tinylm.build_leaves(ref_params, const=True)
-        ref_logprobs = tinylm.batched_logprobs(ref_leaves, ref_params.config, ids, span=(lo, hi)).data
-    return Batch(ids, (lo, hi), targets[:, lo:hi], weights[:, lo:hi], ref_logprobs)
+    chunks = tuple(rows[i : i + _SHARD_ROWS] for i in range(0, len(rows), _SHARD_ROWS))
+    return Batch(tuple(fan_out(lambda chunk: _shard(chunk, ref_params), chunks, _workers(chunks))))
 
 
-def _loss_graph(params: Parameters, batch: Batch, kl_weight: float):
+def _shard_loss(params: Parameters, shard: Shard, kl_weight: float):
     leaves = tinylm.build_leaves(params)
-    logprobs = tinylm.batched_logprobs(leaves, params.config, batch.ids, span=batch.span)
+    logprobs = tinylm.batched_logprobs(leaves, params.config, shard.ids, span=shard.span)
     total, ce, kl = tape.ce_kl_loss(
-        logprobs, batch.targets, batch.weights, batch.ref_logprobs, kl_weight
+        logprobs, shard.targets, shard.weights, shard.ref_logprobs, kl_weight
     )
     return leaves, total, LossBreakdown(ce=ce, kl=kl, total=float(total.data))
 
 
+def _summed(parts: list[LossBreakdown]) -> LossBreakdown:
+    """The shards' losses added in shard order."""
+    ce = kl = total = 0.0
+    for part in parts:
+        ce += part.ce
+        kl += part.kl
+        total += part.total
+    return LossBreakdown(ce=ce, kl=kl, total=total)
+
+
 def loss_value(params: Parameters, batch: Batch, kl_weight: float) -> float:
     """The batch loss alone, for finite-difference checks (no backward)."""
-    return _loss_graph(params, batch, kl_weight)[2].total
+    shards = batch.shards
+    parts = fan_out(lambda shard: _shard_loss(params, shard, kl_weight)[2], shards, _workers(shards))
+    return _summed(list(parts)).total
+
+
+def _shard_loss_and_grads(params: Parameters, shard: Shard, kl_weight: float):
+    """One shard's loss and its graph's leaves, holding the shard's gradient
+    (None, with no backward run, when the loss is not finite)."""
+    leaves, total, losses = _shard_loss(params, shard, kl_weight)
+    if not math.isfinite(losses.total):
+        return losses, None
+    tape.backward(total)
+    return losses, leaves
 
 
 def loss_and_grad(
@@ -278,13 +339,26 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Batch loss (kl is 0.0 when off) and its exact flat gradient.
 
-    Raises NonFiniteLoss, before any backward pass, when the loss is NaN
-    or infinite.
+    Each shard runs its forward and backward on a ``fan_out`` thread, one
+    per shard up to the CPUs the process may use (inline for one shard).
+    The shards' losses and per-leaf gradients are then added in shard
+    order, so the result does not depend on the thread count. A shard
+    whose loss is NaN or infinite runs no backward, and NonFiniteLoss is
+    raised, with no gradient, when any shard's loss or their sum is not
+    finite.
     """
-    leaves, total, losses = _loss_graph(params, batch, kl_weight)
+    shards = batch.shards
+    results = list(
+        fan_out(lambda shard: _shard_loss_and_grads(params, shard, kl_weight), shards, _workers(shards))
+    )
+    losses = _summed([part for part, _ in results])
+    # A non-finite shard loss makes the sum non-finite too.
     if not math.isfinite(losses.total):
         raise NonFiniteLoss(f"loss evaluated to {losses.total}")
-    tape.backward(total)
+    leaves = results[0][1]
+    for _, others in results[1:]:
+        for name, leaf in leaves.items():
+            leaf.grad = leaf.grad + others[name].grad
     return losses, tinylm.collect_flat_grad(params, leaves)
 
 
@@ -331,7 +405,7 @@ def train(
             raise NonFiniteLoss(f"{exc} at step {step}", report=report()) from None
 
         fd_err = None
-        if cfg.grad_check_every and step % cfg.grad_check_every == 0:
+        if cfg.grad_check_every is not None and step % cfg.grad_check_every == 0:
             fd_err, _ = tinylm.gradient_check(
                 params,
                 lambda p: loss_value(p, batch, cfg.kl_weight),

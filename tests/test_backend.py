@@ -1,10 +1,13 @@
 """Backends: request validation, mock determinism, and the HTTP wire protocol."""
 
+import contextvars
 import json
 import random
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 
 from granary import prompts
@@ -14,6 +17,7 @@ from granary.backend import (
     HttpLlmBackend,
     MockLlmBackend,
     RetryPolicy,
+    fan_out,
 )
 from granary.errors import BackendError
 from oracles import RecordingBackend, task_ordinal_reference
@@ -33,6 +37,25 @@ def qrequest(node_id="a" * 16, sample_idx=0, text="some passage text"):
         temperature=0.7,
         seed=7,
     )
+
+
+class TestFanOut:
+    def test_pool_workers_see_the_callers_errstate(self):
+        # NumPy 2 keeps np.errstate in a context variable, so a pool thread
+        # ignores an overflow only when it runs in a copy of the caller's context.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                got = list(fan_out(np.exp, [np.float64(1000.0), np.float64(-1.0)], 2))
+        assert got == [np.inf, np.exp(-1.0)]
+
+    def test_pool_workers_see_the_callers_context_variables(self):
+        var = contextvars.ContextVar("var", default="unset")
+        token = var.set("caller")
+        try:
+            assert list(fan_out(lambda _: var.get(), range(4), 2)) == ["caller"] * 4
+        finally:
+            var.reset(token)
 
 
 class TestChatTypes:

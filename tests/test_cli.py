@@ -25,10 +25,11 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # whenever its width matched the training length, as it does here;
 # model.ckpt re-captured when attention began to run in blocks of rows,
 # and again when the last layer and the head began to run only the
-# batch's weighted span.
+# batch's weighted span; both files re-captured when the step began to
+# run in shards of 8 rows, each cut to its own weighted columns.
 CPT_SHA256 = {
-    "model.ckpt": "b2ff67245dc5cfa56a07ce8e079a09dcb34af99a56d95a049910ea2d5b4a50db",
-    "train_report.jsonl": "1ceb8e066dfcfed59f1f3eaeb08ca99c1b5c6e0a2d6501bee2e1619f8491c5f4",
+    "model.ckpt": "d343076daaf19e12355e400259e981a9efb904adb35974b343a5fddc6985fe19",
+    "train_report.jsonl": "977c716ba1d4956c9bae433be2b2848473328a9dbb5dc4ad8057563aae3efefa",
 }
 
 # The minibook config below run through ingest, distill, build, train
@@ -36,15 +37,16 @@ CPT_SHA256 = {
 # thread by conftest; captured before the record writers were derived
 # from their dataclasses, model.ckpt re-captured when attention began to
 # run in blocks of rows, and again when the last layer and the head began
-# to run only the batch's weighted span.
+# to run only the batch's weighted span; the three train outputs
+# re-captured when the step began to run in shards of 8 rows.
 MINIBOOK_SHA256 = {
     "nodes.jsonl": "b1458ec26e76aa15f6a69ef3187b652e6d521d1ad44a9a5af25d836f4e761508",
     "qtsa.jsonl": "337dfcbd69fedfcca759000bc6b682f4a887b50293143377b3e4eac64d2ebf1e",
     "sft_dataset.jsonl": "e2b4ae56cc5b7a20bfd28852ae9949fd6650f161af5dcd6c76ad2ce71acab99f",
     "cpt_dataset.jsonl": "559a34a2481ef848a8feb7befe02982ca00498a63411ed8669f3f7e59474cb17",
-    "train_report.jsonl": "6bd57660f6508afea63ff6cbf564bef3d3f9bf16e4551fc50df76cada6f713f4",
-    "train_summary.json": "ec6604ed2d2d8861fe51f649154c3775d51d3145130ca37416dd0f79335457e6",
-    "model.ckpt": "aeb78c5cb028ac5c87191bde820d12ccf162dbc307861da452f3c8d04ca75679",
+    "train_report.jsonl": "5c70a6b5c1b26668ef4cab7aef1c498610898f0489b5983954d8edb1bb5dd170",
+    "train_summary.json": "6e82b4a1c4106bfc5f27bb9eb97fb7b60ca6eb026a8a78cfd8074c10ab4fe360",
+    "model.ckpt": "527b0a79cad990be16915e3c76b5ea847aa05cfd9cb98c1e8cc9a1501f9e0c4f",
     "eval_report.json": "b408f087c460b617476f512e211e1359928f91754aecc76e2f966f4e4476eb10",
 }
 
@@ -423,6 +425,13 @@ class TestGradcheckAndErrors:
         flag = ["--parallelism", "0"] if where == "flag" else []
         assert run(*argv, "--config", str(config), *flag) == 1
         assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("every", [0, -2])
+    def test_grad_check_every_below_1_in_the_config_file_exits_1(self, tmp_path, capsys, every):
+        config = write_config(tmp_path, train={"grad_check_every": every})
+        assert run("train", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: train.grad_check_every must be >= 1 or null\n"
         assert not (tmp_path / "work").exists()
 
     def test_non_string_manifest_doc_id_exits_1(self, tmp_path, capsys):

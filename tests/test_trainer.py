@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import oracles
 from conftest import TRAIN_MODEL_CFG, central_difference
 from oracles import loss_cpt, loss_sft
 from granary import tape, tinylm, trainer
-from granary.dataset import TokenizedExample, chunk_tokenized, pack_cpt_texts, pack_sequences, tokenize_cpt
+from granary.dataset import PackedSequence, TokenizedExample, chunk_tokenized, pack_cpt_texts, pack_sequences, tokenize_cpt
 from granary.errors import EmptyMask, NonFiniteLoss, ShapeMismatch
 from granary.tinylm import BOS_ID, EOS_ID, ByteTokenizer, ModelConfig, freeze_reference, init
 from granary.trainer import (
@@ -43,7 +44,8 @@ def uniform_params(**kwargs):
 # final parameter fingerprint of three short runs (see ``pinned_run``). A
 # change to how a training step is computed shows up here as a changed bit.
 # Re-captured when the last layer and the head began to run only the
-# batch's weighted span, which sums over fewer rows inside BLAS.
+# batch's weighted span, which sums over fewer rows inside BLAS; the cpt
+# fingerprint again when each shard's ids were cut to its weighted columns.
 PINNED_RUNS = {
     "sft": (
         [
@@ -67,7 +69,7 @@ PINNED_RUNS = {
             (1, 0.0075, 5.556708173441558, 0.0, 5.556708173441558, 0.026003758566521904, None),
             (2, 0.0025000000000000014, 5.556703101732571, 0.0, 5.556703101732571, 0.026006282740503286, None),
         ],
-        "07b3d2a6bf1658e8511ff0ba329caa37acc49bbfda9f1149603cab50094ed86d",
+        "7293dca65d32a93f1ca79c349d1ff5f98c3f9c2fea727cc05360bcc93685fc6e",
     ),
 }
 
@@ -274,23 +276,25 @@ class TestWeightedSpan:
     def test_matches_full_position_oracle(self, kind):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(span_batch_items(kind), ref)
-        lo, hi = batch.span
-        b = batch.ids.shape[0]
-        assert batch.targets.shape == batch.weights.shape == (b, hi - lo)
-        assert batch.ref_logprobs.shape == (b, hi - lo, 259)
+        (shard,) = batch.shards  # a few rows: one shard
+        lo, hi = shard.span
+        b = shard.ids.shape[0]
+        assert shard.ids.shape[1] == max(hi, 1)
+        assert shard.targets.shape == shard.weights.shape == (b, hi - lo)
+        assert shard.ref_logprobs.shape == (b, hi - lo, 259)
 
         leaves = tinylm.build_leaves(params)
-        full = oracles.batched_logprobs(leaves, SPAN_CFG, batch.ids)
-        ref_full = oracles.batched_logprobs(tinylm.build_leaves(ref), SPAN_CFG, batch.ids).data
+        full = oracles.batched_logprobs(leaves, SPAN_CFG, shard.ids)
+        ref_full = oracles.batched_logprobs(tinylm.build_leaves(ref), SPAN_CFG, shard.ids).data
         total, ce, kl = oracles.ce_kl_loss(
-            tape.slice_rows(full, lo, hi), batch.targets, batch.weights, ref_full[:, lo:hi], 0.1
+            tape.slice_rows(full, lo, hi), shard.targets, shard.weights, ref_full[:, lo:hi], 0.1
         )
         tape.backward(total)
         want_grad = tinylm.collect_flat_grad(params, leaves)
 
-        got = tinylm.batched_logprobs(tinylm.build_leaves(params), SPAN_CFG, batch.ids, span=batch.span).data
+        got = tinylm.batched_logprobs(tinylm.build_leaves(params), SPAN_CFG, shard.ids, span=shard.span).data
         assert np.max(np.abs(got - full.data[:, lo:hi]), initial=0.0) <= 1e-12
-        assert np.max(np.abs(batch.ref_logprobs - ref_full[:, lo:hi]), initial=0.0) <= 1e-12
+        assert np.max(np.abs(shard.ref_logprobs - ref_full[:, lo:hi]), initial=0.0) <= 1e-12
         losses, grad = trainer.loss_and_grad(params, batch, 0.1)
         assert abs(losses.total - float(total.data)) <= 1e-12
         assert abs(losses.ce - float(ce.data)) <= 1e-12
@@ -299,14 +303,14 @@ class TestWeightedSpan:
 
         if kind == "one_token_segments":
             # Nothing to score: the span is empty, the loss 0 and the gradient zero.
-            assert batch.span == (0, 0)
+            assert shard.span == (0, 0)
             assert losses == trainer.LossBreakdown(ce=0.0, kl=0.0, total=0.0)
             assert not grad.any()
         else:
             # The span is tight and drops no weight: each item weighs 1/n.
             assert lo > 0 if kind == "ragged" else lo == 0
-            assert batch.weights[:, 0].any() and batch.weights[:, -1].any()
-            assert batch.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert shard.weights[:, 0].any() and shard.weights[:, -1].any()
+            assert shard.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_differences_agree_on_a_ragged_batch(self):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
@@ -327,6 +331,166 @@ class TestWeightedSpan:
         ids = np.full((1, 8), BOS_ID)
         with pytest.raises(ValueError, match="span"):
             tinylm.batched_logprobs(tinylm.build_leaves(init(SPAN_CFG)), SPAN_CFG, ids, span=span)
+
+
+def shard_batch_items(kind):
+    """Items of the shard gate batches, each more than one shard of rows."""
+    if kind == "ragged_19":
+        # 19 rows of 9 to 46 bytes: shards of 8, 8 and 3 rows.
+        words = "the loop law sums every drop of voltage around a closed path".split()
+        texts = [" ".join(words[k % 5 : k % 5 + 2 + k % 7]) for k in range(19)]
+        return [sft_example(text, prompt_len=2 + k % 9) for k, text in enumerate(texts)]
+    if kind == "cpt_straddle":
+        # Rows 7, 8 and 9 are one pack's segments, so the pack spans two shards.
+        texts = [
+            "packed pre-training text, cut at the window", "second text", "a third text for packing",
+            "four", "fifth text, chunked twice", "six", "seventh", "eighth piece",
+        ]
+        return pack_cpt_texts(texts, 24)
+    # Two packs of four 1-token segments fill the first shard with rows that weigh 0.
+    ones = [TokenizedExample(input_ids=[i], loss_mask=[True]) for i in (65, BOS_ID, 66, 67, 68, 69, 70, 71)]
+    return pack_sequences(ones, 4) + pack_cpt_texts(["text after the empty shard", "and more"], 24)
+
+
+def full_batch(items):
+    """``items`` as one padded [rows, T] matrix over every column, with the
+    targets and weights of each position, built without ``make_batch``."""
+    n = len(items)
+    rows = []  # (ids, weight of each next-token position)
+    for item in items:
+        if isinstance(item, PackedSequence):
+            segments = [list(item.ids[s.offset : s.offset + s.length]) for s in item.segments]
+            count = sum(len(seg) - 1 for seg in segments)
+            rows += [(seg, [1.0 / (count * n) for _ in seg[1:]]) for seg in segments]
+        else:
+            count = sum(item.loss_mask[1:])
+            rows.append((list(item.input_ids), [1.0 / (count * n) if m else 0.0 for m in item.loss_mask[1:]]))
+    ids = np.full((len(rows), max(len(row) for row, _ in rows)), tinylm.PAD_ID)
+    weights = np.zeros(ids.shape)
+    for b, (row, row_weights) in enumerate(rows):
+        ids[b, : len(row)] = row
+        weights[b, : len(row_weights)] = row_weights
+    targets = np.zeros_like(ids)
+    targets[:, :-1] = ids[:, 1:]
+    return ids, targets, weights
+
+
+class TestShards:
+    """Sharded batches against oracles' forward of the whole batch at once."""
+
+    @pytest.mark.parametrize("kind", ["ragged_19", "cpt_straddle", "zero_weight_shard"])
+    def test_matches_full_batch_oracle(self, kind):
+        items = shard_batch_items(kind)
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(items, ref)
+        ids, targets, weights = full_batch(items)
+        sizes = [shard.ids.shape[0] for shard in batch.shards]
+        assert sizes == [8] * (len(ids) // 8) + ([len(ids) % 8] if len(ids) % 8 else [])
+        assert len(batch.shards) >= 2
+
+        leaves = tinylm.build_leaves(params)
+        full = oracles.batched_logprobs(leaves, SPAN_CFG, ids)
+        ref_full = oracles.batched_logprobs(tinylm.build_leaves(ref), SPAN_CFG, ids).data
+        total, ce, kl = oracles.ce_kl_loss(full, targets, weights, ref_full, 0.1)
+        tape.backward(total)
+        want_grad = tinylm.collect_flat_grad(params, leaves)
+
+        # Each shard holds its rows' weighted columns, in the items' order,
+        # and drops no weight; its forward matches the whole batch's there.
+        for k, shard in enumerate(batch.shards):
+            rows = slice(8 * k, 8 * k + shard.ids.shape[0])
+            lo, hi = shard.span
+            assert np.array_equal(shard.ids, ids[rows, : max(hi, 1)])
+            assert np.array_equal(shard.weights, weights[rows, lo:hi])
+            outside = weights[rows].copy()
+            outside[:, lo:hi] = 0.0
+            assert not outside.any()
+            assert np.array_equal(shard.targets[shard.weights > 0], targets[rows, lo:hi][shard.weights > 0])
+            got = tinylm.batched_logprobs(tinylm.build_leaves(params), SPAN_CFG, shard.ids, span=shard.span).data
+            assert np.max(np.abs(got - full.data[rows, lo:hi]), initial=0.0) <= 1e-12
+            assert np.max(np.abs(shard.ref_logprobs - ref_full[rows, lo:hi]), initial=0.0) <= 1e-12
+
+        losses, grad = trainer.loss_and_grad(params, batch, 0.1)
+        assert abs(losses.ce - float(ce.data)) <= 1e-12
+        assert abs(losses.kl - float(kl.data)) <= 1e-12
+        assert abs(losses.total - float(total.data)) <= 1e-12
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12
+        assert trainer.loss_value(params, batch, 0.1) == losses.total
+
+        if kind == "cpt_straddle":
+            assert [len(p.segments) for p in items][6] == 3 and sum(len(p.segments) for p in items[:6]) == 7
+        if kind == "zero_weight_shard":
+            first = batch.shards[0]
+            assert first.span == (0, 0) and first.ids.shape == (8, 1) and not weights[:8].any()
+
+    def test_finite_differences_agree_on_a_multi_shard_batch(self):
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
+        assert len(batch.shards) == 3
+        _, analytic = trainer.loss_and_grad(params, batch, 0.1)
+
+        def value_fn(p):
+            return trainer.loss_value(p, batch, 0.1)
+
+        worst = 0.0
+        for idx in np.random.default_rng(1).choice(params.count, size=60, replace=False):
+            fd = central_difference(value_fn, params, int(idx))
+            worst = max(worst, abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), 1e-6))
+        assert worst <= 1e-4
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # Three workers on 3 shards, with thread switches forced often.
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        items = shard_batch_items("ragged_19")
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(trainer, "_workers", lambda shards, workers=workers: workers)
+                batch = trainer.make_batch(items, ref)
+                losses, grad = trainer.loss_and_grad(params, batch, 0.1)
+                results.append((losses, grad.tobytes(), [s.ref_logprobs.tobytes() for s in batch.shards]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    def _non_finite_case(self, monkeypatch, spoil):
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
+        batch = trainer.Batch(tuple(spoil(params, k, shard) for k, shard in enumerate(batch.shards)))
+        backward = tape.backward
+        backward_calls = []
+
+        def counted(loss):
+            backward_calls.append(float(loss.data))
+            backward(loss)
+
+        monkeypatch.setattr(tape, "backward", counted)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
+            trainer.loss_and_grad(params, batch, 0.1)
+        return backward_calls
+
+    def test_a_non_finite_shard_runs_no_backward(self, monkeypatch):
+        # A -inf reference log-probability in shard 1 makes its KL infinite.
+        def spoil(params, k, shard):
+            if k != 1:
+                return shard
+            ref_logprobs = shard.ref_logprobs.copy()
+            ref_logprobs[0, 0, 0] = -np.inf
+            return dataclasses.replace(shard, ref_logprobs=ref_logprobs)
+
+        backward_calls = self._non_finite_case(monkeypatch, spoil)
+        assert len(backward_calls) == 2 and all(math.isfinite(v) for v in backward_calls)
+
+    def test_finite_shards_whose_sum_overflows_raise(self, monkeypatch):
+        # Weights scaled so that each shard's loss is 1e308: finite, while their sum is not.
+        def spoil(params, k, shard):
+            alone = trainer.loss_value(params, trainer.Batch((shard,)), 0.1)
+            return dataclasses.replace(shard, weights=shard.weights * (1e308 / alone))
+
+        backward_calls = self._non_finite_case(monkeypatch, spoil)
+        assert len(backward_calls) == 3 and all(math.isfinite(v) for v in backward_calls)
 
 
 class TestSchedule:
@@ -361,6 +525,16 @@ class TestSchedule:
             lr_at(10, cfg)
         with pytest.raises(ValueError):
             lr_at(-1, cfg)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("every", [0, -2])
+    def test_grad_check_every_below_1_is_refused(self, every):
+        with pytest.raises(ValueError, match="grad_check_every"):
+            TrainConfig(mode="sft", total_steps=4, grad_check_every=every)
+        # None turns the check off; 1 checks every step.
+        for every in (None, 1):
+            assert TrainConfig(mode="sft", total_steps=4, grad_check_every=every).grad_check_every == every
 
 
 class TestTrainLoop:
@@ -423,12 +597,15 @@ class TestTrainLoop:
         # bit for bit, and the full forward's columns lo..hi-1 to 1e-12.
         ref = freeze_reference(init(dataclasses.replace(TRAIN_MODEL_CFG, seed=1)))
         batch = trainer.make_batch(fixture_examples, ref)
-        leaves, (lo, hi) = tinylm.build_leaves(ref), batch.span
-        recorded = tinylm.batched_logprobs(leaves, ref.config, batch.ids, span=batch.span)
-        assert recorded._parents != () and batch.ids.shape[1] > 32 and 0 < lo < hi
-        assert np.array_equal(batch.ref_logprobs, recorded.data)
-        full = tinylm.batched_logprobs(leaves, ref.config, batch.ids).data
-        assert np.max(np.abs(batch.ref_logprobs - full[:, lo:hi])) <= 1e-12
+        leaves = tinylm.build_leaves(ref)
+        assert len(batch.shards) == 2
+        for shard in batch.shards:
+            lo, hi = shard.span
+            recorded = tinylm.batched_logprobs(leaves, ref.config, shard.ids, span=shard.span)
+            assert recorded._parents != () and shard.ids.shape[1] > 32 and 0 < lo < hi
+            assert np.array_equal(shard.ref_logprobs, recorded.data)
+            full = tinylm.batched_logprobs(leaves, ref.config, shard.ids).data
+            assert np.max(np.abs(shard.ref_logprobs - full[:, lo:hi])) <= 1e-12
 
     def test_first_step_ce_matches_single_example_losses(self, fixture_examples):
         # The batched graph must agree with the per-example op.
