@@ -181,11 +181,12 @@ class HttpLlmBackend:
     @staticmethod
     def _parse(resp: requests.Response) -> ChatResponse:
         try:
-            body = resp.json()
-            choice = body["choices"][0]
-            return ChatResponse(content=choice["message"]["content"])
+            content = resp.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendError(f"malformed completion response: message content is {content!r}")
+        return ChatResponse(content=content)
 
 
 # The marker the mock's questions carry and its answers read back.

@@ -9,6 +9,8 @@ from .errors import SchemaViolation
 
 
 def check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
+    if not isinstance(rec, dict):
+        raise SchemaViolation(f"{where}: record must be a JSON object, got {json.dumps(rec, default=repr)}")
     keys, want = set(rec), set(schema)
     if keys != want:
         missing = sorted(want - keys)

@@ -162,13 +162,6 @@ def freeze_reference(params: Parameters) -> Parameters:
     return frozen
 
 
-@dataclass(frozen=True)
-class ForwardOutput:
-    """Per-position next-token log-distributions, shape [T, vocab]."""
-
-    logprobs: np.ndarray
-
-
 def build_leaves(params: Parameters, const: bool = False) -> dict[str, Tensor]:
     """Wrap every named parameter view as a graph leaf (``const``: no gradient, no graph)."""
     return {name: Tensor(view, const=const) for name, view in params.views().items()}
@@ -253,11 +246,10 @@ def _split_heads(x: Tensor, b: int, t: int, heads: int, head_dim: int) -> Tensor
     return tape.swapaxes(tape.reshape(x, (b, t, heads, head_dim)), 1, 2)
 
 
-def forward(params: Parameters, ids) -> ForwardOutput:
-    """Next-token log-distributions for one sequence (len <= context)."""
+def forward(params: Parameters, ids) -> np.ndarray:
+    """Next-token log-distributions [T, vocab] for one sequence (len <= context), with no graph."""
     ids = np.asarray(list(ids), dtype=np.int64)
-    node = batched_logprobs(build_leaves(params), params.config, ids[None, :])
-    return ForwardOutput(logprobs=node.data[0].copy())
+    return batched_logprobs(build_leaves(params, const=True), params.config, ids[None, :]).data[0]
 
 
 def collect_flat_grad(params: Parameters, leaves: dict[str, Tensor]) -> np.ndarray:

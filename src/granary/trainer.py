@@ -10,10 +10,10 @@ throughout.
 ``loss_nsc_sft`` and ``kl_term`` are per-example references for tests
 and the benchmark's checks. Training, the CLI's gradient check and the
 tests share one batched path: ``make_batch``
-builds a run's batch once, in shards of ``_SHARD_ROWS`` rows, and
-``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted KL on it
-(plain CE for cpt, sft and λ=0), one thread per shard, adding the
-shards' results in shard order.
+returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` rows,
+and ``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted KL
+on it (plain CE for cpt, sft and λ=0) through one shard runner, one
+thread per shard, adding the shards' results in shard order.
 
 The loop is plain gradient descent, the only update rule, under a cosine
 schedule with linear warmup; every step records the loss breakdown and
@@ -105,12 +105,8 @@ class TrainReport:
         }
 
 
-def step_to_record(r: StepRecord) -> dict:
-    return dict(vars(r))
-
-
 def write_report(report: TrainReport, jsonl_path: str | Path, summary_path: str | Path) -> None:
-    write_jsonl(jsonl_path, [step_to_record(r) for r in report.records])
+    write_jsonl(jsonl_path, [dict(vars(r)) for r in report.records])
     Path(summary_path).write_text(
         json.dumps(report.summary(), indent=2) + "\n", encoding="utf-8"
     )
@@ -168,8 +164,8 @@ def loss_nsc_sft(
     targets = _target_positions(ex)
     if targets.size == 0:
         raise EmptyMask("no supervised positions after the first token")
-    cur = tinylm.forward(params, ids).logprobs
-    ref = tinylm.forward(ref_params, ids).logprobs
+    cur = tinylm.forward(params, ids)
+    ref = tinylm.forward(ref_params, ids)
     ce = float(-np.mean(cur[targets - 1, ids[targets]]))
     position_mask = np.zeros(ids.size, dtype=bool)
     position_mask[targets - 1] = True
@@ -225,19 +221,6 @@ class Shard:
     ref_logprobs: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A run's padded rows and averaging weights for the batched NSC-SFT loss.
-
-    The rows, in the order ``make_batch`` was given them, are cut into
-    ``shards`` of ``_SHARD_ROWS`` rows (the last may hold fewer). Weights
-    carry the whole batch's normalisation, so the batch loss and gradient
-    are the sums of the shards'.
-    """
-
-    shards: tuple[Shard, ...]
-
-
 def _workers(items: tuple) -> int:
     """One thread per item, up to the CPUs this process may run on."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -262,8 +245,8 @@ def _shard(rows: list[tuple[np.ndarray, np.ndarray, float]], ref_params: Paramet
     return Shard(ids, (lo, hi), targets[:, lo:hi], weights[:, lo:hi], ref_logprobs)
 
 
-def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
-    """One batch from TokenizedExamples (sft) or PackedSequences (cpt).
+def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard, ...]:
+    """One batch's shards from TokenizedExamples (sft) or PackedSequences (cpt).
 
     An example is one row; each of its supervised positions i >= 1 weighs
     1/(count * n) at i - 1, so every example counts equally. A pack gives
@@ -271,7 +254,9 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
     positions * n): packing sets only the cpt weighting, never which
     tokens attend to which, and a pack's segments may fall in different
     shards. Rows keep the items' order and are cut into shards of
-    ``_SHARD_ROWS``. The reference forward runs here, once per shard on
+    ``_SHARD_ROWS`` (the last may hold fewer); weights carry the whole
+    batch's normalisation, so the batch loss and gradient are the sums of
+    the shards'. The reference forward runs here, once per shard on
     the ``fan_out`` threads, when ``ref_params`` is given, over ``const``
     leaves, so it records no graph; like the loss, it scores each shard's
     weighted span only.
@@ -295,68 +280,59 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> Batch:
             rows.append((row, positions, 1.0 / (positions.size * n)))
 
     chunks = tuple(rows[i : i + _SHARD_ROWS] for i in range(0, len(rows), _SHARD_ROWS))
-    return Batch(tuple(fan_out(lambda chunk: _shard(chunk, ref_params), chunks, _workers(chunks))))
+    return tuple(fan_out(lambda chunk: _shard(chunk, ref_params), chunks, _workers(chunks)))
 
 
-def _shard_loss(params: Parameters, shard: Shard, kl_weight: float):
-    leaves = tinylm.build_leaves(params)
-    logprobs = tinylm.batched_logprobs(leaves, params.config, shard.ids, span=shard.span)
-    total, ce, kl = tape.ce_kl_loss(
-        logprobs, shard.targets, shard.weights, shard.ref_logprobs, kl_weight
-    )
-    return leaves, total, LossBreakdown(ce=ce, kl=kl, total=float(total.data))
+def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float, backward: bool):
+    """The shards' losses added in shard order, and each shard's leaves.
 
+    Each shard runs its forward and loss on a ``fan_out`` thread, one per
+    shard up to the CPUs the process may use (inline for one shard). With
+    ``backward``, a shard whose loss is finite then runs its backward, and
+    its leaves hold the shard's gradient; otherwise the leaves are None
+    and the forward records no graph.
+    """
 
-def _summed(parts: list[LossBreakdown]) -> LossBreakdown:
-    """The shards' losses added in shard order."""
+    def run(shard: Shard):
+        leaves = tinylm.build_leaves(params, const=not backward)
+        logprobs = tinylm.batched_logprobs(leaves, params.config, shard.ids, span=shard.span)
+        total, ce, kl = tape.ce_kl_loss(logprobs, shard.targets, shard.weights, shard.ref_logprobs, kl_weight)
+        value = float(total.data)
+        if not (backward and math.isfinite(value)):
+            return ce, kl, value, None
+        tape.backward(total)
+        return ce, kl, value, leaves
+
+    results = list(fan_out(run, shards, _workers(shards)))
     ce = kl = total = 0.0
-    for part in parts:
-        ce += part.ce
-        kl += part.kl
-        total += part.total
-    return LossBreakdown(ce=ce, kl=kl, total=total)
+    for part_ce, part_kl, part_total, _ in results:
+        ce += part_ce
+        kl += part_kl
+        total += part_total
+    return LossBreakdown(ce=ce, kl=kl, total=total), [leaves for *_, leaves in results]
 
 
-def loss_value(params: Parameters, batch: Batch, kl_weight: float) -> float:
+def loss_value(params: Parameters, batch: tuple[Shard, ...], kl_weight: float) -> float:
     """The batch loss alone, for finite-difference checks (no backward)."""
-    shards = batch.shards
-    parts = fan_out(lambda shard: _shard_loss(params, shard, kl_weight)[2], shards, _workers(shards))
-    return _summed(list(parts)).total
-
-
-def _shard_loss_and_grads(params: Parameters, shard: Shard, kl_weight: float):
-    """One shard's loss and its graph's leaves, holding the shard's gradient
-    (None, with no backward run, when the loss is not finite)."""
-    leaves, total, losses = _shard_loss(params, shard, kl_weight)
-    if not math.isfinite(losses.total):
-        return losses, None
-    tape.backward(total)
-    return losses, leaves
+    return _run_shards(params, batch, kl_weight, backward=False)[0].total
 
 
 def loss_and_grad(
-    params: Parameters, batch: Batch, kl_weight: float
+    params: Parameters, batch: tuple[Shard, ...], kl_weight: float
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Batch loss (kl is 0.0 when off) and its exact flat gradient.
 
-    Each shard runs its forward and backward on a ``fan_out`` thread, one
-    per shard up to the CPUs the process may use (inline for one shard).
-    The shards' losses and per-leaf gradients are then added in shard
-    order, so the result does not depend on the thread count. A shard
-    whose loss is NaN or infinite runs no backward, and NonFiniteLoss is
-    raised, with no gradient, when any shard's loss or their sum is not
-    finite.
+    The shards' losses and per-leaf gradients are added in shard order, so
+    the result does not depend on the thread count. A shard whose loss is
+    NaN or infinite runs no backward, and NonFiniteLoss is raised, with no
+    gradient, when any shard's loss or their sum is not finite.
     """
-    shards = batch.shards
-    results = list(
-        fan_out(lambda shard: _shard_loss_and_grads(params, shard, kl_weight), shards, _workers(shards))
-    )
-    losses = _summed([part for part, _ in results])
+    losses, shard_leaves = _run_shards(params, batch, kl_weight, backward=True)
     # A non-finite shard loss makes the sum non-finite too.
     if not math.isfinite(losses.total):
         raise NonFiniteLoss(f"loss evaluated to {losses.total}")
-    leaves = results[0][1]
-    for _, others in results[1:]:
+    leaves = shard_leaves[0]
+    for others in shard_leaves[1:]:
         for name, leaf in leaves.items():
             leaf.grad = leaf.grad + others[name].grad
     return losses, tinylm.collect_flat_grad(params, leaves)

@@ -70,17 +70,3 @@ def minibook_nodes(minibook_doc):
 @pytest.fixture(scope="session")
 def fixture_examples():
     return build_fixture_examples()
-
-
-def central_difference(value_fn, params, index: int, h: float = 1e-4) -> float:
-    """Independent two-sided difference oracle for one coordinate."""
-    plus = params.copy()
-    plus.flat[index] += h
-    minus = params.copy()
-    minus.flat[index] -= h
-    return (value_fn(plus) - value_fn(minus)) / (2.0 * h)
-
-
-@pytest.fixture
-def fd_oracle():
-    return central_difference

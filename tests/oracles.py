@@ -16,7 +16,9 @@ section tree, so the tests can check that parsing is lossless.
 ``RecordingBackend`` keeps the requests a backend was sent and its
 replies, and digests that traffic. ``loss_sft``
 and ``loss_cpt`` are the per-example training losses computed with one
-``tinylm.forward`` per example or pack segment.
+``tinylm.forward`` per example or pack segment. ``central_differences``
+is the tests' one finite-difference oracle, and ``max_rel_err`` the
+relative error every gradient test compares it with.
 """
 
 import hashlib
@@ -106,7 +108,7 @@ def loss_sft(params, ex) -> float:
     targets = np.nonzero(np.asarray(ex.loss_mask, dtype=bool)[1:])[0] + 1
     if targets.size == 0:
         raise EmptyMask("no supervised positions after the first token")
-    logprobs = tinylm.forward(params, ids).logprobs
+    logprobs = tinylm.forward(params, ids)
     return float(-np.mean(logprobs[targets - 1, ids[targets]]))
 
 
@@ -118,7 +120,7 @@ def loss_cpt(params, packed) -> float:
         ids = np.asarray(packed.ids[seg.offset : seg.offset + seg.length], dtype=np.int64)
         if ids.size < 2:
             continue
-        logprobs = tinylm.forward(params, ids).logprobs
+        logprobs = tinylm.forward(params, ids)
         total += float(-np.sum(logprobs[np.arange(ids.size - 1), ids[1:]]))
         count += ids.size - 1
     return total / count if count else 0.0
@@ -131,12 +133,39 @@ def greedy_decode_reference(params, prompt_ids, max_new_tokens, stop_at_eos=True
     generated = []
     for _ in range(max_new_tokens):
         out = tinylm.forward(params, ids[-w:])
-        next_id = int(np.argmax(out.logprobs[-1]))
+        next_id = int(np.argmax(out[-1]))
         ids.append(next_id)
         generated.append(next_id)
         if stop_at_eos and next_id == tinylm.EOS_ID:
             break
     return generated
+
+
+def central_differences(value, flat: np.ndarray, coords, h: float = 1e-4) -> np.ndarray:
+    """(value() at +h - value() at -h) / 2h at each index of ``coords`` into ``flat``.
+
+    ``value`` reads ``flat`` itself or a view of it (``Parameters.flat``, a
+    tensor's data): each entry is moved in place and restored before the
+    next, so ``flat`` ends as it began.
+    """
+    fds = []
+    for idx in coords:
+        saved = flat[idx]
+        flat[idx] = saved + h
+        up = value()
+        flat[idx] = saved - h
+        down = value()
+        flat[idx] = saved
+        fds.append((up - down) / (2.0 * h))
+    return np.array(fds)
+
+
+def max_rel_err(fd, analytic) -> float:
+    """Worst |fd - analytic| / max(|fd|, |analytic|, 1e-6); the floor compares
+    near-zero gradients on an absolute scale, as ``tinylm.gradient_check`` does."""
+    fd, analytic = np.asarray(fd, dtype=np.float64), np.asarray(analytic, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
+    return float(np.max(np.abs(fd - analytic) / denom, initial=0.0))
 
 
 def task_ordinal_reference(node_ids, n_samples, node_prefix, sample_idx):

@@ -242,3 +242,10 @@ class TestHttpBackend:
         _Script.script = [(200, {"weird": True})]
         with pytest.raises(BackendError, match="malformed"):
             _backend(scripted_server).complete(_plain_request())
+
+    @pytest.mark.parametrize("content", [None, 5, ["text"]])
+    def test_non_string_content_raises(self, scripted_server, content):
+        _Script.script = [(200, _ok_payload(content))]
+        with pytest.raises(BackendError, match=r"^malformed completion response: message content is "):
+            _backend(scripted_server).complete(_plain_request())
+        assert len(_Script.seen) == 1

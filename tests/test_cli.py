@@ -149,6 +149,17 @@ class TestDistill:
         assert str(workdir / "journal.jsonl") in capsys.readouterr().err
         assert not (workdir / "qtsa.jsonl").exists()
 
+    @pytest.mark.parametrize("line", ["5", "null", '["node_id"]'])
+    def test_non_object_nodes_line_exits_1(self, pipeline, capsys, line):
+        config, workdir, stage = pipeline
+        stage("ingest")
+        with (workdir / "nodes.jsonl").open("a") as fh:
+            fh.write(line + "\n")
+        assert run("distill", "--config", str(config)) == 1
+        want = f"error: {workdir / 'nodes.jsonl'}:7: record must be a JSON object, got {line}\n"
+        assert capsys.readouterr().err == want
+        assert not (workdir / "qtsa.jsonl").exists()
+
     def test_requires_ingest_first(self, pipeline):
         config, workdir, stage = pipeline
         code, _ = stage("distill")

@@ -4,13 +4,14 @@ import dataclasses
 import hashlib
 import json
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granary import prompts
-from granary.backend import ChatResponse, MockLlmBackend
+from granary.backend import ChatResponse, HttpLlmBackend, MockLlmBackend
 from granary.corpus import LearningNode
 from granary.distiller import (
     DANGLING_PATTERNS,
@@ -54,6 +55,13 @@ class StubBackend:
         if self.error is not None:
             raise self.error
         return ChatResponse(content=self.content)
+
+
+class NullContentSession:
+    """An HTTP session whose every completion carries ``"content": null``."""
+
+    def post(self, url, **kwargs):
+        return types.SimpleNamespace(status_code=200, json=lambda: {"choices": [{"message": {"content": None}}]})
 
 
 class TestParseSpans:
@@ -362,6 +370,11 @@ class TestDistillCorpus:
             for k in range(2)
         ]
 
+    def test_null_completion_content_rejects_the_task(self):
+        backend = HttpLlmBackend(base_url="http://127.0.0.1:9/v1", model="m", session=NullContentSession())
+        entries = distill_corpus([make_node()], DistillConfig(n_samples=2), backend)
+        assert [e.reject_reason for e in entries] == ["backend_failure", "backend_failure"]
+
     def test_determinism_across_runs(self, minibook_nodes):
         cfg = DistillConfig(n_samples=5)
         first = distill_corpus(minibook_nodes, cfg, self._mock(minibook_nodes))
@@ -557,3 +570,8 @@ class TestEntryIO:
     def test_bad_record_rejected(self):
         with pytest.raises(SchemaViolation):
             entry_from_record({"entry_id": "x"})
+
+    @pytest.mark.parametrize("rec", [5, None, "text", ["entry_id"]])
+    def test_non_object_record_rejected(self, rec):
+        with pytest.raises(SchemaViolation, match="^qtsa record: record must be a JSON object"):
+            entry_from_record(rec)

@@ -93,12 +93,12 @@ class TestInit:
 class TestForward:
     def test_distributions_normalized(self):
         out = forward(init(ModelConfig(seed=1)), TOK.encode("normalize me please"))
-        sums = np.exp(out.logprobs).sum(axis=-1)
+        sums = np.exp(out).sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) <= 1e-6)
 
     def test_zero_init_is_exactly_uniform(self):
         out = forward(init(ModelConfig(init_std=0.0)), [1, 2, 3, 4])
-        assert np.all(out.logprobs == -math.log(259))
+        assert np.all(out == -math.log(259))
 
     def test_causality_bit_exact(self):
         params = init(ModelConfig(seed=2))
@@ -106,8 +106,8 @@ class TestForward:
         j = 9
         perturbed = list(ids)
         perturbed[j] = (perturbed[j] + 1) % 256
-        base = forward(params, ids).logprobs
-        changed = forward(params, perturbed).logprobs
+        base = forward(params, ids)
+        changed = forward(params, perturbed)
         assert np.array_equal(base[:j], changed[:j])
         assert not np.array_equal(base[j:], changed[j:])
 
@@ -127,11 +127,11 @@ class TestForward:
     def test_forward_deterministic(self):
         params = init(ModelConfig(seed=3))
         ids = TOK.encode("twice")
-        assert np.array_equal(forward(params, ids).logprobs, forward(params, ids).logprobs)
+        assert np.array_equal(forward(params, ids), forward(params, ids))
 
 
 class TestGrad:
-    def test_finite_differences_agree(self, fd_oracle):
+    def test_finite_differences_agree(self):
         cfg = ModelConfig(seed=0)
         params = init(cfg)
         ref = init(ModelConfig(seed=50))
@@ -139,16 +139,9 @@ class TestGrad:
         mask = [False] * 8 + [True] * (len(ids) - 8)
         batch = trainer.make_batch([TokenizedExample(input_ids=ids, loss_mask=mask)], ref)
         _, analytic = trainer.loss_and_grad(params, batch, 0.1)
-
-        def value_fn(p):
-            return trainer.loss_value(p, batch, 0.1)
-
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for idx in rng.choice(params.count, size=200, replace=False):
-            fd = fd_oracle(value_fn, params, int(idx))
-            worst = max(worst, abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), 1e-6))
-        assert worst <= 1e-4
+        coords = np.random.default_rng(0).choice(params.count, size=200, replace=False)
+        fd = oracles.central_differences(lambda: trainer.loss_value(params, batch, 0.1), params.flat, coords)
+        assert oracles.max_rel_err(fd, analytic[coords]) <= 1e-4
 
     def test_unused_pad_embedding_gets_zero_gradient(self):
         params = init(ModelConfig(seed=1))
@@ -165,7 +158,7 @@ class TestGrad:
                 assert np.any(gradient[offset : offset + size] != 0.0)
             offset += size
 
-    def test_kl_gradient_vanishes_at_reference(self, fd_oracle):
+    def test_kl_gradient_vanishes_at_reference(self):
         cfg = ModelConfig(seed=6)
         params = init(cfg)
         ref = freeze_reference(params)
@@ -175,16 +168,14 @@ class TestGrad:
         without_kl = trainer.loss_and_grad(params, batch, 0.0)[1]
         assert np.max(np.abs(with_kl - without_kl)) <= 1e-10
 
-        ref_lp = forward(ref, ids).logprobs
+        ref_lp = forward(ref, ids)
 
-        def value_fn(p):
-            cur = forward(p, ids).logprobs
-            p_arr = np.exp(cur)
-            return float(0.1 * np.sum(p_arr * (cur - ref_lp)) / len(ids))
+        def value():
+            cur = forward(params, ids)
+            return float(0.1 * np.sum(np.exp(cur) * (cur - ref_lp)) / len(ids))
 
-        rng = np.random.default_rng(1)
-        for idx in rng.choice(params.count, size=20, replace=False):
-            assert abs(fd_oracle(value_fn, params, int(idx))) <= 1e-6
+        coords = np.random.default_rng(1).choice(params.count, size=20, replace=False)
+        assert np.all(np.abs(oracles.central_differences(value, params.flat, coords)) <= 1e-6)
 
     def test_backward_keeps_gradients_on_leaves_only(self):
         a = tape.Tensor(np.array([1.0, 2.0]))
@@ -208,35 +199,23 @@ class TestGrad:
         assert backward_calls == []
 
 
-def _fd_max_rel_err(build, inputs, n_coords=40, h=1e-4, seed=0):
-    """Worst relative error of ``build``'s VJP against central differences.
+def _vjp_max_rel_err(build, inputs, n_coords=40, seed=0):
+    """Worst relative error of ``build``'s VJP against ``oracles.central_differences``.
 
     ``build(*inputs)`` returns a tensor; a fixed random projection turns
-    it into a scalar. Up to ``n_coords`` entries of every input are
-    perturbed by +/- h (error floored at 1e-6 like tinylm.gradient_check).
+    it into a scalar. Up to ``n_coords`` entries of every input are checked.
     """
     rng = np.random.default_rng(seed)
     out = build(*inputs)
     weights = rng.normal(size=out.data.shape)
     tape.backward(tape.sumdim(out * weights))
-
-    def value() -> float:
-        return float(np.sum(build(*inputs).data * weights))
-
     worst = 0.0
     for tensor in inputs:
         assert tensor.grad is not None
         flat = tensor.data.reshape(-1)
-        for idx in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
-            saved = flat[idx]
-            flat[idx] = saved + h
-            up = value()
-            flat[idx] = saved - h
-            down = value()
-            flat[idx] = saved
-            fd = (up - down) / (2.0 * h)
-            analytic = tensor.grad.reshape(-1)[idx]
-            worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6))
+        coords = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
+        fd = oracles.central_differences(lambda: float(np.sum(build(*inputs).data * weights)), flat, coords)
+        worst = max(worst, oracles.max_rel_err(fd, tensor.grad.reshape(-1)[coords]))
     return worst
 
 
@@ -272,7 +251,7 @@ class TestFusedOps:
     @pytest.mark.parametrize("lead, rows, offset", ATTENTION_CASES, ids=ATTENTION_IDS)
     def test_causal_attention_vjp(self, lead, rows, offset):
         q, k, v = _attention_inputs(np.random.default_rng(rows + offset), lead, rows, offset)
-        err = _fd_max_rel_err(lambda a, b, c: tape.causal_attention(a, b, c, 0.35, offset), [q, k, v])
+        err = _vjp_max_rel_err(lambda a, b, c: tape.causal_attention(a, b, c, 0.35, offset), [q, k, v])
         assert err <= 1e-4
 
     @pytest.mark.parametrize("rows, offset", [(20, 0), (64, 0), (246, 0), (40, 35)])
@@ -292,23 +271,23 @@ class TestFusedOps:
 
     def test_slice_rows_vjp(self):
         x = tape.Tensor(np.random.default_rng(10).normal(size=(2, 3, 7, 4)))
-        assert _fd_max_rel_err(lambda a: tape.slice_rows(a, 2, 5), [x]) <= 1e-4
+        assert _vjp_max_rel_err(lambda a: tape.slice_rows(a, 2, 5), [x]) <= 1e-4
 
     def test_log_softmax_vjp(self):
         x = tape.Tensor(np.random.default_rng(2).normal(0.0, 2.0, size=(3, 4, 13)))
-        assert _fd_max_rel_err(tape.log_softmax, [x]) <= 1e-4
+        assert _vjp_max_rel_err(tape.log_softmax, [x]) <= 1e-4
 
     def test_layer_norm_vjp(self):
         rng = np.random.default_rng(3)
         x = tape.Tensor(rng.normal(0.5, 2.0, size=(3, 4, 6)))
         scale = tape.Tensor(rng.normal(1.0, 0.3, size=6))
         bias = tape.Tensor(rng.normal(0.0, 0.3, size=6))
-        err = _fd_max_rel_err(lambda a, s, b: tape.layer_norm(a, s, b, 1e-5), [x, scale, bias])
+        err = _vjp_max_rel_err(lambda a, s, b: tape.layer_norm(a, s, b, 1e-5), [x, scale, bias])
         assert err <= 1e-4
 
     def test_gelu_vjp(self):
         x = tape.Tensor(np.random.default_rng(4).normal(0.0, 2.0, size=(3, 4, 8)))
-        assert _fd_max_rel_err(tape.gelu, [x]) <= 1e-4
+        assert _vjp_max_rel_err(tape.gelu, [x]) <= 1e-4
 
     @pytest.mark.parametrize("kl_weight", [0.0, 0.3])
     def test_ce_kl_loss_vjp(self, kl_weight):
@@ -317,7 +296,7 @@ class TestFusedOps:
         def build(lp):
             return tape.ce_kl_loss(lp, targets, weights, ref, kl_weight)[0]
 
-        assert _fd_max_rel_err(build, [tape.Tensor(logprobs)]) <= 1e-4
+        assert _vjp_max_rel_err(build, [tape.Tensor(logprobs)]) <= 1e-4
 
     def test_forwards_match_compositions(self):
         rng = np.random.default_rng(6)
@@ -542,8 +521,8 @@ class TestFreeze:
         params = init(ModelConfig(seed=9))
         frozen = freeze_reference(params)
         ids = TOK.encode("same model twice")
-        cur = forward(params, ids).logprobs
-        ref = forward(frozen, ids).logprobs
+        cur = forward(params, ids)
+        ref = forward(frozen, ids)
         assert trainer.kl_term(cur, ref, np.ones(len(ids), dtype=bool)) == 0.0
 
 

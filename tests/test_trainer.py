@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import TRAIN_MODEL_CFG, central_difference
+from conftest import TRAIN_MODEL_CFG
 from oracles import loss_cpt, loss_sft
 from granary import tape, tinylm, trainer
 from granary.dataset import PackedSequence, TokenizedExample, chunk_tokenized, pack_cpt_texts, pack_sequences, tokenize_cpt
@@ -104,7 +104,7 @@ class TestLossSft:
     def test_matches_masked_oracle(self):
         params = init(ModelConfig(seed=3))
         ex = sft_example("oracle comparison text")
-        logprobs = tinylm.forward(params, ex.input_ids).logprobs
+        logprobs = tinylm.forward(params, ex.input_ids)
         # Independent per-position recomputation with a plain loop.
         contributions = []
         for i, masked in enumerate(ex.loss_mask):
@@ -115,7 +115,7 @@ class TestLossSft:
     def test_only_masked_positions_contribute(self):
         params = init(ModelConfig(seed=3))
         ex = sft_example("oracle comparison text", prompt_len=12)
-        logprobs = tinylm.forward(params, ex.input_ids).logprobs
+        logprobs = tinylm.forward(params, ex.input_ids)
         oracle = np.mean(
             [-logprobs[i - 1, ex.input_ids[i]] for i in range(12, len(ex.input_ids))]
         )
@@ -147,7 +147,7 @@ class TestLossCpt:
         other = TokenizedExample(input_ids=[BOS_ID, 66, 67], loss_mask=[True] * 3)
         pack = pack_sequences([single, other], 16)[0]
         params = init(ModelConfig(seed=1))
-        lp = tinylm.forward(params, [BOS_ID, 66, 67]).logprobs
+        lp = tinylm.forward(params, [BOS_ID, 66, 67])
         oracle = -(lp[0, 66] + lp[1, 67]) / 2
         assert loss_cpt(params, pack) == pytest.approx(oracle, abs=1e-10)
 
@@ -157,7 +157,7 @@ class TestLossCpt:
         total, count = 0.0, 0
         for seg in pack.segments:
             ids = pack.ids[seg.offset : seg.offset + seg.length]
-            lp = tinylm.forward(params, ids).logprobs
+            lp = tinylm.forward(params, ids)
             for i in range(1, len(ids)):
                 total += -lp[i - 1, ids[i]]
                 count += 1
@@ -241,8 +241,8 @@ class TestLossNscSft:
         ce_oracle = loss_sft(params, ex)
         ids = np.asarray(ex.input_ids)
         targets = np.nonzero(np.asarray(ex.loss_mask, bool)[1:])[0] + 1
-        cur = tinylm.forward(params, ids).logprobs
-        rlp = tinylm.forward(ref, ids).logprobs
+        cur = tinylm.forward(params, ids)
+        rlp = tinylm.forward(ref, ids)
         mask = np.zeros(ids.size, dtype=bool)
         mask[targets - 1] = True
         kl_oracle = kl_term(cur, rlp, mask)
@@ -276,7 +276,7 @@ class TestWeightedSpan:
     def test_matches_full_position_oracle(self, kind):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(span_batch_items(kind), ref)
-        (shard,) = batch.shards  # a few rows: one shard
+        (shard,) = batch  # a few rows: one shard
         lo, hi = shard.span
         b = shard.ids.shape[0]
         assert shard.ids.shape[1] == max(hi, 1)
@@ -316,15 +316,9 @@ class TestWeightedSpan:
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(span_batch_items("ragged"), ref)
         _, analytic = trainer.loss_and_grad(params, batch, 0.1)
-
-        def value_fn(p):
-            return trainer.loss_value(p, batch, 0.1)
-
-        worst = 0.0
-        for idx in np.random.default_rng(0).choice(params.count, size=60, replace=False):
-            fd = central_difference(value_fn, params, int(idx))
-            worst = max(worst, abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), 1e-6))
-        assert worst <= 1e-4
+        coords = np.random.default_rng(0).choice(params.count, size=60, replace=False)
+        fd = oracles.central_differences(lambda: trainer.loss_value(params, batch, 0.1), params.flat, coords)
+        assert oracles.max_rel_err(fd, analytic[coords]) <= 1e-4
 
     @pytest.mark.parametrize("span", [(-1, 2), (3, 2), (0, 9)])
     def test_span_outside_the_columns_is_refused(self, span):
@@ -384,9 +378,9 @@ class TestShards:
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(items, ref)
         ids, targets, weights = full_batch(items)
-        sizes = [shard.ids.shape[0] for shard in batch.shards]
+        sizes = [shard.ids.shape[0] for shard in batch]
         assert sizes == [8] * (len(ids) // 8) + ([len(ids) % 8] if len(ids) % 8 else [])
-        assert len(batch.shards) >= 2
+        assert len(batch) >= 2
 
         leaves = tinylm.build_leaves(params)
         full = oracles.batched_logprobs(leaves, SPAN_CFG, ids)
@@ -397,7 +391,7 @@ class TestShards:
 
         # Each shard holds its rows' weighted columns, in the items' order,
         # and drops no weight; its forward matches the whole batch's there.
-        for k, shard in enumerate(batch.shards):
+        for k, shard in enumerate(batch):
             rows = slice(8 * k, 8 * k + shard.ids.shape[0])
             lo, hi = shard.span
             assert np.array_equal(shard.ids, ids[rows, : max(hi, 1)])
@@ -420,23 +414,17 @@ class TestShards:
         if kind == "cpt_straddle":
             assert [len(p.segments) for p in items][6] == 3 and sum(len(p.segments) for p in items[:6]) == 7
         if kind == "zero_weight_shard":
-            first = batch.shards[0]
+            first = batch[0]
             assert first.span == (0, 0) and first.ids.shape == (8, 1) and not weights[:8].any()
 
     def test_finite_differences_agree_on_a_multi_shard_batch(self):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
-        assert len(batch.shards) == 3
+        assert len(batch) == 3
         _, analytic = trainer.loss_and_grad(params, batch, 0.1)
-
-        def value_fn(p):
-            return trainer.loss_value(p, batch, 0.1)
-
-        worst = 0.0
-        for idx in np.random.default_rng(1).choice(params.count, size=60, replace=False):
-            fd = central_difference(value_fn, params, int(idx))
-            worst = max(worst, abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), 1e-6))
-        assert worst <= 1e-4
+        coords = np.random.default_rng(1).choice(params.count, size=60, replace=False)
+        fd = oracles.central_differences(lambda: trainer.loss_value(params, batch, 0.1), params.flat, coords)
+        assert oracles.max_rel_err(fd, analytic[coords]) <= 1e-4
 
     def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
         # Three workers on 3 shards, with thread switches forced often.
@@ -450,7 +438,7 @@ class TestShards:
                 monkeypatch.setattr(trainer, "_workers", lambda shards, workers=workers: workers)
                 batch = trainer.make_batch(items, ref)
                 losses, grad = trainer.loss_and_grad(params, batch, 0.1)
-                results.append((losses, grad.tobytes(), [s.ref_logprobs.tobytes() for s in batch.shards]))
+                results.append((losses, grad.tobytes(), [s.ref_logprobs.tobytes() for s in batch]))
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
@@ -458,7 +446,7 @@ class TestShards:
     def _non_finite_case(self, monkeypatch, spoil):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
-        batch = trainer.Batch(tuple(spoil(params, k, shard) for k, shard in enumerate(batch.shards)))
+        batch = tuple(spoil(params, k, shard) for k, shard in enumerate(batch))
         backward = tape.backward
         backward_calls = []
 
@@ -471,22 +459,35 @@ class TestShards:
             trainer.loss_and_grad(params, batch, 0.1)
         return backward_calls
 
-    def test_a_non_finite_shard_runs_no_backward(self, monkeypatch):
-        # A -inf reference log-probability in shard 1 makes its KL infinite.
-        def spoil(params, k, shard):
-            if k != 1:
-                return shard
-            ref_logprobs = shard.ref_logprobs.copy()
-            ref_logprobs[0, 0, 0] = -np.inf
-            return dataclasses.replace(shard, ref_logprobs=ref_logprobs)
+    @staticmethod
+    def _spoil_shard_1(params, k, shard):
+        """A -inf reference log-probability in shard 1, which makes its KL infinite."""
+        if k != 1:
+            return shard
+        ref_logprobs = shard.ref_logprobs.copy()
+        ref_logprobs[0, 0, 0] = -np.inf
+        return dataclasses.replace(shard, ref_logprobs=ref_logprobs)
 
-        backward_calls = self._non_finite_case(monkeypatch, spoil)
+    def test_a_non_finite_shard_runs_no_backward(self, monkeypatch):
+        backward_calls = self._non_finite_case(monkeypatch, self._spoil_shard_1)
         assert len(backward_calls) == 2 and all(math.isfinite(v) for v in backward_calls)
+
+    def test_loss_value_runs_no_backward_and_returns_a_non_finite_sum(self, monkeypatch):
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
+        want = trainer.loss_and_grad(params, batch, 0.1)[0].total
+        spoiled = tuple(self._spoil_shard_1(params, k, shard) for k, shard in enumerate(batch))
+        backward_calls = []
+        monkeypatch.setattr(tape, "backward", backward_calls.append)
+        assert len(batch) == 3 and trainer.loss_value(params, batch, 0.1) == want
+        with np.errstate(all="ignore"):
+            assert not math.isfinite(trainer.loss_value(params, spoiled, 0.1))
+        assert backward_calls == []
 
     def test_finite_shards_whose_sum_overflows_raise(self, monkeypatch):
         # Weights scaled so that each shard's loss is 1e308: finite, while their sum is not.
         def spoil(params, k, shard):
-            alone = trainer.loss_value(params, trainer.Batch((shard,)), 0.1)
+            alone = trainer.loss_value(params, (shard,), 0.1)
             return dataclasses.replace(shard, weights=shard.weights * (1e308 / alone))
 
         backward_calls = self._non_finite_case(monkeypatch, spoil)
@@ -598,8 +599,8 @@ class TestTrainLoop:
         ref = freeze_reference(init(dataclasses.replace(TRAIN_MODEL_CFG, seed=1)))
         batch = trainer.make_batch(fixture_examples, ref)
         leaves = tinylm.build_leaves(ref)
-        assert len(batch.shards) == 2
-        for shard in batch.shards:
+        assert len(batch) == 2
+        for shard in batch:
             lo, hi = shard.span
             recorded = tinylm.batched_logprobs(leaves, ref.config, shard.ids, span=shard.span)
             assert recorded._parents != () and shard.ids.shape[1] > 32 and 0 < lo < hi
@@ -630,7 +631,7 @@ class TestTrainLoop:
     def test_short_runs_reproduce_pinned_records(self, mode, fixture_examples, minibook_nodes):
         report = pinned_run(mode, fixture_examples, minibook_nodes)
         records, fingerprint = PINNED_RUNS[mode]
-        assert [tuple(trainer.step_to_record(r).values()) for r in report.records] == records
+        assert [tuple(vars(r).values()) for r in report.records] == records
         assert report.final_params.fingerprint() == fingerprint
 
     def test_cpt_lone_one_token_pack_weighs_nothing_but_counts(self):
@@ -658,7 +659,7 @@ class TestTrainLoop:
         assert all(err <= 1e-4 for err in checked)
 
     def test_grad_check_equals_inline_difference_loop(self, fixture_examples, monkeypatch):
-        # fd_max_rel_err must stay byte-identical to this loop: three
+        # fd_max_rel_err must stay byte-identical to the tests' oracle: three
         # coordinates drawn with seed [cfg.seed, step], h = 1e-4, and the
         # denominator floored at 1e-6.
         seen = []
@@ -681,20 +682,11 @@ class TestTrainLoop:
         batch = trainer.make_batch(examples, ref)
         assert len(seen) == len(report.records) == 3
         for record, (params, gradient) in zip(report.records, seen):
-            rng = np.random.default_rng([cfg.seed, record.step])
-            want = 0.0
-            for idx in rng.choice(params.count, size=3, replace=False):
-                idx = int(idx)
-                plus, minus = params.copy(), params.copy()
-                plus.flat[idx] += 1e-4
-                minus.flat[idx] -= 1e-4
-                fd = (
-                    trainer.loss_value(plus, batch, cfg.kl_weight)
-                    - trainer.loss_value(minus, batch, cfg.kl_weight)
-                ) / 2e-4
-                denom = max(abs(fd), abs(gradient[idx]), 1e-6)
-                want = max(want, abs(fd - gradient[idx]) / denom)
-            assert record.fd_max_rel_err == want
+            coords = np.random.default_rng([cfg.seed, record.step]).choice(params.count, size=3, replace=False)
+            fd = oracles.central_differences(
+                lambda: trainer.loss_value(params, batch, cfg.kl_weight), params.flat, coords
+            )
+            assert record.fd_max_rel_err == oracles.max_rel_err(fd, gradient[coords])
 
     def test_non_finite_aborts_with_partial_report(self, fixture_examples):
         params = init(TRAIN_MODEL_CFG)
