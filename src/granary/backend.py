@@ -17,12 +17,13 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from . import prompts
 from .errors import BackendError
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "GRANARY_API_KEY"
 
@@ -111,7 +112,8 @@ class HttpLlmBackend:
     Authentication uses a bearer token from the ``GRANARY_API_KEY``
     environment variable unless an explicit key is given. 429 and 5xx
     responses and connection errors are retried per the policy; other
-    HTTP errors fail immediately.
+    HTTP errors fail immediately. ``requests`` is imported on first use,
+    so a process that never builds this client never loads it.
     """
 
     def __init__(
@@ -142,10 +144,14 @@ class HttpLlmBackend:
         if self._injected_session is not None:
             return self._injected_session
         if not hasattr(self._local, "session"):
+            import requests
+
             self._local.session = requests.Session()
         return self._local.session
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        import requests
+
         payload = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],

@@ -16,7 +16,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, StaleArtifact
+from .errors import ConfigError, SchemaViolation, StaleArtifact
 
 
 @dataclass
@@ -181,10 +181,20 @@ def _manifest_path(workdir: str | Path) -> Path:
 
 
 def load_stage_manifest(workdir: str | Path) -> dict:
+    """The work directory's manifest; SchemaViolation names the file when it is malformed."""
     path = _manifest_path(workdir)
     if not path.exists():
         return {"stages": {}}
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(stages, dict) or not all(
+        isinstance(v, dict) and isinstance(v.get("config_hash"), str) for v in stages.values()
+    ):
+        raise SchemaViolation(f'{path}: must be a JSON object whose "stages" maps each stage to a "config_hash"')
+    return manifest
 
 
 def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:

@@ -228,7 +228,8 @@ def _read_records(path: Path) -> list[dict]:
 
     A final line without its newline is what a crash mid-append leaves;
     it is cut off the file, so the next append starts on a fresh line.
-    A malformed line anywhere else still raises.
+    A malformed line anywhere else raises SchemaViolation naming the file
+    and the line.
     """
     if not path.exists():
         return []
@@ -237,7 +238,14 @@ def _read_records(path: Path) -> list[dict]:
     if end < len(data):
         with path.open("r+b") as fh:
             fh.truncate(end)
-    return [json.loads(line) for line in data[:end].split(b"\n") if line.strip()]
+    records = []
+    for line_no, line in enumerate(data[:end].split(b"\n"), 1):
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                raise SchemaViolation(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    return records
 
 
 class DistillJournal:

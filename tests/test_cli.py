@@ -160,6 +160,16 @@ class TestDistill:
         assert capsys.readouterr().err == want
         assert not (workdir / "qtsa.jsonl").exists()
 
+    def test_malformed_journal_line_names_the_file_and_line(self, pipeline, capsys):
+        config, workdir, stage = pipeline
+        stage("ingest")
+        stage("distill")
+        journal = workdir / "journal.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text(lines[0] + "{not json\n" + "".join(lines[2:]))
+        assert run("distill", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {journal}:2: invalid JSON: ")
+
     def test_requires_ingest_first(self, pipeline):
         config, workdir, stage = pipeline
         code, _ = stage("distill")
@@ -409,6 +419,28 @@ class TestGradcheckAndErrors:
         assert capsys.readouterr().err == "error: manifest entry 'a.md' must be a JSON object\n"
 
     @pytest.mark.parametrize(
+        "text", ["[]", "5", "{}", '{"stages": []}', '{"stages": {"ingest": 1}}', '{"stages": {"ingest": {}}}'],
+        ids=["list", "number", "no-stages", "stages-list", "stage-number", "stage-without-hash"],
+    )
+    def test_non_object_workdir_manifest_exits_1(self, pipeline, capsys, text):
+        config, workdir, stage = pipeline
+        stage("ingest")
+        stage("distill")
+        (workdir / "manifest.json").write_text(text)
+        assert run("build", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workdir / 'manifest.json'}: "), err
+        assert not (workdir / "sft_dataset.jsonl").exists()
+
+    def test_unparsable_workdir_manifest_names_the_file_and_line(self, pipeline, capsys):
+        config, workdir, stage = pipeline
+        stage("ingest")
+        (workdir / "manifest.json").write_text('{\n  "stages": {not json\n')
+        assert run("distill", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {workdir / 'manifest.json'}:2: invalid JSON: ")
+        assert not (workdir / "qtsa.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "header", [b"[1]\n", b'{"format_version": 1, "model_config": {"width": 3}}\n'], ids=["list", "unknown-key"]
     )
     def test_malformed_checkpoint_header_exits_1(self, pipeline, tmp_path, capsys, header):
@@ -523,6 +555,14 @@ class TestBlasThreads:
         env = self._env(OPENBLAS_NUM_THREADS="2")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
         assert out.stdout.strip() == "['2', '1', '1']"
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    # Only the HTTP backend needs an HTTP client, so it imports requests itself.
+    code = "import sys, granary.cli; print('requests' in sys.modules)"
+    env = TestBlasThreads._env()
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 # Config-file values that no flag below produces, so a flag that fails to

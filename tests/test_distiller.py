@@ -542,7 +542,7 @@ class TestDistillCorpus:
         distill_corpus(minibook_nodes[:3], cfg, self._mock(minibook_nodes[:3]))
         lines = journal.read_text().splitlines(keepends=True)
         journal.write_text(lines[0] + lines[1][:10] + "\n" + lines[2])
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(SchemaViolation, match=re.escape(f"{journal}:2: invalid JSON: ")):
             distill_corpus(minibook_nodes[:3], cfg, self._mock(minibook_nodes[:3]))
 
 

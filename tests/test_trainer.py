@@ -1,8 +1,13 @@
 """Losses, the KL term, the schedule, and the training loop."""
 
+import ctypes
 import dataclasses
+import json
 import math
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,3 +707,57 @@ class TestTrainLoop:
         summary = report.summary()
         assert math.isfinite(summary["grad_norm_sq_sum"])
         assert summary["grad_norm_sq_sum"] > 0
+
+
+# Runs in a fresh process: trains 16 rows of 200 tokens (two shards) for two
+# steps, then prints the minor page faults of two more loss_and_grad steps.
+FAULTS_SCRIPT = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from granary import tinylm, trainer
+from granary.dataset import TokenizedExample
+
+examples = [
+    TokenizedExample([(7 * r + 3 * i) % 256 + 3 for i in range(200)], [False] * 40 + [True] * 160)
+    for r in range(16)
+]
+params = tinylm.init(tinylm.ModelConfig(context_window=256, init_std=0.2))
+ref = tinylm.freeze_reference(params)
+trainer.train(trainer.TrainConfig(mode="nsc_sft", total_steps=2, lr_max=1e-2), examples, params, ref)
+batch = trainer.make_batch(examples, ref)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.loss_and_grad(params, batch, 0.1)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+class TestKeepFreedMemory:
+    @pytest.mark.parametrize("failure", [OSError, AttributeError])
+    def test_train_runs_unchanged_when_mallopt_cannot_be_found(
+        self, failure, fixture_examples, minibook_nodes, monkeypatch
+    ):
+        looked_up = []
+
+        def missing(name, *args, **kwargs):
+            looked_up.append(name)
+            raise failure(f"{name}: no mallopt here")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        report = pinned_run("nsc_sft", fixture_examples, minibook_nodes)
+        assert looked_up == ["libc.so.6"]
+        records, fingerprint = PINNED_RUNS["nsc_sft"]
+        assert [tuple(vars(r).values()) for r in report.records] == records
+        assert report.final_params.fingerprint() == fingerprint
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_steps_after_train_fault_in_no_pages(self):
+        # Without the setting each step faults ~17k pages back in at this shape.
+        src = Path(trainer.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", FAULTS_SCRIPT, str(src)], capture_output=True, text=True, check=True, timeout=120
+        )
+        faults = json.loads(done.stdout)
+        assert len(faults) == 2 and max(faults) < 1000, faults
