@@ -10,12 +10,12 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import os
+import queue
 import random
 import re
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
@@ -87,10 +87,14 @@ class RetryPolicy:
 
 
 def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
-    """Yield ``fn(item)`` for each item, in item order: inline at 1, else from a thread pool.
+    """Yield ``fn(item)`` for each item, in item order: inline at 1, else from worker threads.
 
-    A pool thread runs each item in a copy of the caller's ``contextvars``
-    context, so context-local settings such as ``np.errstate`` reach it.
+    Above 1, ``parallelism`` threads each take the next item from one shared
+    iterator and run it in a copy of the caller's ``contextvars`` context,
+    so context-local settings such as ``np.errstate`` reach them. An error
+    from ``fn`` or from ``items`` is raised after every earlier item's
+    result, as at 1. Once the consumer stops or an error is raised, no new
+    item starts, and every thread is joined before the generator returns.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -98,8 +102,56 @@ def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
         yield from map(fn, items)
         return
     context = contextvars.copy_context()
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        yield from pool.map(lambda item: context.copy().run(fn, item), items)
+    source = enumerate(items)
+    lock = threading.Lock()  # guards ``source`` and ``stop``
+    stop = False
+    source_error: BaseException | None = None
+    done: queue.SimpleQueue = queue.SimpleQueue()  # (index, result, error) per item; None as a thread ends
+
+    def work():
+        nonlocal stop, source_error
+        try:
+            while True:
+                with lock:
+                    if stop:
+                        return
+                    try:
+                        index, item = next(source)
+                    except StopIteration:
+                        return
+                    except BaseException as exc:  # re-raised by the consumer after the items before it
+                        stop, source_error = True, exc
+                        return
+                try:
+                    done.put((index, context.copy().run(fn, item), None))
+                except BaseException as exc:  # re-raised by the consumer at this item's turn
+                    done.put((index, None, exc))
+        finally:
+            done.put(None)
+
+    threads = [threading.Thread(target=work) for _ in range(parallelism)]
+    for thread in threads:
+        thread.start()
+    try:
+        ready, running, index = {}, parallelism, 0
+        while running or index in ready:
+            if index in ready:
+                result, error = ready.pop(index)
+                if error is not None:
+                    raise error
+                yield result
+                index += 1
+            elif (message := done.get()) is None:
+                running -= 1
+            else:
+                ready[message[0]] = message[1:]
+        if source_error is not None:
+            raise source_error
+    finally:
+        with lock:
+            stop = True
+        for thread in threads:
+            thread.join()
 
 
 def _stable_digest(text: str) -> int:

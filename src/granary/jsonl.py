@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .errors import SchemaViolation
@@ -22,14 +23,24 @@ def check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
 
 
 def write_jsonl(path: str | Path, records: list[dict], schema: tuple[str, ...] | None = None) -> None:
-    """Write one compact JSON object per line; validates keys when a schema is given."""
+    """Write one compact JSON object per line; validates keys when a schema is given.
+
+    The lines go to a sibling ``.tmp`` file that replaces ``path`` only once
+    every record is written, so a failure leaves the old file as it was.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for i, rec in enumerate(records):
-            if schema is not None:
-                check_keys(rec, schema, f"{path}:{i + 1}")
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for i, rec in enumerate(records):
+                if schema is not None:
+                    check_keys(rec, schema, f"{path}:{i + 1}")
+                fh.write(json.dumps(rec, ensure_ascii=False))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[dict]:

@@ -257,9 +257,9 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard
     ``_SHARD_ROWS`` (the last may hold fewer); weights carry the whole
     batch's normalisation, so the batch loss and gradient are the sums of
     the shards'. The reference forward runs here, once per shard on
-    the ``fan_out`` threads, when ``ref_params`` is given, over ``const``
-    leaves, so it records no graph; like the loss, it scores each shard's
-    weighted span only.
+    ``fan_out``'s worker threads, when ``ref_params`` is given, over
+    ``const`` leaves, so it records no graph; like the loss, it scores
+    each shard's weighted span only.
     """
     n = len(items)
     rows: list[tuple[np.ndarray, np.ndarray, float]] = []  # ids, weighted positions, weight
@@ -286,11 +286,11 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard
 def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float, backward: bool):
     """The shards' losses added in shard order, and each shard's leaves.
 
-    Each shard runs its forward and loss on a ``fan_out`` thread, one per
-    shard up to the CPUs the process may use (inline for one shard). With
-    ``backward``, a shard whose loss is finite then runs its backward, and
-    its leaves hold the shard's gradient; otherwise the leaves are None
-    and the forward records no graph.
+    ``fan_out``'s worker threads, one per shard up to the CPUs the process
+    may use (inline for one shard), each take the next shard and run its
+    forward and loss. With ``backward``, a shard whose loss is finite then
+    runs its backward, and its leaves hold the shard's gradient; otherwise
+    the leaves are None and the forward records no graph.
     """
 
     def run(shard: Shard):

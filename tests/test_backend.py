@@ -3,7 +3,9 @@
 import contextvars
 import json
 import random
+import sys
 import threading
+import time
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -41,7 +43,7 @@ def qrequest(node_id="a" * 16, sample_idx=0, text="some passage text"):
 
 class TestFanOut:
     def test_pool_workers_see_the_callers_errstate(self):
-        # NumPy 2 keeps np.errstate in a context variable, so a pool thread
+        # NumPy 2 keeps np.errstate in a context variable, so a worker thread
         # ignores an overflow only when it runs in a copy of the caller's context.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -56,6 +58,103 @@ class TestFanOut:
             assert list(fan_out(lambda _: var.get(), range(4), 2)) == ["caller"] * 4
         finally:
             var.reset(token)
+
+    @pytest.mark.parametrize("parallelism", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 40], ids=lambda n: f"{n}items")
+    @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+    def test_yields_in_item_order(self, parallelism, n, as_generator):
+        def fn(i):
+            time.sleep(0.001 * ((n - i) % 4))  # later items often finish first
+            return i * i
+
+        items = (i for i in range(n)) if as_generator else list(range(n))
+        assert list(fan_out(fn, items, parallelism)) == [i * i for i in range(n)]
+
+    def test_many_threads_pull_each_item_once(self):
+        # More threads than cores, switching mid-pull: an unguarded shared
+        # generator raises "generator already executing" or loses items.
+        pulled = []
+
+        def items():
+            for i in range(2000):
+                time.sleep(0)
+                pulled.append(i)
+                yield i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(fan_out(lambda i: -i, items(), 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [-i for i in range(2000)]
+        assert pulled == list(range(2000))
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    def test_an_error_comes_after_the_items_before_it(self, parallelism):
+        def fn(i):
+            if i == 5:
+                raise KeyError(i)
+            time.sleep(0.002)  # item 5 fails before the earlier items finish
+            return i
+
+        got = []
+        with pytest.raises(KeyError):
+            for result in fan_out(fn, range(20), parallelism):
+                got.append(result)
+        assert got == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("stop", ["break", "raise"])
+    def test_no_item_starts_after_the_consumer_stops(self, stop):
+        threads_before = threading.active_count()
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i:
+                time.sleep(0.2)  # the consumer stops while these run
+            return i
+
+        def consume():
+            for result in fan_out(fn, range(100), 3):
+                assert result == 0
+                if stop == "raise":
+                    raise RuntimeError("consumer failed")
+                break
+
+        if stop == "raise":
+            with pytest.raises(RuntimeError):
+                consume()
+        else:
+            consume()
+        # Item 0, then at most one slow item per thread; all threads are joined.
+        seen = sorted(started)
+        assert seen == list(range(len(seen))) and len(seen) <= 4
+        assert threading.active_count() == threads_before
+        time.sleep(0.3)
+        assert sorted(started) == seen
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
+    def test_an_input_error_reaches_the_caller(self, parallelism):
+        def items():
+            yield from range(5)
+            raise OSError("input broke")
+
+        got, errors = [], []
+
+        def consume():
+            try:
+                for result in fan_out(lambda i: i, items(), parallelism):
+                    got.append(result)
+            except OSError as exc:
+                errors.append(exc)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=10)
+        assert not consumer.is_alive(), "fan_out hung on an input error"
+        assert got == [0, 1, 2, 3, 4]
+        assert [str(e) for e in errors] == ["input broke"]
 
 
 class TestChatTypes:

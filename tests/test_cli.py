@@ -558,11 +558,12 @@ class TestBlasThreads:
 
 
 def test_importing_the_cli_leaves_requests_unloaded():
-    # Only the HTTP backend needs an HTTP client, so it imports requests itself.
-    code = "import sys, granary.cli; print('requests' in sys.modules)"
+    # Only the HTTP backend needs an HTTP client, so it imports requests itself;
+    # fan_out runs plain threads, so no executor module is loaded either.
+    code = "import sys, granary.cli; print('requests' in sys.modules, 'concurrent.futures' in sys.modules)"
     env = TestBlasThreads._env()
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 # Config-file values that no flag below produces, so a flag that fails to

@@ -232,6 +232,17 @@ class TestIO:
         path.write_text("")
         assert read_jsonl(path, schema=NODE_KEYS) == []
 
+    def test_failed_write_keeps_the_old_file(self, minibook_nodes, tmp_path):
+        # A later stage would read a truncated file as a short but valid one.
+        path = tmp_path / "nodes.jsonl"
+        records = [node_to_record(n) for n in minibook_nodes[:3]]
+        write_jsonl(path, records, schema=NODE_KEYS)
+        before = path.read_bytes()
+        with pytest.raises(SchemaViolation, match=r"nodes\.jsonl:3"):
+            write_jsonl(path, [*records[:2], {"node_id": "x"}], schema=NODE_KEYS)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.jsonl"]
+
     def test_invalid_utf8_rejected(self, tmp_path):
         (tmp_path / "bad.md").write_bytes(b"\xff\xfe broken")
         manifest = tmp_path / "manifest.json"

@@ -390,9 +390,10 @@ class TestDistillCorpus:
         )
         assert sequential == parallel
 
-    def test_kill_and_resume_is_byte_identical(self, minibook_nodes, tmp_path):
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_kill_and_resume_is_byte_identical(self, minibook_nodes, tmp_path, parallelism):
         journal = tmp_path / "journal.jsonl"
-        cfg = DistillConfig(n_samples=5, journal_path=journal)
+        cfg = DistillConfig(n_samples=5, journal_path=journal, parallelism=parallelism)
         uninterrupted = distill_corpus(
             minibook_nodes,
             DistillConfig(n_samples=5),
@@ -401,14 +402,21 @@ class TestDistillCorpus:
         killer = _KillAfter(self._mock(minibook_nodes, malform=10), calls=23)
         with pytest.raises(KeyboardInterrupt):
             distill_corpus(minibook_nodes, cfg, killer)
-        committed = [l for l in journal.read_text().splitlines() if l.strip()]
+        committed = {(r["node_id"], r["sample_idx"]) for r in read_jsonl(journal)}
         assert 0 < len(committed) < 30
 
-        fresh = self._mock(minibook_nodes, malform=10)
+        fresh = RecordingBackend(self._mock(minibook_nodes, malform=10))
         resumed = distill_corpus(minibook_nodes, cfg, fresh)
         assert json.dumps([entry_to_record(e) for e in resumed]) == json.dumps(
             [entry_to_record(e) for e in uninterrupted]
         )
+        asked = [
+            (m[1], int(m[2]))
+            for request in fresh.transcript
+            if (m := prompts.QUESTION_HEADER_RE.search(request.messages[-1].content))
+        ]
+        everything = {(node.node_id, k) for node in minibook_nodes for k in range(5)}
+        assert sorted(asked) == sorted(everything - committed)
 
     def test_resume_never_requeries_completed_pairs(self, minibook_nodes, tmp_path):
         journal = tmp_path / "journal.jsonl"
