@@ -15,7 +15,7 @@ import random
 import re
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
@@ -86,70 +86,54 @@ class RetryPolicy:
         return base * (1.0 + 0.25 * rng.random())
 
 
-def fan_out(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
-    """Yield ``fn(item)`` for each item, in item order: inline at 1, else from worker threads.
+def fan_out(fn: Callable, items: Sequence, parallelism: int) -> Iterator[tuple[int, object]]:
+    """Yield ``(index, fn(items[index]))`` for every index, as each call finishes.
 
-    Above 1, ``parallelism`` threads each take the next item from one shared
-    iterator and run it in a copy of the caller's ``contextvars`` context,
-    so context-local settings such as ``np.errstate`` reach them. An error
-    from ``fn`` or from ``items`` is raised after every earlier item's
-    result, as at 1. Once the consumer stops or an error is raised, no new
-    item starts, and every thread is joined before the generator returns.
+    ``min(parallelism, len(items))`` threads each take the next index and
+    run ``fn`` in a copy of the caller's ``contextvars`` context, so
+    context-local settings such as ``np.errstate`` reach them; at one
+    thread the calls run inline, in item order. An error from ``fn`` is
+    raised as it arrives. Once the consumer stops or an error is raised,
+    no new item starts, and every thread is joined before the generator
+    returns.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if parallelism == 1:
-        yield from map(fn, items)
+    workers = min(parallelism, len(items))
+    if workers <= 1:
+        for index, item in enumerate(items):
+            yield index, fn(item)
         return
     context = contextvars.copy_context()
-    source = enumerate(items)
-    lock = threading.Lock()  # guards ``source`` and ``stop``
-    stop = False
-    source_error: BaseException | None = None
-    done: queue.SimpleQueue = queue.SimpleQueue()  # (index, result, error) per item; None as a thread ends
+    lock = threading.Lock()  # guards ``taken``
+    taken = 0
+    done: queue.SimpleQueue = queue.SimpleQueue()  # (index, result, error) per started item
 
     def work():
-        nonlocal stop, source_error
-        try:
-            while True:
-                with lock:
-                    if stop:
-                        return
-                    try:
-                        index, item = next(source)
-                    except StopIteration:
-                        return
-                    except BaseException as exc:  # re-raised by the consumer after the items before it
-                        stop, source_error = True, exc
-                        return
-                try:
-                    done.put((index, context.copy().run(fn, item), None))
-                except BaseException as exc:  # re-raised by the consumer at this item's turn
-                    done.put((index, None, exc))
-        finally:
-            done.put(None)
+        nonlocal taken
+        while True:
+            with lock:
+                index = taken
+                if index >= len(items):
+                    return
+                taken += 1
+            try:
+                done.put((index, context.copy().run(fn, items[index]), None))
+            except BaseException as exc:  # re-raised by the consumer
+                done.put((index, None, exc))
 
-    threads = [threading.Thread(target=work) for _ in range(parallelism)]
+    threads = [threading.Thread(target=work) for _ in range(workers)]
     for thread in threads:
         thread.start()
     try:
-        ready, running, index = {}, parallelism, 0
-        while running or index in ready:
-            if index in ready:
-                result, error = ready.pop(index)
-                if error is not None:
-                    raise error
-                yield result
-                index += 1
-            elif (message := done.get()) is None:
-                running -= 1
-            else:
-                ready[message[0]] = message[1:]
-        if source_error is not None:
-            raise source_error
+        for _ in range(len(items)):
+            index, result, error = done.get()
+            if error is not None:
+                raise error
+            yield index, result
     finally:
         with lock:
-            stop = True
+            taken = len(items)  # no new item starts
         for thread in threads:
             thread.join()
 

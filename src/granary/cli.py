@@ -27,7 +27,7 @@ from .errors import (
     SchemaViolation,
     StaleArtifact,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import atomic_write, read_jsonl, write_jsonl
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -284,8 +284,8 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         # Local greedy decode stays sequential; parallelism applies to backends.
         responder = evalharness.TinyLmResponder(tinylm.load_checkpoint(checkpoint))
         report = evalharness.grade(items, responder, parallelism=1)
-    report_json = json.dumps(report.to_dict(), indent=2) + "\n"
-    (workdir / "eval_report.json").write_text(report_json, encoding="utf-8")
+    with atomic_write(workdir / "eval_report.json") as fh:
+        fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     print(json.dumps({"accuracy": report.accuracy, "unparsable": report.unparsable}))
     return 0
 

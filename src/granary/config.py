@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, SchemaViolation, StaleArtifact
+from .jsonl import atomic_write
 
 
 @dataclass
@@ -203,9 +204,8 @@ def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
         "config_hash": stage_hash(cfg, stage),
         "outputs": list(STAGES[stage].outputs),
     }
-    _manifest_path(workdir).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(_manifest_path(workdir)) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:

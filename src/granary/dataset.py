@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -148,24 +148,24 @@ def truncate_chat_example(
     if tokenized.length <= max_len:
         return tokenized
 
-    excess = tokenized.length - max_len
     spans = parse_answer_spans(example.assistant)
     if not spans.answer:
         # No tagged structure to preserve; trim the assistant tail.
-        tail_budget = len(example.assistant.encode("utf-8")) - excess
+        tail_budget = len(example.assistant.encode("utf-8")) - (tokenized.length - max_len)
         if tail_budget <= 0:
             raise OversizedExample(f"example of length {tokenized.length} cannot fit {max_len}")
-        trimmed = ChatExample(
-            system=example.system,
-            user=example.user,
-            assistant=_shrink_to_bytes(example.assistant, tail_budget),
-            origin=example.origin,
-        )
+        trimmed = replace(example, assistant=_shrink_to_bytes(example.assistant, tail_budget))
         return tokenize_and_mask(trimmed, tokenizer)
 
+    def rendered(thinking: str, solution: str) -> TokenizedExample:
+        assistant = render_assistant(thinking, solution, spans.answer)
+        return tokenize_and_mask(replace(example, assistant=assistant), tokenizer)
+
+    # The trimmed reply is re-rendered in the canonical template, which can be
+    # longer than a tagged reply in another layout, so the excess is measured there.
+    excess = rendered(spans.thinking, spans.solution).length - max_len
     solution_bytes = len(spans.solution.encode("utf-8"))
     thinking_bytes = len(spans.thinking.encode("utf-8"))
-    new_solution = spans.solution
     new_thinking = spans.thinking
     if excess <= solution_bytes:
         new_solution = _shrink_to_bytes(spans.solution, solution_bytes - excess)
@@ -178,13 +178,7 @@ def truncate_chat_example(
             )
         new_thinking = _shrink_to_bytes(spans.thinking, thinking_bytes - remaining)
 
-    trimmed = ChatExample(
-        system=example.system,
-        user=example.user,
-        assistant=render_assistant(new_thinking, new_solution, spans.answer),
-        origin=example.origin,
-    )
-    result = tokenize_and_mask(trimmed, tokenizer)
+    result = rendered(new_thinking, new_solution)
     if result.length > max_len:
         raise OversizedExample(f"example of length {result.length} cannot fit {max_len}")
     return result

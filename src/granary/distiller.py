@@ -314,7 +314,9 @@ def distill_corpus(
     """Distill every (node, sample) pair, resuming from the journal.
 
     Exactly ``len(nodes) * cfg.n_samples`` entries come back (kept plus
-    rejected), sorted by node order then sample index. Tasks already
+    rejected), sorted by node order then sample index. Each task is
+    journaled from this thread as soon as it finishes, so above
+    ``parallelism`` 1 the journal is in completion order. Tasks already
     committed in the journal are never re-queried. Backend failures reject
     the affected task and the run continues; only journal I/O is fatal.
     """
@@ -327,7 +329,7 @@ def distill_corpus(
             for k in range(cfg.n_samples)
             if (node.node_id, k) not in done
         ]
-        for entry in fan_out(lambda task: _run_task(*task, backend), pending, cfg.parallelism):
+        for _, entry in fan_out(lambda task: _run_task(*task, backend), pending, cfg.parallelism):
             journal.commit(entry)
         return [
             journal.results[(node.node_id, k)]

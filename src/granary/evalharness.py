@@ -109,7 +109,7 @@ def grade(items: list[McqItem], backend: LlmBackend, parallelism: int = 1) -> Ev
         correct = extracted is not None and extracted.upper() == item.correct.upper()
         return EvalItemResult(item.item_id, extracted, correct, response=response.content)
 
-    results = list(fan_out(run, items, parallelism))
+    results = [result for _, result in sorted(fan_out(run, items, parallelism))]
 
     correct_count = sum(r.correct_flag for r in results)
     unparsable = sum(r.extracted is None for r in results)

@@ -1,10 +1,13 @@
-"""JSONL persistence with exact-key schema checks."""
+"""JSONL persistence with exact-key schema checks, and the atomic file writer."""
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO
 
 from .errors import SchemaViolation
 
@@ -22,25 +25,35 @@ def check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
         )
 
 
-def write_jsonl(path: str | Path, records: list[dict], schema: tuple[str, ...] | None = None) -> None:
-    """Write one compact JSON object per line; validates keys when a schema is given.
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a sibling ``.tmp`` file (``mode`` "w" for UTF-8 text, "wb" for bytes).
 
-    The lines go to a sibling ``.tmp`` file that replaces ``path`` only once
-    every record is written, so a failure leaves the old file as it was.
+    It replaces ``path`` only once the block ends without an error, so a
+    failure leaves the old file as it was, and removes the ``.tmp`` file.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            for i, rec in enumerate(records):
-                if schema is not None:
-                    check_keys(rec, schema, f"{path}:{i + 1}")
-                fh.write(json.dumps(rec, ensure_ascii=False))
-                fh.write("\n")
+        with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_jsonl(path: str | Path, records: list[dict], schema: tuple[str, ...] | None = None) -> None:
+    """Write one compact JSON object per line through ``atomic_write``.
+
+    Keys are validated when a schema is given.
+    """
+    with atomic_write(path) as fh:
+        for i, rec in enumerate(records):
+            if schema is not None:
+                check_keys(rec, schema, f"{path}:{i + 1}")
+            fh.write(json.dumps(rec, ensure_ascii=False))
+            fh.write("\n")
 
 
 def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[dict]:

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import tape
 from .errors import ContextOverflow
+from .jsonl import atomic_write
 from .tape import Tensor
 
 VOCAB_SIZE = 259
@@ -300,7 +301,7 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path: str | Path, params: Parameters) -> None:
     """One JSON header line, then the raw little-endian float64 payload."""
     header = {"format_version": CHECKPOINT_VERSION, "model_config": asdict(params.config)}
-    with Path(path).open("wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(params.flat.astype("<f8").tobytes())

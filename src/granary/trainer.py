@@ -35,7 +35,7 @@ from . import tape, tinylm
 from .backend import fan_out
 from .dataset import PackedSequence, TokenizedExample
 from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
-from .jsonl import write_jsonl
+from .jsonl import atomic_write, write_jsonl
 from .tinylm import PAD_ID, Parameters
 
 MODES = ("cpt", "sft", "nsc_sft")
@@ -107,9 +107,8 @@ class TrainReport:
 
 def write_report(report: TrainReport, jsonl_path: str | Path, summary_path: str | Path) -> None:
     write_jsonl(jsonl_path, [dict(vars(r)) for r in report.records])
-    Path(summary_path).write_text(
-        json.dumps(report.summary(), indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_write(summary_path) as fh:
+        fh.write(json.dumps(report.summary(), indent=2) + "\n")
 
 
 # -- evaluation-grade losses (single example, used as oracles' targets) ----
@@ -221,10 +220,9 @@ class Shard:
     ref_logprobs: np.ndarray | None = None
 
 
-def _workers(items: tuple) -> int:
-    """One thread per item, up to the CPUs this process may run on."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(len(items), cpus)
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _shard(rows: list[tuple[np.ndarray, np.ndarray, float]], ref_params: Parameters | None) -> Shard:
@@ -280,7 +278,8 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard
             rows.append((row, positions, 1.0 / (positions.size * n)))
 
     chunks = tuple(rows[i : i + _SHARD_ROWS] for i in range(0, len(rows), _SHARD_ROWS))
-    return tuple(fan_out(lambda chunk: _shard(chunk, ref_params), chunks, _workers(chunks)))
+    shards = fan_out(lambda chunk: _shard(chunk, ref_params), chunks, _workers())
+    return tuple(shard for _, shard in sorted(shards))
 
 
 def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float, backward: bool):
@@ -303,7 +302,7 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
         tape.backward(total)
         return ce, kl, value, leaves
 
-    results = list(fan_out(run, shards, _workers(shards)))
+    results = [result for _, result in sorted(fan_out(run, shards, _workers()))]
     ce = kl = total = 0.0
     for part_ce, part_kl, part_total, _ in results:
         ce += part_ce

@@ -48,61 +48,97 @@ class TestFanOut:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
-                got = list(fan_out(np.exp, [np.float64(1000.0), np.float64(-1.0)], 2))
-        assert got == [np.inf, np.exp(-1.0)]
+                got = dict(fan_out(np.exp, [np.float64(1000.0), np.float64(-1.0)], 2))
+        assert got == {0: np.inf, 1: np.exp(-1.0)}
 
     def test_pool_workers_see_the_callers_context_variables(self):
         var = contextvars.ContextVar("var", default="unset")
         token = var.set("caller")
         try:
-            assert list(fan_out(lambda _: var.get(), range(4), 2)) == ["caller"] * 4
+            assert sorted(fan_out(lambda _: var.get(), range(4), 2)) == list(enumerate(["caller"] * 4))
         finally:
             var.reset(token)
 
     @pytest.mark.parametrize("parallelism", [2, 3])
     @pytest.mark.parametrize("n", [0, 1, 2, 40], ids=lambda n: f"{n}items")
-    @pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
-    def test_yields_in_item_order(self, parallelism, n, as_generator):
+    @pytest.mark.parametrize("container", [list, tuple], ids=["list", "tuple"])
+    def test_yields_in_item_order(self, parallelism, n, container):
+        # Later items often finish first; sorted by index, the pairs give
+        # every item's result once, in item order.
         def fn(i):
-            time.sleep(0.001 * ((n - i) % 4))  # later items often finish first
+            time.sleep(0.001 * ((n - i) % 4))
             return i * i
 
-        items = (i for i in range(n)) if as_generator else list(range(n))
-        assert list(fan_out(fn, items, parallelism)) == [i * i for i in range(n)]
+        assert sorted(fan_out(fn, container(range(n)), parallelism)) == [(i, i * i) for i in range(n)]
 
     def test_many_threads_pull_each_item_once(self):
         # More threads than cores, switching mid-pull: an unguarded shared
-        # generator raises "generator already executing" or loses items.
-        pulled = []
+        # index hands an item to two threads or skips one.
+        called = []
 
-        def items():
-            for i in range(2000):
-                time.sleep(0)
-                pulled.append(i)
-                yield i
+        def fn(i):
+            called.append(i)
+            return -i
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = list(fan_out(lambda i: -i, items(), 8))
+            got = sorted(fan_out(fn, range(2000), 8))
         finally:
             sys.setswitchinterval(interval)
-        assert got == [-i for i in range(2000)]
-        assert pulled == list(range(2000))
+        assert got == [(i, -i) for i in range(2000)]
+        assert sorted(called) == list(range(2000))
+
+    def test_a_fast_later_item_is_yielded_before_a_slow_earlier_one(self):
+        released = threading.Event()
+
+        def fn(i):
+            if i == 0:
+                assert released.wait(timeout=10), "item 0 waited for a result that never came"
+            return i
+
+        order = []
+        for index, _ in fan_out(fn, [0, 1, 2], 2):
+            order.append(index)
+            released.set()
+        assert order[0] != 0 and sorted(order) == [0, 1, 2]
 
     @pytest.mark.parametrize("parallelism", [1, 2, 3])
-    def test_an_error_comes_after_the_items_before_it(self, parallelism):
+    def test_an_error_from_fn_reaches_the_caller(self, parallelism):
+        threads_before = threading.active_count()
+
         def fn(i):
             if i == 5:
                 raise KeyError(i)
-            time.sleep(0.002)  # item 5 fails before the earlier items finish
             return i
 
-        got = []
         with pytest.raises(KeyError):
-            for result in fan_out(fn, range(20), parallelism):
-                got.append(result)
-        assert got == [0, 1, 2, 3, 4]
+            for _ in fan_out(fn, range(20), parallelism):
+                pass
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize(
+        "n, parallelism, threads", [(0, 3, 0), (1, 3, 0), (2, 3, 2), (5, 3, 3), (5, 1, 0)]
+    )
+    def test_starts_at_most_one_thread_per_item(self, monkeypatch, n, parallelism, threads):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        callers = set()
+
+        def fn(i):
+            callers.add(threading.current_thread())
+            return i
+
+        assert sorted(fan_out(fn, range(n), parallelism)) == [(i, i) for i in range(n)]
+        assert len(started) == threads
+        if not threads:
+            assert callers <= {threading.current_thread()}  # inline
 
     @pytest.mark.parametrize("stop", ["break", "raise"])
     def test_no_item_starts_after_the_consumer_stops(self, stop):
@@ -116,8 +152,8 @@ class TestFanOut:
             return i
 
         def consume():
-            for result in fan_out(fn, range(100), 3):
-                assert result == 0
+            for pair in fan_out(fn, range(100), 3):
+                assert pair == (0, 0)
                 if stop == "raise":
                     raise RuntimeError("consumer failed")
                 break
@@ -133,28 +169,6 @@ class TestFanOut:
         assert threading.active_count() == threads_before
         time.sleep(0.3)
         assert sorted(started) == seen
-
-    @pytest.mark.parametrize("parallelism", [1, 2, 3])
-    def test_an_input_error_reaches_the_caller(self, parallelism):
-        def items():
-            yield from range(5)
-            raise OSError("input broke")
-
-        got, errors = [], []
-
-        def consume():
-            try:
-                for result in fan_out(lambda i: i, items(), parallelism):
-                    got.append(result)
-            except OSError as exc:
-                errors.append(exc)
-
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        consumer.join(timeout=10)
-        assert not consumer.is_alive(), "fan_out hung on an input error"
-        assert got == [0, 1, 2, 3, 4]
-        assert [str(e) for e in errors] == ["input broke"]
 
 
 class TestChatTypes:

@@ -381,6 +381,36 @@ class TestBuildTrainEval:
             assert stage(command)[0] == 0, command
         assert digests(workdir, MINIBOOK_SHA256) == MINIBOOK_SHA256
 
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            (["train"], "model.ckpt"),
+            (["train"], "train_summary.json"),
+            (["train"], "manifest.json"),
+            (["eval", "--checkpoint", "{work}/model.ckpt"], "eval_report.json"),
+        ],
+        ids=["checkpoint", "train-summary", "manifest", "eval-report"],
+    )
+    def test_a_failed_write_keeps_the_old_artifact(self, pipeline, monkeypatch, command, target):
+        # The old files come from a 2-step train and a mock-graded eval, so
+        # the failing run (4 steps, or eval of the checkpoint) writes new bytes.
+        config, workdir, stage = pipeline
+        for argv in (["ingest"], ["distill"], ["build"], ["eval"], ["train", "--steps", "2"]):
+            assert stage(*argv)[0] == 0, argv
+        before = (workdir / target).read_bytes()
+        replace = os.replace
+
+        def fail_on_target(src, dst):
+            if Path(dst).name == target:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_target)
+        with pytest.raises(OSError, match="disk full"):
+            stage(*(arg.format(work=workdir) for arg in command))
+        assert (workdir / target).read_bytes() == before
+        assert not list(workdir.glob("*.tmp"))
+
     def test_eval_with_mock_backend(self, pipeline):
         config, workdir, stage = pipeline
         code, out = stage("eval", "--mock-llm")

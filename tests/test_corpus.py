@@ -22,7 +22,7 @@ from granary.corpus import (
     parse_markdown_tree,
 )
 from granary.errors import InvalidEncoding, SchemaViolation
-from granary.jsonl import read_jsonl, write_jsonl
+from granary.jsonl import atomic_write, read_jsonl, write_jsonl
 from oracles import serialize_tree
 
 
@@ -242,6 +242,18 @@ class TestIO:
             write_jsonl(path, [*records[:2], {"node_id": "x"}], schema=NODE_KEYS)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.jsonl"]
+
+    @pytest.mark.parametrize("mode, old, part", [("w", "old text", "new te"), ("wb", b"old\x00", b"new")])
+    def test_atomic_write_failing_midway_keeps_the_old_file(self, tmp_path, mode, old, part):
+        path = tmp_path / "artifact"
+        with atomic_write(path, mode) as fh:
+            fh.write(old)
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(path, mode) as fh:
+                fh.write(part)
+                raise RuntimeError("failed midway")
+        assert (path.read_bytes() if "b" in mode else path.read_text(encoding="utf-8")) == old
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
     def test_invalid_utf8_rejected(self, tmp_path):
         (tmp_path / "bad.md").write_bytes(b"\xff\xfe broken")

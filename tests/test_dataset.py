@@ -164,6 +164,18 @@ class TestTruncation:
         tokenized = truncate_chat_example(example, TOK, max_len=120)
         assert tokenized.length <= 120
 
+    @pytest.mark.parametrize("cut", [1, 20, 100])
+    def test_tagged_reply_outside_the_template_is_trimmed(self, cut):
+        # Trimming re-renders the canonical template, which here adds a
+        # <think> scaffold, so the excess is taken from the re-rendered text.
+        reply = "Reasoning: " + "the divider halves the input, " * 10 + "so the answer is <answer>B</answer>"
+        example = ChatExample(system="", user="Which option?", assistant=reply, origin="general")
+        max_len = tokenize_and_mask(example, TOK).length - cut
+        tokenized = truncate_chat_example(example, TOK, max_len)
+        assert tokenized.length == max_len
+        spans = parse_answer_spans(TOK.decode([i for i, m in zip(tokenized.input_ids, tokenized.loss_mask) if m][:-1]))
+        assert spans.answer == "B" and reply.startswith(spans.solution)
+
     def test_short_example_untouched(self):
         example = render_chat_template(kept_entry())
         assert truncate_chat_example(example, TOK, 8192) == tokenize_and_mask(example, TOK)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import time
 import types
 
 import pytest
@@ -323,6 +324,30 @@ class _KillAfter:
         return self.inner.complete(request)
 
 
+class _HoldFirstTask:
+    """Holds task (node ``node_id``, sample 0) until ``journal`` has ``lines`` lines, then crashes.
+
+    It gives up waiting after ``timeout`` seconds, so a run that commits
+    nothing while the task is held still ends.
+    """
+
+    def __init__(self, inner, node_id, journal, lines=3, timeout=10.0):
+        self.inner, self.node_id, self.journal = inner, node_id, journal
+        self.lines, self.timeout = lines, timeout
+
+    def _journal_lines(self):
+        return self.journal.read_bytes().count(b"\n") if self.journal.exists() else 0
+
+    def complete(self, request):
+        header = prompts.QUESTION_HEADER_RE.search(request.messages[-1].content)
+        if header and header[1] == self.node_id and int(header[2]) == 0:
+            deadline = time.monotonic() + self.timeout
+            while self._journal_lines() < self.lines and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("simulated crash")
+        return self.inner.complete(request)
+
+
 class TestDistillCorpus:
     def _mock(self, nodes, malform=None, seed=0):
         return MockLlmBackend(
@@ -417,6 +442,25 @@ class TestDistillCorpus:
         ]
         everything = {(node.node_id, k) for node in minibook_nodes for k in range(5)}
         assert sorted(asked) == sorted(everything - committed)
+
+    def test_a_crash_keeps_the_tasks_finished_before_it(self, minibook_nodes, tmp_path):
+        # The first task is held while the other thread finishes later ones;
+        # those are journaled as they finish, so the crash loses none of them.
+        journal = tmp_path / "journal.jsonl"
+        cfg = DistillConfig(n_samples=5, journal_path=journal, parallelism=2)
+        first = minibook_nodes[0].node_id
+        holder = _HoldFirstTask(self._mock(minibook_nodes, malform=10), first, journal)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            distill_corpus(minibook_nodes, cfg, holder)
+        committed = {(r["node_id"], r["sample_idx"]) for r in read_jsonl(journal)}
+        assert len(committed) >= 3 and (first, 0) not in committed
+
+        qtsa = {}
+        for name, run_cfg in (("resumed", cfg), ("fresh", DistillConfig(n_samples=5, parallelism=2))):
+            entries = distill_corpus(minibook_nodes, run_cfg, self._mock(minibook_nodes, malform=10))
+            qtsa[name] = tmp_path / f"qtsa_{name}.jsonl"
+            write_jsonl(qtsa[name], [entry_to_record(e) for e in entries], schema=QTSA_KEYS)
+        assert qtsa["resumed"].read_bytes() == qtsa["fresh"].read_bytes()
 
     def test_resume_never_requeries_completed_pairs(self, minibook_nodes, tmp_path):
         journal = tmp_path / "journal.jsonl"

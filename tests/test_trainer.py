@@ -440,7 +440,7 @@ class TestShards:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(trainer, "_workers", lambda shards, workers=workers: workers)
+                monkeypatch.setattr(trainer, "_workers", lambda workers=workers: workers)
                 batch = trainer.make_batch(items, ref)
                 losses, grad = trainer.loss_and_grad(params, batch, 0.1)
                 results.append((losses, grad.tobytes(), [s.ref_logprobs.tobytes() for s in batch]))
