@@ -183,6 +183,7 @@ def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         n_samples=cfg.n_samples,
         parallelism=cfg.parallelism,
         journal_path=workdir / "journal.jsonl",
+        stage_hash=cfgmod.stage_hash(cfg, "distill"),
     )
     entries = distiller.distill_corpus(nodes, distill_cfg, backend)
     records = [distiller.entry_to_record(e) for e in entries]

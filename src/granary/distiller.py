@@ -24,7 +24,7 @@ from threading import Lock
 from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
-from .errors import BackendError, EmptyGeneration, SchemaViolation
+from .errors import BackendError, EmptyGeneration, SchemaViolation, StaleArtifact
 from .jsonl import check_keys
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
@@ -60,11 +60,17 @@ QTSA_KEYS = tuple(f.name for f in fields(QtsaEntry))
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Sampling and execution knobs for a distillation run."""
+    """Sampling and execution knobs for a distillation run.
+
+    ``stage_hash``, when given, names the configuration the run distills
+    under (the CLI passes the distill stage hash): each journal line
+    records it, and a journal written under another one is refused.
+    """
 
     n_samples: int = 5
     parallelism: int = 1
     journal_path: Path | None = None
+    stage_hash: str | None = None
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -251,26 +257,36 @@ def _read_records(path: Path) -> list[dict]:
 class DistillJournal:
     """Append-only log of finished tasks, one Q/T/S/A record per line.
 
-    Each line is the task's ``entry_to_record`` dict plus a ``timestamp``.
-    A task counts as completed once its line, newline included, is on
-    disk: a crash mid-append leaves a torn final line, which the next load
-    cuts off, so that task simply runs again. Passing ``path=None`` keeps
-    everything in memory.
+    Each line is the task's ``entry_to_record`` dict plus a ``timestamp``,
+    and the ``stage_hash`` it ran under when one is given. A task counts
+    as completed once its line, newline included, is on disk: a crash
+    mid-append leaves a torn final line, which the next load cuts off, so
+    that task simply runs again. A line written under another stage hash
+    (or with one where none is given, or without one where one is)
+    raises StaleArtifact: its results came from another configuration.
+    Passing ``path=None`` keeps everything in memory.
     """
 
-    def __init__(self, path: Path | None):
+    def __init__(self, path: Path | None, stage_hash: str | None = None):
         self.path = Path(path) if path is not None else None
+        self.stage_hash = stage_hash
         self.results: dict[tuple[str, int], QtsaEntry] = {}
         self._lock = Lock()
         self._fh = None
         if self.path is not None:
             for line_no, rec in enumerate(_read_records(self.path), 1):
+                written = rec.pop("stage_hash", None) if isinstance(rec, dict) else None
                 # A two-file journal's lines hold only node_id, sample_idx,
                 # status and timestamp; its records are not recoverable here.
                 if not isinstance(rec, dict) or set(rec) != {*QTSA_KEYS, "timestamp"}:
                     raise SchemaViolation(
                         f"{self.path}: line {line_no} is not a Q/T/S/A record with a"
                         " timestamp; delete the journal to distill from scratch"
+                    )
+                if written != stage_hash:
+                    raise StaleArtifact(
+                        f"{self.path}: line {line_no} was distilled under stage hash {written},"
+                        f" this run's is {stage_hash}; delete the journal to distill from scratch"
                     )
                 del rec["timestamp"]
                 entry = QtsaEntry(**rec)
@@ -287,6 +303,8 @@ class DistillJournal:
                 return
             record = entry_to_record(entry)
             record["timestamp"] = time.time()
+            if self.stage_hash is not None:
+                record["stage_hash"] = self.stage_hash
             self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
             self._fh.flush()
 
@@ -320,7 +338,7 @@ def distill_corpus(
     committed in the journal are never re-queried. Backend failures reject
     the affected task and the run continues; only journal I/O is fatal.
     """
-    journal = DistillJournal(cfg.journal_path)
+    journal = DistillJournal(cfg.journal_path, cfg.stage_hash)
     try:
         done = journal.completed()
         pending = [

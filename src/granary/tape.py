@@ -398,13 +398,16 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar ``loss`` into the graph's leaves.
 
     A node's own gradient is dropped once its VJP has consumed it, so only
-    leaves (tensors without a VJP) keep ``grad`` after the call.
+    leaves (tensors without a VJP) keep ``grad`` after the call. Each node
+    also drops its VJP and parents as soon as its VJP has run, which frees
+    the arrays it saved while the rest of the backward runs, so a graph
+    can be backpropagated only once.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
 
-    # Iterative post-order DFS; reversed order is a valid topological
-    # order from the loss down to the leaves.
+    # Iterative post-order DFS; popping from its end gives a valid
+    # topological order from the loss down to the leaves.
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -422,15 +425,15 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
-            continue
-        grads = node._vjp(node.grad)
-        node.grad = None
-        for parent, grad in zip(node._parents, grads):
-            if grad is None:
-                continue
-            if parent.grad is None:
-                parent.grad = grad
-            else:
-                parent.grad = parent.grad + grad
+    while order:
+        node = order.pop()
+        if node._vjp is not None and node.grad is not None:
+            for parent, grad in zip(node._parents, node._vjp(node.grad)):
+                if grad is None:
+                    continue
+                if parent.grad is None:
+                    parent.grad = grad
+                else:
+                    parent.grad = parent.grad + grad
+            node.grad = None
+        node._vjp, node._parents = None, ()

@@ -10,10 +10,10 @@ throughout.
 ``loss_nsc_sft`` and ``kl_term`` are per-example references for tests
 and the benchmark's checks. Training, the CLI's gradient check and the
 tests share one batched path: ``make_batch``
-returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` rows,
-and ``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted KL
-on it (plain CE for cpt, sft and λ=0) through one shard runner, one
-thread per shard, adding the shards' results in shard order.
+returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` (4)
+rows, and ``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted
+KL on it (plain CE for cpt, sft and λ=0) through one shard runner, on up
+to one thread per CPU, adding the shards' results in shard order.
 
 The loop is plain gradient descent, the only update rule, under a cosine
 schedule with linear warmup; every step records the loss breakdown and
@@ -195,7 +195,11 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 # -- batched training loop --------------------------------------------------
 
 
-_SHARD_ROWS = 8  # batch rows per shard: one worker's forward and backward
+# Batch rows per shard: one worker's forward and backward. Each worker holds
+# one shard's graph at a time, so the step's peak memory grows with this. At
+# the benchmark's training shape 4 rows peak ~30% lower than 8 at the same
+# step time; 3 and 2 rows peak lower still but cost ~10% and ~20% step time.
+_SHARD_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -343,7 +347,7 @@ def _keep_freed_memory() -> None:
     Each step frees its shards' graphs. By default glibc hands freed blocks
     at the heap top, and every block above its mmap threshold, back to the
     OS, so the next step faults the same pages in again. With a 32 MiB
-    mmap threshold (the step's largest array is ~2.7 MB), a 1 GiB trim
+    mmap threshold (the demo step's largest array is ~1.3 MB), a 1 GiB trim
     threshold and one arena for every thread, the pages stay mapped and
     peak RSS is one heap's peak. The setting is process-wide; where glibc's
     ``mallopt`` cannot be found (musl, macOS) this does nothing.

@@ -26,10 +26,11 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # model.ckpt re-captured when attention began to run in blocks of rows,
 # and again when the last layer and the head began to run only the
 # batch's weighted span; both files re-captured when the step began to
-# run in shards of 8 rows, each cut to its own weighted columns.
+# run in shards of 8 rows, each cut to its own weighted columns, and again
+# when shards went from 8 rows to 4.
 CPT_SHA256 = {
-    "model.ckpt": "d343076daaf19e12355e400259e981a9efb904adb35974b343a5fddc6985fe19",
-    "train_report.jsonl": "977c716ba1d4956c9bae433be2b2848473328a9dbb5dc4ad8057563aae3efefa",
+    "model.ckpt": "1749d83898b706c9f30a9650b3baf9ecf8cbfbff5ab122553a9c58ba9443d4fb",
+    "train_report.jsonl": "d4b38594230f7e33e61e54ab8f9100bd08d6cd93286b1a90ee004a229c96b2bb",
 }
 
 # The minibook config below run through ingest, distill, build, train
@@ -38,15 +39,17 @@ CPT_SHA256 = {
 # from their dataclasses, model.ckpt re-captured when attention began to
 # run in blocks of rows, and again when the last layer and the head began
 # to run only the batch's weighted span; the three train outputs
-# re-captured when the step began to run in shards of 8 rows.
+# re-captured when the step began to run in shards of 8 rows, and
+# train_report.jsonl and model.ckpt again when shards went from 8 rows to
+# 4 (train_summary.json and eval_report.json held).
 MINIBOOK_SHA256 = {
     "nodes.jsonl": "b1458ec26e76aa15f6a69ef3187b652e6d521d1ad44a9a5af25d836f4e761508",
     "qtsa.jsonl": "337dfcbd69fedfcca759000bc6b682f4a887b50293143377b3e4eac64d2ebf1e",
     "sft_dataset.jsonl": "e2b4ae56cc5b7a20bfd28852ae9949fd6650f161af5dcd6c76ad2ce71acab99f",
     "cpt_dataset.jsonl": "559a34a2481ef848a8feb7befe02982ca00498a63411ed8669f3f7e59474cb17",
-    "train_report.jsonl": "5c70a6b5c1b26668ef4cab7aef1c498610898f0489b5983954d8edb1bb5dd170",
+    "train_report.jsonl": "7dadef350ea3835c3a297bc9adb5e62f86d8287bcf1040f54a9b98cff358d9d3",
     "train_summary.json": "6e82b4a1c4106bfc5f27bb9eb97fb7b60ca6eb026a8a78cfd8074c10ab4fe360",
-    "model.ckpt": "527b0a79cad990be16915e3c76b5ea847aa05cfd9cb98c1e8cc9a1501f9e0c4f",
+    "model.ckpt": "e2f8fd3948d1deb42ca02fddb3396169d49e1394dbc0d5e6b7101ae7842fec90",
     "eval_report.json": "b408f087c460b617476f512e211e1359928f91754aecc76e2f966f4e4476eb10",
 }
 
@@ -148,6 +151,20 @@ class TestDistill:
         assert run("distill", "--config", str(config)) == 1
         assert str(workdir / "journal.jsonl") in capsys.readouterr().err
         assert not (workdir / "qtsa.jsonl").exists()
+
+    def test_a_journal_from_another_distill_config_exits_1(self, pipeline, tmp_path, capsys):
+        config, workdir, stage = pipeline
+        stage("ingest")
+        stage("distill")
+        before = {name: (workdir / name).read_bytes() for name in ("journal.jsonl", "qtsa.jsonl")}
+        changed = write_config(tmp_path, backend={"mock_malform_answer_every": 2})
+        assert run("distill", "--config", str(changed)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {workdir / 'journal.jsonl'}: line 1 ")
+        assert {name: (workdir / name).read_bytes() for name in before} == before
+
+        (workdir / "journal.jsonl").unlink()
+        assert run("distill", "--config", str(changed)) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["kept"] == 15
 
     @pytest.mark.parametrize("line", ["5", "null", '["node_id"]'])
     def test_non_object_nodes_line_exits_1(self, pipeline, capsys, line):

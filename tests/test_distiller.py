@@ -1,11 +1,14 @@
 """Distillation agents, postprocessing, and the resumable run loop."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
+import tempfile
 import time
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,7 @@ from granary.distiller import (
     postprocess,
     render_assistant,
 )
-from granary.errors import BackendError, EmptyGeneration, SchemaViolation
+from granary.errors import BackendError, EmptyGeneration, SchemaViolation, StaleArtifact
 from granary.jsonl import read_jsonl, write_jsonl
 from oracles import RecordingBackend
 
@@ -310,6 +313,15 @@ class TestRoundTrip:
             )
 
 
+def _asked_tasks(backend):
+    """The (node id, sample) of each question request a RecordingBackend saw."""
+    return [
+        (m[1], int(m[2]))
+        for request in backend.transcript
+        if (m := prompts.QUESTION_HEADER_RE.search(request.messages[-1].content))
+    ]
+
+
 class _KillAfter:
     """Delegates to an inner backend, then simulates a crash."""
 
@@ -435,13 +447,8 @@ class TestDistillCorpus:
         assert json.dumps([entry_to_record(e) for e in resumed]) == json.dumps(
             [entry_to_record(e) for e in uninterrupted]
         )
-        asked = [
-            (m[1], int(m[2]))
-            for request in fresh.transcript
-            if (m := prompts.QUESTION_HEADER_RE.search(request.messages[-1].content))
-        ]
         everything = {(node.node_id, k) for node in minibook_nodes for k in range(5)}
-        assert sorted(asked) == sorted(everything - committed)
+        assert sorted(_asked_tasks(fresh)) == sorted(everything - committed)
 
     def test_a_crash_keeps_the_tasks_finished_before_it(self, minibook_nodes, tmp_path):
         # The first task is held while the other thread finishes later ones;
@@ -588,6 +595,24 @@ class TestDistillCorpus:
         reloaded.close()
         assert reloaded.results == {(entry.node_id, entry.sample_idx): entry}
 
+    @pytest.mark.parametrize(
+        "written,wanted",
+        [("0123456789abcdef", "fedcba9876543210"), (None, "fedcba9876543210"), ("0123456789abcdef", None)],
+    )
+    def test_a_journal_from_another_stage_hash_is_refused(self, minibook_nodes, tmp_path, written, wanted):
+        nodes = minibook_nodes[:2]
+        journal = tmp_path / "journal.jsonl"
+        distill_corpus(nodes, DistillConfig(n_samples=1, journal_path=journal, stage_hash=written), self._mock(nodes))
+        assert [json.loads(line).get("stage_hash") for line in journal.read_text().splitlines()] == [written] * 2
+        before = journal.read_bytes()
+        backend = RecordingBackend(self._mock(nodes))
+        cfg = DistillConfig(n_samples=1, journal_path=journal, stage_hash=wanted)
+        want = f"{journal}: line 1 was distilled under stage hash {written},"
+        with pytest.raises(StaleArtifact, match=re.escape(want)):
+            distill_corpus(nodes, cfg, backend)
+        assert backend.transcript == []
+        assert journal.read_bytes() == before
+
     def test_corrupt_middle_line_still_raises(self, minibook_nodes, tmp_path):
         journal = tmp_path / "journal.jsonl"
         cfg = DistillConfig(n_samples=1, journal_path=journal)
@@ -627,3 +652,56 @@ class TestEntryIO:
     def test_non_object_record_rejected(self, rec):
         with pytest.raises(SchemaViolation, match="^qtsa record: record must be a JSON object"):
             entry_from_record(rec)
+
+
+# Twelve nodes of three samples each, every fifth answer malformed, so the
+# journal holds kept and rejected lines; the stage hash is one the CLI
+# could pass.
+_RESUME_NODES = [
+    make_node(f"Stage {i} of the amplifier biases its transistor at {i + 1} mA.", hashlib.sha256(b"%d" % i).hexdigest())
+    for i in range(12)
+]
+_RESUME_HASH = "0123456789abcdef"
+
+
+def _resume_config(journal, parallelism):
+    return DistillConfig(n_samples=3, parallelism=parallelism, journal_path=journal, stage_hash=_RESUME_HASH)
+
+
+def _resume_backend():
+    return MockLlmBackend(
+        seed=0, node_ids=[n.node_id for n in _RESUME_NODES], n_samples=3, malform_answer_every=5
+    )
+
+
+def _qtsa_bytes(entries, path):
+    write_jsonl(path, [entry_to_record(e) for e in entries], schema=QTSA_KEYS)
+    return path.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _uninterrupted(parallelism):
+    """The journal and ``qtsa.jsonl`` bytes of a run that never crashed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "journal.jsonl"
+        entries = distill_corpus(_RESUME_NODES, _resume_config(journal, parallelism), _resume_backend())
+        return journal.read_bytes(), _qtsa_bytes(entries, Path(tmp) / "qtsa.jsonl")
+
+
+class TestCrashAtAnyByte:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_resume_is_byte_identical_and_queries_only_the_missing_tasks(self, parallelism, data):
+        full, want = _uninterrupted(parallelism)
+        cut = data.draw(st.integers(0, len(full)), label="crash at byte")
+        kept = {(r["node_id"], r["sample_idx"]) for r in map(json.loads, full[:cut].split(b"\n")[:-1])}
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = Path(tmp) / "journal.jsonl"
+            journal.write_bytes(full[:cut])
+            backend = RecordingBackend(_resume_backend())
+            resumed = distill_corpus(_RESUME_NODES, _resume_config(journal, parallelism), backend)
+            assert _qtsa_bytes(resumed, Path(tmp) / "qtsa.jsonl") == want
+            assert journal.read_bytes().count(b"\n") == len(_RESUME_NODES) * 3
+        everything = {(node.node_id, k) for node in _RESUME_NODES for k in range(3)}
+        assert sorted(_asked_tasks(backend)) == sorted(everything - kept)

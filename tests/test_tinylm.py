@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -186,6 +187,27 @@ class TestGrad:
         assert np.array_equal(a.grad, 2.0 * hidden.data * b.data)
         assert np.array_equal(b.grad, 2.0 * hidden.data * a.data)
         assert hidden.grad is None and loss.grad is None
+
+    def test_backward_frees_each_node_once_its_vjp_has_run(self):
+        saved_refs = []
+
+        def scaled(x):  # its VJP closure alone holds ``saved``
+            saved = np.arange(1.0, 4.0)
+            saved_refs.append(weakref.ref(saved))
+            return tape.Tensor(x.data * saved, (x,), lambda g: (g * saved,))
+
+        def checked(x):  # its VJP runs after scaled's, in the same backward
+            def vjp(g):
+                assert saved_refs[0]() is None, "a node's saved array outlived its VJP"
+                return (g,)
+
+            return tape.Tensor(x.data.copy(), (x,), vjp)
+
+        leaf = tape.Tensor(np.ones(3))
+        loss = tape.sumdim(scaled(checked(leaf)))
+        tape.backward(loss)
+        assert np.array_equal(leaf.grad, np.arange(1.0, 4.0))
+        assert loss._vjp is None and loss._parents == ()
 
     def test_non_finite_loss_raises(self, monkeypatch):
         params = init(ModelConfig(seed=0))

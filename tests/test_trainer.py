@@ -50,7 +50,9 @@ def uniform_params(**kwargs):
 # change to how a training step is computed shows up here as a changed bit.
 # Re-captured when the last layer and the head began to run only the
 # batch's weighted span, which sums over fewer rows inside BLAS; the cpt
-# fingerprint again when each shard's ids were cut to its weighted columns.
+# fingerprint again when each shard's ids were cut to its weighted columns,
+# and the cpt run (11 rows, so more than one shard) again when shards went
+# from 8 rows to 4.
 PINNED_RUNS = {
     "sft": (
         [
@@ -70,11 +72,11 @@ PINNED_RUNS = {
     ),
     "cpt": (
         [
-            (0, 0.01, 5.556714934157408, 0.0, 5.556714934157408, 0.02600060147463264, None),
-            (1, 0.0075, 5.556708173441558, 0.0, 5.556708173441558, 0.026003758566521904, None),
-            (2, 0.0025000000000000014, 5.556703101732571, 0.0, 5.556703101732571, 0.026006282740503286, None),
+            (0, 0.01, 5.556714934157407, 0.0, 5.556714934157407, 0.02600060147463264, None),
+            (1, 0.0075, 5.556708173441559, 0.0, 5.556708173441559, 0.026003758566521904, None),
+            (2, 0.0025000000000000014, 5.5567031017325705, 0.0, 5.5567031017325705, 0.026006282740503286, None),
         ],
-        "7293dca65d32a93f1ca79c349d1ff5f98c3f9c2fea727cc05360bcc93685fc6e",
+        "4eff0fc823196cdf7b7ffd635bd5f58450ee9fe7b1b15deb12848348faeac88e",
     ),
 }
 
@@ -332,23 +334,27 @@ class TestWeightedSpan:
             tinylm.batched_logprobs(tinylm.build_leaves(init(SPAN_CFG)), SPAN_CFG, ids, span=span)
 
 
+ROWS = trainer._SHARD_ROWS
+# Two full shards and a ragged third of about half a shard's rows.
+RAGGED_ROWS = 2 * ROWS + (ROWS + 1) // 2
+
+
 def shard_batch_items(kind):
     """Items of the shard gate batches, each more than one shard of rows."""
-    if kind == "ragged_19":
-        # 19 rows of 9 to 46 bytes: shards of 8, 8 and 3 rows.
+    if kind == "ragged":
+        # RAGGED_ROWS rows of 9 to 46 bytes.
         words = "the loop law sums every drop of voltage around a closed path".split()
-        texts = [" ".join(words[k % 5 : k % 5 + 2 + k % 7]) for k in range(19)]
+        texts = [" ".join(words[k % 5 : k % 5 + 2 + k % 7]) for k in range(RAGGED_ROWS)]
         return [sft_example(text, prompt_len=2 + k % 9) for k, text in enumerate(texts)]
     if kind == "cpt_straddle":
-        # Rows 7, 8 and 9 are one pack's segments, so the pack spans two shards.
-        texts = [
-            "packed pre-training text, cut at the window", "second text", "a third text for packing",
-            "four", "fifth text, chunked twice", "six", "seventh", "eighth piece",
-        ]
-        return pack_cpt_texts(texts, 24)
-    # Two packs of four 1-token segments fill the first shard with rows that weigh 0.
-    ones = [TokenizedExample(input_ids=[i], loss_mask=[True]) for i in (65, BOS_ID, 66, 67, 68, 69, 70, 71)]
-    return pack_sequences(ones, 4) + pack_cpt_texts(["text after the empty shard", "and more"], 24)
+        # Packs of one 24-token segment fill rows 0 to ROWS - 2; the next
+        # pack's three segments are rows ROWS - 1, ROWS and ROWS + 1, so
+        # that pack spans two shards.
+        texts = [f"pre-training window {k:02d}" for k in range(ROWS - 1)]
+        return pack_cpt_texts(texts + ["six", "seventh", "eight", "a last text after them"], 24)
+    # Packs of 1-token segments fill the first shard with rows that weigh 0.
+    ones = [TokenizedExample(input_ids=[i], loss_mask=[True]) for i in [65, BOS_ID, *range(66, 64 + ROWS)]]
+    return pack_sequences(ones, max(ROWS // 2, 1)) + pack_cpt_texts(["text after the empty shard", "and more"], 24)
 
 
 def full_batch(items):
@@ -377,14 +383,14 @@ def full_batch(items):
 class TestShards:
     """Sharded batches against oracles' forward of the whole batch at once."""
 
-    @pytest.mark.parametrize("kind", ["ragged_19", "cpt_straddle", "zero_weight_shard"])
+    @pytest.mark.parametrize("kind", ["ragged", "cpt_straddle", "zero_weight_shard"])
     def test_matches_full_batch_oracle(self, kind):
         items = shard_batch_items(kind)
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(items, ref)
         ids, targets, weights = full_batch(items)
         sizes = [shard.ids.shape[0] for shard in batch]
-        assert sizes == [8] * (len(ids) // 8) + ([len(ids) % 8] if len(ids) % 8 else [])
+        assert sizes == [ROWS] * (len(ids) // ROWS) + ([len(ids) % ROWS] if len(ids) % ROWS else [])
         assert len(batch) >= 2
 
         leaves = tinylm.build_leaves(params)
@@ -397,7 +403,7 @@ class TestShards:
         # Each shard holds its rows' weighted columns, in the items' order,
         # and drops no weight; its forward matches the whole batch's there.
         for k, shard in enumerate(batch):
-            rows = slice(8 * k, 8 * k + shard.ids.shape[0])
+            rows = slice(ROWS * k, ROWS * k + shard.ids.shape[0])
             lo, hi = shard.span
             assert np.array_equal(shard.ids, ids[rows, : max(hi, 1)])
             assert np.array_equal(shard.weights, weights[rows, lo:hi])
@@ -416,15 +422,19 @@ class TestShards:
         assert np.max(np.abs(grad - want_grad)) <= 1e-12
         assert trainer.loss_value(params, batch, 0.1) == losses.total
 
+        if kind == "ragged":
+            assert sizes == [ROWS, ROWS, RAGGED_ROWS - 2 * ROWS] and 0 < sizes[-1] < ROWS
         if kind == "cpt_straddle":
-            assert [len(p.segments) for p in items][6] == 3 and sum(len(p.segments) for p in items[:6]) == 7
+            segments = [len(p.segments) for p in items]
+            assert segments[ROWS - 1] == 3 and sum(segments[: ROWS - 1]) == ROWS - 1
         if kind == "zero_weight_shard":
             first = batch[0]
-            assert first.span == (0, 0) and first.ids.shape == (8, 1) and not weights[:8].any()
+            assert first.span == (0, 0) and first.ids.shape == (ROWS, 1) and not weights[:ROWS].any()
+            assert batch[1].span != (0, 0)
 
     def test_finite_differences_agree_on_a_multi_shard_batch(self):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
-        batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
+        batch = trainer.make_batch(shard_batch_items("ragged"), ref)
         assert len(batch) == 3
         _, analytic = trainer.loss_and_grad(params, batch, 0.1)
         coords = np.random.default_rng(1).choice(params.count, size=60, replace=False)
@@ -432,9 +442,9 @@ class TestShards:
         assert oracles.max_rel_err(fd, analytic[coords]) <= 1e-4
 
     def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
-        # Three workers on 3 shards, with thread switches forced often.
+        # Up to three workers on the ragged batch's 3 shards, with thread switches forced often.
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
-        items = shard_batch_items("ragged_19")
+        items = shard_batch_items("ragged")
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -450,7 +460,7 @@ class TestShards:
 
     def _non_finite_case(self, monkeypatch, spoil):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
-        batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
+        batch = trainer.make_batch(shard_batch_items("ragged"), ref)
         batch = tuple(spoil(params, k, shard) for k, shard in enumerate(batch))
         backward = tape.backward
         backward_calls = []
@@ -479,7 +489,7 @@ class TestShards:
 
     def test_loss_value_runs_no_backward_and_returns_a_non_finite_sum(self, monkeypatch):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
-        batch = trainer.make_batch(shard_batch_items("ragged_19"), ref)
+        batch = trainer.make_batch(shard_batch_items("ragged"), ref)
         want = trainer.loss_and_grad(params, batch, 0.1)[0].total
         spoiled = tuple(self._spoil_shard_1(params, k, shard) for k, shard in enumerate(batch))
         backward_calls = []
@@ -604,7 +614,7 @@ class TestTrainLoop:
         ref = freeze_reference(init(dataclasses.replace(TRAIN_MODEL_CFG, seed=1)))
         batch = trainer.make_batch(fixture_examples, ref)
         leaves = tinylm.build_leaves(ref)
-        assert len(batch) == 2
+        assert len(batch) == math.ceil(len(fixture_examples) / trainer._SHARD_ROWS) >= 2
         for shard in batch:
             lo, hi = shard.span
             recorded = tinylm.batched_logprobs(leaves, ref.config, shard.ids, span=shard.span)
@@ -709,7 +719,7 @@ class TestTrainLoop:
         assert summary["grad_norm_sq_sum"] > 0
 
 
-# Runs in a fresh process: trains 16 rows of 200 tokens (two shards) for two
+# Runs in a fresh process: trains 16 rows of 200 tokens (several shards) for two
 # steps, then prints the minor page faults of two more loss_and_grad steps.
 FAULTS_SCRIPT = """
 import json, resource, sys
