@@ -230,8 +230,10 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[Sourc
     read from ``corpus_dir`` in manifest order and must be valid UTF-8.
     """
     corpus_dir = Path(corpus_dir)
-    with Path(manifest_path).open("r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(f"{manifest_path}:{exc.lineno}: invalid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise SchemaViolation(f"manifest {manifest_path} must be a JSON object")
 

@@ -19,7 +19,6 @@ import re
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from threading import Lock
 
 from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
@@ -271,7 +270,6 @@ class DistillJournal:
         self.path = Path(path) if path is not None else None
         self.stage_hash = stage_hash
         self.results: dict[tuple[str, int], QtsaEntry] = {}
-        self._lock = Lock()
         self._fh = None
         if self.path is not None:
             for line_no, rec in enumerate(_read_records(self.path), 1):
@@ -297,16 +295,15 @@ class DistillJournal:
         return set(self.results)
 
     def commit(self, entry: QtsaEntry) -> None:
-        with self._lock:
-            self.results[(entry.node_id, entry.sample_idx)] = entry
-            if self._fh is None:
-                return
-            record = entry_to_record(entry)
-            record["timestamp"] = time.time()
-            if self.stage_hash is not None:
-                record["stage_hash"] = self.stage_hash
-            self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            self._fh.flush()
+        self.results[(entry.node_id, entry.sample_idx)] = entry
+        if self._fh is None:
+            return
+        record = entry_to_record(entry)
+        record["timestamp"] = time.time()
+        if self.stage_hash is not None:
+            record["stage_hash"] = self.stage_hash
+        self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:

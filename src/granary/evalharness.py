@@ -146,11 +146,21 @@ class TinyLmResponder:
 
 
 def read_quiz(path: str | Path) -> list[McqItem]:
+    """The quiz's items; SchemaViolation names the file and the item when a field is ill-typed."""
     items = []
     for rec in read_jsonl(path, schema=QUIZ_KEYS):
+        where = f"{path}: quiz item {rec['item_id']!r}"
+        for key in ("item_id", "stem", "correct"):
+            if not isinstance(rec[key], str):
+                raise SchemaViolation(f"{where}: {key} must be a string, got {rec[key]!r}")
         if not isinstance(rec["options"], dict):
-            raise SchemaViolation(f"quiz item {rec['item_id']}: options must be an object")
-        items.append(McqItem(**rec))
+            raise SchemaViolation(f"{where}: options must be an object")
+        if not all(isinstance(text, str) for text in rec["options"].values()):
+            raise SchemaViolation(f"{where}: options must map each letter to a string")
+        try:
+            items.append(McqItem(**rec))
+        except ValueError as exc:
+            raise SchemaViolation(f"{path}: {exc}") from None
     return items
 
 

@@ -6,14 +6,13 @@ fused ops for the model's hot composites: ``causal_attention`` (causal
 softmax attention, scored in blocks of query rows), ``log_softmax``,
 ``layer_norm``, ``gelu`` (tanh approximation) and ``ce_kl_loss`` (the
 weighted cross-entropy plus KL-to-reference training loss). Each fused op
-is one graph node with a closed-form VJP and keeps only what that VJP
-needs, where the primitive composition added a node and a full-size
-array per step. A tensor marked ``const`` takes no gradient: an op whose
-inputs are all ``const`` records no parents and no VJP, so a forward over
-``const`` leaves (greedy decoding) keeps no graph and frees each
-intermediate array as soon as the next op has consumed it. Gradients are
-exact analytic derivatives; the test suite cross-checks every op, fused
-ones included, against central finite differences and each fused op's
+is one graph node with a closed-form VJP that keeps only what it needs.
+``Tensor`` defines only the operators the model uses, ``+`` and ``@``.
+A tensor marked ``const`` takes no gradient: an op whose inputs are all
+``const`` records no parents and no VJP, so a forward over ``const``
+leaves (greedy decoding) keeps no graph and frees each intermediate
+array as soon as the next op has consumed it. The tests check every
+op's VJP against central finite differences, and each fused op's
 forward against its primitive composition.
 """
 
@@ -51,27 +50,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    # Operator sugar; scalars and ndarrays are wrapped as constants.
+    # The model's operator sugar; scalars and ndarrays are wrapped as constants.
     def __add__(self, other):
         return add(self, _ensure(other))
-
-    def __radd__(self, other):
-        return add(_ensure(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _ensure(other))
-
-    def __rsub__(self, other):
-        return sub(_ensure(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _ensure(other))
-
-    def __rmul__(self, other):
-        return mul(_ensure(other), self)
-
-    def __neg__(self):
-        return mul(self, _ensure(-1.0))
 
     def __matmul__(self, other):
         return matmul(self, _ensure(other))
@@ -238,8 +219,8 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
     return Tensor(np.swapaxes(x.data, axis1, axis2), (x,), vjp)
 
 
-# sub, mul, exp, tanh, power, sumdim, logsumexp and take_along_last have no library caller:
-# they stay for the tests' reference compositions and the benchmark tracer, which wraps ops by name.
+# sub, mul, exp, tanh, power, sumdim, logsumexp and take_along_last have no library caller and no
+# Tensor operator: the tests' reference compositions call them by name, and the benchmark tracer wraps them.
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int = 0) -> Tensor:

@@ -47,9 +47,6 @@ class ByteTokenizer:
     """UTF-8 bytes plus BOS/EOS/PAD specials."""
 
     vocab_size = VOCAB_SIZE
-    bos_id = BOS_ID
-    eos_id = EOS_ID
-    pad_id = PAD_ID
 
     def encode(self, text: str) -> list[int]:
         return list(text.encode("utf-8"))
@@ -253,13 +250,14 @@ def forward(params: Parameters, ids) -> np.ndarray:
     return batched_logprobs(build_leaves(params, const=True), params.config, ids[None, :]).data[0]
 
 
-def collect_flat_grad(params: Parameters, leaves: dict[str, Tensor]) -> np.ndarray:
-    """Assemble per-view leaf gradients into one flat vector (zeros where unused)."""
+def collect_flat_grad(params: Parameters, shard_leaves: Sequence[dict[str, Tensor]]) -> np.ndarray:
+    """Each shard's leaf gradients added, in shard order, into one flat vector (zeros where unused)."""
     flat = np.zeros(params.count)
-    for name, (offset, size, _) in params.offsets.items():
-        leaf = leaves[name]
-        if leaf.grad is not None:
-            flat[offset : offset + size] = leaf.grad.reshape(-1)
+    for leaves in shard_leaves:
+        for name, (offset, size, _) in params.offsets.items():
+            grad = leaves[name].grad
+            if grad is not None:
+                flat[offset : offset + size] += grad.reshape(-1)
     return flat
 
 
@@ -308,18 +306,25 @@ def save_checkpoint(path: str | Path, params: Parameters) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Parameters:
+    """The parameters ``save_checkpoint`` wrote; each ValueError names the file."""
     with Path(path).open("rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise ValueError(f"{path}: checkpoint header is not valid JSON: {exc}") from None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: checkpoint header must be a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
+            raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
         try:
             cfg = ModelConfig(**header["model_config"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: bad checkpoint model_config: {exc}") from None
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return Parameters(cfg, flat)
+        payload = fh.read()
+    try:  # a partial float64, or the wrong count for the model config
+        return Parameters(cfg, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint payload: {exc}") from None
 
 
 def kv_cache(cfg: ModelConfig) -> np.ndarray:

@@ -325,20 +325,16 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Batch loss (kl is 0.0 when off) and its exact flat gradient.
 
-    The shards' losses and per-leaf gradients are added in shard order, so
-    the result does not depend on the thread count. A shard whose loss is
-    NaN or infinite runs no backward, and NonFiniteLoss is raised, with no
-    gradient, when any shard's loss or their sum is not finite.
+    The shards' losses are added in shard order, and one collect_flat_grad
+    call adds their gradients in that order, so no thread count moves a bit.
+    A shard whose loss is NaN or infinite runs no backward, and NonFiniteLoss
+    is raised, with no gradient, when any shard's loss or their sum is not finite.
     """
     losses, shard_leaves = _run_shards(params, batch, kl_weight, backward=True)
     # A non-finite shard loss makes the sum non-finite too.
     if not math.isfinite(losses.total):
         raise NonFiniteLoss(f"loss evaluated to {losses.total}")
-    leaves = shard_leaves[0]
-    for others in shard_leaves[1:]:
-        for name, leaf in leaves.items():
-            leaf.grad = leaf.grad + others[name].grad
-    return losses, tinylm.collect_flat_grad(params, leaves)
+    return losses, tinylm.collect_flat_grad(params, shard_leaves)
 
 
 def _keep_freed_memory() -> None:

@@ -40,8 +40,8 @@ _LN_EPS = 1e-5
 
 def causal_softmax(x: Tensor, scale: float, offset: int = 0) -> Tensor:
     t, n = x.data.shape[-2:]
-    scores = x * scale + np.triu(np.full((t, n), _NEG_INF), k=offset + 1)
-    return tape.exp(scores - tape.logsumexp(scores, axis=-1))
+    scores = tape.mul(x, Tensor(scale)) + np.triu(np.full((t, n), _NEG_INF), k=offset + 1)
+    return tape.exp(tape.sub(scores, tape.logsumexp(scores, axis=-1)))
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int = 0) -> Tensor:
@@ -49,34 +49,35 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    return x - tape.logsumexp(x, axis=-1)
+    return tape.sub(x, tape.logsumexp(x, axis=-1))
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
     d = x.data.shape[-1]
-    mu = tape.sumdim(x, axis=-1, keepdims=True) * (1.0 / d)
-    centered = x - mu
-    var = tape.sumdim(centered * centered, axis=-1, keepdims=True) * (1.0 / d)
+    mu = tape.mul(tape.sumdim(x, axis=-1, keepdims=True), Tensor(1.0 / d))
+    centered = tape.sub(x, mu)
+    var = tape.mul(tape.sumdim(tape.mul(centered, centered), axis=-1, keepdims=True), Tensor(1.0 / d))
     inv = tape.power(var + eps, -0.5)
-    return centered * inv * scale + bias
+    return tape.mul(tape.mul(centered, inv), scale) + bias
 
 
 def gelu(x: Tensor) -> Tensor:
-    inner = tape.tanh((x + 0.044715 * (x * x * x)) * _GELU_C)
-    return 0.5 * (x * (1.0 + inner))
+    cubed = tape.mul(tape.mul(x, x), x)
+    inner = tape.tanh(tape.mul(x + tape.mul(Tensor(0.044715), cubed), Tensor(_GELU_C)))
+    return tape.mul(Tensor(0.5), tape.mul(x, tape.add(Tensor(1.0), inner)))
 
 
 def ce_kl_loss(logprobs, targets, weights, ref_logprobs, kl_weight):
     """(total, ce, kl) as tensors; kl is None when the KL is off."""
     weights = Tensor(weights)
     picked = tape.take_along_last(logprobs, targets)
-    ce = -tape.sumdim(picked * weights)
+    ce = tape.mul(tape.sumdim(tape.mul(picked, weights)), Tensor(-1.0))
     if ref_logprobs is None or kl_weight == 0:
         return ce, ce, None
-    diff = logprobs - Tensor(ref_logprobs)
-    per_position = tape.sumdim(tape.exp(logprobs) * diff, axis=-1)
-    kl = tape.sumdim(per_position * weights)
-    return ce + kl * kl_weight, ce, kl
+    diff = tape.sub(logprobs, Tensor(ref_logprobs))
+    per_position = tape.sumdim(tape.mul(tape.exp(logprobs), diff), axis=-1)
+    kl = tape.sumdim(tape.mul(per_position, weights))
+    return ce + tape.mul(kl, Tensor(kl_weight)), ce, kl
 
 
 def batched_logprobs(leaves: dict[str, Tensor], cfg, ids: np.ndarray) -> Tensor:

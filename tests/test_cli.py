@@ -497,6 +497,52 @@ class TestGradcheckAndErrors:
         assert run("eval", "--config", str(config), "--checkpoint", str(path)) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda blob: b"not json\n" + blob, "checkpoint header is not valid JSON: "),
+            (lambda blob: blob[:-3], "checkpoint payload: "),
+            (lambda blob: blob[:-8], "checkpoint payload: expected flat vector of length "),
+        ],
+        ids=["header-not-json", "partial-float64", "short-payload"],
+    )
+    def test_unreadable_checkpoint_names_the_file(self, pipeline, tmp_path, capsys, damage, problem):
+        config, workdir, stage = pipeline
+        path = tmp_path / "bad.ckpt"
+        tinylm.save_checkpoint(path, tinylm.init(tinylm.ModelConfig(d_model=8, n_heads=2, n_layers=1)))
+        path.write_bytes(damage(path.read_bytes()))
+        assert run("eval", "--config", str(config), "--checkpoint", str(path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {problem}")
+
+    def test_unparsable_corpus_manifest_names_the_file_and_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{\n  not json\n')
+        config = write_config(tmp_path, corpus_dir=str(tmp_path), manifest=str(manifest))
+        assert run("ingest", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}:2: invalid JSON: ")
+        assert not (tmp_path / "work" / "nodes.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("correct", ["A"], "quiz item 'q1': correct must be a string, got ['A']"),
+            ("stem", 5, "quiz item 'q1': stem must be a string, got 5"),
+            ("options", {"A": 1, "B": "two"}, "quiz item 'q1': options must map each letter to a string"),
+            ("options", ["one", "two"], "quiz item 'q1': options must be an object"),
+            ("options", {"A": "one"}, "item q1: need at least 2 options"),
+            ("correct", "C", "item q1: correct letter not among options"),
+        ],
+        ids=["list-correct", "int-stem", "int-option", "list-options", "one-option", "unknown-correct"],
+    )
+    def test_ill_typed_quiz_item_names_the_file_and_item(self, pipeline, tmp_path, capsys, field, value, problem):
+        config, workdir, stage = pipeline
+        item = {"item_id": "q1", "stem": "Which law?", "options": {"A": "one", "B": "two"}, "correct": "A"}
+        quiz = tmp_path / "q.jsonl"
+        quiz.write_text(json.dumps({**item, field: value}) + "\n")
+        assert run("eval", "--config", str(config), "--mock-llm", "--quiz", str(quiz)) == 1
+        assert capsys.readouterr().err == f"error: {quiz}: {problem}\n"
+        assert not (workdir / "eval_report.json").exists()
+
     def test_eval_parallelism_0_exits_1(self, pipeline, capsys):
         config, workdir, stage = pipeline
         assert run("eval", "--config", str(config), "--mock-llm", "--parallelism", "0") == 1

@@ -181,8 +181,8 @@ class TestGrad:
     def test_backward_keeps_gradients_on_leaves_only(self):
         a = tape.Tensor(np.array([1.0, 2.0]))
         b = tape.Tensor(np.array([3.0, -1.0]))
-        hidden = a * b
-        loss = tape.sumdim(hidden * hidden)
+        hidden = tape.mul(a, b)
+        loss = tape.sumdim(tape.mul(hidden, hidden))
         tape.backward(loss)
         assert np.array_equal(a.grad, 2.0 * hidden.data * b.data)
         assert np.array_equal(b.grad, 2.0 * hidden.data * a.data)
@@ -230,7 +230,7 @@ def _vjp_max_rel_err(build, inputs, n_coords=40, seed=0):
     rng = np.random.default_rng(seed)
     out = build(*inputs)
     weights = rng.normal(size=out.data.shape)
-    tape.backward(tape.sumdim(out * weights))
+    tape.backward(tape.sumdim(tape.mul(out, tape.Tensor(weights))))
     worst = 0.0
     for tensor in inputs:
         assert tensor.grad is not None
@@ -286,7 +286,7 @@ class TestFusedOps:
         for attend in (tape.causal_attention, oracles.causal_attention):
             leaves = [tape.Tensor(x.data) for x in inputs]
             out = attend(*leaves, 0.35, offset)
-            tape.backward(tape.sumdim(out * weights))
+            tape.backward(tape.sumdim(tape.mul(out, tape.Tensor(weights))))
             grads.append([out.data] + [x.grad for x in leaves])
         for fused, composed in zip(*grads):
             assert np.max(np.abs(fused - composed)) <= 1e-12
@@ -374,8 +374,8 @@ class TestFusedOps:
             for model in (tinylm.batched_logprobs, oracles.batched_logprobs):
                 leaves = tinylm.build_leaves(params)
                 out = model(leaves, cfg, ids)
-                tape.backward(tape.sumdim(out * weights))
-                results.append((out.data, tinylm.collect_flat_grad(params, leaves)))
+                tape.backward(tape.sumdim(tape.mul(out, tape.Tensor(weights))))
+                results.append((out.data, tinylm.collect_flat_grad(params, [leaves])))
             (fused, fused_grad), (composed, composed_grad) = results
             assert np.max(np.abs(fused - composed)) <= 1e-12
             assert np.max(np.abs(fused_grad - composed_grad)) <= 1e-12

@@ -297,7 +297,7 @@ class TestWeightedSpan:
             tape.slice_rows(full, lo, hi), shard.targets, shard.weights, ref_full[:, lo:hi], 0.1
         )
         tape.backward(total)
-        want_grad = tinylm.collect_flat_grad(params, leaves)
+        want_grad = tinylm.collect_flat_grad(params, [leaves])
 
         got = tinylm.batched_logprobs(tinylm.build_leaves(params), SPAN_CFG, shard.ids, span=shard.span).data
         assert np.max(np.abs(got - full.data[:, lo:hi]), initial=0.0) <= 1e-12
@@ -398,7 +398,7 @@ class TestShards:
         ref_full = oracles.batched_logprobs(tinylm.build_leaves(ref), SPAN_CFG, ids).data
         total, ce, kl = oracles.ce_kl_loss(full, targets, weights, ref_full, 0.1)
         tape.backward(total)
-        want_grad = tinylm.collect_flat_grad(params, leaves)
+        want_grad = tinylm.collect_flat_grad(params, [leaves])
 
         # Each shard holds its rows' weighted columns, in the items' order,
         # and drops no weight; its forward matches the whole batch's there.
@@ -440,6 +440,19 @@ class TestShards:
         coords = np.random.default_rng(1).choice(params.count, size=60, replace=False)
         fd = oracles.central_differences(lambda: trainer.loss_value(params, batch, 0.1), params.flat, coords)
         assert oracles.max_rel_err(fd, analytic[coords]) <= 1e-4
+
+    def test_gradient_is_the_shard_order_sum_of_each_shards_gradient(self):
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(shard_batch_items("ragged"), ref)
+        assert len(batch) == 3
+        losses, grad = trainer.loss_and_grad(params, batch, 0.1)
+        want_total, want_grad = 0.0, np.zeros(params.count)
+        for shard in batch:
+            part, part_grad = trainer.loss_and_grad(params, (shard,), 0.1)
+            want_total += part.total
+            want_grad += part_grad
+        assert losses.total == want_total
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
         # Up to three workers on the ragged batch's 3 shards, with thread switches forced often.
@@ -702,6 +715,30 @@ class TestTrainLoop:
                 lambda: trainer.loss_value(params, batch, cfg.kl_weight), params.flat, coords
             )
             assert record.fd_max_rel_err == oracles.max_rel_err(fd, gradient[coords])
+
+    def test_a_multi_shard_step_collects_one_gradient_and_descends_along_it(self, fixture_examples, monkeypatch):
+        # One collect_flat_grad call per step, whatever the shard count, and
+        # the step moves params by exactly lr times what that call returned.
+        seen = []
+        collect = tinylm.collect_flat_grad
+
+        def capture(params, shard_leaves):
+            gradient = collect(params, shard_leaves)
+            seen.append((params.flat.copy(), len(shard_leaves), gradient))
+            return gradient
+
+        monkeypatch.setattr(tinylm, "collect_flat_grad", capture)
+        examples = fixture_examples[: 2 * trainer._SHARD_ROWS + 1]
+        init_params = init(TRAIN_MODEL_CFG)
+        ref = freeze_reference(init_params)
+        cfg = TrainConfig(mode="nsc_sft", total_steps=3, lr_max=1e-2, kl_weight=0.1, seed=7)
+        report = train(cfg, examples, init_params, ref_params=ref)
+
+        assert len(seen) == len(report.records) == cfg.total_steps
+        after = [flat for flat, _, _ in seen[1:]] + [report.final_params.flat]
+        for record, (before, shards, gradient), moved in zip(report.records, seen, after):
+            assert shards == 3
+            assert np.array_equal(moved, before - record.lr * gradient)
 
     def test_non_finite_aborts_with_partial_report(self, fixture_examples):
         params = init(TRAIN_MODEL_CFG)
