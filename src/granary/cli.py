@@ -274,17 +274,18 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     checkpoint = str(workdir / "model.ckpt") if trained_here else args.checkpoint
     if args.dry_run:
         return _plan("eval", cfg, [quiz_path] if checkpoint is None else [quiz_path, checkpoint])
-    _workdir(cfg)
 
+    # Read every input before the workdir is created, so a bad one leaves none.
     items = evalharness.read_quiz(quiz_path)
     if trained_here:
         cfgmod.check_upstream(workdir, "eval", cfg)
-    if checkpoint is None:
+    params = None if checkpoint is None else tinylm.load_checkpoint(checkpoint)
+    _workdir(cfg)
+    if params is None:
         report = evalharness.grade(items, _backend_for(cfg), parallelism=cfg.parallelism)
     else:
         # Local greedy decode stays sequential; parallelism applies to backends.
-        responder = evalharness.TinyLmResponder(tinylm.load_checkpoint(checkpoint))
-        report = evalharness.grade(items, responder, parallelism=1)
+        report = evalharness.grade(items, evalharness.TinyLmResponder(params), parallelism=1)
     with atomic_write(workdir / "eval_report.json") as fh:
         fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     print(json.dumps({"accuracy": report.accuracy, "unparsable": report.unparsable}))

@@ -5,8 +5,10 @@ broadcastable arithmetic, matmul, reductions and embedding gathers, plus
 fused ops for the model's hot composites: ``causal_attention`` (causal
 softmax attention, scored in blocks of query rows), ``log_softmax``,
 ``layer_norm``, ``gelu`` (tanh approximation) and ``ce_kl_loss`` (the
-weighted cross-entropy plus KL-to-reference training loss). Each fused op
-is one graph node with a closed-form VJP that keeps only what it needs.
+weighted cross-entropy plus KL-to-reference training loss, which takes the
+logits, normalises them itself and keeps only its logit gradient, formed
+in the forward). Each fused op is one graph node with a closed-form VJP
+that keeps only what it needs.
 ``Tensor`` defines only the operators the model uses, ``+`` and ``@``.
 A tensor marked ``const`` takes no gradient: an op whose inputs are all
 ``const`` records no parents and no VJP, so a forward over ``const``
@@ -330,7 +332,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def ce_kl_loss(
-    logprobs: Tensor,
+    logits: Tensor,
     targets: np.ndarray,
     weights: np.ndarray,
     ref_logprobs: np.ndarray | None,
@@ -338,41 +340,54 @@ def ce_kl_loss(
 ) -> tuple[Tensor, float, float]:
     """Weighted cross-entropy plus ``kl_weight`` times KL(current || reference).
 
-    ``logprobs`` is [B, T, V]; ``targets`` holds the [B, T] ids to score,
-    ``weights`` the [B, T] averaging weights, and ``ref_logprobs`` the
-    reference model's [B, T, V] log-probabilities, held constant:
+    ``logits`` is [B, T, V], normalised here by a stable log-softmax into
+    ``lp``; ``targets`` holds the [B, T] ids to score, ``weights`` the
+    [B, T] averaging weights, and ``ref_logprobs`` the reference model's
+    [B, T, V] log-probabilities, held constant. With ``p = exp(lp)``:
 
-        ce = -sum_bt w[b,t] * logprobs[b, t, targets[b,t]]
-        kl =  sum_bt w[b,t] * sum_v exp(logprobs) * (logprobs - ref_logprobs)
+        ce = -sum_bt w[b,t] * lp[b, t, targets[b,t]]
+        kl =  sum_bt w[b,t] * sum_v p * (lp - ref_logprobs)
 
+    The forward also forms the loss's gradient with respect to the logits,
+    in place in the softmax buffer, and the node keeps that one array:
+
+        w * (p + kl_weight * p * (diff - kl_row) - onehot(targets))
+
+    with ``diff = lp - ref_logprobs`` and ``kl_row = sum_v p * diff``.
     Returns ``(total, ce, kl)``: the scalar loss tensor and the two terms
     as floats. Without a reference or at ``kl_weight == 0`` the KL is not
     computed, ``kl`` is 0.0 and ``total`` is exactly ``ce``.
     """
-    lp = logprobs.data
+    x = logits.data
     targets = np.asarray(targets)
     weights = np.asarray(weights, dtype=np.float64)
     rows = np.ix_(*[np.arange(n) for n in targets.shape])
-    ce = -(lp[(*rows, targets)] * weights).sum()
-    kl, total = 0.0, ce
-    use_kl = ref_logprobs is not None and kl_weight > 0
-    if use_kl:
-        probs = np.exp(lp)
-        diff = lp - ref_logprobs
-        kl = (np.einsum("...v,...v->...", probs, diff) * weights).sum()
-        total = ce + kl * kl_weight
+    m = np.max(x, axis=-1, keepdims=True)
+    grad = x - m
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=-1, keepdims=True)
+    lse = m + np.log(total)
+    grad /= total  # the softmax p
+    ce = -((x[(*rows, targets)] - lse[..., 0]) * weights).sum()
+    kl, loss = 0.0, ce
+    if ref_logprobs is not None and kl_weight > 0:
+        diff = x - lse
+        diff -= ref_logprobs
+        kl_rows = np.einsum("...v,...v->...", grad, diff)
+        kl = (kl_rows * weights).sum()
+        loss = ce + kl * kl_weight
+        diff -= kl_rows[..., None]
+        diff *= grad
+        diff *= kl_weight
+        grad += diff
+    grad *= weights[..., None]
+    grad[(*rows, targets)] -= weights
 
     def vjp(g):
-        if use_kl:
-            grad = diff + 1.0
-            grad *= probs
-            grad *= (g * kl_weight) * weights[..., None]
-        else:
-            grad = np.zeros_like(lp)
-        grad[(*rows, targets)] -= g * weights
-        return (grad,)
+        # ``backward`` runs a VJP once, so the saved gradient is scaled in place.
+        return (np.multiply(grad, g, out=grad),)
 
-    return Tensor(total, (logprobs,), vjp), float(ce), float(kl)
+    return Tensor(loss, (logits,), vjp), float(ce), float(kl)
 
 
 def backward(loss: Tensor) -> None:

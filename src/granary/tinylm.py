@@ -6,11 +6,14 @@ math in float64, gradients from the reverse-mode tape and verified
 against central differences. Parameters live in one flat vector with
 named views so a frozen reference copy is a plain immutable snapshot.
 
-Training and greedy decoding run the same forward, ``batched_logprobs``,
-whose attention is one blocked tape op, ``tape.causal_attention``. Its
-``span`` names the columns to score, and the last layer and the head run
-only those: training scores the columns that carry loss weight, decoding
-the final column, whose log-probability argmax is the next token.
+Training and greedy decoding run the same forward, ``logits``, whose
+attention is one blocked tape op, ``tape.causal_attention``. Training
+hands the logits to ``tape.ce_kl_loss``, which normalises them itself;
+decoding and the reference forward run ``batched_logprobs``, the
+log-softmax of the logits. The ``span`` names the columns to score, and
+the last layer and the head run only those: training scores the columns
+that carry loss weight, decoding the final column, whose log-probability
+argmax is the next token.
 Decoding passes ``const`` leaves, so no graph is recorded, and a key/value
 cache. While the sequence fits the context window, each layer's keys and
 values are cached and a step runs only the new token's row. Once the
@@ -172,7 +175,7 @@ def _check_ids(ids: np.ndarray, cfg: ModelConfig) -> None:
         raise ValueError("token id out of range")
 
 
-def batched_logprobs(
+def logits(
     leaves: dict[str, Tensor],
     cfg: ModelConfig,
     ids: np.ndarray,
@@ -180,7 +183,7 @@ def batched_logprobs(
     start: int = 0,
     span: tuple[int, int] | None = None,
 ) -> Tensor:
-    """Forward a [B, T] id matrix to [B, hi - lo, vocab] log-probabilities.
+    """Forward a [B, T] id matrix to [B, hi - lo, vocab] unnormalised logits.
 
     Rows are independent sequences: positions restart at zero per row and
     attention is causal within a row, so right-padding one row never
@@ -237,7 +240,19 @@ def batched_logprobs(
         )
         x = x + tape.gelu(h2 @ leaves[f"layer{i}.mlp_in"]) @ leaves[f"layer{i}.mlp_out"]
 
-    return tape.log_softmax(x @ leaves["out_proj"])
+    return x @ leaves["out_proj"]
+
+
+def batched_logprobs(
+    leaves: dict[str, Tensor],
+    cfg: ModelConfig,
+    ids: np.ndarray,
+    kv: np.ndarray | None = None,
+    start: int = 0,
+    span: tuple[int, int] | None = None,
+) -> Tensor:
+    """The log-softmax of ``logits``: [B, hi - lo, vocab] log-probabilities."""
+    return tape.log_softmax(logits(leaves, cfg, ids, kv, start, span))
 
 
 def _split_heads(x: Tensor, b: int, t: int, heads: int, head_dim: int) -> Tensor:

@@ -13,7 +13,10 @@ tests share one batched path: ``make_batch``
 returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` (4)
 rows, and ``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted
 KL on it (plain CE for cpt, sft and λ=0) through one shard runner, on up
-to one thread per CPU, adding the shards' results in shard order.
+to one thread per CPU, adding the shards' results in shard order. The
+runner forwards each shard to the model's logits (``tinylm.logits``) and
+hands them to ``tape.ce_kl_loss``, which normalises them and keeps only
+their gradient, so the head holds one vocab-sized array per shard.
 
 The loop is plain gradient descent, the only update rule, under a cosine
 schedule with linear warmup; every step records the loss breakdown and
@@ -291,15 +294,19 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
 
     ``fan_out``'s worker threads, one per shard up to the CPUs the process
     may use (inline for one shard), each take the next shard and run its
-    forward and loss. With ``backward``, a shard whose loss is finite then
-    runs its backward, and its leaves hold the shard's gradient; otherwise
-    the leaves are None and the forward records no graph.
+    forward to the logits and the fused loss on them. With ``backward``, a
+    shard whose loss is finite then runs its backward, and its leaves hold
+    the shard's gradient; otherwise the leaves are None and the forward
+    records no graph.
     """
 
     def run(shard: Shard):
         leaves = tinylm.build_leaves(params, const=not backward)
-        logprobs = tinylm.batched_logprobs(leaves, params.config, shard.ids, span=shard.span)
-        total, ce, kl = tape.ce_kl_loss(logprobs, shard.targets, shard.weights, shard.ref_logprobs, kl_weight)
+        # No local holds the logits, so the backward frees them once the head's VJP has run.
+        total, ce, kl = tape.ce_kl_loss(
+            tinylm.logits(leaves, params.config, shard.ids, span=shard.span),
+            shard.targets, shard.weights, shard.ref_logprobs, kl_weight,
+        )
         value = float(total.data)
         if not (backward and math.isfinite(value)):
             return ce, kl, value, None

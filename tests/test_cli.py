@@ -514,6 +514,21 @@ class TestGradcheckAndErrors:
         assert run("eval", "--config", str(config), "--checkpoint", str(path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {problem}")
 
+    @pytest.mark.parametrize("bad_input", ["quiz", "checkpoint"])
+    def test_eval_input_error_leaves_no_workdir(self, pipeline, tmp_path, capsys, bad_input):
+        # Eval reads its inputs before it creates the workdir.
+        config, workdir, stage = pipeline
+        item = {"item_id": "q1", "stem": "Which law?", "options": {"A": "one", "B": "two"}, "correct": "A"}
+        quiz = tmp_path / "q.jsonl"
+        quiz.write_text(json.dumps({**item, "stem": 5} if bad_input == "quiz" else item) + "\n")
+        path = tmp_path / "model.ckpt"
+        tinylm.save_checkpoint(path, tinylm.init(tinylm.ModelConfig(d_model=8, n_heads=2, n_layers=1)))
+        if bad_input == "checkpoint":
+            path.write_bytes(path.read_bytes()[:-3])
+        assert run("eval", "--config", str(config), "--quiz", str(quiz), "--checkpoint", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not workdir.exists()
+
     def test_unparsable_corpus_manifest_names_the_file_and_line(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text('{\n  not json\n')

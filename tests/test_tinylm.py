@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -221,11 +222,12 @@ class TestGrad:
         assert backward_calls == []
 
 
-def _vjp_max_rel_err(build, inputs, n_coords=40, seed=0):
+def _vjp_max_rel_err(build, inputs, n_coords=40, seed=0, reference=None):
     """Worst relative error of ``build``'s VJP against ``oracles.central_differences``.
 
     ``build(*inputs)`` returns a tensor; a fixed random projection turns
     it into a scalar. Up to ``n_coords`` entries of every input are checked.
+    The differences are taken of ``reference``, which defaults to ``build``.
     """
     rng = np.random.default_rng(seed)
     out = build(*inputs)
@@ -236,7 +238,9 @@ def _vjp_max_rel_err(build, inputs, n_coords=40, seed=0):
         assert tensor.grad is not None
         flat = tensor.data.reshape(-1)
         coords = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
-        fd = oracles.central_differences(lambda: float(np.sum(build(*inputs).data * weights)), flat, coords)
+        fd = oracles.central_differences(
+            lambda: float(np.sum((reference or build)(*inputs).data * weights)), flat, coords
+        )
         worst = max(worst, oracles.max_rel_err(fd, tensor.grad.reshape(-1)[coords]))
     return worst
 
@@ -258,13 +262,13 @@ def _attention_inputs(rng, lead, rows, offset, head_dim=4):
 
 
 def _loss_inputs(rng, b=3, t=5, v=11):
+    """Raw logits (rows not normalised), targets, weights and reference log-probabilities."""
     logits = rng.normal(0.0, 1.5, size=(b, t, v))
-    logprobs = logits - np.logaddexp.reduce(logits, axis=-1, keepdims=True)
     ref = rng.normal(0.0, 1.5, size=(b, t, v))
     ref -= np.logaddexp.reduce(ref, axis=-1, keepdims=True)
     targets = rng.integers(0, v, size=(b, t))
     weights = rng.random((b, t)) * (rng.random((b, t)) < 0.7)
-    return logprobs, targets, weights, ref
+    return logits, targets, weights, ref
 
 
 class TestFusedOps:
@@ -313,12 +317,15 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("kl_weight", [0.0, 0.3])
     def test_ce_kl_loss_vjp(self, kl_weight):
-        logprobs, targets, weights, ref = _loss_inputs(np.random.default_rng(5))
+        logits, targets, weights, ref = _loss_inputs(np.random.default_rng(5))
 
-        def build(lp):
-            return tape.ce_kl_loss(lp, targets, weights, ref, kl_weight)[0]
+        def build(x):
+            return tape.ce_kl_loss(x, targets, weights, ref, kl_weight)[0]
 
-        assert _vjp_max_rel_err(build, [tape.Tensor(logprobs)]) <= 1e-4
+        def composed(x):
+            return oracles.ce_kl_loss(oracles.log_softmax(x), targets, weights, ref, kl_weight)[0]
+
+        assert _vjp_max_rel_err(build, [tape.Tensor(logits)], reference=composed) <= 1e-4
 
     def test_forwards_match_compositions(self):
         rng = np.random.default_rng(6)
@@ -343,10 +350,12 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("kl_weight", [0.0, 0.3])
     def test_loss_matches_composition(self, kl_weight):
-        logprobs, targets, weights, ref = _loss_inputs(np.random.default_rng(7))
-        lp = tape.Tensor(logprobs)
-        total, ce, kl = tape.ce_kl_loss(lp, targets, weights, ref, kl_weight)
-        want_total, want_ce, want_kl = oracles.ce_kl_loss(lp, targets, weights, ref, kl_weight)
+        logits, targets, weights, ref = _loss_inputs(np.random.default_rng(7))
+        x, x_composed = tape.Tensor(logits), tape.Tensor(logits)
+        total, ce, kl = tape.ce_kl_loss(x, targets, weights, ref, kl_weight)
+        want_total, want_ce, want_kl = oracles.ce_kl_loss(
+            oracles.log_softmax(x_composed), targets, weights, ref, kl_weight
+        )
         assert abs(float(total.data) - float(want_total.data)) <= 1e-12
         assert abs(ce - float(want_ce.data)) <= 1e-12
         if kl_weight == 0:
@@ -354,11 +363,38 @@ class TestFusedOps:
             assert float(total.data) == ce
         else:
             assert abs(kl - float(want_kl.data)) <= 1e-12
+        tape.backward(total)
+        tape.backward(want_total)
+        assert np.max(np.abs(x.grad - x_composed.grad)) <= 1e-12
 
     def test_loss_without_reference_is_ce_only(self):
-        logprobs, targets, weights, _ = _loss_inputs(np.random.default_rng(8))
-        total, ce, kl = tape.ce_kl_loss(tape.Tensor(logprobs), targets, weights, None, 0.5)
+        logits, targets, weights, _ = _loss_inputs(np.random.default_rng(8))
+        x = tape.Tensor(logits)
+        total, ce, kl = tape.ce_kl_loss(x, targets, weights, None, 0.5)
         assert kl == 0.0 and float(total.data) == ce
+        want_ce = oracles.ce_kl_loss(oracles.log_softmax(x), targets, weights, None, 0.5)[1]
+        assert abs(ce - float(want_ce.data)) <= 1e-12
+
+    def test_loss_keeps_one_vocab_sized_array(self):
+        # One 4-row shard's head at 160 positions, with a reference. The
+        # forward allocates the saved logit gradient and one transient array
+        # and the backward scales the saved one in place; a log_softmax node
+        # followed by a loss over its output peaks at five such arrays.
+        rng = np.random.default_rng(9)
+        logits, ref = (rng.normal(0.0, 1.5, size=(4, 160, 259)) for _ in range(2))
+        ref -= np.logaddexp.reduce(ref, axis=-1, keepdims=True)
+        targets = rng.integers(0, 259, size=(4, 160))
+        weights = np.full((4, 160), 1.0 / 640)
+        x = tape.Tensor(logits)
+        tracemalloc.start()
+        try:
+            total, _, _ = tape.ce_kl_loss(x, targets, weights, ref, 0.1)
+            tape.backward(total)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak <= 2.5 * logits.nbytes, peak / logits.nbytes
 
     @pytest.mark.parametrize("init_std", [0.0, 0.2])
     def test_model_forward_matches_composition(self, init_std):

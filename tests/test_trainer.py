@@ -52,7 +52,8 @@ def uniform_params(**kwargs):
 # batch's weighted span, which sums over fewer rows inside BLAS; the cpt
 # fingerprint again when each shard's ids were cut to its weighted columns,
 # and the cpt run (11 rows, so more than one shard) again when shards went
-# from 8 rows to 4.
+# from 8 rows to 4; the nsc_sft run again when the loss began to take the
+# logits and to form their gradient in its forward.
 PINNED_RUNS = {
     "sft": (
         [
@@ -66,9 +67,9 @@ PINNED_RUNS = {
         [
             (0, 0.01, 9.712312903211927, 7.7689177249359815, 10.489204675705526, 14.372835299098682, None),
             (1, 0.0075, 8.361004740042535, 6.520190055950949, 9.01302374563763, 8.017742829986599, None),
-            (2, 0.0025000000000000014, 7.931615354052422, 6.2787918477755165, 8.559494538829973, 7.163954113624007, None),
+            (2, 0.0025000000000000014, 7.931615354052422, 6.278791847775516, 8.559494538829973, 7.163954113624007, None),
         ],
-        "a955c2e9d9c56b2e99b35fa97eb7ee1f48184ac8e0a3304450b67497de926533",
+        "ec70fdd36d38deca3deb8331bc3d1fa687738134a75b0715f4cc2db2e68fae6a",
     ),
     "cpt": (
         [
