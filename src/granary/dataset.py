@@ -10,6 +10,11 @@ prompts (``evalharness.TinyLmResponder``) are both built on it.
 
 ``pack_cpt_texts`` packs raw text for continued pre-training at the
 model's context window; ``train`` calls it on ``cpt_dataset.jsonl``.
+
+Token sequences are numpy arrays: ids are ``uint16`` (the smallest
+dtype that holds the vocabulary), masks ``bool``. ``chunk_tokenized``
+returns views of its example, and each pack holds one id array and one
+mask array, of which its segments' masks are views.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import json
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +52,28 @@ class ChatExample:
 
 @dataclass
 class TokenizedExample:
-    """Token ids with a per-position supervision mask."""
+    """Token ids with a per-position supervision mask.
 
-    input_ids: list[int]
-    loss_mask: list[bool]
+    Either field may be given as a list or an array; both are stored as
+    1-D arrays, ids as ``uint16`` and the mask as ``bool``. An array of
+    those dtypes is kept as is, not copied.
+    """
+
+    input_ids: np.ndarray
+    loss_mask: np.ndarray
 
     def __post_init__(self):
-        if len(self.input_ids) != len(self.loss_mask):
+        ids = np.asarray(self.input_ids)
+        mask = np.asarray(self.loss_mask, dtype=bool)
+        if ids.ndim != 1 or ids.shape != mask.shape:
             raise ValueError("input_ids and loss_mask must have the same length")
-        if not any(self.loss_mask):
+        if not mask.any():
             raise ValueError("loss mask needs at least one true position")
-        if self.input_ids and not 0 <= min(self.input_ids) <= max(self.input_ids) < ByteTokenizer.vocab_size:
+        # Checked before the narrowing cast, which would wrap an id out of range.
+        if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= ByteTokenizer.vocab_size:
             raise ValueError("token id out of vocabulary range")
+        self.input_ids = ids.astype(np.uint16, copy=False)
+        self.loss_mask = mask
 
     @property
     def length(self) -> int:
@@ -70,12 +84,12 @@ class TokenizedExample:
 class Segment:
     offset: int
     length: int
-    loss_mask: tuple[bool, ...]
+    loss_mask: np.ndarray
 
 
 @dataclass
 class PackedSequence:
-    ids: list[int]
+    ids: np.ndarray
     segments: list[Segment] = field(default_factory=list)
 
     def __post_init__(self):
@@ -122,9 +136,15 @@ def tokenize_and_mask(example: ChatExample, tokenizer: ByteTokenizer) -> Tokeniz
 
 
 def tokenize_cpt(text: str, tokenizer: ByteTokenizer) -> TokenizedExample:
-    """Raw text for continued pre-training: no template, all-true mask."""
-    ids = [BOS_ID] + tokenizer.encode(text) + [EOS_ID]
-    return TokenizedExample(input_ids=ids, loss_mask=[True] * len(ids))
+    """Raw text for continued pre-training: no template, all-true mask.
+
+    The ids are ``tokenizer``'s byte ids, read straight from the UTF-8
+    bytes into the array.
+    """
+    raw = np.frombuffer(text.encode("utf-8"), np.uint8)
+    ids = np.empty(raw.size + 2, np.uint16)
+    ids[0], ids[1:-1], ids[-1] = BOS_ID, raw, EOS_ID
+    return TokenizedExample(input_ids=ids, loss_mask=np.ones(ids.size, bool))
 
 
 def _shrink_to_bytes(text: str, max_bytes: int) -> str:
@@ -188,54 +208,66 @@ def chunk_tokenized(example: TokenizedExample, max_len: int) -> list[TokenizedEx
     """Split one long example into consecutive windows of at most max_len.
 
     Used for raw-text pre-training records, whose node texts routinely
-    exceed a small model's context; every token survives, in order.
+    exceed a small model's context; every token survives, in order. The
+    windows are views of the example's arrays, not copies.
     """
     if example.length <= max_len:
         return [example]
-    pieces = []
-    for start in range(0, example.length, max_len):
-        ids = example.input_ids[start : start + max_len]
-        mask = example.loss_mask[start : start + max_len]
-        pieces.append(TokenizedExample(input_ids=ids, loss_mask=mask))
-    return pieces
+    return [
+        TokenizedExample(
+            input_ids=example.input_ids[start : start + max_len],
+            loss_mask=example.loss_mask[start : start + max_len],
+        )
+        for start in range(0, example.length, max_len)
+    ]
 
 
-def pack_sequences(examples: list[TokenizedExample], max_len: int) -> list[PackedSequence]:
+def pack_sequences(examples: Iterable[TokenizedExample], max_len: int) -> list[PackedSequence]:
     """Greedy in-order fill: append to the open pack if it fits, else start anew.
 
     The (id, mask) multiset is preserved exactly and relative order is kept
     within and across packs. Examples longer than ``max_len`` must have
-    been truncated upstream; they raise OversizedExample here.
+    been truncated upstream; they raise OversizedExample here. Each pack's
+    ids and masks are concatenated once, when it is closed, so an example
+    is held only until its pack closes.
     """
     packs: list[PackedSequence] = []
-    ids: list[int] = []
-    segments: list[Segment] = []
+    open_pack: list[TokenizedExample] = []
+    filled = 0
 
     def flush() -> None:
-        nonlocal ids, segments
-        if segments:
+        if open_pack:
+            mask = np.concatenate([ex.loss_mask for ex in open_pack])
+            segments, offset = [], 0
+            for ex in open_pack:
+                segments.append(Segment(offset, ex.length, mask[offset : offset + ex.length]))
+                offset += ex.length
+            ids = np.concatenate([ex.input_ids for ex in open_pack])
             packs.append(PackedSequence(ids=ids, segments=segments))
-            ids, segments = [], []
+            open_pack.clear()
 
     for ex in examples:
         if ex.length > max_len:
             raise OversizedExample(
                 f"example of length {ex.length} exceeds pack size {max_len}"
             )
-        if len(ids) + ex.length > max_len:
+        if filled + ex.length > max_len:
             flush()
-        segments.append(
-            Segment(offset=len(ids), length=ex.length, loss_mask=tuple(ex.loss_mask))
-        )
-        ids.extend(ex.input_ids)
+            filled = 0
+        open_pack.append(ex)
+        filled += ex.length
     flush()
     return packs
 
 
 def pack_cpt_texts(texts: Iterable[str], max_len: int) -> list[PackedSequence]:
-    """Raw texts tokenized, cut into ``max_len`` windows and packed in order."""
+    """Raw texts tokenized, cut into ``max_len`` windows and packed in order.
+
+    The windows stream into the packer, so no more than the open pack's
+    and the current text's tokens are held besides the finished packs.
+    """
     tokenizer = ByteTokenizer()
-    pieces = [p for t in texts for p in chunk_tokenized(tokenize_cpt(t, tokenizer), max_len)]
+    pieces = (p for t in texts for p in chunk_tokenized(tokenize_cpt(t, tokenizer), max_len))
     return pack_sequences(pieces, max_len)
 
 
@@ -262,14 +294,11 @@ PACKED_FORMAT_VERSION = 1
 def save_packed(path: str | Path, packs: list[PackedSequence], max_len: int | None = None) -> None:
     """Binary id/mask payload plus a JSON sidecar describing offsets."""
     path = Path(path)
-    all_ids = np.concatenate(
-        [np.asarray(p.ids, dtype="<i4") for p in packs]
-    ) if packs else np.zeros(0, dtype="<i4")
-    masks = chain.from_iterable(s.loss_mask for p in packs for s in p.segments)
-    all_masks = np.fromiter(masks, np.uint8, count=all_ids.size)
+    all_ids = np.concatenate([np.zeros(0, np.uint16)] + [p.ids for p in packs])
+    all_masks = np.concatenate([np.zeros(0, bool)] + [s.loss_mask for p in packs for s in p.segments])
     with path.open("wb") as fh:
-        fh.write(all_ids.tobytes())
-        fh.write(all_masks.tobytes())
+        fh.write(all_ids.astype("<i4").tobytes())
+        fh.write(all_masks.astype(np.uint8).tobytes())
     sidecar = {
         "format_version": PACKED_FORMAT_VERSION,
         "max_len": max_len,

@@ -119,8 +119,7 @@ def write_report(report: TrainReport, jsonl_path: str | Path, summary_path: str 
 
 def _target_positions(ex: TokenizedExample) -> np.ndarray:
     """Indices i >= 1 whose token is supervised (mask true)."""
-    mask = np.asarray(ex.loss_mask, dtype=bool)
-    return np.nonzero(mask[1:])[0] + 1
+    return np.nonzero(ex.loss_mask[1:])[0] + 1
 
 
 def kl_term(logp_cur: np.ndarray, logp_ref: np.ndarray, mask: np.ndarray) -> float:

@@ -11,7 +11,8 @@ the way ``tinylm.greedy_decode`` did before it cached keys and values.
 backend found a task's position before it indexed id prefixes,
 ``packed_bytes_reference`` gathers ``packed.bin`` one list per pack, and
 ``load_packed`` is the reference reader of the ``packed.bin`` format,
-which no pipeline stage reads back. ``serialize_tree`` re-joins a parsed
+which no pipeline stage reads back; ``pack_lists`` spells packs as plain
+lists, so tests can compare them with ``==``. ``serialize_tree`` re-joins a parsed
 section tree, so the tests can check that parsing is lossless.
 ``RecordingBackend`` keeps the requests a backend was sent and its
 replies, and digests that traffic. ``loss_sft``
@@ -221,15 +222,21 @@ def load_packed(path) -> list:
             Segment(
                 offset=s["offset"],
                 length=s["length"],
-                loss_mask=tuple(
-                    bool(b) for b in masks[base + s["offset"] : base + s["offset"] + s["length"]]
-                ),
+                loss_mask=masks[base + s["offset"] : base + s["offset"] + s["length"]].astype(bool),
             )
             for s in meta["segments"]
         ]
-        pack_ids = ids[base : base + meta["length"]].tolist()
+        pack_ids = ids[base : base + meta["length"]].astype(np.uint16)
         packs.append(PackedSequence(ids=pack_ids, segments=segments))
     return packs
+
+
+def pack_lists(packs) -> list:
+    """Each pack as ``(ids, [(offset, length, mask), ...])`` of plain lists."""
+    return [
+        (p.ids.tolist(), [(s.offset, s.length, s.loss_mask.tolist()) for s in p.segments])
+        for p in packs
+    ]
 
 
 class RecordingBackend:

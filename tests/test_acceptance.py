@@ -284,8 +284,8 @@ def test_criterion_7_packing_conservation():
     conserved = np.array_equal(before, after)
     bounded = all(p.total_length <= 8192 for p in packs)
     in_order = [
-        pack.ids[s.offset : s.offset + s.length] for pack in packs for s in pack.segments
-    ] == [ex.input_ids for ex in examples]
+        pack.ids[s.offset : s.offset + s.length].tolist() for pack in packs for s in pack.segments
+    ] == [ex.input_ids.tolist() for ex in examples]
     elapsed = time.perf_counter() - started
     verdict(
         7,

@@ -2,9 +2,11 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from granary.dataset import (
     chat_example_to_record,
     chunk_tokenized,
     mix_datasets,
+    pack_cpt_texts,
     pack_sequences,
     render_chat_template,
     save_packed,
@@ -82,7 +85,7 @@ class TestTokenizeAndMask:
             + TOK.encode("A")
             + [EOS_ID]
         )
-        assert tokenized.input_ids == expected
+        assert tokenized.input_ids.tolist() == expected
         assert "<|system|>" not in TOK.decode(tokenized.input_ids)
 
     def test_system_block_included_when_set(self):
@@ -128,6 +131,28 @@ class TestTokenizeAndMask:
         tokenized = tokenize_cpt("raw body", TOK)
         assert tokenized.input_ids[0] == BOS_ID and tokenized.input_ids[-1] == EOS_ID
         assert all(tokenized.loss_mask)
+
+    def test_cpt_ids_are_the_tokenizers_byte_ids(self):
+        text = "Ω gain, 3 dB\n"
+        assert tokenize_cpt(text, TOK).input_ids.tolist() == [BOS_ID] + TOK.encode(text) + [EOS_ID]
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    @pytest.mark.parametrize(
+        "ids, mask",
+        [([65, -1], [True, True]), ([65, 259], [True, True]), ([65, 66], [False, False])],
+        ids=["id -1", "id 259", "all-false mask"],
+    )
+    def test_rejects_ids_outside_the_vocabulary_and_an_all_false_mask(self, ids, mask, as_array):
+        # A uint8 cast before the range check would turn 259 into 3 and accept it.
+        if as_array:
+            ids, mask = np.array(ids), np.array(mask)
+        with pytest.raises(ValueError):
+            TokenizedExample(input_ids=ids, loss_mask=mask)
+
+    def test_stores_uint16_ids_and_a_bool_mask(self):
+        tokenized = TokenizedExample(input_ids=[0, 258], loss_mask=[0, 1])
+        assert tokenized.input_ids.dtype == np.uint16 and tokenized.loss_mask.dtype == bool
+        assert tokenized.input_ids.tolist() == [0, 258] and tokenized.loss_mask.tolist() == [False, True]
 
 
 class TestTruncation:
@@ -178,7 +203,9 @@ class TestTruncation:
 
     def test_short_example_untouched(self):
         example = render_chat_template(kept_entry())
-        assert truncate_chat_example(example, TOK, 8192) == tokenize_and_mask(example, TOK)
+        got, want = truncate_chat_example(example, TOK, 8192), tokenize_and_mask(example, TOK)
+        assert got.input_ids.tolist() == want.input_ids.tolist()
+        assert got.loss_mask.tolist() == want.loss_mask.tolist()
 
 
 def dummy_example(length, fill=65):
@@ -227,17 +254,48 @@ class TestPacking:
         assert all(p.total_length <= 600 for p in packs)
         # In-order: flattened segment streams reproduce the input streams.
         flat = [
-            pack.ids[seg.offset : seg.offset + seg.length]
+            pack.ids[seg.offset : seg.offset + seg.length].tolist()
             for pack in packs
             for seg in pack.segments
         ]
-        assert flat == [ex.input_ids for ex in examples]
+        assert flat == [ex.input_ids.tolist() for ex in examples]
 
     def test_chunk_tokenized_splits_preserving_tokens(self):
         example = dummy_example(1000)
         pieces = chunk_tokenized(example, 300)
         assert [p.length for p in pieces] == [300, 300, 300, 100]
-        assert sum((p.input_ids for p in pieces), []) == example.input_ids
+        assert sum((p.input_ids.tolist() for p in pieces), []) == example.input_ids.tolist()
+        assert all(p.input_ids.base is example.input_ids for p in pieces)
+        assert all(p.loss_mask.base is example.loss_mask for p in pieces)
+
+    def test_segment_masks_are_views_of_one_pack_mask(self):
+        [pack] = pack_sequences([dummy_example(3), dummy_example(4)], 8)
+        first, second = (s.loss_mask for s in pack.segments)
+        assert first.base is not None and first.base is second.base
+
+    def test_accepts_any_iterable(self):
+        examples = [dummy_example(n, fill=60 + n) for n in (5, 2, 7, 1, 8)]
+        packs = pack_sequences(iter(examples), 8)
+        assert oracles.pack_lists(packs) == oracles.pack_lists(pack_sequences(examples, 8))
+
+    def test_cpt_packing_holds_a_few_bytes_per_token(self):
+        rng = random.Random(0)
+        words = ["node", "bias", "gain", "Ω", "op-amp", "mirror", "the", "of"]
+        texts = [" ".join(rng.choice(words) for _ in range(rng.randrange(20, 400))) for _ in range(150)]
+        tokens = sum(len(t.encode("utf-8")) + 2 for t in texts)
+        assert tokens >= 100_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            packs = pack_cpt_texts(texts, 256)
+            retained, peak = (b - base for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert sum(p.total_length for p in packs) == tokens
+        # uint16 ids and bool masks are 3 bytes a token; the rest is per pack
+        # (~5.9 in all). Holding every window before packing peaks at ~10.5.
+        assert retained / tokens < 8
+        assert peak / tokens < 8
 
 
 class TestMix:
@@ -293,7 +351,7 @@ class TestPersistence:
         packs = pack_sequences(examples, max_len=6)
         path = tmp_path / "packed.bin"
         save_packed(path, packs)
-        assert oracles.load_packed(path) == packs
+        assert oracles.pack_lists(oracles.load_packed(path)) == oracles.pack_lists(packs)
 
     def test_packed_bytes_match_reference_gather(self, tmp_path):
         rng = random.Random(0)
@@ -314,7 +372,7 @@ class TestPersistence:
             assert path.read_bytes() == oracles.packed_bytes_reference(packs)
             sidecar = Path(str(path) + ".json").read_bytes()
             assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256[len(packs)]
-            assert oracles.load_packed(path) == packs
+            assert oracles.pack_lists(oracles.load_packed(path)) == oracles.pack_lists(packs)
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):

@@ -206,7 +206,7 @@ class TestTinyLmResponder:
         for request in requests:
             *system, user = (m.content for m in request.messages)
             example = ChatExample(system="".join(system), user=user, assistant="B")
-            trained.append(tokenize_and_mask(example, ByteTokenizer()).input_ids[:-2])
+            trained.append(tokenize_and_mask(example, ByteTokenizer()).input_ids[:-2].tolist())
         assert prompts == trained
 
     def test_rejects_requests_outside_the_template(self):
