@@ -4,11 +4,14 @@ A deliberately small op set tailored to a decoder-only transformer:
 broadcastable arithmetic, matmul, reductions and embedding gathers, plus
 fused ops for the model's hot composites: ``causal_attention`` (causal
 softmax attention, scored in blocks of query rows), ``log_softmax``,
-``layer_norm``, ``gelu`` (tanh approximation) and ``ce_kl_loss`` (the
-weighted cross-entropy plus KL-to-reference training loss, which takes the
-logits, normalises them itself and keeps only its logit gradient, formed
-in the forward). Each fused op is one graph node with a closed-form VJP
-that keeps only what it needs.
+``layer_norm``, ``mlp`` (``gelu(h @ w_in) @ w_out`` with the tanh GELU)
+and ``ce_kl_loss`` (the weighted cross-entropy plus KL-to-reference
+training loss, which runs the output head itself, normalises the logits
+and keeps only their gradient, formed in the forward). Each fused op is
+one graph node with a closed-form VJP that keeps only what it needs, and
+does the same float operations in the same order as the primitive nodes
+it replaces. ``softmax_lse`` is the numpy softmax and log normaliser that
+``log_softmax`` and ``ce_kl_loss`` share.
 ``Tensor`` defines only the operators the model uses, ``+`` and ``@``.
 A tensor marked ``const`` takes no gradient: an op whose inputs are all
 ``const`` records no parents and no VJP, so a forward over ``const``
@@ -26,6 +29,7 @@ import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _ATTENTION_BLOCK = 32  # query rows per block of causal_attention
+_MASKS = (np.ones((0, 0), dtype=bool),) * 2  # causal_attention's cached masks, see _causal_masks
 
 
 class Tensor:
@@ -225,6 +229,21 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
 # Tensor operator: the tests' reference compositions call them by name, and the benchmark tracer wraps them.
 
 
+def _causal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A lower-triangular boolean matrix (``[i, j]`` true for j <= i) of at least n rows, and its complement.
+
+    The pair is cached and grows to the largest key count asked for, which
+    the context window bounds; worker threads may both grow it, harmlessly.
+    """
+    global _MASKS
+    masks = _MASKS
+    if masks[0].shape[0] < n:
+        past = np.tri(n, dtype=bool)
+        masks = _MASKS = (past, ~past)
+    return masks
+
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int = 0) -> Tensor:
     """softmax(scale * q kᵀ) v under a causal mask, for [..., t, d] queries.
 
@@ -233,22 +252,27 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
     offset lets new rows attend to cached keys. Block [lo, hi) of
     ``_ATTENTION_BLOCK`` rows scores keys [0, offset + hi) only, which skips
     most of the masked half, and sees its whole key prefix, so no
-    online-softmax rescaling is needed. Masked entries are zeroed rather
-    than exponentiated from -inf, which numpy's exp handles about three
-    times slower. The VJP keeps each block's probabilities.
+    online-softmax rescaling is needed. Its mask is a slice of one cached
+    triangular matrix. Masked entries are zeroed rather than exponentiated
+    from -inf, which numpy's exp handles about three times slower.
+    ``scale`` multiplies the queries once, and the VJP's query and key
+    gradients once at its end; for a power-of-two scale (head_dim 4, 16,
+    64, …) that rounds exactly as scaling each block's scores would. The
+    VJP keeps each block's probabilities.
     """
     t = q.data.shape[-2]
+    scaled_q = q.data * scale
+    past_all, future_all = _causal_masks(offset + t)
     out = np.empty(q.data.shape[:-1] + v.data.shape[-1:])
     blocks = []
     for lo in range(0, t, _ATTENTION_BLOCK):
         hi = min(lo + _ATTENTION_BLOCK, t)
         n = offset + hi
-        probs = q.data[..., lo:hi, :] @ np.swapaxes(k.data[..., :n, :], -1, -2)
-        past = np.tri(hi - lo, n, k=offset + lo, dtype=bool)
+        probs = scaled_q[..., lo:hi, :] @ np.swapaxes(k.data[..., :n, :], -1, -2)
+        past = past_all[offset + lo : n, :n]
         probs -= np.max(probs, axis=-1, keepdims=True, where=past, initial=-np.inf)
-        probs *= scale
         np.exp(probs, out=probs, where=past)
-        np.copyto(probs, 0.0, where=~past)
+        np.copyto(probs, 0.0, where=future_all[offset + lo : n, :n])
         probs /= probs.sum(axis=-1, keepdims=True)
         out[..., lo:hi, :] = probs @ v.data[..., :n, :]
         blocks.append((lo, hi, probs))
@@ -265,29 +289,39 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
             gs = g_block @ np.swapaxes(v.data[..., :n, :], -1, -2)
             gs -= np.einsum("...ij,...ij->...i", gs, probs)[..., None]
             gs *= probs
-            gs *= scale
             gq[..., lo:hi, :] = gs @ k.data[..., :n, :]
             gk[..., :n, :] += np.swapaxes(gs, -1, -2) @ q.data[..., lo:hi, :]
+        gq *= scale
+        gk *= scale
         return gq, gk, gv
 
     return Tensor(out, (q, k, v), vjp)
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Stable log-softmax over the last axis; the VJP keeps the softmax."""
-    m = np.max(x.data, axis=-1, keepdims=True)
-    probs = x.data - m
+def softmax_lse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax of ``x`` over its last axis, and its log normaliser ``m + log sum exp(x - m)``.
+
+    ``m`` is each row's max; the normaliser keeps the reduced axis.
+    """
+    m = np.max(x, axis=-1, keepdims=True)
+    probs = x - m
     np.exp(probs, out=probs)
     total = probs.sum(axis=-1, keepdims=True)
-    out_data = x.data - (m + np.log(total))
+    lse = m + np.log(total)
     probs /= total
+    return probs, lse
+
+
+def log_softmax(x: Tensor) -> Tensor:
+    """Stable log-softmax over the last axis; the VJP keeps the softmax."""
+    probs, lse = softmax_lse(x.data)
 
     def vjp(g):
         gx = probs * -g.sum(axis=-1, keepdims=True)
         gx += g
         return (gx,)
 
-    return Tensor(out_data, (x,), vjp)
+    return Tensor(x.data - lse, (x,), vjp)
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -313,26 +347,52 @@ def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
     return Tensor(out, (x, scale, bias), vjp)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + t) with t = tanh(c (x + 0.044715 x^3))."""
-    xd = x.data
-    t = np.tanh((xd + 0.044715 * (xd * xd * xd)) * _GELU_C)
-    out = 0.5 * (xd * (1.0 + t))
+def mlp(h: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
+    """gelu(h @ w_in) @ w_out, with GELU's tanh approximation 0.5 x (1 + t), t = tanh(c (x + 0.044715 x³)).
+
+    The GELU chain runs in place in the pre-activation's buffer, which ends
+    as the activation. The VJP keeps that activation and the GELU slope,
+    which the forward forms only when some input takes a gradient, so a
+    forward over ``const`` leaves skips it.
+    """
+    act = np.matmul(h.data, w_in.data)  # the pre-activation x, until it is overwritten below
+    t = act * act
+    t *= act
+    t *= 0.044715
+    t += act
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    slope = None
+    if not all(p.const for p in (h, w_in, w_out)):
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        inner = act * act
+        inner *= 3 * 0.044715
+        inner += 1.0
+        inner *= _GELU_C
+        slope *= inner
+        slope *= act
+    t += 1.0
+    if slope is not None:
+        slope += t
+    act *= t
+    act *= 0.5
 
     def vjp(g):
-        slope = 1.0 - t * t
-        slope *= (1.0 + (3 * 0.044715) * (xd * xd)) * _GELU_C
-        slope *= xd
-        slope += 1.0 + t
-        slope *= g
-        slope *= 0.5
-        return (slope,)
+        g_act = np.matmul(g, np.swapaxes(w_out.data, -1, -2))
+        g_w_out = _unbroadcast(np.matmul(np.swapaxes(act, -1, -2), g), w_out.data.shape)
+        g_act *= slope
+        g_act *= 0.5
+        g_h = np.matmul(g_act, np.swapaxes(w_in.data, -1, -2))
+        g_w_in = _unbroadcast(np.matmul(np.swapaxes(h.data, -1, -2), g_act), w_in.data.shape)
+        return g_h, g_w_in, g_w_out
 
-    return Tensor(out, (x,), vjp)
+    return Tensor(np.matmul(act, w_out.data), (h, w_in, w_out), vjp)
 
 
 def ce_kl_loss(
-    logits: Tensor,
+    hidden: Tensor,
+    out_proj: Tensor,
     targets: np.ndarray,
     weights: np.ndarray,
     ref_logprobs: np.ndarray | None,
@@ -340,54 +400,57 @@ def ce_kl_loss(
 ) -> tuple[Tensor, float, float]:
     """Weighted cross-entropy plus ``kl_weight`` times KL(current || reference).
 
-    ``logits`` is [B, T, V], normalised here by a stable log-softmax into
-    ``lp``; ``targets`` holds the [B, T] ids to score, ``weights`` the
-    [B, T] averaging weights, and ``ref_logprobs`` the reference model's
-    [B, T, V] log-probabilities, held constant. With ``p = exp(lp)``:
+    ``hidden`` is the [B, T, d] final residual stream and ``out_proj`` the
+    [d, V] head; their product, the logits, is normalised here by a stable
+    log-softmax into ``lp``. ``targets`` holds the [B, T] ids to score,
+    ``weights`` the [B, T] averaging weights, and ``ref_logprobs`` the
+    reference model's [B, T, V] log-probabilities, held constant. With
+    ``p = exp(lp)``:
 
         ce = -sum_bt w[b,t] * lp[b, t, targets[b,t]]
         kl =  sum_bt w[b,t] * sum_v p * (lp - ref_logprobs)
 
+    The logits' buffer becomes ``lp`` and then the KL difference, in place.
     The forward also forms the loss's gradient with respect to the logits,
-    in place in the softmax buffer, and the node keeps that one array:
+    in place in the softmax buffer, and the node keeps that one
+    vocab-sized array:
 
         w * (p + kl_weight * p * (diff - kl_row) - onehot(targets))
 
-    with ``diff = lp - ref_logprobs`` and ``kl_row = sum_v p * diff``.
+    with ``diff = lp - ref_logprobs`` and ``kl_row = sum_v p * diff``; the
+    VJP carries it through the head to ``hidden`` and ``out_proj``.
     Returns ``(total, ce, kl)``: the scalar loss tensor and the two terms
     as floats. Without a reference or at ``kl_weight == 0`` the KL is not
     computed, ``kl`` is 0.0 and ``total`` is exactly ``ce``.
     """
-    x = logits.data
+    x = np.matmul(hidden.data, out_proj.data)
     targets = np.asarray(targets)
     weights = np.asarray(weights, dtype=np.float64)
     rows = np.ix_(*[np.arange(n) for n in targets.shape])
-    m = np.max(x, axis=-1, keepdims=True)
-    grad = x - m
-    np.exp(grad, out=grad)
-    total = grad.sum(axis=-1, keepdims=True)
-    lse = m + np.log(total)
-    grad /= total  # the softmax p
+    grad, lse = softmax_lse(x)  # grad holds the softmax p for now
     ce = -((x[(*rows, targets)] - lse[..., 0]) * weights).sum()
     kl, loss = 0.0, ce
     if ref_logprobs is not None and kl_weight > 0:
-        diff = x - lse
-        diff -= ref_logprobs
-        kl_rows = np.einsum("...v,...v->...", grad, diff)
+        x -= lse  # lp
+        x -= ref_logprobs  # diff
+        kl_rows = np.einsum("...v,...v->...", grad, x)
         kl = (kl_rows * weights).sum()
         loss = ce + kl * kl_weight
-        diff -= kl_rows[..., None]
-        diff *= grad
-        diff *= kl_weight
-        grad += diff
+        x -= kl_rows[..., None]
+        x *= grad
+        x *= kl_weight
+        grad += x
     grad *= weights[..., None]
     grad[(*rows, targets)] -= weights
 
     def vjp(g):
         # ``backward`` runs a VJP once, so the saved gradient is scaled in place.
-        return (np.multiply(grad, g, out=grad),)
+        g_logits = np.multiply(grad, g, out=grad)
+        g_hidden = np.matmul(g_logits, np.swapaxes(out_proj.data, -1, -2))
+        g_out_proj = np.matmul(np.swapaxes(hidden.data, -1, -2), g_logits)
+        return g_hidden, _unbroadcast(g_out_proj, out_proj.data.shape)
 
-    return Tensor(loss, (logits,), vjp), float(ce), float(kl)
+    return Tensor(loss, (hidden, out_proj), vjp), float(ce), float(kl)
 
 
 def backward(loss: Tensor) -> None:

@@ -6,20 +6,23 @@ math in float64, gradients from the reverse-mode tape and verified
 against central differences. Parameters live in one flat vector with
 named views so a frozen reference copy is a plain immutable snapshot.
 
-Training and greedy decoding run the same forward, ``logits``, whose
-attention is one blocked tape op, ``tape.causal_attention``. Training
-hands the logits to ``tape.ce_kl_loss``, which normalises them itself;
-decoding and the reference forward run ``batched_logprobs``, the
-log-softmax of the logits. The ``span`` names the columns to score, and
-the last layer and the head run only those: training scores the columns
-that carry loss weight, decoding the final column, whose log-probability
-argmax is the next token.
+Training and greedy decoding run the same trunk, ``hidden``, which
+returns the final residual stream; its attention is one blocked tape op,
+``tape.causal_attention``, and each MLP one ``tape.mlp``. Training hands
+the hidden states and the head to ``tape.ce_kl_loss``, which forms and
+normalises the logits itself; decoding runs ``batched_logprobs``, the
+log-softmax of the head over the hidden states. The ``span`` names the
+columns to score, and the last layer's queries, residual stream and MLP
+run only those: training scores the columns that carry loss weight,
+decoding the final column, whose log-probability argmax is the next
+token.
 Decoding passes ``const`` leaves, so no graph is recorded, and a key/value
 cache. While the sequence fits the context window, each layer's keys and
 values are cached and a step runs only the new token's row. Once the
 window slides, every id moves to an earlier position; positions are
 learned embeddings added at the input, so no cached key or value stays
-valid and the window is recomputed.
+valid and the window is recomputed. Training and decoding both set
+glibc's allocator to keep freed memory (``keep_freed_memory``).
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def _check_ids(ids: np.ndarray, cfg: ModelConfig) -> None:
         raise ValueError("token id out of range")
 
 
-def logits(
+def hidden(
     leaves: dict[str, Tensor],
     cfg: ModelConfig,
     ids: np.ndarray,
@@ -183,7 +186,7 @@ def logits(
     start: int = 0,
     span: tuple[int, int] | None = None,
 ) -> Tensor:
-    """Forward a [B, T] id matrix to [B, hi - lo, vocab] unnormalised logits.
+    """Forward a [B, T] id matrix to the [B, hi - lo, d] final residual stream, before the head.
 
     Rows are independent sequences: positions restart at zero per row and
     attention is causal within a row, so right-padding one row never
@@ -191,8 +194,8 @@ def logits(
 
     ``span = (lo, hi)`` selects the columns to score, all T by default.
     Every layer but the last runs all columns, whose keys and values the
-    span's queries attend to; the last layer's queries, residual stream
-    and MLP, and the head, run columns ``lo..hi-1`` only.
+    span's queries attend to; the last layer's query projection, residual
+    stream and MLP run columns ``lo..hi-1`` only.
 
     With ``kv`` (from ``kv_cache``) the one row of ``ids`` holds the window
     positions ``start..``: ``kv`` holds each layer's keys and values for
@@ -218,7 +221,6 @@ def logits(
         h = tape.layer_norm(
             x, leaves[f"layer{i}.norm1_scale"], leaves[f"layer{i}.norm1_bias"], _LN_EPS
         )
-        q = _split_heads(h @ leaves[f"layer{i}.attn_q"], b, t, heads, head_dim)
         k = _split_heads(h @ leaves[f"layer{i}.attn_k"], b, t, heads, head_dim)
         v = _split_heads(h @ leaves[f"layer{i}.attn_v"], b, t, heads, head_dim)
         if kv is not None:
@@ -229,8 +231,9 @@ def logits(
         if i == cfg.n_layers - 1 and (lo, hi) != (0, t):
             # Query row r attends keys up to start + lo + r only, so the
             # keys past start + hi are never read.
-            x, q, first = tape.slice_rows(x, lo, hi), tape.slice_rows(q, lo, hi), lo
+            x, h, first = tape.slice_rows(x, lo, hi), tape.slice_rows(h, lo, hi), lo
         rows = x.shape[1]
+        q = _split_heads(h @ leaves[f"layer{i}.attn_q"], b, rows, heads, head_dim)
         attended = tape.causal_attention(q, k, v, scale, offset=start + first)
         context = tape.reshape(tape.swapaxes(attended, 1, 2), (b, rows, cfg.d_model))
         x = x + context @ leaves[f"layer{i}.attn_o"]
@@ -238,9 +241,8 @@ def logits(
         h2 = tape.layer_norm(
             x, leaves[f"layer{i}.norm2_scale"], leaves[f"layer{i}.norm2_bias"], _LN_EPS
         )
-        x = x + tape.gelu(h2 @ leaves[f"layer{i}.mlp_in"]) @ leaves[f"layer{i}.mlp_out"]
-
-    return x @ leaves["out_proj"]
+        x = x + tape.mlp(h2, leaves[f"layer{i}.mlp_in"], leaves[f"layer{i}.mlp_out"])
+    return x
 
 
 def batched_logprobs(
@@ -251,8 +253,8 @@ def batched_logprobs(
     start: int = 0,
     span: tuple[int, int] | None = None,
 ) -> Tensor:
-    """The log-softmax of ``logits``: [B, hi - lo, vocab] log-probabilities."""
-    return tape.log_softmax(logits(leaves, cfg, ids, kv, start, span))
+    """The log-softmax of the head over ``hidden``: [B, hi - lo, vocab] log-probabilities."""
+    return tape.log_softmax(hidden(leaves, cfg, ids, kv, start, span) @ leaves["out_proj"])
 
 
 def _split_heads(x: Tensor, b: int, t: int, heads: int, head_dim: int) -> Tensor:
@@ -342,6 +344,31 @@ def load_checkpoint(path: str | Path) -> Parameters:
         raise ValueError(f"{path}: checkpoint payload: {exc}") from None
 
 
+def keep_freed_memory() -> None:
+    """Make glibc keep freed memory in its heap, for the life of the process.
+
+    A train step frees its shards' graphs, and a decoded token its
+    forward's arrays. By default glibc hands freed blocks at the heap top,
+    and every block above its mmap threshold, back to the OS, so the next
+    step or token faults the same pages in again. With a 32 MiB mmap
+    threshold (the demo step's largest array is ~1.3 MB), a 1 GiB trim
+    threshold and one arena for every thread, the pages stay mapped and
+    peak RSS is one heap's peak. The setting is process-wide; where glibc's
+    ``mallopt`` cannot be found (musl, macOS) this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8  # glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+    mallopt(m_arena_max, 1)
+
+
 def kv_cache(cfg: ModelConfig) -> np.ndarray:
     """Room for every layer's keys and values over one window: [layers, 2, heads, w, head_dim]."""
     head_dim = cfg.d_model // cfg.n_heads
@@ -361,8 +388,10 @@ def greedy_decode(
     step's token is the argmax of ``forward`` over the last ``w`` ids,
     computed by ``batched_logprobs`` over ``const`` leaves with a key/value
     cache. An empty prompt or an id outside the vocabulary, even one the
-    window drops, raises ValueError.
+    window drops, raises ValueError. It first sets glibc's allocator to keep
+    freed memory (``keep_freed_memory``), so tokens reuse their pages.
     """
+    keep_freed_memory()
     cfg = params.config
     w = cfg.context_window
     ids = list(prompt_ids)

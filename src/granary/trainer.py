@@ -14,9 +14,13 @@ returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` (4)
 rows, and ``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted
 KL on it (plain CE for cpt, sft and λ=0) through one shard runner, on up
 to one thread per CPU, adding the shards' results in shard order. The
-runner forwards each shard to the model's logits (``tinylm.logits``) and
-hands them to ``tape.ce_kl_loss``, which normalises them and keeps only
-their gradient, so the head holds one vocab-sized array per shard.
+runner forwards each shard to the model's final hidden states
+(``tinylm.hidden``) and hands them, with the head, to ``tape.ce_kl_loss``,
+which forms and normalises the logits and keeps only their gradient, so the
+head holds one vocab-sized array per shard. The frozen reference is stored
+per shard as its final hidden states and log normalisers, d + 1 numbers a
+position instead of the vocabulary's 259; its log-probabilities are rebuilt,
+bit for bit, only while that shard's loss runs.
 
 The loop is plain gradient descent, the only update rule, under a cosine
 schedule with linear warmup; every step records the loss breakdown and
@@ -214,16 +218,31 @@ class Shard:
     distributions read (the first column alone when none carries weight).
     The other arrays hold the span's columns only: ``weights[b, j]`` weighs
     the distribution at position lo + j of row b, whose target is
-    ``targets[b, j]`` (junk where the weight is 0), and ``ref_logprobs``
-    holds the frozen reference's log-probabilities there when the KL term
-    is on, else None.
+    ``targets[b, j]`` (junk where the weight is 0). When the KL term is on,
+    the frozen reference is kept as its final hidden states there
+    (``ref_hidden``, [rows, span, d]), its head (``ref_head``, a view of its
+    ``out_proj``) and its log normalisers (``ref_lse``, [rows, span, 1]),
+    else all three are None; ``ref_logprobs`` rebuilds its
+    log-probabilities from them on each read.
     """
 
     ids: np.ndarray
     span: tuple[int, int]
     targets: np.ndarray
     weights: np.ndarray
-    ref_logprobs: np.ndarray | None = None
+    ref_hidden: np.ndarray | None = None
+    ref_lse: np.ndarray | None = None
+    ref_head: np.ndarray | None = None
+
+    @property
+    def ref_logprobs(self) -> np.ndarray | None:
+        """The reference's [rows, span, V] log-probabilities, bit for bit its
+        log-softmax; each read builds a new array."""
+        if self.ref_hidden is None:
+            return None
+        logprobs = np.matmul(self.ref_hidden, self.ref_head)
+        logprobs -= self.ref_lse
+        return logprobs
 
 
 def _workers() -> int:
@@ -242,11 +261,13 @@ def _shard(rows: list[tuple[np.ndarray, np.ndarray, float]], ref_params: Paramet
     weighted = np.flatnonzero(weights.any(axis=0))
     lo, hi = (int(weighted[0]), int(weighted[-1]) + 1) if weighted.size else (0, 0)
     ids = ids[:, : max(hi, 1)]
-    ref_logprobs = None
+    ref = (None, None, None)
     if ref_params is not None:
         ref_leaves = tinylm.build_leaves(ref_params, const=True)
-        ref_logprobs = tinylm.batched_logprobs(ref_leaves, ref_params.config, ids, span=(lo, hi)).data
-    return Shard(ids, (lo, hi), targets[:, lo:hi], weights[:, lo:hi], ref_logprobs)
+        ref_hidden = tinylm.hidden(ref_leaves, ref_params.config, ids, span=(lo, hi)).data
+        ref_head = ref_params.view("out_proj")
+        ref = (ref_hidden, tape.softmax_lse(np.matmul(ref_hidden, ref_head))[1], ref_head)
+    return Shard(ids, (lo, hi), targets[:, lo:hi], weights[:, lo:hi], *ref)
 
 
 def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard, ...]:
@@ -263,7 +284,9 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard
     the shards'. The reference forward runs here, once per shard on
     ``fan_out``'s worker threads, when ``ref_params`` is given, over
     ``const`` leaves, so it records no graph; like the loss, it scores
-    each shard's weighted span only.
+    each shard's weighted span only, and the shard keeps its final hidden
+    states and log normalisers rather than its vocabulary-sized
+    log-probabilities.
     """
     n = len(items)
     rows: list[tuple[np.ndarray, np.ndarray, float]] = []  # ids, weighted positions, weight
@@ -293,7 +316,8 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
 
     ``fan_out``'s worker threads, one per shard up to the CPUs the process
     may use (inline for one shard), each take the next shard and run its
-    forward to the logits and the fused loss on them. With ``backward``, a
+    forward to the final hidden states and the fused head and loss on them,
+    reading the shard's reference log-probabilities once. With ``backward``, a
     shard whose loss is finite then runs its backward, and its leaves hold
     the shard's gradient; otherwise the leaves are None and the forward
     records no graph.
@@ -301,9 +325,9 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
 
     def run(shard: Shard):
         leaves = tinylm.build_leaves(params, const=not backward)
-        # No local holds the logits, so the backward frees them once the head's VJP has run.
+        # The reference's log-probabilities are built for this call alone and freed when it returns.
         total, ce, kl = tape.ce_kl_loss(
-            tinylm.logits(leaves, params.config, shard.ids, span=shard.span),
+            tinylm.hidden(leaves, params.config, shard.ids, span=shard.span), leaves["out_proj"],
             shard.targets, shard.weights, shard.ref_logprobs, kl_weight,
         )
         value = float(total.data)
@@ -343,30 +367,6 @@ def loss_and_grad(
     return losses, tinylm.collect_flat_grad(params, shard_leaves)
 
 
-def _keep_freed_memory() -> None:
-    """Make glibc keep freed memory in its heap, for the life of the process.
-
-    Each step frees its shards' graphs. By default glibc hands freed blocks
-    at the heap top, and every block above its mmap threshold, back to the
-    OS, so the next step faults the same pages in again. With a 32 MiB
-    mmap threshold (the demo step's largest array is ~1.3 MB), a 1 GiB trim
-    threshold and one arena for every thread, the pages stay mapped and
-    peak RSS is one heap's peak. The setting is process-wide; where glibc's
-    ``mallopt`` cannot be found (musl, macOS) this does nothing.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8  # glibc's malloc.h
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 1 << 30)
-    mallopt(m_arena_max, 1)
-
-
 def train(
     cfg: TrainConfig,
     data: list,
@@ -381,11 +381,11 @@ def train(
     takes one descent step at the scheduled rate, and appends a record. A
     non-finite loss raises NonFiniteLoss with the partial report attached.
 
-    It first sets glibc's allocator to keep freed memory (``_keep_freed_memory``),
-    so steps reuse their pages; that setting is process-wide and lasts for
-    the life of the process.
+    It first sets glibc's allocator to keep freed memory
+    (``tinylm.keep_freed_memory``), so steps reuse their pages; that setting
+    is process-wide and lasts for the life of the process.
     """
-    _keep_freed_memory()
+    tinylm.keep_freed_memory()
     if cfg.mode == "nsc_sft" and ref_params is None:
         raise ValueError("nsc_sft requires reference parameters")
     if not data:

@@ -80,7 +80,7 @@ def test_checker_flags_what_it_should():
         "from granary import tinylm, tape as t\n"
         "from granary.backend import MockLlmBackend, NoSuchBackend\n"
         "granary.__file__, granary.no_such_module\n"
-        "tinylm.forward(t.gelu, tinylm.no_such_name)\n"
+        "tinylm.forward(t.layer_norm, tinylm.no_such_name)\n"
         "tracer.wrap(tinylm, 'batched_logprobs', 'name')\n"
         "patched(t, 'no_such_op', make)\n"
     )

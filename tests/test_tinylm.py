@@ -261,14 +261,32 @@ def _attention_inputs(rng, lead, rows, offset, head_dim=4):
     ]
 
 
-def _loss_inputs(rng, b=3, t=5, v=11):
-    """Raw logits (rows not normalised), targets, weights and reference log-probabilities."""
-    logits = rng.normal(0.0, 1.5, size=(b, t, v))
+def _loss_inputs(rng, b=3, t=5, d=4, v=11):
+    """Hidden states, a head (their product: raw, unnormalised logits), targets,
+    weights and reference log-probabilities."""
+    hidden = rng.normal(0.0, 1.0, size=(b, t, d))
+    out_proj = rng.normal(0.0, 0.75, size=(d, v))
     ref = rng.normal(0.0, 1.5, size=(b, t, v))
     ref -= np.logaddexp.reduce(ref, axis=-1, keepdims=True)
     targets = rng.integers(0, v, size=(b, t))
     weights = rng.random((b, t)) * (rng.random((b, t)) < 0.7)
-    return logits, targets, weights, ref
+    return hidden, out_proj, targets, weights, ref
+
+
+def _mlp_inputs(rng, b=3, t=4, d=6):
+    """h, w_in and w_out of an MLP of width 4 d."""
+    return [
+        tape.Tensor(rng.normal(0.0, scale, size=shape))
+        for scale, shape in ((1.0, (b, t, d)), (0.5, (d, 4 * d)), (0.5, (4 * d, d)))
+    ]
+
+
+def _composed_mlp(h, w_in, w_out):
+    return oracles.gelu(h @ w_in) @ w_out
+
+
+def _composed_loss(hidden, out_proj, targets, weights, ref, kl_weight):
+    return oracles.ce_kl_loss(oracles.log_softmax(hidden @ out_proj), targets, weights, ref, kl_weight)
 
 
 class TestFusedOps:
@@ -295,6 +313,21 @@ class TestFusedOps:
         for fused, composed in zip(*grads):
             assert np.max(np.abs(fused - composed)) <= 1e-12
 
+    def test_causal_attention_masks_are_slices_of_one_grown_matrix(self, monkeypatch):
+        # A call whose keys outnumber the cached matrix grows it; a later,
+        # smaller call slices the larger matrix and gets the same bytes.
+        monkeypatch.setattr(tape, "_MASKS", (np.ones((0, 0), dtype=bool),) * 2)
+        rng = np.random.default_rng(11)
+        small = _attention_inputs(rng, (1, 2), 40, 35)
+        large = _attention_inputs(rng, (1, 2), 70, 30)
+        first = tape.causal_attention(*small, 0.35, 35).data
+        assert tape._MASKS[0].shape == (75, 75)
+        tape.causal_attention(*large, 0.35, 30)
+        past, future = tape._MASKS
+        assert past.shape == (100, 100) and np.array_equal(past, np.tri(100, dtype=bool))
+        assert np.array_equal(future, ~past)
+        assert tape.causal_attention(*small, 0.35, 35).data.tobytes() == first.tobytes()
+
     def test_slice_rows_vjp(self):
         x = tape.Tensor(np.random.default_rng(10).normal(size=(2, 3, 7, 4)))
         assert _vjp_max_rel_err(lambda a: tape.slice_rows(a, 2, 5), [x]) <= 1e-4
@@ -311,21 +344,32 @@ class TestFusedOps:
         err = _vjp_max_rel_err(lambda a, s, b: tape.layer_norm(a, s, b, 1e-5), [x, scale, bias])
         assert err <= 1e-4
 
-    def test_gelu_vjp(self):
-        x = tape.Tensor(np.random.default_rng(4).normal(0.0, 2.0, size=(3, 4, 8)))
-        assert _vjp_max_rel_err(tape.gelu, [x]) <= 1e-4
+    def test_mlp_vjp(self):
+        inputs = _mlp_inputs(np.random.default_rng(4))
+        assert _vjp_max_rel_err(tape.mlp, inputs, reference=_composed_mlp) <= 1e-4
+
+    def test_mlp_keeps_the_activation_and_the_slope_only(self):
+        # The composition kept the pre-activation, tanh and the activation;
+        # over const inputs the fused op forms no slope and keeps no graph.
+        h, w_in, w_out = _mlp_inputs(np.random.default_rng(4))
+        out = tape.mlp(h, w_in, w_out)
+        wide = [a for a in _graph_arrays(out, closures=True) if a.shape == (3, 4, 24)]
+        assert len(wide) == 2
+        const = tape.mlp(*(tape.Tensor(x.data, const=True) for x in (h, w_in, w_out)))
+        assert const.const and const._vjp is None and np.array_equal(const.data, out.data)
 
     @pytest.mark.parametrize("kl_weight", [0.0, 0.3])
     def test_ce_kl_loss_vjp(self, kl_weight):
-        logits, targets, weights, ref = _loss_inputs(np.random.default_rng(5))
+        hidden, out_proj, targets, weights, ref = _loss_inputs(np.random.default_rng(5))
 
-        def build(x):
-            return tape.ce_kl_loss(x, targets, weights, ref, kl_weight)[0]
+        def build(h, w):
+            return tape.ce_kl_loss(h, w, targets, weights, ref, kl_weight)[0]
 
-        def composed(x):
-            return oracles.ce_kl_loss(oracles.log_softmax(x), targets, weights, ref, kl_weight)[0]
+        def composed(h, w):
+            return _composed_loss(h, w, targets, weights, ref, kl_weight)[0]
 
-        assert _vjp_max_rel_err(build, [tape.Tensor(logits)], reference=composed) <= 1e-4
+        inputs = [tape.Tensor(hidden), tape.Tensor(out_proj)]
+        assert _vjp_max_rel_err(build, inputs, reference=composed) <= 1e-4
 
     def test_forwards_match_compositions(self):
         rng = np.random.default_rng(6)
@@ -346,16 +390,15 @@ class TestFusedOps:
             tape.layer_norm(h, scale, bias, 1e-5).data
             - oracles.layer_norm(h, scale, bias, 1e-5).data
         )) <= 1e-12
-        assert np.max(np.abs(tape.gelu(h).data - oracles.gelu(h).data)) <= 1e-12
+        h, w_in, w_out = _mlp_inputs(rng)
+        assert np.max(np.abs(tape.mlp(h, w_in, w_out).data - _composed_mlp(h, w_in, w_out).data)) <= 1e-12
 
     @pytest.mark.parametrize("kl_weight", [0.0, 0.3])
     def test_loss_matches_composition(self, kl_weight):
-        logits, targets, weights, ref = _loss_inputs(np.random.default_rng(7))
-        x, x_composed = tape.Tensor(logits), tape.Tensor(logits)
-        total, ce, kl = tape.ce_kl_loss(x, targets, weights, ref, kl_weight)
-        want_total, want_ce, want_kl = oracles.ce_kl_loss(
-            oracles.log_softmax(x_composed), targets, weights, ref, kl_weight
-        )
+        hidden, out_proj, targets, weights, ref = _loss_inputs(np.random.default_rng(7))
+        fused, composed = ([tape.Tensor(hidden), tape.Tensor(out_proj)] for _ in range(2))
+        total, ce, kl = tape.ce_kl_loss(*fused, targets, weights, ref, kl_weight)
+        want_total, want_ce, want_kl = _composed_loss(*composed, targets, weights, ref, kl_weight)
         assert abs(float(total.data) - float(want_total.data)) <= 1e-12
         assert abs(ce - float(want_ce.data)) <= 1e-12
         if kl_weight == 0:
@@ -365,36 +408,39 @@ class TestFusedOps:
             assert abs(kl - float(want_kl.data)) <= 1e-12
         tape.backward(total)
         tape.backward(want_total)
-        assert np.max(np.abs(x.grad - x_composed.grad)) <= 1e-12
+        for x, x_composed in zip(fused, composed):
+            assert np.max(np.abs(x.grad - x_composed.grad)) <= 1e-12
 
     def test_loss_without_reference_is_ce_only(self):
-        logits, targets, weights, _ = _loss_inputs(np.random.default_rng(8))
-        x = tape.Tensor(logits)
-        total, ce, kl = tape.ce_kl_loss(x, targets, weights, None, 0.5)
+        hidden, out_proj, targets, weights, _ = _loss_inputs(np.random.default_rng(8))
+        h, w = tape.Tensor(hidden), tape.Tensor(out_proj)
+        total, ce, kl = tape.ce_kl_loss(h, w, targets, weights, None, 0.5)
         assert kl == 0.0 and float(total.data) == ce
-        want_ce = oracles.ce_kl_loss(oracles.log_softmax(x), targets, weights, None, 0.5)[1]
+        want_ce = _composed_loss(h, w, targets, weights, None, 0.5)[1]
         assert abs(ce - float(want_ce.data)) <= 1e-12
 
     def test_loss_keeps_one_vocab_sized_array(self):
         # One 4-row shard's head at 160 positions, with a reference. The
-        # forward allocates the saved logit gradient and one transient array
-        # and the backward scales the saved one in place; a log_softmax node
-        # followed by a loss over its output peaks at five such arrays.
+        # forward allocates the logits, which become the KL difference in
+        # place, and the saved logit gradient; the backward scales the saved
+        # one in place. A log_softmax node followed by a loss over its
+        # output peaks at five such arrays.
         rng = np.random.default_rng(9)
-        logits, ref = (rng.normal(0.0, 1.5, size=(4, 160, 259)) for _ in range(2))
+        hidden, out_proj = rng.normal(0.0, 1.0, size=(4, 160, 32)), rng.normal(0.0, 0.3, size=(32, 259))
+        ref = rng.normal(0.0, 1.5, size=(4, 160, 259))
         ref -= np.logaddexp.reduce(ref, axis=-1, keepdims=True)
         targets = rng.integers(0, 259, size=(4, 160))
         weights = np.full((4, 160), 1.0 / 640)
-        x = tape.Tensor(logits)
+        h, w = tape.Tensor(hidden), tape.Tensor(out_proj)
         tracemalloc.start()
         try:
-            total, _, _ = tape.ce_kl_loss(x, targets, weights, ref, 0.1)
+            total, _, _ = tape.ce_kl_loss(h, w, targets, weights, ref, 0.1)
             tape.backward(total)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert x.grad is not None
-        assert peak <= 2.5 * logits.nbytes, peak / logits.nbytes
+        assert h.grad is not None and w.grad is not None
+        assert peak <= 2.5 * ref.nbytes, peak / ref.nbytes
 
     @pytest.mark.parametrize("init_std", [0.0, 0.2])
     def test_model_forward_matches_composition(self, init_std):

@@ -472,6 +472,26 @@ class TestShards:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
 
+    def test_a_reference_shard_stores_hidden_states_not_vocabulary_rows(self):
+        # Per weighted position a shard keeps its id, target, weight, the
+        # reference's d hidden values and one log normaliser, which is far
+        # less than the 259 log-probabilities it reads.
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(shard_batch_items("ragged"), ref)
+        d = SPAN_CFG.d_model
+        for shard in batch:
+            b, hi = shard.ids.shape
+            fields = [getattr(shard, f.name) for f in dataclasses.fields(shard)]
+            stored = sum(
+                a.nbytes for a in fields if isinstance(a, np.ndarray) and not np.shares_memory(a, ref.flat)
+            )
+            assert stored <= 8 * b * hi * (d + 8) < 8 * b * (hi - shard.span[0]) * SPAN_CFG.vocab_size
+            assert np.shares_memory(shard.ref_head, ref.flat)
+            # Each read rebuilds the log-probabilities as a new array, bit for bit the same.
+            first, second = shard.ref_logprobs, shard.ref_logprobs
+            assert first is not second and first.tobytes() == second.tobytes()
+        assert trainer.make_batch(shard_batch_items("ragged"))[0].ref_logprobs is None
+
     def _non_finite_case(self, monkeypatch, spoil):
         params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
         batch = trainer.make_batch(shard_batch_items("ragged"), ref)
@@ -490,12 +510,13 @@ class TestShards:
 
     @staticmethod
     def _spoil_shard_1(params, k, shard):
-        """A -inf reference log-probability in shard 1, which makes its KL infinite."""
+        """An infinite reference log normaliser in shard 1: its first position's
+        reference log-probabilities are all -inf, which makes its KL infinite."""
         if k != 1:
             return shard
-        ref_logprobs = shard.ref_logprobs.copy()
-        ref_logprobs[0, 0, 0] = -np.inf
-        return dataclasses.replace(shard, ref_logprobs=ref_logprobs)
+        ref_lse = shard.ref_lse.copy()
+        ref_lse[0, 0, 0] = np.inf
+        return dataclasses.replace(shard, ref_lse=ref_lse)
 
     def test_a_non_finite_shard_runs_no_backward(self, monkeypatch):
         backward_calls = self._non_finite_case(monkeypatch, self._spoil_shard_1)
@@ -782,6 +803,27 @@ print(json.dumps(faults))
 """
 
 
+# Runs in a fresh process: decodes 48 tokens after a prompt that fits the
+# 256-id window and after one that slides it, then prints the minor page
+# faults per token of the same two decodes repeated.
+DECODE_FAULTS_SCRIPT = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from granary import tinylm
+
+params = tinylm.init(tinylm.ModelConfig(context_window=256, init_std=0.2))
+prompts = [[tinylm.BOS_ID] + [(7 * i) % 256 for i in range(n)] for n in (239, 299)]
+for prompt in prompts:
+    tinylm.greedy_decode(params, prompt, 48, stop_at_eos=False)
+per_token = []
+for prompt in prompts:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tinylm.greedy_decode(params, prompt, 48, stop_at_eos=False)
+    per_token.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 48)
+print(json.dumps(per_token))
+"""
+
+
 class TestKeepFreedMemory:
     @pytest.mark.parametrize("failure", [OSError, AttributeError])
     def test_train_runs_unchanged_when_mallopt_cannot_be_found(
@@ -799,6 +841,11 @@ class TestKeepFreedMemory:
         records, fingerprint = PINNED_RUNS["nsc_sft"]
         assert [tuple(vars(r).values()) for r in report.records] == records
         assert report.final_params.fingerprint() == fingerprint
+        # Decoding sets the allocator too, and decodes the same tokens without it.
+        params = init(ModelConfig(seed=3, context_window=24))
+        prompt = [BOS_ID] + TOK.encode("decode past the window")
+        assert tinylm.greedy_decode(params, prompt, 6) == oracles.greedy_decode_reference(params, prompt, 6)
+        assert looked_up == ["libc.so.6"] * 2
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_steps_after_train_fault_in_no_pages(self):
@@ -809,3 +856,14 @@ class TestKeepFreedMemory:
         )
         faults = json.loads(done.stdout)
         assert len(faults) == 2 and max(faults) < 1000, faults
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_decoded_tokens_fault_in_no_pages(self):
+        # Without the setting a token faults ~160-250 pages back in at this shape.
+        src = Path(tinylm.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", DECODE_FAULTS_SCRIPT, str(src)],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        per_token = json.loads(done.stdout)
+        assert len(per_token) == 2 and max(per_token) < 10, per_token
