@@ -6,6 +6,12 @@ config hash each stage ran with, so stale upstream outputs are refused.
 Each stage's order, config slice and output files come from
 ``config.STAGES``; a command here names only the files it reads.
 Exit codes: 0 success, 1 validation/config error, 2 runtime failure.
+
+Importing this module loads only what every command needs. The model
+stack (``dataset``, ``tinylm``, ``trainer``, ``evalharness``, and numpy
+with them) is imported inside the commands that use it, after their
+``--dry-run`` return, so ``ingest``, ``distill``, ``--help`` and every
+dry run but eval's start without numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from . import corpus, dataset, distiller, evalharness, tinylm, trainer
+from . import corpus, distiller
 from .backend import HttpLlmBackend, MockLlmBackend, RetryPolicy
 from .errors import (
     ConfigError,
@@ -55,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--general", default=None, help="general-domain sft JSONL to mix in")
 
     p_train = sub.add_parser("train", help="train the tiny model and emit a report")
-    p_train.add_argument("--mode", choices=trainer.MODES, default=None)
+    p_train.add_argument("--mode", choices=cfgmod.MODES, default=None)
     p_train.add_argument("--lambda", dest="kl_weight", type=float, default=None)
     p_train.add_argument("--steps", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None)
@@ -125,7 +131,9 @@ def _backend_for(cfg: cfgmod.PipelineConfig, node_ids: list[str] | None = None):
     )
 
 
-def _model_config(cfg: cfgmod.PipelineConfig) -> tinylm.ModelConfig:
+def _model_config(cfg: cfgmod.PipelineConfig):
+    from . import tinylm
+
     return tinylm.ModelConfig(**dataclasses.asdict(cfg.model), seed=cfg.seed)
 
 
@@ -199,6 +207,8 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     general_path = cfg.dataset.general_path
     if args.dry_run:
         return _plan("build", cfg, [qtsa_path, nodes_path] + ([general_path] if general_path else []))
+    from . import dataset
+
     cfgmod.check_upstream(workdir, "build", cfg)
 
     entries = [distiller.entry_from_record(r) for r in read_jsonl(qtsa_path, schema=distiller.QTSA_KEYS)]
@@ -233,6 +243,8 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     data_path = workdir / ("cpt_dataset.jsonl" if mode == "cpt" else "sft_dataset.jsonl")
     if args.dry_run:
         return _plan("train", cfg, [data_path] + ([args.init_checkpoint] if args.init_checkpoint else []))
+    from . import dataset, tinylm, trainer
+
     cfgmod.check_upstream(workdir, "train", cfg)
 
     if args.init_checkpoint:
@@ -268,6 +280,8 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
+    from . import evalharness, tinylm
+
     quiz_path = args.quiz or str(evalharness.default_quiz_path())
     workdir = Path(cfg.workdir)
     trained_here = args.checkpoint is None and cfg.backend.mock and (workdir / "model.ckpt").exists()
@@ -295,6 +309,8 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     if args.dry_run:
         return _plan("gradcheck", cfg, [])
+    from . import dataset, tinylm, trainer
+
     model_cfg = _model_config(cfg)
     params = tinylm.init(model_cfg)
     ref = tinylm.freeze_reference(tinylm.init(dataclasses.replace(model_cfg, seed=cfg.seed + 101)))

@@ -50,6 +50,10 @@ class ModelSettings:
     init_std: float = 0.02
 
 
+# The training objectives: the CLI's --mode choices, which TrainConfig checks.
+MODES = ("cpt", "sft", "nsc_sft")
+
+
 @dataclass
 class TrainSettings:
     mode: str = "nsc_sft"

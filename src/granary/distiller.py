@@ -24,7 +24,7 @@ from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration, SchemaViolation, StaleArtifact
-from .jsonl import check_keys
+from .jsonl import LINE_ENCODER, check_keys
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
 STATUS_KEPT = "kept"
@@ -84,12 +84,15 @@ def entry_id_for(node_id: str, sample_idx: int) -> str:
 
 def sample_seed(*parts: object) -> int:
     """Distinct deterministic backend seed, e.g. per (node, sample) task."""
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+    digest = hashlib.sha256("|".join(map(str, parts)).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
 
 DANGLING_PATTERNS = tuple(pattern for pattern, _ in prompts.DANGLING_REFERENCES)
-_DANGLING_RE = re.compile("|".join(f"(?:{p.pattern})" for p in DANGLING_PATTERNS), re.I)
+# Every pattern starts with one of these letters, so the lookahead skips the
+# other positions before any alternative is tried.
+DANGLING_FIRST_LETTERS = "aefit"
+_DANGLING_RE = re.compile(f"(?=[{DANGLING_FIRST_LETTERS}])(?:{'|'.join(p.pattern for p in DANGLING_PATTERNS)})", re.I)
 
 
 def find_dangling(text: str) -> str | None:
@@ -199,8 +202,10 @@ def postprocess(
             return _rejected_entry(node, sample_idx, reason, question, raw)
 
     # q and s screened clean need no second look unless a rewrite replaced them.
+    # One search screens fields joined on NUL: no pattern matches a NUL, and
+    # \b sees one as it sees a string end.
     screen = (t, a)
-    if find_dangling(q) or find_dangling(s):
+    if find_dangling("\0".join((q, s))):
         try:
             q, s = _request_rewrite(q, s, node, backend)
         except BackendError:
@@ -208,7 +213,7 @@ def postprocess(
         if not q or not s:
             return _rejected_entry(node, sample_idx, "rewrite_failed", question, raw)
         screen = (q, t, s, a)
-    if any(find_dangling(part) for part in screen):
+    if find_dangling("\0".join(screen)):
         return _rejected_entry(node, sample_idx, "dangling_reference", question, raw)
 
     reparsed = parse_answer_spans(render_assistant(t, s, a))
@@ -302,7 +307,7 @@ class DistillJournal:
         record["timestamp"] = time.time()
         if self.stage_hash is not None:
             record["stage_hash"] = self.stage_hash
-        self._fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        self._fh.write(LINE_ENCODER.encode(record) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

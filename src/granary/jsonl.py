@@ -11,6 +11,10 @@ from typing import IO
 
 from .errors import SchemaViolation
 
+# The encoder behind every JSONL line the package writes; json.dumps(rec, ensure_ascii=False)
+# would build a new one per call.
+LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 def check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
     if not isinstance(rec, dict):
@@ -52,7 +56,7 @@ def write_jsonl(path: str | Path, records: list[dict], schema: tuple[str, ...] |
         for i, rec in enumerate(records):
             if schema is not None:
                 check_keys(rec, schema, f"{path}:{i + 1}")
-            fh.write(json.dumps(rec, ensure_ascii=False))
+            fh.write(LINE_ENCODER.encode(rec))
             fh.write("\n")
 
 

@@ -40,12 +40,11 @@ import numpy as np
 
 from . import tape, tinylm
 from .backend import fan_out
+from .config import MODES
 from .dataset import PackedSequence, TokenizedExample
 from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
 from .jsonl import atomic_write, write_jsonl
 from .tinylm import PAD_ID, Parameters
-
-MODES = ("cpt", "sft", "nsc_sft")
 
 
 @dataclass(frozen=True)

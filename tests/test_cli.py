@@ -668,11 +668,48 @@ class TestBlasThreads:
 
 def test_importing_the_cli_leaves_requests_unloaded():
     # Only the HTTP backend needs an HTTP client, so it imports requests itself;
-    # fan_out runs plain threads, so no executor module is loaded either.
-    code = "import sys, granary.cli; print('requests' in sys.modules, 'concurrent.futures' in sys.modules)"
+    # fan_out runs plain threads, so no executor module is loaded either; the
+    # commands that run the model import numpy through it.
+    code = (
+        "import sys, granary.cli; "
+        "print('requests' in sys.modules, 'concurrent.futures' in sys.modules, 'numpy' in sys.modules)"
+    )
     env = TestBlasThreads._env()
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
+
+
+def test_data_prep_commands_and_dry_runs_leave_numpy_unloaded(tmp_path):
+    # Each command runs in a fresh interpreter. build reads the dataset module,
+    # which holds token arrays, and train runs the model: both show that the
+    # probe sees numpy when it loads.
+    config = write_config(tmp_path)
+    code = (
+        "import sys\n"
+        "from granary.cli import main\n"
+        "try:\n"
+        "    status = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(status, 'numpy' in sys.modules)\n"
+    )
+    runs = [
+        (["--help"], False),
+        (["ingest", "--dry-run"], False),
+        (["ingest"], False),
+        (["distill", "--dry-run"], False),
+        (["distill"], False),
+        (["build", "--dry-run"], False),
+        (["train", "--dry-run"], False),
+        (["gradcheck", "--dry-run"], False),
+        (["build"], True),
+        (["train"], True),
+    ]
+    env = TestBlasThreads._env()
+    for argv, loaded in runs:
+        cmd = [sys.executable, "-c", code, *argv, "--config", str(config)]
+        out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.splitlines()[-1] == f"0 {loaded}", argv
 
 
 # Config-file values that no flag below produces, so a flag that fails to
@@ -760,6 +797,14 @@ class TestConfigWiring:
                 build_parser().parse_args([command, "--max-len", "128"])
             assert exit_info.value.code == 2, command
             assert "--max-len" in capsys.readouterr().err, command
+
+    def test_mode_is_one_of_the_config_modes(self, capsys):
+        for mode in cfgmod.MODES:
+            assert build_parser().parse_args(["train", "--mode", mode]).mode == mode
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--mode", "dpo"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'dpo'" in capsys.readouterr().err
 
     def test_mock_llm_only_turns_the_mock_on(self, tmp_path):
         for mock in (True, False):

@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granary import corpus
@@ -22,7 +22,7 @@ from granary.corpus import (
     parse_markdown_tree,
 )
 from granary.errors import InvalidEncoding, SchemaViolation
-from granary.jsonl import atomic_write, read_jsonl, write_jsonl
+from granary.jsonl import LINE_ENCODER, atomic_write, read_jsonl, write_jsonl
 from oracles import serialize_tree
 
 
@@ -226,6 +226,17 @@ class TestIO:
         path.write_text(json.dumps({"node_id": "x"}) + "\n")
         with pytest.raises(SchemaViolation):
             read_jsonl(path, schema=NODE_KEYS)
+
+    @given(
+        st.dictionaries(
+            st.text(max_size=6),
+            st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.lists(st.text(), max_size=3)),
+            max_size=5,
+        )
+    )
+    @example({"question": "Why is Vₒᵤₜ = −gₘ·R?", "note": "一\u2028\x85🔌"})
+    def test_the_line_encoder_writes_what_json_dumps_writes(self, rec):
+        assert LINE_ENCODER.encode(rec) == json.dumps(rec, ensure_ascii=False)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

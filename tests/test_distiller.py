@@ -5,19 +5,21 @@ import functools
 import hashlib
 import json
 import re
+import sys
 import tempfile
 import time
 import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granary import prompts
 from granary.backend import ChatResponse, HttpLlmBackend, MockLlmBackend
 from granary.corpus import LearningNode
 from granary.distiller import (
+    DANGLING_FIRST_LETTERS,
     DANGLING_PATTERNS,
     DistillConfig,
     DistillJournal,
@@ -281,12 +283,63 @@ def _screen_text(draw):
     return "".join(sep + piece for sep, piece in zip(seps, cased))
 
 
+if sys.version_info >= (3, 11):
+    from re import _parser as sre_parse
+else:
+    import sre_parse
+
+
+def _first_chars(items) -> tuple[set[str], bool]:
+    """The characters a match of parsed ``items`` can start with, and whether it can be empty."""
+    first: set[str] = set()
+    for op, arg in items:
+        name = str(op)
+        if name == "AT":  # \b and other anchors consume nothing
+            continue
+        if name == "LITERAL":
+            return first | {chr(arg)}, False
+        if name == "SUBPATTERN":
+            inner, empty = _first_chars(arg[-1])
+        elif name in ("MAX_REPEAT", "MIN_REPEAT"):
+            inner, empty = _first_chars(arg[2])
+            empty = empty or arg[0] == 0
+        elif name == "BRANCH":
+            branches = [_first_chars(branch) for branch in arg[1]]
+            inner = set().union(*(chars for chars, _ in branches))
+            empty = any(empty for _, empty in branches)
+        else:
+            raise AssertionError(f"a match can start at {name} {arg!r}, not only at a letter")
+        first |= inner
+        if not empty:
+            return first, False
+    return first, True
+
+
 class TestFindDangling:
     @given(_screen_text())
     @settings(max_examples=400)
     def test_one_search_matches_exactly_when_a_pattern_does(self, text):
         expected = any(pattern.search(text) for pattern in DANGLING_PATTERNS)
         assert (find_dangling(text) is not None) == expected
+
+    @pytest.mark.parametrize("pattern", DANGLING_PATTERNS, ids=lambda p: p.pattern)
+    def test_every_pattern_starts_with_a_lookahead_letter(self, pattern):
+        # The search's lookahead skips every position that holds another character.
+        chars, empty = _first_chars(sre_parse.parse(pattern.pattern, pattern.flags))
+        assert not empty
+        assert chars and {c.lower() for c in chars} <= set(DANGLING_FIRST_LETTERS)
+
+    @given(st.lists(_screen_text(), min_size=1, max_size=4))
+    @example(["see Table", "4.1 here"])
+    @example(["as shown", "above"])
+    @example(["Eq.", "(3.2)"])
+    @example(["in this", "chapter"])
+    @example(["read fig", "2"])
+    @example(["Table 4", "", "as shown below"])
+    @settings(max_examples=400)
+    def test_one_search_over_fields_joined_on_nul_screens_each_field(self, fields):
+        per_field = any(find_dangling(field) is not None for field in fields)
+        assert (find_dangling("\0".join(fields)) is not None) == per_field
 
 
 _clean_text = st.text(
