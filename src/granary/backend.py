@@ -74,15 +74,14 @@ class RetryPolicy:
 
     max_attempts: int = 5
     base_backoff: float = 0.5
-    backoff_cap: float = 30.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
     def delay(self, attempt: int, rng: random.Random) -> float:
-        # attempt is 0-based; jitter up to +25% avoids lockstep retries
-        base = min(self.base_backoff * (2**attempt), self.backoff_cap)
+        # attempt is 0-based; waits cap at 30 s, and up to +25% jitter avoids lockstep retries
+        base = min(self.base_backoff * (2**attempt), 30.0)
         return base * (1.0 + 0.25 * rng.random())
 
 

@@ -11,7 +11,8 @@ Importing this module loads only what every command needs. The model
 stack (``dataset``, ``tinylm``, ``trainer``, ``evalharness``, and numpy
 with them) is imported inside the commands that use it, after their
 ``--dry-run`` return, so ``ingest``, ``distill``, ``--help`` and every
-dry run but eval's start without numpy.
+dry run start without numpy. A stage calls ``config.start_stage`` before
+it writes any output, and ``config.record_stage`` once it has.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from . import corpus, distiller
+from . import corpus, distiller, prompts
 from .backend import HttpLlmBackend, MockLlmBackend, RetryPolicy
 from .errors import (
     ConfigError,
@@ -166,6 +167,7 @@ def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     if args.dry_run:
         return _plan("ingest", cfg, [cfg.corpus_dir, cfg.manifest])
     workdir = _workdir(cfg)
+    cfgmod.start_stage(workdir, "ingest", cfg)
     decompose_cfg = corpus.DecomposeConfig(
         min_node_tokens=cfg.min_node_tokens,
         stop_headings=tuple(cfg.stop_headings),
@@ -184,7 +186,7 @@ def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     nodes_path = workdir / "nodes.jsonl"
     if args.dry_run:
         return _plan("distill", cfg, [nodes_path])
-    cfgmod.check_upstream(workdir, "distill", cfg)
+    cfgmod.start_stage(workdir, "distill", cfg)
     nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
     backend = _backend_for(cfg, node_ids=[n.node_id for n in nodes])
     distill_cfg = distiller.DistillConfig(
@@ -209,7 +211,7 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         return _plan("build", cfg, [qtsa_path, nodes_path] + ([general_path] if general_path else []))
     from . import dataset
 
-    cfgmod.check_upstream(workdir, "build", cfg)
+    cfgmod.start_stage(workdir, "build", cfg)
 
     entries = [distiller.entry_from_record(r) for r in read_jsonl(qtsa_path, schema=distiller.QTSA_KEYS)]
     domain = [
@@ -245,7 +247,7 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         return _plan("train", cfg, [data_path] + ([args.init_checkpoint] if args.init_checkpoint else []))
     from . import dataset, tinylm, trainer
 
-    cfgmod.check_upstream(workdir, "train", cfg)
+    cfgmod.start_stage(workdir, "train", cfg)
 
     if args.init_checkpoint:
         init_params = tinylm.load_checkpoint(args.init_checkpoint)
@@ -280,19 +282,18 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    from . import evalharness, tinylm
-
-    quiz_path = args.quiz or str(evalharness.default_quiz_path())
+    quiz_path = args.quiz or str(prompts.default_quiz_path())
     workdir = Path(cfg.workdir)
     trained_here = args.checkpoint is None and cfg.backend.mock and (workdir / "model.ckpt").exists()
     checkpoint = str(workdir / "model.ckpt") if trained_here else args.checkpoint
     if args.dry_run:
         return _plan("eval", cfg, [quiz_path] if checkpoint is None else [quiz_path, checkpoint])
+    from . import evalharness, tinylm
 
     # Read every input before the workdir is created, so a bad one leaves none.
     items = evalharness.read_quiz(quiz_path)
     if trained_here:
-        cfgmod.check_upstream(workdir, "eval", cfg)
+        cfgmod.start_stage(workdir, "eval", cfg)
     params = None if checkpoint is None else tinylm.load_checkpoint(checkpoint)
     _workdir(cfg)
     if params is None:

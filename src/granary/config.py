@@ -92,38 +92,31 @@ def _fits(value, hint) -> bool:
 
 
 def _from_dict(cls, data: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    """``cls`` from a JSON object, each dataclass-typed field from its own object."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
+    kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name in data and not _fits(data[f.name], hints[f.name]):
-            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {json.dumps(data[f.name])}")
-    # An int given for a float field becomes that float, so both spellings hash alike.
-    kwargs = {name: float(value) if hints[name] is float else value for name, value in data.items()}
+        if f.name not in data:
+            continue
+        value, hint = data[f.name], hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}.{f.name} must be an object")
+            value = _from_dict(hint, value, f"{where}.{f.name}")
+        elif not _fits(value, hint):
+            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {json.dumps(value)}")
+        # An int given for a float field becomes that float, so both spellings hash alike.
+        kwargs[f.name] = float(value) if hint is float else value
     return cls(**kwargs)
-
-
-_SECTIONS = {
-    "backend": BackendSettings,
-    "dataset": DatasetSettings,
-    "model": ModelSettings,
-    "train": TrainSettings,
-}
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    top = {k: v for k, v in data.items() if k not in _SECTIONS}
-    cfg = _from_dict(PipelineConfig, top, "config")
-    for section, cls in _SECTIONS.items():
-        if section in data:
-            if not isinstance(data[section], dict):
-                raise ConfigError(f"config.{section} must be an object")
-            setattr(cfg, section, _from_dict(cls, data[section], f"config.{section}"))
-    return cfg
+    return _from_dict(PipelineConfig, data, "config")
 
 
 def check_config(cfg: PipelineConfig) -> PipelineConfig:
@@ -178,11 +171,8 @@ def stage_hash(cfg: PipelineConfig, stage: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-_MANIFEST_NAME = "manifest.json"
-
-
 def _manifest_path(workdir: str | Path) -> Path:
-    return Path(workdir) / _MANIFEST_NAME
+    return Path(workdir) / "manifest.json"
 
 
 def load_stage_manifest(workdir: str | Path) -> dict:
@@ -202,18 +192,24 @@ def load_stage_manifest(workdir: str | Path) -> dict:
     return manifest
 
 
+def _save_manifest(workdir: str | Path, manifest: dict) -> None:
+    with atomic_write(_manifest_path(workdir)) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
     manifest = load_stage_manifest(workdir)
     manifest["stages"][stage] = {
         "config_hash": stage_hash(cfg, stage),
         "outputs": list(STAGES[stage].outputs),
     }
-    with atomic_write(_manifest_path(workdir)) as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _save_manifest(workdir, manifest)
 
 
-def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
-    """Fail when any ancestor stage is missing or ran under a different config."""
+def start_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
+    """Fail when any ancestor stage is missing or ran under a different config;
+    else drop this stage's and every later stage's manifest entries, so that
+    until ``record_stage`` runs, no later stage takes this one's outputs."""
     manifest = load_stage_manifest(workdir)
     order = list(STAGES)
     for parent in order[: order.index(stage)]:
@@ -227,3 +223,8 @@ def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None
                 f"stage {parent!r} output is stale: its config changed since it ran;"
                 f" re-run `granary {parent}`"
             )
+    later = order[order.index(stage) :]
+    kept = {name: entry for name, entry in manifest["stages"].items() if name not in later}
+    if kept != manifest["stages"]:
+        manifest["stages"] = kept
+        _save_manifest(workdir, manifest)

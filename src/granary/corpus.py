@@ -36,7 +36,6 @@ class SourceDocument:
     title: str
     learning_stage: LearningStage
     markdown: str
-    source_path: str = ""
 
     def __post_init__(self):
         if not self.markdown:
@@ -116,10 +115,9 @@ def parse_markdown_tree(doc: SourceDocument) -> SectionNode:
     """
     text = _normalize_endings(doc.markdown)
     root = SectionNode(heading_path=[], depth=0, body="")
-    # Stack entries pair each open node with the ATX level that created it;
-    # the root sits at level 0.
-    stack: list[tuple[int, SectionNode]] = [(0, root)]
-    bodies: dict[int, list[str]] = {id(root): []}
+    # Stack entries hold each open node with the ATX level that created it
+    # (the root sits at level 0) and its body lines so far.
+    stack: list[tuple[int, SectionNode, list[str]]] = [(0, root, [])]
     in_fence = False
 
     for line in text.splitlines(keepends=True):
@@ -128,12 +126,13 @@ def parse_markdown_tree(doc: SourceDocument) -> SectionNode:
             in_fence = not in_fence
         match = None if in_fence else _HEADING_RE.match(line)
         if match is None:
-            bodies[id(stack[-1][1])].append(line)
+            stack[-1][2].append(line)
             continue
         level = len(match.group(1))
         title = match.group(2)
         while stack[-1][0] >= level:
-            stack.pop()
+            _, closed, lines = stack.pop()
+            closed.body = "".join(lines)
         parent = stack[-1][1]
         node = SectionNode(
             heading_path=parent.heading_path + [title],
@@ -142,15 +141,10 @@ def parse_markdown_tree(doc: SourceDocument) -> SectionNode:
             heading_line=line,
         )
         parent.children.append(node)
-        stack.append((level, node))
-        bodies[id(node)] = []
+        stack.append((level, node, []))
 
-    def fill(node: SectionNode) -> None:
-        node.body = "".join(bodies[id(node)])
-        for child in node.children:
-            fill(child)
-
-    fill(root)
+    for _, node, lines in stack:
+        node.body = "".join(lines)
     return root
 
 
@@ -189,7 +183,7 @@ def decompose_to_nodes(
     stop = {h.casefold() for h in cfg.stop_headings}
     nodes: list[LearningNode] = []
     for section in iter_sections(root):
-        if not section.is_leaf() or section.depth < 1:
+        if not section.is_leaf():
             continue
         body = section.body.strip()
         if not body:
@@ -274,7 +268,6 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[Sourc
                 title=meta["title"],
                 learning_stage=stage,
                 markdown=markdown,
-                source_path=str(path),
             )
         )
     return docs

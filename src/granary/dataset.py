@@ -186,19 +186,14 @@ def truncate_chat_example(
     excess = rendered(spans.thinking, spans.solution).length - max_len
     solution_bytes = len(spans.solution.encode("utf-8"))
     thinking_bytes = len(spans.thinking.encode("utf-8"))
-    new_thinking = spans.thinking
-    if excess <= solution_bytes:
-        new_solution = _shrink_to_bytes(spans.solution, solution_bytes - excess)
-    else:
-        new_solution = ""
-        remaining = excess - solution_bytes
-        if remaining > thinking_bytes:
-            raise OversizedExample(
-                f"example of length {tokenized.length} cannot fit {max_len}"
-            )
-        new_thinking = _shrink_to_bytes(spans.thinking, thinking_bytes - remaining)
-
-    result = rendered(new_thinking, new_solution)
+    solution_cut = min(excess, solution_bytes)
+    thinking_cut = excess - solution_cut
+    if thinking_cut > thinking_bytes:
+        raise OversizedExample(f"example of length {tokenized.length} cannot fit {max_len}")
+    result = rendered(
+        _shrink_to_bytes(spans.thinking, thinking_bytes - thinking_cut),
+        _shrink_to_bytes(spans.solution, solution_bytes - solution_cut),
+    )
     if result.length > max_len:
         raise OversizedExample(f"example of length {result.length} cannot fit {max_len}")
     return result

@@ -151,14 +151,11 @@ def _request_rewrite(
 _NO_ANSWER = RawAnswer(thinking="", solution="", answer="")
 
 
-def _rejected_entry(
-    node: LearningNode,
-    sample_idx: int,
-    reason: str,
-    question: str = "",
-    raw: RawAnswer = _NO_ANSWER,
+def _entry(
+    node: LearningNode, sample_idx: int, reason: str | None, question: str = "", raw: RawAnswer = _NO_ANSWER
 ) -> QtsaEntry:
-    """A rejected record holding the agents' output as produced (question stripped)."""
+    """The task's record, with its question stripped: kept when ``reason`` is
+    None, else rejected for it and holding the agents' output as produced."""
     return QtsaEntry(
         entry_id=entry_id_for(node.node_id, sample_idx),
         node_id=node.node_id,
@@ -167,7 +164,7 @@ def _rejected_entry(
         thinking=raw.thinking,
         solution=raw.solution,
         answer=raw.answer,
-        status=STATUS_REJECTED,
+        status=STATUS_KEPT if reason is None else STATUS_REJECTED,
         reject_reason=reason,
     )
 
@@ -199,7 +196,7 @@ def postprocess(
         (a, "missing_answer"),
     ):
         if not value:
-            return _rejected_entry(node, sample_idx, reason, question, raw)
+            return _entry(node, sample_idx, reason, question, raw)
 
     # q and s screened clean need no second look unless a rewrite replaced them.
     # One search screens fields joined on NUL: no pattern matches a NUL, and
@@ -209,28 +206,18 @@ def postprocess(
         try:
             q, s = _request_rewrite(q, s, node, backend)
         except BackendError:
-            return _rejected_entry(node, sample_idx, "backend_failure", question, raw)
+            return _entry(node, sample_idx, "backend_failure", question, raw)
         if not q or not s:
-            return _rejected_entry(node, sample_idx, "rewrite_failed", question, raw)
+            return _entry(node, sample_idx, "rewrite_failed", question, raw)
         screen = (q, t, s, a)
     if find_dangling("\0".join(screen)):
-        return _rejected_entry(node, sample_idx, "dangling_reference", question, raw)
+        return _entry(node, sample_idx, "dangling_reference", question, raw)
 
     reparsed = parse_answer_spans(render_assistant(t, s, a))
     if (reparsed.thinking, reparsed.solution, reparsed.answer) != (t, s, a):
-        return _rejected_entry(node, sample_idx, "malformed_tags", question, raw)
+        return _entry(node, sample_idx, "malformed_tags", question, raw)
 
-    return QtsaEntry(
-        entry_id=entry_id_for(node.node_id, sample_idx),
-        node_id=node.node_id,
-        sample_idx=sample_idx,
-        question=q,
-        thinking=t,
-        solution=s,
-        answer=a,
-        status=STATUS_KEPT,
-        reject_reason=None,
-    )
+    return _entry(node, sample_idx, None, q, RawAnswer(thinking=t, solution=s, answer=a))
 
 
 def _read_records(path: Path) -> list[dict]:
@@ -322,9 +309,9 @@ def _run_task(
         question = generate_question(node, sample_idx, backend)
         raw = answer_question(node, question, backend)
     except EmptyGeneration:
-        return _rejected_entry(node, sample_idx, "empty_generation")
+        return _entry(node, sample_idx, "empty_generation")
     except BackendError:
-        return _rejected_entry(node, sample_idx, "backend_failure")
+        return _entry(node, sample_idx, "backend_failure")
     return postprocess(raw, question, node, sample_idx, backend)
 
 

@@ -65,12 +65,12 @@ class EvalReport:
         }
 
 
-def render_eval_prompt(item: McqItem, max_tokens: int = 512) -> ChatRequest:
+def render_eval_prompt(item: McqItem) -> ChatRequest:
     """Deterministic grading request: options in letter order, temperature 0."""
     lines = [item.stem, ""]
     for letter in sorted(item.options):
         lines.append(prompts.EVAL_OPTION_LINE.format(letter=letter, text=item.options[letter]))
-    return ChatRequest.of(prompts.EVAL_PROMPT, "\n".join(lines), max_tokens=max_tokens)
+    return ChatRequest.of(prompts.EVAL_PROMPT, "\n".join(lines), max_tokens=512)
 
 
 # Only the keywords ignore case; the option letter must be a capital.
@@ -162,9 +162,3 @@ def read_quiz(path: str | Path) -> list[McqItem]:
         except ValueError as exc:
             raise SchemaViolation(f"{path}: {exc}") from None
     return items
-
-
-def default_quiz_path() -> Path:
-    from importlib import resources
-
-    return Path(str(resources.files("granary").joinpath("assets/quiz.jsonl")))

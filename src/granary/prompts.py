@@ -5,7 +5,8 @@ deterministic mock) classify requests by that tag. This module owns every
 format the distiller, the eval harness and the mock exchange, each with one
 renderer and one parser: the question header, the answer response, its
 answer span, the rewrite and the eval option lines. It also holds the
-dangling references the distiller screens for and the mock rewrites.
+dangling references the distiller screens for and the mock rewrites,
+and reads the packaged assets: the prompt files and the default quiz.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 QUESTION_TAG = "[granary-agent question v1]"
 ANSWER_TAG = "[granary-agent answer v1]"
@@ -20,10 +22,16 @@ REWRITE_TAG = "[granary-agent rewrite v1]"
 EVAL_TAG = "[granary-agent eval v1]"
 
 
+_ASSETS = resources.files("granary") / "assets"
+
+
 def _load(name: str) -> str:
-    return resources.files("granary").joinpath(f"assets/prompts/{name}").read_text(
-        encoding="utf-8"
-    )
+    return (_ASSETS / "prompts" / name).read_text(encoding="utf-8")
+
+
+def default_quiz_path() -> Path:
+    """The packaged quiz ``granary eval`` grades when no ``--quiz`` is given."""
+    return Path(str(_ASSETS / "quiz.jsonl"))
 
 
 QUESTION_PROMPT = _load("question_v1.txt")

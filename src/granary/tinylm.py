@@ -283,16 +283,16 @@ def gradient_check(
     value_fn: Callable[[Parameters], float],
     analytic: np.ndarray,
     n_coords: int = 200,
-    h: float = 1e-4,
     seed: int | Sequence[int] = 0,
 ) -> tuple[float, list[tuple[int, float, float]]]:
     """Central-difference spot check of an analytic gradient.
 
     Samples ``n_coords`` coordinates, perturbs copies of ``params`` by
-    +/- h, and reports the max relative error plus per-coordinate
+    +/- 1e-4, and reports the max relative error plus per-coordinate
     (index, finite-difference, analytic) triples. The denominator floors
     at 1e-6 so near-zero gradients compare on an absolute scale.
     """
+    h = 1e-4
     rng = np.random.default_rng(seed)
     coords = rng.choice(params.count, size=min(n_coords, params.count), replace=False)
     worst = 0.0

@@ -420,7 +420,6 @@ def train(
                 lambda p: loss_value(p, batch, cfg.kl_weight),
                 gradient,
                 n_coords=3,
-                h=1e-4,
                 seed=[cfg.seed, step],
             )
 

@@ -23,7 +23,8 @@ from granary.dataset import (
     tokenize_and_mask,
 )
 from granary.distiller import DistillConfig, QtsaEntry, distill_corpus, entry_to_record
-from granary.evalharness import default_quiz_path, extract_answer, grade, read_quiz
+from granary.evalharness import extract_answer, grade, read_quiz
+from granary.prompts import default_quiz_path
 from granary.tinylm import (
     BOS_ID,
     EOS_ID,

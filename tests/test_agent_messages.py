@@ -45,7 +45,7 @@ def test_postprocess_rewrite_traffic_pinned():
 
 
 def test_packaged_quiz_grading_traffic_pinned():
-    items = evalharness.read_quiz(evalharness.default_quiz_path())
+    items = evalharness.read_quiz(prompts.default_quiz_path())
     backend = RecordingBackend(MockLlmBackend(seed=0))
     evalharness.grade(items, backend)
     assert len(backend.transcript) == len(items)

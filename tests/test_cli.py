@@ -436,6 +436,56 @@ class TestBuildTrainEval:
         assert "accuracy" in json.loads(out.splitlines()[-1])
 
 
+class TestStageStart:
+    @pytest.mark.parametrize(
+        "name, changed",
+        [
+            ("ingest", {"min_node_tokens": 32}),
+            ("distill", {"n_samples": 2}),
+            ("build", {"dataset": {"system_prompt": "Be brief."}}),
+            ("train", {"train": {"total_steps": 3}}),
+        ],
+    )
+    def test_a_crash_before_the_manifest_write_leaves_downstream_refused(
+        self, tmp_path, monkeypatch, capsys, name, changed
+    ):
+        # A stage re-run under config B writes its outputs, then dies before
+        # its manifest entry: the next stage under the old config A must not
+        # take B's outputs for A's.
+        config_a = write_config(tmp_path)
+        config_b = write_config(tmp_path / "b", workdir=str(tmp_path / "work"), **changed)
+        order = list(cfgmod.STAGES)
+        for stage in order[: order.index(name) + 1]:
+            assert run(stage, "--config", str(config_a)) == 0, stage
+        if name == "distill":
+            # A journal from another distill config is refused before any write.
+            (tmp_path / "work" / "journal.jsonl").unlink()
+
+        def crash(*args):
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(cfgmod, "record_stage", crash)
+        with pytest.raises(RuntimeError, match="killed"):
+            run(name, "--config", str(config_b))
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert run(order[order.index(name) + 1], "--config", str(config_a)) == 1
+        assert f"needs {name!r} to run first" in capsys.readouterr().err
+
+    def test_re_ingest_under_another_config_makes_build_refuse(self, tmp_path, capsys):
+        # distill's config slice is the same under both configs, so only the
+        # dropped manifest entry tells build that qtsa.jsonl came from other nodes.
+        config_a = write_config(tmp_path)
+        config_b = write_config(tmp_path / "b", workdir=str(tmp_path / "work"), min_node_tokens=200)
+        for stage in ("ingest", "distill", "build"):
+            assert run(stage, "--config", str(config_a)) == 0, stage
+        capsys.readouterr()
+        assert run("ingest", "--config", str(config_b)) == 0
+        assert json.loads(capsys.readouterr().out)["node_count"] == 1
+        assert run("build", "--config", str(config_b)) == 1
+        assert "needs 'distill' to run first" in capsys.readouterr().err
+
+
 class TestGradcheckAndErrors:
     def test_gradcheck_passes(self, pipeline, capsys):
         config, workdir, stage = pipeline
@@ -702,6 +752,7 @@ def test_data_prep_commands_and_dry_runs_leave_numpy_unloaded(tmp_path):
         (["build", "--dry-run"], False),
         (["train", "--dry-run"], False),
         (["gradcheck", "--dry-run"], False),
+        (["eval", "--dry-run"], False),
         (["build"], True),
         (["train"], True),
     ]

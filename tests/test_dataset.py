@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,40 @@ class TestTruncation:
         assert tokenized.length == max_len
         spans = parse_answer_spans(TOK.decode([i for i, m in zip(tokenized.input_ids, tokenized.loss_mask) if m][:-1]))
         assert spans.answer == "B" and reply.startswith(spans.solution)
+
+    @pytest.mark.parametrize(
+        "cut, thinking, solution",
+        [
+            (19, "T" * 30, "S"),  # one byte short of the solution's length
+            (20, "T" * 30, ""),  # exactly the solution's bytes
+            (21, "T" * 29, ""),  # one byte past them, taken off the thinking
+            (50, "", ""),  # exactly solution plus thinking
+        ],
+    )
+    def test_cut_takes_the_solution_then_the_thinking(self, cut, thinking, solution):
+        example = render_chat_template(kept_entry(t="T" * 30, s="S" * 20, a="A"))
+        max_len = tokenize_and_mask(example, TOK).length - cut
+        got = truncate_chat_example(example, TOK, max_len)
+        want = tokenize_and_mask(replace(example, assistant=render_assistant(thinking, solution, "A")), TOK)
+        assert got.length == max_len
+        assert got.input_ids.tolist() == want.input_ids.tolist()
+        assert got.loss_mask.tolist() == want.loss_mask.tolist()
+
+    def test_one_byte_past_solution_and_thinking_is_oversized(self):
+        example = render_chat_template(kept_entry(t="T" * 30, s="S" * 20, a="A"))
+        with pytest.raises(OversizedExample):
+            truncate_chat_example(example, TOK, tokenize_and_mask(example, TOK).length - 51)
+
+    @pytest.mark.parametrize("slack", [0, 5])
+    def test_a_longer_layout_whose_canonical_form_fits_is_only_re_rendered(self, slack):
+        # Text after the answer span is dropped by the re-render, so the
+        # canonical reply fits and no byte of the thinking or solution goes.
+        canonical = render_assistant("T" * 30, "S" * 20, "A")
+        example = ChatExample(system="", user="u", assistant=canonical + " and more" * 20, origin="general")
+        want = tokenize_and_mask(replace(example, assistant=canonical), TOK)
+        got = truncate_chat_example(example, TOK, want.length + slack)
+        assert got.input_ids.tolist() == want.input_ids.tolist()
+        assert got.loss_mask.tolist() == want.loss_mask.tolist()
 
     def test_short_example_untouched(self):
         example = render_chat_template(kept_entry())

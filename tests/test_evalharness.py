@@ -10,12 +10,12 @@ from granary.evalharness import (
     EvalReport,
     McqItem,
     TinyLmResponder,
-    default_quiz_path,
     extract_answer,
     grade,
     read_quiz,
     render_eval_prompt,
 )
+from granary.prompts import default_quiz_path
 from granary.tinylm import ByteTokenizer, ModelConfig, init
 
 
