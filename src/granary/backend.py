@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 from . import prompts
+from .config import BackendSettings
 from .errors import BackendError
 
 if TYPE_CHECKING:
@@ -57,32 +58,10 @@ class ChatRequest:
         return cls((ChatMessage("system", system), ChatMessage("user", user)), **options)
 
 
-@dataclass(frozen=True)
-class ChatResponse:
-    content: str
-
-
 class LlmBackend(Protocol):
-    """Anything that can answer a chat request."""
+    """Anything that can answer a chat request with the reply's text."""
 
-    def complete(self, request: ChatRequest) -> ChatResponse: ...
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with jitter for transient failures."""
-
-    max_attempts: int = 5
-    base_backoff: float = 0.5
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        # attempt is 0-based; waits cap at 30 s, and up to +25% jitter avoids lockstep retries
-        base = min(self.base_backoff * (2**attempt), 30.0)
-        return base * (1.0 + 0.25 * rng.random())
+    def complete(self, request: ChatRequest) -> str: ...
 
 
 def fan_out(fn: Callable, items: Sequence, parallelism: int) -> Iterator[tuple[int, object]]:
@@ -142,32 +121,27 @@ def _stable_digest(text: str) -> int:
 
 
 class HttpLlmBackend:
-    """OpenAI-compatible chat-completions client with retries.
+    """OpenAI-compatible chat-completions client with retries, configured
+    by the config's ``backend`` section.
 
     Authentication uses a bearer token from the ``GRANARY_API_KEY``
     environment variable unless an explicit key is given. 429 and 5xx
-    responses and connection errors are retried per the policy; other
-    HTTP errors fail immediately. ``requests`` is imported on first use,
-    so a process that never builds this client never loads it.
+    responses and connection errors are retried up to ``max_attempts``
+    calls in all, after waits of ``base_backoff`` doubling per retry,
+    capped at 30 s, plus up to 25% jitter so workers do not retry in
+    lockstep; other HTTP errors fail immediately. ``requests`` is imported
+    on first use, so a process that never builds this client never loads it.
     """
 
     def __init__(
         self,
-        base_url: str,
-        model: str,
+        settings: BackendSettings,
         api_key: str | None = None,
-        retry: RetryPolicy = RetryPolicy(),
-        timeout: float = 60.0,
-        supports_seed: bool = True,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
+        self.settings = settings
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self.retry = retry
-        self.timeout = timeout
-        self.supports_seed = supports_seed
         # Sessions are not thread-safe; workers each get their own unless
         # an explicit session is injected (tests).
         self._injected_session = session
@@ -184,26 +158,27 @@ class HttpLlmBackend:
             self._local.session = requests.Session()
         return self._local.session
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> str:
         import requests
 
+        settings = self.settings
         payload = {
-            "model": self.model,
+            "model": settings.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        if self.supports_seed:
+        if settings.supports_seed:
             payload["seed"] = request.seed
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        url = f"{self.base_url}/chat/completions"
+        url = f"{settings.base_url.rstrip('/')}/chat/completions"
         last_error = None
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(settings.max_attempts):
             try:
-                resp = self._session().post(url, json=payload, headers=headers, timeout=self.timeout)
+                resp = self._session().post(url, json=payload, headers=headers, timeout=settings.timeout)
             except requests.RequestException as exc:
                 last_error = f"connection error: {exc}"
             else:
@@ -213,21 +188,19 @@ class HttpLlmBackend:
                     last_error = f"transient HTTP {resp.status_code}"
                 else:
                     raise BackendError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
-            if attempt + 1 < self.retry.max_attempts:
-                self._sleep(self.retry.delay(attempt, self._rng))
-        raise BackendError(
-            f"{url} failed after {self.retry.max_attempts} attempts ({last_error})"
-        )
+            if attempt + 1 < settings.max_attempts:
+                self._sleep(min(settings.base_backoff * 2**attempt, 30.0) * (1.0 + 0.25 * self._rng.random()))
+        raise BackendError(f"{url} failed after {settings.max_attempts} attempts ({last_error})")
 
     @staticmethod
-    def _parse(resp: requests.Response) -> ChatResponse:
+    def _parse(resp: requests.Response) -> str:
         try:
             content = resp.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
         if not isinstance(content, str):
             raise BackendError(f"malformed completion response: message content is {content!r}")
-        return ChatResponse(content=content)
+        return content
 
 
 # The marker the mock's questions carry and its answers read back.
@@ -259,7 +232,7 @@ class MockLlmBackend:
         for i, nid in enumerate(self.node_ids or ()):
             self._node_index.setdefault(nid[:8], i)
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> str:
         system = request.messages[0].content
         user = request.messages[-1].content
         if system.startswith(prompts.QUESTION_TAG):
@@ -270,22 +243,22 @@ class MockLlmBackend:
             return self._rewrite(user)
         if system.startswith(prompts.EVAL_TAG):
             return self._eval(user)
-        return ChatResponse(content=f"ok:{_stable_digest(f'{self.seed}:{user}') % 10**8}")
+        return f"ok:{_stable_digest(f'{self.seed}:{user}') % 10**8}"
 
     # -- agents ----------------------------------------------------------
 
-    def _question(self, user: str) -> ChatResponse:
+    def _question(self, user: str) -> str:
         header = prompts.QUESTION_HEADER_RE.search(user)
         if header is None:
-            return ChatResponse(content="What does the passage establish?")
+            return "What does the passage establish?"
         marker = f"[{header.group(1)[:8]}#{int(header.group(2))}]"
-        return ChatResponse(content=f"{marker} State the key relation the passage establishes.")
+        return f"{marker} State the key relation the passage establishes."
 
     def _task_ordinal(self, node_prefix: str, sample_idx: int) -> int | None:
         i = self._node_index.get(node_prefix)
         return None if i is None else i * self.n_samples + sample_idx + 1
 
-    def _answer(self, user: str) -> ChatResponse:
+    def _answer(self, user: str) -> str:
         marker = _MARKER_RE.search(user)
         prefix, k = (marker.group(1), int(marker.group(2))) if marker else ("unknown0", 0)
         thinking = f"Trace the passage's definitions for variation {k}."
@@ -295,17 +268,17 @@ class MockLlmBackend:
             ordinal = self._task_ordinal(prefix, k)
             if ordinal is not None and ordinal % self.malform_answer_every == 0:
                 content = content.partition("\n<answer>")[0]
-        return ChatResponse(content=content)
+        return content
 
-    def _rewrite(self, user: str) -> ChatResponse:
+    def _rewrite(self, user: str) -> str:
         question, solution = prompts.parse_rewrite(user)
         for pattern, replacement in prompts.DANGLING_REFERENCES:
             question = pattern.sub(replacement, question)
             solution = pattern.sub(replacement, solution)
-        return ChatResponse(content=prompts.render_rewrite(question, solution))
+        return prompts.render_rewrite(question, solution)
 
-    def _eval(self, user: str) -> ChatResponse:
+    def _eval(self, user: str) -> str:
         letters = prompts.EVAL_OPTION_RE.findall(user) or ["A"]
         pick = letters[_stable_digest(f"{self.seed}:{user}") % len(letters)]
         answer = prompts.render_answer_span(pick)
-        return ChatResponse(content=f"Considering the options, I pick one.\n{answer}")
+        return f"Considering the options, I pick one.\n{answer}"

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import corpus, distiller, prompts
-from .backend import HttpLlmBackend, MockLlmBackend, RetryPolicy
+from .backend import HttpLlmBackend, MockLlmBackend
 from .errors import (
     ConfigError,
     GranaryError,
@@ -98,12 +98,17 @@ _OVERRIDES = {
 
 
 def _apply_overrides(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> cfgmod.PipelineConfig:
+    """``cfg`` with the given flags' values; each changed section and the config
+    are rebuilt, so every value is checked again."""
+    changes: dict[str, dict] = {}
     for dest, path in _OVERRIDES.items():
         value = getattr(args, dest, None)
         if value is not None:
             section, _, name = path.rpartition(".")
-            setattr(getattr(cfg, section) if section else cfg, name, value)
-    return cfg
+            changes.setdefault(section, {})[name] = value
+    top = changes.pop("", {})
+    sections = {name: dataclasses.replace(getattr(cfg, name), **values) for name, values in changes.items()}
+    return dataclasses.replace(cfg, **top, **sections)
 
 
 def _workdir(cfg: cfgmod.PipelineConfig) -> Path:
@@ -120,16 +125,7 @@ def _backend_for(cfg: cfgmod.PipelineConfig, node_ids: list[str] | None = None):
             n_samples=cfg.n_samples,
             malform_answer_every=cfg.backend.mock_malform_answer_every,
         )
-    return HttpLlmBackend(
-        base_url=cfg.backend.base_url,
-        model=cfg.backend.model,
-        retry=RetryPolicy(
-            max_attempts=cfg.backend.max_attempts,
-            base_backoff=cfg.backend.base_backoff,
-        ),
-        timeout=cfg.backend.timeout,
-        supports_seed=cfg.backend.supports_seed,
-    )
+    return HttpLlmBackend(cfg.backend)
 
 
 def _model_config(cfg: cfgmod.PipelineConfig):
@@ -361,7 +357,7 @@ _VALIDATION_ERRORS = (
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = cfgmod.check_config(_apply_overrides(cfgmod.load_config(args.config), args))
+        cfg = _apply_overrides(cfgmod.load_config(args.config), args)
         return _COMMANDS[args.command](cfg, args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,9 @@
 """Pipeline configuration: one JSON file, documented defaults, flag overrides.
 
-Every stage of the CLI reads the same ``PipelineConfig``. The stage
+Every stage of the CLI reads the same ``PipelineConfig``. Each setting
+is declared, defaulted and checked once, in its section here; the
+library configs (``tinylm.ModelConfig``, ``trainer.TrainConfig``) extend
+these sections and the HTTP backend reads ``BackendSettings``. The stage
 contract lives in ``STAGES`` alone: the pipeline order, each stage's
 config slice (hashed into the work-directory manifest so downstream
 commands can detect stale upstream artifacts) and the files it writes.
@@ -20,7 +23,7 @@ from .errors import ConfigError, SchemaViolation, StaleArtifact
 from .jsonl import atomic_write
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendSettings:
     """How distillation/evaluation talk to a model."""
 
@@ -33,15 +36,19 @@ class BackendSettings:
     base_backoff: float = 0.5
     mock_malform_answer_every: int | None = None
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ConfigError("max_attempts must be >= 1")
 
-@dataclass
+
+@dataclass(frozen=True)
 class DatasetSettings:
     mix_ratio: float = 1.0
     general_path: str | None = None
     system_prompt: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSettings:
     d_model: int = 32
     n_layers: int = 2
@@ -49,12 +56,18 @@ class ModelSettings:
     context_window: int = 64
     init_std: float = 0.02
 
+    def __post_init__(self):
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError("d_model must be divisible by n_heads")
+        if self.context_window < 2:
+            raise ConfigError("context_window must be >= 2")
 
-# The training objectives: the CLI's --mode choices, which TrainConfig checks.
+
+# The training objectives: the CLI's --mode choices and train.mode's values.
 MODES = ("cpt", "sft", "nsc_sft")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSettings:
     mode: str = "nsc_sft"
     total_steps: int = 200
@@ -63,8 +76,20 @@ class TrainSettings:
     kl_weight: float = 0.1
     grad_check_every: int | None = None
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.total_steps < 1:
+            raise ConfigError("total_steps must be >= 1")
+        if not 0 < self.warmup_frac < 1:
+            raise ConfigError("warmup_frac must be in (0, 1)")
+        if self.kl_weight < 0:
+            raise ConfigError("kl_weight must be >= 0")
+        if self.grad_check_every is not None and self.grad_check_every < 1:
+            raise ConfigError("grad_check_every must be >= 1, or None for no checks")
 
-@dataclass
+
+@dataclass(frozen=True)
 class PipelineConfig:
     corpus_dir: str = "corpus"
     manifest: str = "corpus/manifest.json"
@@ -78,6 +103,10 @@ class PipelineConfig:
     dataset: DatasetSettings = field(default_factory=DatasetSettings)
     model: ModelSettings = field(default_factory=ModelSettings)
     train: TrainSettings = field(default_factory=TrainSettings)
+
+    def __post_init__(self):
+        if self.parallelism < 1:
+            raise ConfigError("parallelism must be >= 1")
 
 
 def _fits(value, hint) -> bool:
@@ -117,15 +146,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
     return _from_dict(PipelineConfig, data, "config")
-
-
-def check_config(cfg: PipelineConfig) -> PipelineConfig:
-    """Refuse values that no command can run with, after flag overrides."""
-    if cfg.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
-    if cfg.train.grad_check_every is not None and cfg.train.grad_check_every < 1:
-        raise ConfigError("train.grad_check_every must be >= 1 or null")
-    return cfg
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:

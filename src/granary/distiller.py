@@ -113,7 +113,7 @@ def generate_question(node: LearningNode, sample_idx: int, backend: LlmBackend) 
         temperature=QUESTION_TEMPERATURE,
         seed=sample_seed(node.node_id, sample_idx),
     )
-    content = backend.complete(request).content.strip()
+    content = backend.complete(request).strip()
     if not content:
         raise EmptyGeneration(
             f"question agent returned blank content for node {node.node_id[:12]}"
@@ -132,7 +132,7 @@ def answer_question(node: LearningNode, question: str, backend: LlmBackend) -> R
         seed=sample_seed(node.node_id, question),
         max_tokens=2048,
     )
-    return parse_answer_spans(backend.complete(request).content)
+    return parse_answer_spans(backend.complete(request))
 
 
 def _request_rewrite(
@@ -145,7 +145,7 @@ def _request_rewrite(
         temperature=REWRITE_TEMPERATURE,
         seed=sample_seed(node.node_id, 0),
     )
-    return prompts.parse_rewrite(backend.complete(request).content)
+    return prompts.parse_rewrite(backend.complete(request))
 
 
 _NO_ANSWER = RawAnswer(thinking="", solution="", answer="")

@@ -57,5 +57,6 @@ class StaleArtifact(GranaryError):
     """A pipeline stage output was produced under a different configuration."""
 
 
-class ConfigError(GranaryError):
-    """Invalid or inconsistent pipeline configuration."""
+class ConfigError(GranaryError, ValueError):
+    """A config value no run can take; a ValueError too, since the library
+    configs that extend the config sections raise it."""

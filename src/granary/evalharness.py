@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import prompts
-from .backend import ChatRequest, ChatResponse, LlmBackend, fan_out
+from .backend import ChatRequest, LlmBackend, fan_out
 from .dataset import chat_prompt_ids
 from .errors import BackendError, SchemaViolation
 from .jsonl import read_jsonl
@@ -105,9 +105,9 @@ def grade(items: list[McqItem], backend: LlmBackend, parallelism: int = 1) -> Ev
             response = backend.complete(render_eval_prompt(item))
         except BackendError:
             return EvalItemResult(item.item_id, extracted=None, correct_flag=False, response=None)
-        extracted = extract_answer(response.content)
+        extracted = extract_answer(response)
         correct = extracted is not None and extracted.upper() == item.correct.upper()
-        return EvalItemResult(item.item_id, extracted, correct, response=response.content)
+        return EvalItemResult(item.item_id, extracted, correct, response=response)
 
     results = [result for _, result in sorted(fan_out(run, items, parallelism))]
 
@@ -135,14 +135,14 @@ class TinyLmResponder:
         self.max_new_tokens = max_new_tokens
         self._tokenizer = ByteTokenizer()
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> str:
         roles = [m.role for m in request.messages]
         if roles not in (["system", "user"], ["user"]):
             raise ValueError(f"expected an optional system message, then a user message; got {roles}")
         content = {m.role: m.content for m in request.messages}
         ids = chat_prompt_ids(content.get("system", ""), content["user"], self._tokenizer)
         generated = greedy_decode(self.params, ids, self.max_new_tokens)
-        return ChatResponse(content=self._tokenizer.decode(generated, errors="replace"))
+        return self._tokenizer.decode(generated, errors="replace")
 
 
 def read_quiz(path: str | Path) -> list[McqItem]:

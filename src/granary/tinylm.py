@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tape
+from .config import ModelSettings
 from .errors import ContextOverflow
 from .jsonl import atomic_write
 from .tape import Tensor
@@ -63,20 +64,11 @@ class ByteTokenizer:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 2
-    context_window: int = 64
-    vocab_size: int = VOCAB_SIZE
-    init_std: float = 0.02
-    seed: int = 0
+class ModelConfig(ModelSettings):
+    """The config section's model shape, plus the vocabulary and the init seed."""
 
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        if self.context_window < 2:
-            raise ValueError("context_window must be >= 2")
+    vocab_size: int = VOCAB_SIZE
+    seed: int = 0
 
 
 def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:

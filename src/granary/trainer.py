@@ -40,7 +40,7 @@ import numpy as np
 
 from . import tape, tinylm
 from .backend import fan_out
-from .config import MODES
+from .config import TrainSettings
 from .dataset import PackedSequence, TokenizedExample
 from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
 from .jsonl import atomic_write, write_jsonl
@@ -48,26 +48,10 @@ from .tinylm import PAD_ID, Parameters
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    mode: str
-    total_steps: int
-    lr_max: float = 1e-3
-    warmup_frac: float = 0.10
-    kl_weight: float = 0.1
-    seed: int = 0
-    grad_check_every: int | None = None
+class TrainConfig(TrainSettings):
+    """The config section's training run, plus the seed."""
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if not 0 < self.warmup_frac < 1:
-            raise ValueError("warmup_frac must be in (0, 1)")
-        if self.kl_weight < 0:
-            raise ValueError("kl_weight must be >= 0")
-        if self.grad_check_every is not None and self.grad_check_every < 1:
-            raise ValueError("grad_check_every must be >= 1, or None for no checks")
+    seed: int = 0
 
 
 @dataclass(frozen=True)

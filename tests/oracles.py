@@ -249,9 +249,9 @@ class RecordingBackend:
 
     def complete(self, request):
         self.transcript.append(request)
-        response = self.inner.complete(request)
-        self.replies.append(response.content)
-        return response
+        reply = self.inner.complete(request)
+        self.replies.append(reply)
+        return reply
 
     def traffic_sha256(self) -> str:
         """sha256 of the canonical JSON of every exchange.

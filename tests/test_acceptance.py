@@ -15,7 +15,7 @@ import pytest
 from conftest import TRAIN_MODEL_CFG
 from oracles import central_differences, max_rel_err
 from granary import tinylm, trainer
-from granary.backend import ChatResponse, MockLlmBackend
+from granary.backend import MockLlmBackend
 from granary.dataset import (
     TokenizedExample,
     pack_sequences,
@@ -330,7 +330,7 @@ class _ScriptedResponder:
 
     def complete(self, request):
         stem = request.messages[-1].content.split("\n")[0]
-        return ChatResponse(content=self.answers[stem])
+        return self.answers[stem]
 
 
 def test_criterion_9_eval_harness():

@@ -18,9 +18,9 @@ from granary.backend import (
     ChatRequest,
     HttpLlmBackend,
     MockLlmBackend,
-    RetryPolicy,
     fan_out,
 )
+from granary.config import BackendSettings
 from granary.errors import BackendError
 from oracles import RecordingBackend, task_ordinal_reference
 
@@ -188,12 +188,12 @@ class TestChatTypes:
 class TestMock:
     def test_same_request_same_response(self):
         backend = MockLlmBackend(seed=0)
-        assert backend.complete(qrequest()).content == backend.complete(qrequest()).content
+        assert backend.complete(qrequest()) == backend.complete(qrequest())
 
     def test_distinct_samples_distinct_questions(self):
         backend = MockLlmBackend(seed=0)
-        q0 = backend.complete(qrequest(sample_idx=0)).content
-        q1 = backend.complete(qrequest(sample_idx=1)).content
+        q0 = backend.complete(qrequest(sample_idx=0))
+        q1 = backend.complete(qrequest(sample_idx=1))
         assert q0 != q1
 
     def test_transcript_records_requests(self):
@@ -209,7 +209,7 @@ class TestMock:
                 ChatMessage("user", "Pick.\n\nA) one\nB) two"),
             )
         )
-        content = backend.complete(request).content
+        content = backend.complete(request)
         assert "<answer>" in content and content.split("<answer>")[1][0] in "AB"
 
 
@@ -289,15 +289,15 @@ def _ok_payload(content="hello"):
     return {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
 
 
-def _backend(server, **kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=3, base_backoff=0.0))
-    kwargs.setdefault("sleep", lambda s: None)
-    return HttpLlmBackend(
-        base_url=f"http://127.0.0.1:{server.server_address[1]}/v1",
-        model="teach",
-        api_key="sekrit",
-        **kwargs,
-    )
+def _settings(server, **kwargs):
+    url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    return BackendSettings(mock=False, base_url=url, model="teach", **kwargs)
+
+
+def _backend(server, sleep=lambda s: None, **kwargs):
+    kwargs.setdefault("max_attempts", 3)
+    kwargs.setdefault("base_backoff", 0.0)
+    return HttpLlmBackend(_settings(server, **kwargs), api_key="sekrit", sleep=sleep)
 
 
 def _plain_request():
@@ -307,8 +307,7 @@ def _plain_request():
 class TestHttpBackend:
     def test_success_speaks_chat_completions(self, scripted_server):
         _Script.script = [(200, _ok_payload("fine"))]
-        response = _backend(scripted_server).complete(_plain_request())
-        assert response.content == "fine"
+        assert _backend(scripted_server).complete(_plain_request()) == "fine"
         seen = _Script.seen[0]
         assert seen["path"] == "/v1/chat/completions"
         assert seen["auth"] == "Bearer sekrit"
@@ -324,8 +323,7 @@ class TestHttpBackend:
 
     def test_retries_transient_then_succeeds(self, scripted_server):
         _Script.script = [(500, {}), (200, _ok_payload("second"))]
-        response = _backend(scripted_server).complete(_plain_request())
-        assert response.content == "second"
+        assert _backend(scripted_server).complete(_plain_request()) == "second"
         assert len(_Script.seen) == 2
 
     def test_exhausted_retries_raise(self, scripted_server):
@@ -333,6 +331,17 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="after 3 attempts"):
             _backend(scripted_server).complete(_plain_request())
         assert len(_Script.seen) == 3
+
+    def test_retry_waits_double_from_base_backoff_with_up_to_a_quarter_jitter(self, scripted_server):
+        _Script.script = [(503, {})]
+        waits = []
+        with pytest.raises(BackendError, match="after 4 attempts"):
+            _backend(scripted_server, sleep=waits.append, max_attempts=4, base_backoff=10.0).complete(
+                _plain_request()
+            )
+        assert len(waits) == 3
+        for wait, (low, high) in zip(waits, [(10, 12.5), (20, 25), (30, 37.5)]):
+            assert low <= wait <= high
 
     def test_client_error_fails_fast(self, scripted_server):
         _Script.script = [(400, {"error": "bad"})]
@@ -343,11 +352,7 @@ class TestHttpBackend:
     def test_api_key_from_environment(self, scripted_server, monkeypatch):
         monkeypatch.setenv("GRANARY_API_KEY", "env-key")
         _Script.script = [(200, _ok_payload())]
-        backend = HttpLlmBackend(
-            base_url=f"http://127.0.0.1:{scripted_server.server_address[1]}/v1",
-            model="teach",
-            retry=RetryPolicy(max_attempts=1),
-        )
+        backend = HttpLlmBackend(_settings(scripted_server, max_attempts=1))
         backend.complete(_plain_request())
         assert _Script.seen[0]["auth"] == "Bearer env-key"
 

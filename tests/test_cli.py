@@ -633,8 +633,28 @@ class TestGradcheckAndErrors:
     def test_grad_check_every_below_1_in_the_config_file_exits_1(self, tmp_path, capsys, every):
         config = write_config(tmp_path, train={"grad_check_every": every})
         assert run("train", "--config", str(config)) == 1
-        assert capsys.readouterr().err == "error: train.grad_check_every must be >= 1 or null\n"
+        assert capsys.readouterr().err == "error: grad_check_every must be >= 1, or None for no checks\n"
         assert not (tmp_path / "work").exists()
+
+    def test_a_model_section_no_model_can_take_fails_the_dry_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, model={"n_heads": 3})
+        assert run("train", "--dry-run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: d_model must be divisible by n_heads\n"
+        assert not (tmp_path / "work").exists()
+
+    def test_backend_max_attempts_below_1_exits_1_with_the_mock_on(self, tmp_path, capsys):
+        config = write_config(tmp_path, backend={"mock": True, "max_attempts": 0})
+        assert run("ingest", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: max_attempts must be >= 1\n"
+        assert not (tmp_path / "work").exists()
+
+    def test_a_refused_steps_flag_keeps_the_train_entry(self, pipeline, capsys):
+        config, workdir, stage = pipeline
+        for command in ("ingest", "distill", "build", "train"):
+            assert stage(command)[0] == 0, command
+        assert run("train", "--config", str(config), "--steps", "0") == 1
+        assert capsys.readouterr().err == "error: total_steps must be >= 1\n"
+        assert "train" in cfgmod.load_stage_manifest(workdir)["stages"]
 
     def test_non_string_manifest_doc_id_exits_1(self, tmp_path, capsys):
         (tmp_path / "a.md").write_text("# A\nbody\n")

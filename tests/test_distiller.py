@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from granary import prompts
-from granary.backend import ChatResponse, HttpLlmBackend, MockLlmBackend
+from granary.backend import HttpLlmBackend, MockLlmBackend
+from granary.config import BackendSettings
 from granary.corpus import LearningNode
 from granary.distiller import (
     DANGLING_FIRST_LETTERS,
@@ -60,7 +61,7 @@ class StubBackend:
         self.requests.append(request)
         if self.error is not None:
             raise self.error
-        return ChatResponse(content=self.content)
+        return self.content
 
 
 class NullContentSession:
@@ -461,7 +462,9 @@ class TestDistillCorpus:
         ]
 
     def test_null_completion_content_rejects_the_task(self):
-        backend = HttpLlmBackend(base_url="http://127.0.0.1:9/v1", model="m", session=NullContentSession())
+        backend = HttpLlmBackend(
+            BackendSettings(mock=False, base_url="http://127.0.0.1:9/v1", model="m"), session=NullContentSession()
+        )
         entries = distill_corpus([make_node()], DistillConfig(n_samples=2), backend)
         assert [e.reject_reason for e in entries] == ["backend_failure", "backend_failure"]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from granary import evalharness
-from granary.backend import ChatMessage, ChatRequest, ChatResponse
+from granary.backend import ChatMessage, ChatRequest
 from granary.dataset import ChatExample, tokenize_and_mask
 from granary.errors import BackendError
 from granary.evalharness import (
@@ -41,7 +41,7 @@ class ScriptedResponder:
         stem = user.split("\n")[0]
         if stem in self.fail_stems:
             raise BackendError("scripted failure")
-        return ChatResponse(content=self.by_stem.get(stem, self.default))
+        return self.by_stem.get(stem, self.default)
 
 
 class TestItems:
@@ -184,7 +184,7 @@ class TestTinyLmResponder:
         first = responder.complete(request)
         second = responder.complete(request)
         assert first == second
-        assert isinstance(first.content, str)
+        assert isinstance(first, str)
 
     def test_grades_end_to_end(self):
         params = init(ModelConfig(seed=1, context_window=48))
