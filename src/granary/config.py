@@ -3,10 +3,11 @@
 Every stage of the CLI reads the same ``PipelineConfig``. Each setting
 is declared, defaulted and checked once, in its section here; the
 library configs (``tinylm.ModelConfig``, ``trainer.TrainConfig``) extend
-these sections and the HTTP backend reads ``BackendSettings``. The stage
-contract lives in ``STAGES`` alone: the pipeline order, each stage's
-config slice (hashed into the work-directory manifest so downstream
-commands can detect stale upstream artifacts) and the files it writes.
+these sections and the HTTP backend reads ``BackendSettings``; ``jsonl``
+parses and type-checks the file. The stage contract lives in ``STAGES``
+alone: the pipeline order, each stage's config slice (hashed into the
+work-directory manifest so downstream commands can detect stale
+upstream artifacts) and the files it writes.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, SchemaViolation, StaleArtifact
-from .jsonl import atomic_write
+from .jsonl import atomic_write, from_json, read_json
 
 
 @dataclass(frozen=True)
@@ -105,60 +104,19 @@ class PipelineConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
 
     def __post_init__(self):
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has an annotation's type; a bool is never a number."""
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _from_dict(cls, data: dict, where: str):
-    """``cls`` from a JSON object, each dataclass-typed field from its own object."""
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"{where}: unknown config keys {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value, hint = data[f.name], hints[f.name]
-        if dataclasses.is_dataclass(hint):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}.{f.name} must be an object")
-            value = _from_dict(hint, value, f"{where}.{f.name}")
-        elif not _fits(value, hint):
-            raise ConfigError(f"{where}.{f.name}: expected {f.type}, got {json.dumps(value)}")
-        # An int given for a float field becomes that float, so both spellings hash alike.
-        kwargs[f.name] = float(value) if hint is float else value
-    return cls(**kwargs)
+        for name in ("parallelism", "min_node_tokens", "n_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return _from_dict(PipelineConfig, data, "config")
+    return from_json(PipelineConfig, data, "config", ConfigError)
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, ConfigError))
 
 
 @dataclass(frozen=True)
@@ -200,10 +158,7 @@ def load_stage_manifest(workdir: str | Path) -> dict:
     path = _manifest_path(workdir)
     if not path.exists():
         return {"stages": {}}
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+    manifest = read_json(path)
     stages = manifest.get("stages") if isinstance(manifest, dict) else None
     if not isinstance(stages, dict) or not all(
         isinstance(v, dict) and isinstance(v.get("config_hash"), str) for v in stages.values()

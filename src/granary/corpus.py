@@ -1,15 +1,15 @@
 """Markdown corpus ingestion: section trees and learning-node decomposition.
 
 Cleaned books arrive as one UTF-8 Markdown file per volume plus a JSON
-manifest. ATX headings (``#`` through ``######``) carry the chapter
-hierarchy; each leaf subsection becomes one learning node, the unit that
-the distiller later samples from.
+manifest mapping each file name to a ``ManifestEntry``, whose keys are
+exactly ``doc_id``, ``title`` and ``learning_stage``. ATX headings (``#``
+through ``######``) carry the chapter hierarchy; each leaf subsection
+becomes one learning node, the unit that the distiller later samples from.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -17,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import InvalidEncoding, SchemaViolation
+from .jsonl import from_json, read_json
 
 
 class LearningStage(str, Enum):
@@ -29,12 +30,18 @@ class LearningStage(str, Enum):
 
 
 @dataclass(frozen=True)
-class SourceDocument:
-    """One cleaned Markdown book."""
+class ManifestEntry:
+    """A book's entry in the corpus manifest."""
 
     doc_id: str
     title: str
     learning_stage: LearningStage
+
+
+@dataclass(frozen=True)
+class SourceDocument(ManifestEntry):
+    """One cleaned Markdown book."""
+
     markdown: str
 
     def __post_init__(self):
@@ -220,56 +227,28 @@ def corpus_stats(nodes: list[LearningNode]) -> CorpusStats:
 def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[SourceDocument]:
     """Load documents listed in a manifest.
 
-    The manifest maps filename -> {doc_id, title, learning_stage}; files are
-    read from ``corpus_dir`` in manifest order and must be valid UTF-8.
+    The manifest maps filename -> ``ManifestEntry``; files are read from
+    ``corpus_dir`` in manifest order and must be valid UTF-8.
     """
     corpus_dir = Path(corpus_dir)
-    try:
-        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"{manifest_path}:{exc.lineno}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise SchemaViolation(f"manifest {manifest_path} must be a JSON object")
 
     docs: list[SourceDocument] = []
     seen_ids: set[str] = set()
     for filename, meta in manifest.items():
-        if not isinstance(meta, dict):
-            raise SchemaViolation(f"manifest entry {filename!r} must be a JSON object")
-        missing = {"doc_id", "title", "learning_stage"} - set(meta)
-        if missing:
-            raise SchemaViolation(
-                f"manifest entry {filename!r} missing keys: {sorted(missing)}"
-            )
-        for key in ("doc_id", "title"):
-            if not isinstance(meta[key], str):
-                raise SchemaViolation(
-                    f"manifest entry {filename!r}: {key} must be a string, got {json.dumps(meta[key])}"
-                )
-        try:
-            stage = LearningStage(meta["learning_stage"])
-        except ValueError:
-            raise SchemaViolation(
-                f"manifest entry {filename!r} has unknown learning_stage "
-                f"{meta['learning_stage']!r}"
-            ) from None
-        if meta["doc_id"] in seen_ids:
-            raise SchemaViolation(f"duplicate doc_id {meta['doc_id']!r} in manifest")
-        seen_ids.add(meta["doc_id"])
+        entry = from_json(ManifestEntry, meta, f"manifest entry {filename!r}")
+        if entry.doc_id in seen_ids:
+            raise SchemaViolation(f"duplicate doc_id {entry.doc_id!r} in manifest")
+        seen_ids.add(entry.doc_id)
         path = corpus_dir / filename
         raw = path.read_bytes()
         try:
             markdown = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidEncoding(f"{path} is not valid UTF-8: {exc}") from exc
-        docs.append(
-            SourceDocument(
-                doc_id=meta["doc_id"],
-                title=meta["title"],
-                learning_stage=stage,
-                markdown=markdown,
-            )
-        )
+        docs.append(SourceDocument(**vars(entry), markdown=markdown))
     return docs
 
 

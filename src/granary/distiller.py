@@ -14,7 +14,6 @@ are defined in ``prompts``.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import time
 from dataclasses import dataclass, fields
@@ -24,7 +23,7 @@ from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration, SchemaViolation, StaleArtifact
-from .jsonl import LINE_ENCODER, check_keys
+from .jsonl import LINE_ENCODER, check_keys, read_jsonl
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
 STATUS_KEPT = "kept"
@@ -235,14 +234,7 @@ def _read_records(path: Path) -> list[dict]:
     if end < len(data):
         with path.open("r+b") as fh:
             fh.truncate(end)
-    records = []
-    for line_no, line in enumerate(data[:end].split(b"\n"), 1):
-        if line.strip():
-            try:
-                records.append(json.loads(line))
-            except ValueError as exc:
-                raise SchemaViolation(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-    return records
+    return read_jsonl(path)
 
 
 class DistillJournal:

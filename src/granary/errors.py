@@ -10,7 +10,7 @@ class InvalidEncoding(GranaryError):
 
 
 class SchemaViolation(GranaryError):
-    """A JSONL record has missing or unknown keys, or is not valid JSON."""
+    """A JSON input is not valid JSON, or has missing, unknown or ill-typed keys."""
 
 
 class BackendError(GranaryError):

@@ -21,7 +21,7 @@ from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .dataset import chat_prompt_ids
 from .errors import BackendError, SchemaViolation
-from .jsonl import read_jsonl
+from .jsonl import from_json, read_jsonl
 from .tinylm import ByteTokenizer, Parameters, greedy_decode
 
 
@@ -146,19 +146,11 @@ class TinyLmResponder:
 
 
 def read_quiz(path: str | Path) -> list[McqItem]:
-    """The quiz's items; SchemaViolation names the file and the item when a field is ill-typed."""
+    """The quiz's items; SchemaViolation names the file and the item when a field is ill-typed or fails a check."""
     items = []
     for rec in read_jsonl(path, schema=QUIZ_KEYS):
-        where = f"{path}: quiz item {rec['item_id']!r}"
-        for key in ("item_id", "stem", "correct"):
-            if not isinstance(rec[key], str):
-                raise SchemaViolation(f"{where}: {key} must be a string, got {rec[key]!r}")
-        if not isinstance(rec["options"], dict):
-            raise SchemaViolation(f"{where}: options must be an object")
-        if not all(isinstance(text, str) for text in rec["options"].values()):
-            raise SchemaViolation(f"{where}: options must map each letter to a string")
         try:
-            items.append(McqItem(**rec))
-        except ValueError as exc:
+            items.append(from_json(McqItem, rec, f"{path}: quiz item {rec['item_id']!r}"))
+        except ValueError as exc:  # McqItem's own checks
             raise SchemaViolation(f"{path}: {exc}") from None
     return items

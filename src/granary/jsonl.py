@@ -1,11 +1,18 @@
-"""JSONL persistence with exact-key schema checks, and the atomic file writer."""
+"""Every JSON input, parsed and typed in one place; JSONL with exact-key
+schema checks, and the atomic file writer. Errors name the file and line,
+or the object and field."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
+import types
+import typing
 from collections.abc import Iterator
 from contextlib import contextmanager
+from enum import Enum
 from pathlib import Path
 from typing import IO
 
@@ -60,19 +67,82 @@ def write_jsonl(path: str | Path, records: list[dict], schema: tuple[str, ...] |
             fh.write("\n")
 
 
+def parse_json(text: str | bytes, message: str, error: type[Exception] = SchemaViolation):
+    """One JSON document; a malformed one raises ``error`` with ``message``, then the parser's own."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from bytes
+        raise error(f"{message}: {exc}") from exc
+
+
+def read_json(path: str | Path, error: type[Exception] = SchemaViolation):
+    """A UTF-8 file's JSON document; ``error`` names the file and line when it is malformed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+
+
 def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[dict]:
     """Read a JSONL file back into dicts; blank lines are skipped."""
-    path = Path(path)
     records: list[dict] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            rec = parse_json(line, f"{path}:{lineno}: invalid JSON")
             if schema is not None:
                 check_keys(rec, schema, f"{path}:{lineno}")
             records.append(rec)
     return records
+
+
+# Resolving a class's annotations costs more than checking one object against them.
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has an annotation's type; a bool is never a number."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if typing.get_origin(hint) is dict:
+        return isinstance(value, dict) and all(_fits(v, typing.get_args(hint)[1]) for v in value.values())
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def from_json(cls, data, where: str, error: type[Exception] = SchemaViolation):
+    """The dataclass ``cls`` from a JSON object, each given field checked against its annotation.
+
+    ``error`` names ``where`` and the field. A dataclass field is read from
+    its own object, an Enum field from its value, and an int given for a
+    float field becomes that float, so both spellings hash alike.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{where} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
+    if unknown:
+        raise error(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in data and f.default is dataclasses.MISSING is f.default_factory]
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+    hints, kwargs = _hints(cls), {}
+    for f in fields:
+        if f.name not in data:
+            continue
+        value, hint = data[f.name], hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            value = from_json(hint, value, f"{where}.{f.name}", error)
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            allowed = [member.value for member in hint]
+            if value not in allowed:
+                raise error(f"{where}.{f.name}: expected one of {allowed}, got {json.dumps(value)}")
+            value = hint(value)
+        elif not _fits(value, hint):
+            raise error(f"{where}.{f.name}: expected {f.type}, got {json.dumps(value)}")
+        kwargs[f.name] = float(value) if hint is float else value
+    return cls(**kwargs)

@@ -39,7 +39,7 @@ import numpy as np
 from . import tape
 from .config import ModelSettings
 from .errors import ContextOverflow
-from .jsonl import atomic_write
+from .jsonl import atomic_write, from_json, parse_json
 from .tape import Tensor
 
 VOCAB_SIZE = 259
@@ -317,18 +317,15 @@ def save_checkpoint(path: str | Path, params: Parameters) -> None:
 def load_checkpoint(path: str | Path) -> Parameters:
     """The parameters ``save_checkpoint`` wrote; each ValueError names the file."""
     with Path(path).open("rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-            raise ValueError(f"{path}: checkpoint header is not valid JSON: {exc}") from None
+        header = parse_json(fh.readline(), f"{path}: checkpoint header is not valid JSON", ValueError)
         if not isinstance(header, dict):
             raise ValueError(f"{path}: checkpoint header must be a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
-        try:
-            cfg = ModelConfig(**header["model_config"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: bad checkpoint model_config: {exc}") from None
+        try:  # a ValueError from the field checks, or from ModelConfig's own
+            cfg = from_json(ModelConfig, header.get("model_config"), "model_config", ValueError)
+        except ValueError as exc:
+            raise ValueError(f"{path}: checkpoint {exc}") from None
         payload = fh.read()
     try:  # a partial float64, or the wrong count for the model config
         return Parameters(cfg, np.frombuffer(payload, dtype="<f8").astype(np.float64))

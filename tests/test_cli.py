@@ -539,14 +539,20 @@ class TestGradcheckAndErrors:
         assert not (workdir / "qtsa.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "header", [b"[1]\n", b'{"format_version": 1, "model_config": {"width": 3}}\n'], ids=["list", "unknown-key"]
+        "header",
+        [
+            b"[1]\n",
+            b'{"format_version": 1, "model_config": {"width": 3}}\n',
+            b'{"format_version": 1, "model_config": {"d_model": 8, "n_heads": 3}}\n',
+        ],
+        ids=["list", "unknown-key", "heads-do-not-divide"],
     )
     def test_malformed_checkpoint_header_exits_1(self, pipeline, tmp_path, capsys, header):
         config, workdir, stage = pipeline
         path = tmp_path / "bad.ckpt"
         path.write_bytes(header)
         assert run("eval", "--config", str(config), "--checkpoint", str(path)) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize(
         "damage, problem",
@@ -591,10 +597,10 @@ class TestGradcheckAndErrors:
     @pytest.mark.parametrize(
         "field, value, problem",
         [
-            ("correct", ["A"], "quiz item 'q1': correct must be a string, got ['A']"),
-            ("stem", 5, "quiz item 'q1': stem must be a string, got 5"),
-            ("options", {"A": 1, "B": "two"}, "quiz item 'q1': options must map each letter to a string"),
-            ("options", ["one", "two"], "quiz item 'q1': options must be an object"),
+            ("correct", ["A"], """quiz item 'q1'.correct: expected str, got ["A"]"""),
+            ("stem", 5, "quiz item 'q1'.stem: expected str, got 5"),
+            ("options", {"A": 1, "B": "two"}, """quiz item 'q1'.options: expected dict[str, str], got {"A": 1, "B": "two"}"""),
+            ("options", ["one", "two"], """quiz item 'q1'.options: expected dict[str, str], got ["one", "two"]"""),
             ("options", {"A": "one"}, "item q1: need at least 2 options"),
             ("correct", "C", "item q1: correct letter not among options"),
         ],
@@ -648,6 +654,25 @@ class TestGradcheckAndErrors:
         assert capsys.readouterr().err == "error: max_attempts must be >= 1\n"
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize(
+        "command, setting, problem",
+        [
+            ("distill", {"n_samples": 0}, "n_samples must be >= 1"),
+            ("ingest", {"min_node_tokens": 0}, "min_node_tokens must be >= 1"),
+        ],
+        ids=["n_samples", "min_node_tokens"],
+    )
+    def test_a_refused_setting_keeps_the_manifest(self, pipeline, tmp_path, capsys, command, setting, problem):
+        config, workdir, stage = pipeline
+        for done in ("ingest", "distill", "build"):
+            assert stage(done)[0] == 0, done
+        before = (workdir / "manifest.json").read_bytes()
+        refused = write_config(tmp_path / "refused", workdir=str(workdir), **setting)
+        for dry_run in ([], ["--dry-run"]):
+            assert run(command, "--config", str(refused), *dry_run) == 1
+            assert capsys.readouterr().err == f"error: {problem}\n"
+        assert (workdir / "manifest.json").read_bytes() == before
+
     def test_a_refused_steps_flag_keeps_the_train_entry(self, pipeline, capsys):
         config, workdir, stage = pipeline
         for command in ("ingest", "distill", "build", "train"):
@@ -662,7 +687,7 @@ class TestGradcheckAndErrors:
         manifest.write_text(json.dumps({"a.md": {"doc_id": [1], "title": "A", "learning_stage": "advanced"}}))
         config = write_config(tmp_path, corpus_dir=str(tmp_path), manifest=str(manifest))
         assert run("ingest", "--config", str(config)) == 1
-        assert capsys.readouterr().err == "error: manifest entry 'a.md': doc_id must be a string, got [1]\n"
+        assert capsys.readouterr().err == "error: manifest entry 'a.md'.doc_id: expected str, got [1]\n"
 
     def test_every_command_supports_dry_run(self, pipeline):
         config, workdir, stage = pipeline

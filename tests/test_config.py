@@ -138,6 +138,12 @@ class TestConfigTypes:
             cfgmod.config_from_dict({"parallelism": parallelism})
         assert cfgmod.config_from_dict({"parallelism": 1}).parallelism == 1
 
+    @pytest.mark.parametrize("name", ["n_samples", "min_node_tokens"])
+    def test_a_count_below_1_is_a_config_error(self, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must be >= 1$"):
+            cfgmod.config_from_dict({name: 0})
+        assert getattr(cfgmod.config_from_dict({name: 1}), name) == 1
+
     @pytest.mark.parametrize("every", [0, -2])
     def test_grad_check_every_below_1_is_a_config_error(self, every):
         with pytest.raises(ConfigError, match=r"^grad_check_every must be >= 1, or None for no checks$"):

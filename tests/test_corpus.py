@@ -290,7 +290,23 @@ class TestIO:
         meta = {"doc_id": "a", "title": "A", "learning_stage": "advanced", key: value}
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"a.md": meta}))
-        want = f"manifest entry 'a.md': {key} must be a string, got {json.dumps(value)}"
+        want = f"manifest entry 'a.md'.{key}: expected str, got {json.dumps(value)}"
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(want)}$"):
+            corpus.load_corpus(tmp_path, manifest)
+
+    @pytest.mark.parametrize(
+        "meta, problem",
+        [
+            ({"doc_id": "a", "title": "A", "learning_stage": "advanced", "year": 1999}, "unknown keys ['year']"),
+            ({"doc_id": "a", "learning_stage": "advanced"}, "missing keys ['title']"),
+        ],
+        ids=["extra-key", "missing-title"],
+    )
+    def test_entry_keys_are_exactly_the_three(self, tmp_path, meta, problem):
+        (tmp_path / "a.md").write_text("# A\nx")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"a.md": meta}))
+        want = f"manifest entry 'a.md': {problem}"
         with pytest.raises(SchemaViolation, match=f"^{re.escape(want)}$"):
             corpus.load_corpus(tmp_path, manifest)
 

@@ -645,14 +645,17 @@ class TestCheckpoint:
         [
             ([1], "header must be a JSON object"),
             ({"format_version": 1, "model_config": {"d_model": 16, "width": 3}}, "width"),
+            ({"format_version": 1, "model_config": {"d_model": 8, "n_heads": 3}}, "d_model must be divisible by n_heads"),
+            ({"format_version": 1, "model_config": {"d_model": "8"}}, 'd_model: expected int, got "8"'),
         ],
-        ids=["non-object-header", "unknown-model-config-key"],
+        ids=["non-object-header", "unknown-model-config-key", "heads-do-not-divide", "string-d_model"],
     )
     def test_malformed_header_is_a_value_error(self, tmp_path, header, problem):
         path = tmp_path / "model.ckpt"
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
-        with pytest.raises(ValueError, match=problem):
+        with pytest.raises(ValueError, match=problem) as raised:
             load_checkpoint(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
     def test_greedy_decode_deterministic(self):
         params = init(ModelConfig(seed=2, context_window=32))
