@@ -11,8 +11,8 @@ Importing this module loads only what every command needs. The model
 stack (``dataset``, ``tinylm``, ``trainer``, ``evalharness``, and numpy
 with them) is imported inside the commands that use it, after their
 ``--dry-run`` return, so ``ingest``, ``distill``, ``--help`` and every
-dry run start without numpy. A stage calls ``config.start_stage`` before
-it writes any output, and ``config.record_stage`` once it has.
+dry run start without numpy. A stage checks upstream and its inputs before
+``config.start_stage``, and calls ``config.record_stage`` once it has written.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from . import config as cfgmod
 from . import corpus, distiller, prompts
 from .backend import HttpLlmBackend, MockLlmBackend
 from .errors import (
-    ConfigError,
     GranaryError,
     InvalidEncoding,
     NonFiniteLoss,
@@ -162,8 +161,6 @@ def _finish(workdir: Path, stage: str, cfg: cfgmod.PipelineConfig, summary: dict
 def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     if args.dry_run:
         return _plan("ingest", cfg, [cfg.corpus_dir, cfg.manifest])
-    workdir = _workdir(cfg)
-    cfgmod.start_stage(workdir, "ingest", cfg)
     decompose_cfg = corpus.DecomposeConfig(
         min_node_tokens=cfg.min_node_tokens,
         stop_headings=tuple(cfg.stop_headings),
@@ -172,6 +169,8 @@ def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     for doc in corpus.load_corpus(cfg.corpus_dir, cfg.manifest):
         tree = corpus.parse_markdown_tree(doc)
         nodes.extend(corpus.decompose_to_nodes(tree, doc.doc_id, decompose_cfg))
+    workdir = _workdir(cfg)
+    cfgmod.start_stage(workdir, "ingest", cfg)
     records = [corpus.node_to_record(n) for n in nodes]
     write_jsonl(workdir / "nodes.jsonl", records, schema=corpus.NODE_KEYS)
     return _finish(workdir, "ingest", cfg, dataclasses.asdict(corpus.corpus_stats(nodes)))
@@ -182,7 +181,7 @@ def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     nodes_path = workdir / "nodes.jsonl"
     if args.dry_run:
         return _plan("distill", cfg, [nodes_path])
-    cfgmod.start_stage(workdir, "distill", cfg)
+    cfgmod.check_upstream(workdir, "distill", cfg)
     nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
     backend = _backend_for(cfg, node_ids=[n.node_id for n in nodes])
     distill_cfg = distiller.DistillConfig(
@@ -193,6 +192,7 @@ def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     )
     entries = distiller.distill_corpus(nodes, distill_cfg, backend)
     records = [distiller.entry_to_record(e) for e in entries]
+    cfgmod.start_stage(workdir, "distill", cfg)
     write_jsonl(workdir / "qtsa.jsonl", records, schema=distiller.QTSA_KEYS)
     kept = sum(e.kept for e in entries)
     summary = {"attempted": len(entries), "kept": kept, "rejected": len(entries) - kept}
@@ -207,7 +207,7 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         return _plan("build", cfg, [qtsa_path, nodes_path] + ([general_path] if general_path else []))
     from . import dataset
 
-    cfgmod.start_stage(workdir, "build", cfg)
+    cfgmod.check_upstream(workdir, "build", cfg)
 
     entries = [distiller.entry_from_record(r) for r in read_jsonl(qtsa_path, schema=distiller.QTSA_KEYS)]
     domain = [
@@ -220,13 +220,13 @@ def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         for rec in (read_jsonl(general_path, schema=dataset.SFT_KEYS) if general_path else [])
     ]
     mixed = dataset.mix_datasets(domain, general, cfg.dataset.mix_ratio, cfg.seed) if general else domain
+    nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
+    cfgmod.start_stage(workdir, "build", cfg)
     write_jsonl(
         workdir / "sft_dataset.jsonl",
         [dataset.chat_example_to_record(ex, example_id) for example_id, ex in mixed],
         schema=dataset.SFT_KEYS,
     )
-
-    nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
     write_jsonl(
         workdir / "cpt_dataset.jsonl",
         [{"node_id": n.node_id, "text": n.text} for n in nodes],
@@ -243,7 +243,7 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         return _plan("train", cfg, [data_path] + ([args.init_checkpoint] if args.init_checkpoint else []))
     from . import dataset, tinylm, trainer
 
-    cfgmod.start_stage(workdir, "train", cfg)
+    cfgmod.check_upstream(workdir, "train", cfg)
 
     if args.init_checkpoint:
         init_params = tinylm.load_checkpoint(args.init_checkpoint)
@@ -265,6 +265,7 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     train_cfg = trainer.TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed)
     ref_params = tinylm.freeze_reference(init_params) if mode == "nsc_sft" else None
     report_paths = (workdir / "train_report.jsonl", workdir / "train_summary.json")
+    cfgmod.start_stage(workdir, "train", cfg)
     try:
         report = trainer.train(train_cfg, data, init_params, ref_params=ref_params)
     except NonFiniteLoss as exc:
@@ -289,7 +290,7 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     # Read every input before the workdir is created, so a bad one leaves none.
     items = evalharness.read_quiz(quiz_path)
     if trained_here:
-        cfgmod.start_stage(workdir, "eval", cfg)
+        cfgmod.check_upstream(workdir, "eval", cfg)
     params = None if checkpoint is None else tinylm.load_checkpoint(checkpoint)
     _workdir(cfg)
     if params is None:
@@ -345,7 +346,6 @@ _COMMANDS = {
 }
 
 _VALIDATION_ERRORS = (
-    ConfigError,
     StaleArtifact,
     SchemaViolation,
     InvalidEncoding,

@@ -6,8 +6,9 @@ library configs (``tinylm.ModelConfig``, ``trainer.TrainConfig``) extend
 these sections and the HTTP backend reads ``BackendSettings``; ``jsonl``
 parses and type-checks the file. The stage contract lives in ``STAGES``
 alone: the pipeline order, each stage's config slice (hashed into the
-work-directory manifest so downstream commands can detect stale
-upstream artifacts) and the files it writes.
+work-directory manifest so later stages refuse stale outputs) and the
+files it writes; ``start_stage`` forgets a stage's entries only once
+``check_upstream`` and the stage's inputs have passed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class BackendSettings:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
+        if self.base_backoff < 0:
+            raise ConfigError("base_backoff must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,10 @@ class DatasetSettings:
     mix_ratio: float = 1.0
     general_path: str | None = None
     system_prompt: str = ""
+
+    def __post_init__(self):
+        if self.mix_ratio <= 0:
+            raise ConfigError("ratio must be > 0")
 
 
 @dataclass(frozen=True)
@@ -56,10 +63,15 @@ class ModelSettings:
     init_std: float = 0.02
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.context_window < 2:
             raise ConfigError("context_window must be >= 2")
+        if self.init_std < 0:
+            raise ConfigError("init_std must be >= 0")
 
 
 # The training objectives: the CLI's --mode choices and train.mode's values.
@@ -181,10 +193,8 @@ def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
     _save_manifest(workdir, manifest)
 
 
-def start_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
-    """Fail when any ancestor stage is missing or ran under a different config;
-    else drop this stage's and every later stage's manifest entries, so that
-    until ``record_stage`` runs, no later stage takes this one's outputs."""
+def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> dict:
+    """The work directory's manifest, once every ancestor stage has run under ``cfg``."""
     manifest = load_stage_manifest(workdir)
     order = list(STAGES)
     for parent in order[: order.index(stage)]:
@@ -198,6 +208,15 @@ def start_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
                 f"stage {parent!r} output is stale: its config changed since it ran;"
                 f" re-run `granary {parent}`"
             )
+    return manifest
+
+
+def start_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
+    """``check_upstream``, then drop this stage's and every later stage's
+    manifest entries, so that until ``record_stage`` runs, no later stage
+    takes this one's outputs."""
+    manifest = check_upstream(workdir, stage, cfg)
+    order = list(STAGES)
     later = order[order.index(stage) :]
     kept = {name: entry for name, entry in manifest["stages"].items() if name not in later}
     if kept != manifest["stages"]:

@@ -4,9 +4,9 @@ Three agents cooperate per (node, sample) task: a question writer, an
 answerer that reasons inside ``<think>`` tags and wraps the final answer
 in ``<answer>`` tags, and a postprocessor that rejects malformed output
 and rewrites dangling references ("Eq. (4.1)", "this section", ...) so
-each record stands alone. Each finished task's record is appended to a
-one-file journal as it completes, so interrupted runs resume without
-re-querying the backend. The text formats the agents exchange, and
+each record stands alone. Each finished task's record is appended to
+the journal, an ordinary JSONL file, as it completes, so interrupted runs
+resume without re-querying the backend. The text formats the agents exchange, and
 ``RawAnswer``, ``render_assistant`` and ``parse_answer_spans`` with them,
 are defined in ``prompts``.
 """
@@ -14,6 +14,7 @@ are defined in ``prompts``.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 import time
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ from pathlib import Path
 from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
-from .errors import BackendError, EmptyGeneration, SchemaViolation, StaleArtifact
+from .errors import BackendError, EmptyGeneration, StaleArtifact
 from .jsonl import LINE_ENCODER, check_keys, read_jsonl
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
@@ -60,9 +61,9 @@ QTSA_KEYS = tuple(f.name for f in fields(QtsaEntry))
 class DistillConfig:
     """Sampling and execution knobs for a distillation run.
 
-    ``stage_hash``, when given, names the configuration the run distills
-    under (the CLI passes the distill stage hash): each journal line
-    records it, and a journal written under another one is refused.
+    ``stage_hash`` names the configuration the run distills under (the
+    CLI passes the distill stage hash): each journal line records it, null
+    when none is given, and a journal written under another one is refused.
     """
 
     n_samples: int = 5
@@ -219,34 +220,18 @@ def postprocess(
     return _entry(node, sample_idx, None, q, RawAnswer(thinking=t, solution=s, answer=a))
 
 
-def _read_records(path: Path) -> list[dict]:
-    """The JSON lines of an append-only file, minus a torn final line.
-
-    A final line without its newline is what a crash mid-append leaves;
-    it is cut off the file, so the next append starts on a fresh line.
-    A malformed line anywhere else raises SchemaViolation naming the file
-    and the line.
-    """
-    if not path.exists():
-        return []
-    data = path.read_bytes()
-    end = data.rfind(b"\n") + 1
-    if end < len(data):
-        with path.open("r+b") as fh:
-            fh.truncate(end)
-    return read_jsonl(path)
+JOURNAL_KEYS = (*QTSA_KEYS, "timestamp", "stage_hash")
 
 
 class DistillJournal:
-    """Append-only log of finished tasks, one Q/T/S/A record per line.
+    """Append-only log of finished tasks, one ``JOURNAL_KEYS`` line each: the
+    task's record, when it ran and under which stage hash (null if none).
 
-    Each line is the task's ``entry_to_record`` dict plus a ``timestamp``,
-    and the ``stage_hash`` it ran under when one is given. A task counts
-    as completed once its line, newline included, is on disk: a crash
-    mid-append leaves a torn final line, which the next load cuts off, so
-    that task simply runs again. A line written under another stage hash
-    (or with one where none is given, or without one where one is)
-    raises StaleArtifact: its results came from another configuration.
+    A task counts as completed once its line, newline included, is on
+    disk: a crash mid-append leaves a torn final line, which the next load
+    cuts off, so that task simply runs again. ``read_jsonl`` refuses a line
+    with other keys; a line written under another stage hash raises
+    StaleArtifact, since its result came from another configuration.
     Passing ``path=None`` keeps everything in memory.
     """
 
@@ -255,37 +240,27 @@ class DistillJournal:
         self.stage_hash = stage_hash
         self.results: dict[tuple[str, int], QtsaEntry] = {}
         self._fh = None
-        if self.path is not None:
-            for line_no, rec in enumerate(_read_records(self.path), 1):
-                written = rec.pop("stage_hash", None) if isinstance(rec, dict) else None
-                # A two-file journal's lines hold only node_id, sample_idx,
-                # status and timestamp; its records are not recoverable here.
-                if not isinstance(rec, dict) or set(rec) != {*QTSA_KEYS, "timestamp"}:
-                    raise SchemaViolation(
-                        f"{self.path}: line {line_no} is not a Q/T/S/A record with a"
-                        " timestamp; delete the journal to distill from scratch"
-                    )
+        if self.path is None:
+            return
+        if self.path.exists():
+            os.truncate(self.path, self.path.read_bytes().rfind(b"\n") + 1)
+            for rec in read_jsonl(self.path, schema=JOURNAL_KEYS):
+                written = rec.pop("stage_hash")
                 if written != stage_hash:
                     raise StaleArtifact(
-                        f"{self.path}: line {line_no} was distilled under stage hash {written},"
-                        f" this run's is {stage_hash}; delete the journal to distill from scratch"
+                        f"{self.path}: distilled under stage hash {written}, this run's is {stage_hash};"
+                        " delete the journal to distill from scratch"
                     )
                 del rec["timestamp"]
                 entry = QtsaEntry(**rec)
                 self.results[(entry.node_id, entry.sample_idx)] = entry
-            self._fh = self.path.open("a", encoding="utf-8")
-
-    def completed(self) -> set[tuple[str, int]]:
-        return set(self.results)
+        self._fh = self.path.open("a", encoding="utf-8")
 
     def commit(self, entry: QtsaEntry) -> None:
         self.results[(entry.node_id, entry.sample_idx)] = entry
         if self._fh is None:
             return
-        record = entry_to_record(entry)
-        record["timestamp"] = time.time()
-        if self.stage_hash is not None:
-            record["stage_hash"] = self.stage_hash
+        record = {**entry_to_record(entry), "timestamp": time.time(), "stage_hash": self.stage_hash}
         self._fh.write(LINE_ENCODER.encode(record) + "\n")
         self._fh.flush()
 
@@ -321,12 +296,11 @@ def distill_corpus(
     """
     journal = DistillJournal(cfg.journal_path, cfg.stage_hash)
     try:
-        done = journal.completed()
         pending = [
             (node, k)
             for node in nodes
             for k in range(cfg.n_samples)
-            if (node.node_id, k) not in done
+            if (node.node_id, k) not in journal.results
         ]
         for _, entry in fan_out(lambda task: _run_task(*task, backend), pending, cfg.parallelism):
             journal.commit(entry)

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO
 
-from .errors import SchemaViolation
+from .errors import InvalidEncoding, SchemaViolation
 
 # The encoder behind every JSONL line the package writes; json.dumps(rec, ensure_ascii=False)
 # would build a new one per call.
@@ -79,6 +79,8 @@ def read_json(path: str | Path, error: type[Exception] = SchemaViolation):
     """A UTF-8 file's JSON document; ``error`` names the file and line when it is malformed."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
 
@@ -86,14 +88,17 @@ def read_json(path: str | Path, error: type[Exception] = SchemaViolation):
 def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[dict]:
     """Read a JSONL file back into dicts; blank lines are skipped."""
     records: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            rec = parse_json(line, f"{path}:{lineno}: invalid JSON")
-            if schema is not None:
-                check_keys(rec, schema, f"{path}:{lineno}")
-            records.append(rec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                rec = parse_json(line, f"{path}:{lineno}: invalid JSON")
+                if schema is not None:
+                    check_keys(rec, schema, f"{path}:{lineno}")
+                records.append(rec)
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(f"{path} is not valid UTF-8: {exc}") from exc
     return records
 
 

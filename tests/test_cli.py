@@ -10,6 +10,8 @@ from pathlib import Path
 
 import oracles
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from granary import config as cfgmod
 from granary import dataset, evalharness, tinylm, trainer
@@ -160,7 +162,7 @@ class TestDistill:
         before = {name: (workdir / name).read_bytes() for name in ("journal.jsonl", "qtsa.jsonl")}
         changed = write_config(tmp_path, backend={"mock_malform_answer_every": 2})
         assert run("distill", "--config", str(changed)) == 1
-        assert capsys.readouterr().err.startswith(f"error: {workdir / 'journal.jsonl'}: line 1 ")
+        assert capsys.readouterr().err.startswith(f"error: {workdir / 'journal.jsonl'}: distilled under stage hash ")
         assert {name: (workdir / name).read_bytes() for name in before} == before
 
         (workdir / "journal.jsonl").unlink()
@@ -486,6 +488,53 @@ class TestStageStart:
         assert "needs 'distill' to run first" in capsys.readouterr().err
 
 
+class TestRefusedInputsKeepTheManifest:
+    """A stage refused on its own inputs has written nothing, so every
+    manifest entry stays, its own and later stages' included."""
+
+    @pytest.fixture
+    def done(self, pipeline):
+        config, workdir, stage = pipeline
+        for command in ("ingest", "distill", "build"):
+            assert stage(command)[0] == 0, command
+        cfgmod.record_stage(workdir, "train", cfgmod.load_config(config))
+        return config, workdir, (workdir / "manifest.json").read_bytes()
+
+    def test_a_journal_from_another_distill_config(self, done, tmp_path, capsys):
+        config, workdir, before = done
+        changed = write_config(tmp_path / "changed", workdir=str(workdir), n_samples=3)
+        assert run("distill", "--config", str(changed)) == 1
+        assert "distilled under stage hash" in capsys.readouterr().err
+        assert (workdir / "manifest.json").read_bytes() == before
+        assert run("build", "--config", str(config)) == 0
+
+    def test_a_corpus_manifest_entry_with_an_extra_key(self, done, tmp_path, capsys):
+        config, workdir, before = done
+        entries = json.loads((FIXTURES / "manifest.json").read_text())
+        corpus_manifest = tmp_path / "corpus_manifest.json"
+        corpus_manifest.write_text(json.dumps({name: {**e, "year": 2020} for name, e in entries.items()}))
+        changed = write_config(tmp_path / "changed", workdir=str(workdir), manifest=str(corpus_manifest))
+        assert run("ingest", "--config", str(changed)) == 1
+        assert "unknown keys ['year']" in capsys.readouterr().err
+        assert (workdir / "manifest.json").read_bytes() == before
+
+    def test_a_malformed_general_record(self, done, tmp_path, capsys):
+        config, workdir, before = done
+        general = tmp_path / "general.jsonl"
+        general.write_text('{"id": "g1"}\n')
+        assert run("build", "--config", str(config), "--general", str(general)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {general}:1: record keys do not match schema")
+        assert (workdir / "manifest.json").read_bytes() == before
+
+    def test_a_bad_init_checkpoint(self, done, tmp_path, capsys):
+        config, workdir, before = done
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"not json\n")
+        assert run("train", "--config", str(config), "--init-checkpoint", str(bad)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert (workdir / "manifest.json").read_bytes() == before
+
+
 class TestGradcheckAndErrors:
     def test_gradcheck_passes(self, pipeline, capsys):
         config, workdir, stage = pipeline
@@ -647,6 +696,23 @@ class TestGradcheckAndErrors:
         assert run("train", "--dry-run", "--config", str(config)) == 1
         assert capsys.readouterr().err == "error: d_model must be divisible by n_heads\n"
         assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "distill", "build", "train", "eval", "gradcheck"])
+    def test_zero_heads_fail_every_dry_run(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, model={"n_heads": 0})
+        assert run(command, "--dry-run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == "error: n_heads must be >= 1\n"
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("target", ["config", "nodes.jsonl"])
+    def test_a_file_that_is_not_utf8_is_named(self, pipeline, capsys, target):
+        config, workdir, stage = pipeline
+        assert stage("ingest")[0] == 0
+        path = config if target == "config" else workdir / target
+        path.write_bytes(path.read_bytes().replace(b'"', b'"\xff', 1))
+        assert run("distill", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not valid UTF-8: ")
+        assert not (workdir / "qtsa.jsonl").exists()
 
     def test_backend_max_attempts_below_1_exits_1_with_the_mock_on(self, tmp_path, capsys):
         config = write_config(tmp_path, backend={"mock": True, "max_attempts": 0})
@@ -935,3 +1001,40 @@ class TestConfigWiring:
             trainer.TrainConfig(seed=5, **train),
             tinylm.ModelConfig(seed=5, **model),
         )
+
+
+# Each section's number fields, drawn around and below the bounds their checks set.
+NUMBER_FIELDS = {
+    name: {f.name: f.type for f in dataclasses.fields(section) if f.type.startswith(("int", "float"))}
+    for name, section in (
+        ("model", cfgmod.ModelSettings),
+        ("train", cfgmod.TrainSettings),
+        ("dataset", cfgmod.DatasetSettings),
+        ("backend", cfgmod.BackendSettings),
+    )
+}
+
+
+def _number(type_name):
+    small = st.integers(-2, 4)
+    return st.one_of(small, st.floats(-1.0, 1.0)) if type_name == "float" else small
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(command="train", sections={"model": {"n_heads": 0}})
+@given(
+    command=st.sampled_from(["ingest", "distill", "build", "train", "eval", "gradcheck"]),
+    sections=st.fixed_dictionaries(
+        {},
+        optional={
+            name: st.fixed_dictionaries({}, optional={key: _number(t) for key, t in fields.items()})
+            for name, fields in NUMBER_FIELDS.items()
+        },
+    ),
+)
+def test_number_settings_never_crash_a_dry_run(tmp_path, capsys, command, sections):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path / "work"), **sections}))
+    assert main([command, "--dry-run", "--config", str(config)]) in (0, 1)
+    capsys.readouterr()
+    assert not (tmp_path / "work").exists()

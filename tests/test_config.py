@@ -151,3 +151,21 @@ class TestConfigTypes:
         for every in (None, 1):
             cfg = cfgmod.config_from_dict({"train": {"grad_check_every": every}})
             assert cfg.train.grad_check_every == every
+
+    @pytest.mark.parametrize(
+        "section,values,problem,allowed",
+        [
+            ("model", {"n_heads": 0}, "n_heads must be >= 1", {"n_heads": 1}),
+            ("model", {"d_model": 0, "n_heads": 1}, "d_model must be >= 1", {"d_model": 1, "n_heads": 1}),
+            ("model", {"n_layers": 0}, "n_layers must be >= 1", {"n_layers": 1}),
+            ("model", {"init_std": -1}, "init_std must be >= 0", {"init_std": 0}),
+            ("dataset", {"mix_ratio": 0, "general_path": "g.jsonl"}, "ratio must be > 0", {"mix_ratio": 0.01}),
+            ("backend", {"base_backoff": -1}, "base_backoff must be >= 0", {"base_backoff": 0}),
+        ],
+        ids=["n_heads", "d_model", "n_layers", "init_std", "mix_ratio", "base_backoff"],
+    )
+    def test_a_setting_no_run_can_take_is_a_config_error(self, section, values, problem, allowed):
+        with pytest.raises(ConfigError, match=rf"^{problem}$"):
+            cfgmod.config_from_dict({section: values})
+        cfg = cfgmod.config_from_dict({section: allowed})
+        assert {k: getattr(getattr(cfg, section), k) for k in allowed} == allowed

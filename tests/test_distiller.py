@@ -561,7 +561,8 @@ class TestDistillCorpus:
         lines = journal.read_text().splitlines()
         assert len(lines) == len(minibook_nodes)
         for line in lines:
-            assert set(json.loads(line)) == {*QTSA_KEYS, "timestamp"}
+            assert list(json.loads(line)) == [*QTSA_KEYS, "timestamp", "stage_hash"]
+            assert json.loads(line)["stage_hash"] is None
         assert not journal.with_name(journal.name + ".results").exists()
 
     def test_journal_records_are_the_qtsa_records(self, minibook_nodes, tmp_path):
@@ -577,7 +578,7 @@ class TestDistillCorpus:
         order = {n.node_id: i for i, n in enumerate(minibook_nodes)}
         records = [json.loads(line) for line in journal.read_text().splitlines()]
         for rec in records:
-            del rec["timestamp"]
+            del rec["timestamp"], rec["stage_hash"]
         records.sort(key=lambda r: (order[r["node_id"]], r["sample_idx"]))
         assert any(r["status"] == "rejected" for r in records)
         assert records == read_jsonl(qtsa, schema=QTSA_KEYS)
@@ -659,11 +660,11 @@ class TestDistillCorpus:
         nodes = minibook_nodes[:2]
         journal = tmp_path / "journal.jsonl"
         distill_corpus(nodes, DistillConfig(n_samples=1, journal_path=journal, stage_hash=written), self._mock(nodes))
-        assert [json.loads(line).get("stage_hash") for line in journal.read_text().splitlines()] == [written] * 2
+        assert [json.loads(line)["stage_hash"] for line in journal.read_text().splitlines()] == [written] * 2
         before = journal.read_bytes()
         backend = RecordingBackend(self._mock(nodes))
         cfg = DistillConfig(n_samples=1, journal_path=journal, stage_hash=wanted)
-        want = f"{journal}: line 1 was distilled under stage hash {written},"
+        want = f"{journal}: distilled under stage hash {written}, this run's is {wanted};"
         with pytest.raises(StaleArtifact, match=re.escape(want)):
             distill_corpus(nodes, cfg, backend)
         assert backend.transcript == []
@@ -677,6 +678,18 @@ class TestDistillCorpus:
         journal.write_text(lines[0] + lines[1][:10] + "\n" + lines[2])
         with pytest.raises(SchemaViolation, match=re.escape(f"{journal}:2: invalid JSON: ")):
             distill_corpus(minibook_nodes[:3], cfg, self._mock(minibook_nodes[:3]))
+
+    def test_a_bad_record_after_a_blank_line_is_named_by_its_file_line(self, minibook_nodes, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        cfg = DistillConfig(n_samples=1, journal_path=journal)
+        distill_corpus(minibook_nodes[:1], cfg, self._mock(minibook_nodes[:1]))
+        with journal.open("a") as fh:
+            fh.write('\n{"node_id": 1}\n')
+        before = journal.read_bytes()
+        want = f"{journal}:3: record keys do not match schema ("
+        with pytest.raises(SchemaViolation, match=re.escape(want)):
+            distill_corpus(minibook_nodes[:1], cfg, self._mock(minibook_nodes[:1]))
+        assert journal.read_bytes() == before
 
 
 class TestEntryIO:
