@@ -5,7 +5,10 @@ All artifacts live under a work directory whose manifest records the
 config hash each stage ran with, so stale upstream outputs are refused.
 Each stage's order, config slice and output files come from
 ``config.STAGES``; a command here names only the files it reads.
-Exit codes: 0 success, 1 validation/config error, 2 runtime failure.
+Exit codes: 0 success; 1 for an input the run cannot use, a ``ValueError``
+(a setting, a file, a record, an example longer than the context window);
+2 for a failure while the run works, a ``GranaryError`` (a non-finite
+loss), or a failed gradient check.
 
 Importing this module loads only what every command needs. The model
 stack (``dataset``, ``tinylm``, ``trainer``, ``evalharness``, and numpy
@@ -26,13 +29,7 @@ from pathlib import Path
 from . import config as cfgmod
 from . import corpus, distiller, prompts
 from .backend import HttpLlmBackend, MockLlmBackend
-from .errors import (
-    GranaryError,
-    InvalidEncoding,
-    NonFiniteLoss,
-    SchemaViolation,
-    StaleArtifact,
-)
+from .errors import GranaryError, NonFiniteLoss
 from .jsonl import atomic_write, read_jsonl, write_jsonl
 
 
@@ -345,21 +342,13 @@ _COMMANDS = {
     "gradcheck": cmd_gradcheck,
 }
 
-_VALIDATION_ERRORS = (
-    StaleArtifact,
-    SchemaViolation,
-    InvalidEncoding,
-    FileNotFoundError,
-    ValueError,
-)
-
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(cfgmod.load_config(args.config), args)
         return _COMMANDS[args.command](cfg, args)
-    except _VALIDATION_ERRORS as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GranaryError as exc:

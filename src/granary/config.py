@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, SchemaViolation, StaleArtifact
+from .errors import SchemaViolation
 from .jsonl import atomic_write, from_json, read_json
 
 
@@ -38,9 +38,13 @@ class BackendSettings:
 
     def __post_init__(self):
         if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
+            raise ValueError("max_attempts must be >= 1")
         if self.base_backoff < 0:
-            raise ConfigError("base_backoff must be >= 0")
+            raise ValueError("base_backoff must be >= 0")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
+        if self.mock_malform_answer_every is not None and self.mock_malform_answer_every < 1:
+            raise ValueError("mock_malform_answer_every must be >= 1, or None for no malformed answers")
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class DatasetSettings:
 
     def __post_init__(self):
         if self.mix_ratio <= 0:
-            raise ConfigError("ratio must be > 0")
+            raise ValueError("ratio must be > 0")
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,13 @@ class ModelSettings:
     def __post_init__(self):
         for name in ("d_model", "n_layers", "n_heads"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
-            raise ConfigError("d_model must be divisible by n_heads")
+            raise ValueError("d_model must be divisible by n_heads")
         if self.context_window < 2:
-            raise ConfigError("context_window must be >= 2")
+            raise ValueError("context_window must be >= 2")
         if self.init_std < 0:
-            raise ConfigError("init_std must be >= 0")
+            raise ValueError("init_std must be >= 0")
 
 
 # The training objectives: the CLI's --mode choices and train.mode's values.
@@ -89,15 +93,17 @@ class TrainSettings:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
+            raise ValueError("total_steps must be >= 1")
+        if not self.lr_max > 0:
+            raise ValueError("lr_max must be > 0")
         if not 0 < self.warmup_frac < 1:
-            raise ConfigError("warmup_frac must be in (0, 1)")
+            raise ValueError("warmup_frac must be in (0, 1)")
         if self.kl_weight < 0:
-            raise ConfigError("kl_weight must be >= 0")
+            raise ValueError("kl_weight must be >= 0")
         if self.grad_check_every is not None and self.grad_check_every < 1:
-            raise ConfigError("grad_check_every must be >= 1, or None for no checks")
+            raise ValueError("grad_check_every must be >= 1, or None for no checks")
 
 
 @dataclass(frozen=True)
@@ -116,19 +122,21 @@ class PipelineConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("parallelism", "min_node_tokens", "n_samples"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1")
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    return from_json(PipelineConfig, data, "config", ConfigError)
+    return from_json(PipelineConfig, data, "config")
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    return config_from_dict(read_json(path, ConfigError))
+    return config_from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -200,11 +208,9 @@ def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> dict
     for parent in order[: order.index(stage)]:
         recorded = manifest["stages"].get(parent)
         if recorded is None:
-            raise StaleArtifact(
-                f"stage {stage!r} needs {parent!r} to run first (no manifest entry)"
-            )
+            raise ValueError(f"stage {stage!r} needs {parent!r} to run first (no manifest entry)")
         if recorded["config_hash"] != stage_hash(cfg, parent):
-            raise StaleArtifact(
+            raise ValueError(
                 f"stage {parent!r} output is stale: its config changed since it ran;"
                 f" re-run `granary {parent}`"
             )

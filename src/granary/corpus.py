@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
-from .errors import InvalidEncoding, SchemaViolation
+from .errors import SchemaViolation
 from .jsonl import from_json, read_json
 
 
@@ -247,7 +247,7 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[Sourc
         try:
             markdown = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise InvalidEncoding(f"{path} is not valid UTF-8: {exc}") from exc
+            raise ValueError(f"{path} is not valid UTF-8: {exc}") from exc
         docs.append(SourceDocument(**vars(entry), markdown=markdown))
     return docs
 

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .distiller import QtsaEntry, parse_answer_spans, render_assistant
-from .errors import OversizedExample, RejectedEntry
 from .tinylm import BOS_ID, EOS_ID, ByteTokenizer
 
 ORIGIN_DOMAIN = "domain"
@@ -109,7 +108,7 @@ class PackedSequence:
 def render_chat_template(entry: QtsaEntry, system_prompt: str = "") -> ChatExample:
     """Fixed rendering of a kept record; rejects anything else."""
     if not entry.kept:
-        raise RejectedEntry(f"entry {entry.entry_id} has status {entry.status!r}")
+        raise ValueError(f"entry {entry.entry_id} has status {entry.status!r}")
     return ChatExample(
         system=system_prompt,
         user=entry.question,
@@ -160,7 +159,7 @@ def truncate_chat_example(
 
     Solution text loses bytes from its end first, then thinking from its
     end; the question and the answer span are never touched. Raises
-    OversizedExample when even an empty solution and thinking cannot fit.
+    ValueError when even an empty solution and thinking cannot fit.
     General-origin assistants without the tagged structure are trimmed
     from the tail instead.
     """
@@ -173,7 +172,7 @@ def truncate_chat_example(
         # No tagged structure to preserve; trim the assistant tail.
         tail_budget = len(example.assistant.encode("utf-8")) - (tokenized.length - max_len)
         if tail_budget <= 0:
-            raise OversizedExample(f"example of length {tokenized.length} cannot fit {max_len}")
+            raise ValueError(f"example of length {tokenized.length} cannot fit {max_len}")
         trimmed = replace(example, assistant=_shrink_to_bytes(example.assistant, tail_budget))
         return tokenize_and_mask(trimmed, tokenizer)
 
@@ -189,13 +188,13 @@ def truncate_chat_example(
     solution_cut = min(excess, solution_bytes)
     thinking_cut = excess - solution_cut
     if thinking_cut > thinking_bytes:
-        raise OversizedExample(f"example of length {tokenized.length} cannot fit {max_len}")
+        raise ValueError(f"example of length {tokenized.length} cannot fit {max_len}")
     result = rendered(
         _shrink_to_bytes(spans.thinking, thinking_bytes - thinking_cut),
         _shrink_to_bytes(spans.solution, solution_bytes - solution_cut),
     )
     if result.length > max_len:
-        raise OversizedExample(f"example of length {result.length} cannot fit {max_len}")
+        raise ValueError(f"example of length {result.length} cannot fit {max_len}")
     return result
 
 
@@ -222,7 +221,7 @@ def pack_sequences(examples: Iterable[TokenizedExample], max_len: int) -> list[P
 
     The (id, mask) multiset is preserved exactly and relative order is kept
     within and across packs. Examples longer than ``max_len`` must have
-    been truncated upstream; they raise OversizedExample here. Each pack's
+    been truncated upstream; they raise ValueError here. Each pack's
     ids and masks are concatenated once, when it is closed, so an example
     is held only until its pack closes.
     """
@@ -243,9 +242,7 @@ def pack_sequences(examples: Iterable[TokenizedExample], max_len: int) -> list[P
 
     for ex in examples:
         if ex.length > max_len:
-            raise OversizedExample(
-                f"example of length {ex.length} exceeds pack size {max_len}"
-            )
+            raise ValueError(f"example of length {ex.length} exceeds pack size {max_len}")
         if filled + ex.length > max_len:
             flush()
             filled = 0

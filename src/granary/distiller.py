@@ -23,7 +23,7 @@ from pathlib import Path
 from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
-from .errors import BackendError, EmptyGeneration, StaleArtifact
+from .errors import BackendError, EmptyGeneration
 from .jsonl import LINE_ENCODER, check_keys, read_jsonl
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
@@ -231,7 +231,7 @@ class DistillJournal:
     disk: a crash mid-append leaves a torn final line, which the next load
     cuts off, so that task simply runs again. ``read_jsonl`` refuses a line
     with other keys; a line written under another stage hash raises
-    StaleArtifact, since its result came from another configuration.
+    ValueError, since its result came from another configuration.
     Passing ``path=None`` keeps everything in memory.
     """
 
@@ -247,7 +247,7 @@ class DistillJournal:
             for rec in read_jsonl(self.path, schema=JOURNAL_KEYS):
                 written = rec.pop("stage_hash")
                 if written != stage_hash:
-                    raise StaleArtifact(
+                    raise ValueError(
                         f"{self.path}: distilled under stage hash {written}, this run's is {stage_hash};"
                         " delete the journal to distill from scratch"
                     )

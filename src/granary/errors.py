@@ -1,16 +1,17 @@
-"""Exception types shared across the pipeline."""
+"""Exception types some caller catches by name.
+
+A file, record or setting the run cannot use is a ``ValueError`` (the
+CLI exits 1); ``SchemaViolation`` is the one ``jsonl`` raises for a JSON
+input. A failure while the run works is a ``GranaryError`` (exit 2).
+"""
 
 
 class GranaryError(Exception):
-    """Base class for all granary errors."""
+    """Base class of the failures a run meets while it works."""
 
 
-class InvalidEncoding(GranaryError):
-    """Input bytes are not valid UTF-8."""
-
-
-class SchemaViolation(GranaryError):
-    """A JSON input is not valid JSON, or has missing, unknown or ill-typed keys."""
+class SchemaViolation(ValueError):
+    """A JSON input is not valid UTF-8 or JSON, or has missing, unknown or ill-typed keys."""
 
 
 class BackendError(GranaryError):
@@ -19,26 +20,6 @@ class BackendError(GranaryError):
 
 class EmptyGeneration(GranaryError):
     """The backend returned blank content where text was required."""
-
-
-class RejectedEntry(GranaryError):
-    """A rejected distillation entry was used where a kept one is required."""
-
-
-class OversizedExample(GranaryError):
-    """An example cannot fit the maximum sequence length even after truncation."""
-
-
-class ContextOverflow(GranaryError):
-    """A token sequence exceeds the model's context window."""
-
-
-class EmptyMask(GranaryError):
-    """A supervised loss was requested with no mask-true positions."""
-
-
-class ShapeMismatch(GranaryError):
-    """Two arrays that must share a shape do not."""
 
 
 class NonFiniteLoss(GranaryError):
@@ -51,12 +32,3 @@ class NonFiniteLoss(GranaryError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class StaleArtifact(GranaryError):
-    """A pipeline stage output was produced under a different configuration."""
-
-
-class ConfigError(GranaryError, ValueError):
-    """A config value no run can take; a ValueError too, since the library
-    configs that extend the config sections raise it."""

@@ -151,6 +151,8 @@ def read_quiz(path: str | Path) -> list[McqItem]:
     for rec in read_jsonl(path, schema=QUIZ_KEYS):
         try:
             items.append(from_json(McqItem, rec, f"{path}: quiz item {rec['item_id']!r}"))
+        except SchemaViolation:  # names the file and the item already
+            raise
         except ValueError as exc:  # McqItem's own checks
             raise SchemaViolation(f"{path}: {exc}") from None
     return items

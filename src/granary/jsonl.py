@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO
 
-from .errors import InvalidEncoding, SchemaViolation
+from .errors import SchemaViolation
 
 # The encoder behind every JSONL line the package writes; json.dumps(rec, ensure_ascii=False)
 # would build a new one per call.
@@ -67,22 +67,22 @@ def write_jsonl(path: str | Path, records: list[dict], schema: tuple[str, ...] |
             fh.write("\n")
 
 
-def parse_json(text: str | bytes, message: str, error: type[Exception] = SchemaViolation):
-    """One JSON document; a malformed one raises ``error`` with ``message``, then the parser's own."""
+def parse_json(text: str | bytes, message: str):
+    """One JSON document; a malformed one raises SchemaViolation with ``message``, then the parser's own."""
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from bytes
-        raise error(f"{message}: {exc}") from exc
+        raise SchemaViolation(f"{message}: {exc}") from exc
 
 
-def read_json(path: str | Path, error: type[Exception] = SchemaViolation):
-    """A UTF-8 file's JSON document; ``error`` names the file and line when it is malformed."""
+def read_json(path: str | Path):
+    """A UTF-8 file's JSON document; SchemaViolation names the file, and the line when it is malformed."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise InvalidEncoding(f"{path} is not valid UTF-8: {exc}") from exc
+        raise SchemaViolation(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise error(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+        raise SchemaViolation(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[dict]:
@@ -98,7 +98,7 @@ def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[
                     check_keys(rec, schema, f"{path}:{lineno}")
                 records.append(rec)
     except UnicodeDecodeError as exc:
-        raise InvalidEncoding(f"{path} is not valid UTF-8: {exc}") from exc
+        raise SchemaViolation(f"{path} is not valid UTF-8: {exc}") from exc
     return records
 
 
@@ -119,35 +119,36 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def from_json(cls, data, where: str, error: type[Exception] = SchemaViolation):
+def from_json(cls, data, where: str):
     """The dataclass ``cls`` from a JSON object, each given field checked against its annotation.
 
-    ``error`` names ``where`` and the field. A dataclass field is read from
-    its own object, an Enum field from its value, and an int given for a
-    float field becomes that float, so both spellings hash alike.
+    SchemaViolation names ``where`` and the field. A dataclass field is
+    read from its own object, an Enum field from its value, and an int
+    given for a float field becomes that float, so both spellings hash
+    alike.
     """
     if not isinstance(data, dict):
-        raise error(f"{where} must be a JSON object")
+        raise SchemaViolation(f"{where} must be a JSON object")
     fields = dataclasses.fields(cls)
     unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise error(f"{where}: unknown keys {sorted(unknown)}")
+        raise SchemaViolation(f"{where}: unknown keys {sorted(unknown)}")
     missing = [f.name for f in fields if f.name not in data and f.default is dataclasses.MISSING is f.default_factory]
     if missing:
-        raise error(f"{where}: missing keys {missing}")
+        raise SchemaViolation(f"{where}: missing keys {missing}")
     hints, kwargs = _hints(cls), {}
     for f in fields:
         if f.name not in data:
             continue
         value, hint = data[f.name], hints[f.name]
         if dataclasses.is_dataclass(hint):
-            value = from_json(hint, value, f"{where}.{f.name}", error)
+            value = from_json(hint, value, f"{where}.{f.name}")
         elif isinstance(hint, type) and issubclass(hint, Enum):
             allowed = [member.value for member in hint]
             if value not in allowed:
-                raise error(f"{where}.{f.name}: expected one of {allowed}, got {json.dumps(value)}")
+                raise SchemaViolation(f"{where}.{f.name}: expected one of {allowed}, got {json.dumps(value)}")
             value = hint(value)
         elif not _fits(value, hint):
-            raise error(f"{where}.{f.name}: expected {f.type}, got {json.dumps(value)}")
+            raise SchemaViolation(f"{where}.{f.name}: expected {f.type}, got {json.dumps(value)}")
         kwargs[f.name] = float(value) if hint is float else value
     return cls(**kwargs)

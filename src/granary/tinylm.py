@@ -38,7 +38,6 @@ import numpy as np
 
 from . import tape
 from .config import ModelSettings
-from .errors import ContextOverflow
 from .jsonl import atomic_write, from_json, parse_json
 from .tape import Tensor
 
@@ -198,7 +197,7 @@ def hidden(
     b, t = ids.shape
     end = start + t
     if end > cfg.context_window:
-        raise ContextOverflow(f"sequence length {end} exceeds context window {cfg.context_window}")
+        raise ValueError(f"sequence length {end} exceeds context window {cfg.context_window}")
     _check_ids(ids, cfg)
     lo, hi = (0, t) if span is None else span
     if not 0 <= lo <= hi <= t:
@@ -317,13 +316,13 @@ def save_checkpoint(path: str | Path, params: Parameters) -> None:
 def load_checkpoint(path: str | Path) -> Parameters:
     """The parameters ``save_checkpoint`` wrote; each ValueError names the file."""
     with Path(path).open("rb") as fh:
-        header = parse_json(fh.readline(), f"{path}: checkpoint header is not valid JSON", ValueError)
+        header = parse_json(fh.readline(), f"{path}: checkpoint header is not valid JSON")
         if not isinstance(header, dict):
             raise ValueError(f"{path}: checkpoint header must be a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
         try:  # a ValueError from the field checks, or from ModelConfig's own
-            cfg = from_json(ModelConfig, header.get("model_config"), "model_config", ValueError)
+            cfg = from_json(ModelConfig, header.get("model_config"), "model_config")
         except ValueError as exc:
             raise ValueError(f"{path}: checkpoint {exc}") from None
         payload = fh.read()

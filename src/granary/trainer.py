@@ -42,7 +42,7 @@ from . import tape, tinylm
 from .backend import fan_out
 from .config import TrainSettings
 from .dataset import PackedSequence, TokenizedExample
-from .errors import EmptyMask, NonFiniteLoss, ShapeMismatch
+from .errors import NonFiniteLoss
 from .jsonl import atomic_write, write_jsonl
 from .tinylm import PAD_ID, Parameters
 
@@ -120,11 +120,11 @@ def kl_term(logp_cur: np.ndarray, logp_ref: np.ndarray, mask: np.ndarray) -> flo
     logp_ref = np.asarray(logp_ref, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if logp_cur.shape != logp_ref.shape:
-        raise ShapeMismatch(f"{logp_cur.shape} vs {logp_ref.shape}")
+        raise ValueError(f"{logp_cur.shape} vs {logp_ref.shape}")
     if mask.shape != logp_cur.shape[:-1]:
-        raise ShapeMismatch(f"mask {mask.shape} vs positions {logp_cur.shape[:-1]}")
+        raise ValueError(f"mask {mask.shape} vs positions {logp_cur.shape[:-1]}")
     if not mask.any():
-        raise EmptyMask("kl_term needs at least one masked position")
+        raise ValueError("kl_term needs at least one masked position")
     cur = logp_cur[mask]
     ref = logp_ref[mask]
     p = np.exp(cur)
@@ -151,7 +151,7 @@ def loss_nsc_sft(
     ids = np.asarray(ex.input_ids, dtype=np.int64)
     targets = _target_positions(ex)
     if targets.size == 0:
-        raise EmptyMask("no supervised positions after the first token")
+        raise ValueError("no supervised positions after the first token")
     cur = tinylm.forward(params, ids)
     ref = tinylm.forward(ref_params, ids)
     ce = float(-np.mean(cur[targets - 1, ids[targets]]))
@@ -176,8 +176,6 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     if step < warmup:
         return cfg.lr_max * (step + 1) / warmup
     span = cfg.total_steps - warmup
-    if span <= 0:
-        return cfg.lr_max
     return cfg.lr_max * 0.5 * (1.0 + math.cos(math.pi * (step - warmup) / span))
 
 
@@ -285,7 +283,7 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard
         else:
             positions = _target_positions(item) - 1
             if positions.size == 0:
-                raise EmptyMask(f"example {k} has no supervised positions")
+                raise ValueError(f"example {k} has no supervised positions")
             row = np.asarray(item.input_ids, dtype=np.int64)
             rows.append((row, positions, 1.0 / (positions.size * n)))
 

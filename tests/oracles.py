@@ -31,7 +31,6 @@ import numpy as np
 
 from granary import tape, tinylm
 from granary.dataset import PACKED_FORMAT_VERSION, PackedSequence, Segment
-from granary.errors import EmptyMask
 from granary.tape import Tensor
 
 _NEG_INF = -1e30
@@ -109,7 +108,7 @@ def loss_sft(params, ex) -> float:
     ids = np.asarray(ex.input_ids, dtype=np.int64)
     targets = np.nonzero(np.asarray(ex.loss_mask, dtype=bool)[1:])[0] + 1
     if targets.size == 0:
-        raise EmptyMask("no supervised positions after the first token")
+        raise ValueError("no supervised positions after the first token")
     logprobs = tinylm.forward(params, ids)
     return float(-np.mean(logprobs[targets - 1, ids[targets]]))
 

@@ -57,6 +57,9 @@ MINIBOOK_SHA256 = {
 }
 
 
+MALFORM_PROBLEM = "mock_malform_answer_every must be >= 1, or None for no malformed answers"
+
+
 def digests(workdir, names):
     return {n: hashlib.sha256((workdir / n).read_bytes()).hexdigest() for n in names}
 
@@ -534,6 +537,13 @@ class TestRefusedInputsKeepTheManifest:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert (workdir / "manifest.json").read_bytes() == before
 
+    def test_an_example_longer_than_the_context_window(self, done, tmp_path, capsys):
+        config, workdir, before = done
+        changed = write_config(tmp_path / "changed", workdir=str(workdir), model={"context_window": 2})
+        assert run("train", "--config", str(changed)) == 1
+        assert capsys.readouterr().err == "error: example of length 246 cannot fit 2\n"
+        assert (workdir / "manifest.json").read_bytes() == before
+
 
 class TestGradcheckAndErrors:
     def test_gradcheck_passes(self, pipeline, capsys):
@@ -738,6 +748,25 @@ class TestGradcheckAndErrors:
             assert run(command, "--config", str(refused), *dry_run) == 1
             assert capsys.readouterr().err == f"error: {problem}\n"
         assert (workdir / "manifest.json").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "argv, setting, problem",
+        [
+            (["distill"], {"backend": {"mock_malform_answer_every": -1}}, MALFORM_PROBLEM),
+            (["distill"], {"backend": {"mock_malform_answer_every": 0}}, MALFORM_PROBLEM),
+            (["distill"], {"backend": {"timeout": 0}}, "timeout must be > 0"),
+            (["train"], {"train": {"lr_max": 0}}, "lr_max must be > 0"),
+            (["train", "--lr", "-0.5"], {}, "lr_max must be > 0"),
+            (["train"], {"seed": -1}, "seed must be >= 0"),
+            (["gradcheck", "--seed", "-1"], {}, "seed must be >= 0"),
+        ],
+        ids=["malform<0", "malform=0", "timeout=0", "lr_max=0", "lr-flag<0", "seed<0", "seed-flag<0"],
+    )
+    def test_a_setting_that_would_fail_late_fails_the_dry_run(self, tmp_path, capsys, argv, setting, problem):
+        config = write_config(tmp_path, **setting)
+        assert run(*argv, "--dry-run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "work").exists()
 
     def test_a_refused_steps_flag_keeps_the_train_entry(self, pipeline, capsys):
         config, workdir, stage = pipeline

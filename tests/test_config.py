@@ -6,7 +6,8 @@ import json
 import pytest
 
 from granary import config as cfgmod
-from granary.errors import ConfigError
+
+MALFORM_PROBLEM = "mock_malform_answer_every must be >= 1, or None for no malformed answers"
 
 # A config that sets every field away from its default, sections included.
 NON_DEFAULT = {
@@ -110,7 +111,7 @@ def _case_id(data, where):
 class TestConfigTypes:
     @pytest.mark.parametrize("data,where", WRONG_TYPES, ids=[_case_id(*case) for case in WRONG_TYPES])
     def test_wrong_json_type_is_a_config_error(self, data, where):
-        with pytest.raises(ConfigError, match=rf"^{where}: "):
+        with pytest.raises(ValueError, match=rf"^{where}: "):
             cfgmod.config_from_dict(data)
 
     def test_values_of_the_annotated_types_load(self):
@@ -129,24 +130,29 @@ class TestConfigTypes:
     def test_wrong_type_in_a_file_is_rejected_at_load(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_samples": "5"}))
-        with pytest.raises(ConfigError, match="config.n_samples"):
+        with pytest.raises(ValueError, match="config.n_samples"):
             cfgmod.load_config(path)
 
     @pytest.mark.parametrize("parallelism", [0, -2])
     def test_parallelism_below_1_is_a_config_error(self, parallelism):
-        with pytest.raises(ConfigError, match=r"^parallelism must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^parallelism must be >= 1$"):
             cfgmod.config_from_dict({"parallelism": parallelism})
         assert cfgmod.config_from_dict({"parallelism": 1}).parallelism == 1
 
     @pytest.mark.parametrize("name", ["n_samples", "min_node_tokens"])
     def test_a_count_below_1_is_a_config_error(self, name):
-        with pytest.raises(ConfigError, match=rf"^{name} must be >= 1$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1$"):
             cfgmod.config_from_dict({name: 0})
         assert getattr(cfgmod.config_from_dict({name: 1}), name) == 1
 
+    def test_a_negative_seed_is_a_config_error(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            cfgmod.config_from_dict({"seed": -1})
+        assert cfgmod.config_from_dict({"seed": 0}).seed == 0
+
     @pytest.mark.parametrize("every", [0, -2])
     def test_grad_check_every_below_1_is_a_config_error(self, every):
-        with pytest.raises(ConfigError, match=r"^grad_check_every must be >= 1, or None for no checks$"):
+        with pytest.raises(ValueError, match=r"^grad_check_every must be >= 1, or None for no checks$"):
             cfgmod.config_from_dict({"train": {"grad_check_every": every}})
         for every in (None, 1):
             cfg = cfgmod.config_from_dict({"train": {"grad_check_every": every}})
@@ -161,11 +167,20 @@ class TestConfigTypes:
             ("model", {"init_std": -1}, "init_std must be >= 0", {"init_std": 0}),
             ("dataset", {"mix_ratio": 0, "general_path": "g.jsonl"}, "ratio must be > 0", {"mix_ratio": 0.01}),
             ("backend", {"base_backoff": -1}, "base_backoff must be >= 0", {"base_backoff": 0}),
+            ("backend", {"timeout": 0}, "timeout must be > 0", {"timeout": 0.5}),
+            ("backend", {"timeout": -1}, "timeout must be > 0", {"timeout": 0.5}),
+            ("backend", {"mock_malform_answer_every": 0}, MALFORM_PROBLEM, {"mock_malform_answer_every": 1}),
+            ("backend", {"mock_malform_answer_every": -1}, MALFORM_PROBLEM, {"mock_malform_answer_every": 1}),
+            ("train", {"lr_max": 0}, "lr_max must be > 0", {"lr_max": 1e-9}),
+            ("train", {"lr_max": -1e-3}, "lr_max must be > 0", {"lr_max": 1e-9}),
         ],
-        ids=["n_heads", "d_model", "n_layers", "init_std", "mix_ratio", "base_backoff"],
+        ids=[
+            "n_heads", "d_model", "n_layers", "init_std", "mix_ratio", "base_backoff", "timeout=0", "timeout<0",
+            "mock_malform_answer_every=0", "mock_malform_answer_every<0", "lr_max=0", "lr_max<0",
+        ],
     )
     def test_a_setting_no_run_can_take_is_a_config_error(self, section, values, problem, allowed):
-        with pytest.raises(ConfigError, match=rf"^{problem}$"):
+        with pytest.raises(ValueError, match=rf"^{problem}$"):
             cfgmod.config_from_dict({section: values})
         cfg = cfgmod.config_from_dict({section: allowed})
         assert {k: getattr(getattr(cfg, section), k) for k in allowed} == allowed

@@ -21,7 +21,7 @@ from granary.corpus import (
     node_to_record,
     parse_markdown_tree,
 )
-from granary.errors import InvalidEncoding, SchemaViolation
+from granary.errors import SchemaViolation
 from granary.jsonl import LINE_ENCODER, atomic_write, read_jsonl, write_jsonl
 from oracles import serialize_tree
 
@@ -272,7 +272,7 @@ class TestIO:
         manifest.write_text(
             json.dumps({"bad.md": {"doc_id": "b", "title": "B", "learning_stage": "advanced"}})
         )
-        with pytest.raises(InvalidEncoding):
+        with pytest.raises(ValueError):
             corpus.load_corpus(tmp_path, manifest)
 
     def test_unknown_stage_rejected(self, tmp_path):

@@ -34,7 +34,6 @@ from granary.dataset import (
     truncate_chat_example,
 )
 from granary.distiller import QtsaEntry, parse_answer_spans, render_assistant
-from granary.errors import OversizedExample, RejectedEntry
 from granary.evalharness import extract_answer
 from granary.jsonl import read_jsonl, write_jsonl
 from granary.tinylm import BOS_ID, EOS_ID, ByteTokenizer
@@ -68,7 +67,7 @@ class TestRenderTemplate:
             thinking="", solution="", answer="", status="rejected",
             reject_reason="missing_answer",
         )
-        with pytest.raises(RejectedEntry):
+        with pytest.raises(ValueError):
             render_chat_template(bad)
 
     def test_answer_extraction_roundtrip(self):
@@ -182,7 +181,7 @@ class TestTruncation:
     def test_answer_never_trimmed(self):
         # Nothing left to trim once T and S are gone; the answer must
         # survive untouched or the example must fail loudly.
-        with pytest.raises(OversizedExample):
+        with pytest.raises(ValueError):
             truncate_chat_example(render_chat_template(kept_entry(a="A" * 400)), TOK, max_len=100)
 
     def test_untagged_general_example_trims_tail(self):
@@ -222,7 +221,7 @@ class TestTruncation:
 
     def test_one_byte_past_solution_and_thinking_is_oversized(self):
         example = render_chat_template(kept_entry(t="T" * 30, s="S" * 20, a="A"))
-        with pytest.raises(OversizedExample):
+        with pytest.raises(ValueError):
             truncate_chat_example(example, TOK, tokenize_and_mask(example, TOK).length - 51)
 
     @pytest.mark.parametrize("slack", [0, 5])
@@ -262,7 +261,7 @@ class TestPacking:
         assert pack_sequences([], 8192) == []
 
     def test_oversized_raises(self):
-        with pytest.raises(OversizedExample):
+        with pytest.raises(ValueError):
             pack_sequences([dummy_example(10)], max_len=5)
 
     @given(st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=60))

@@ -38,7 +38,7 @@ from granary.distiller import (
     postprocess,
     render_assistant,
 )
-from granary.errors import BackendError, EmptyGeneration, SchemaViolation, StaleArtifact
+from granary.errors import BackendError, EmptyGeneration, SchemaViolation
 from granary.jsonl import read_jsonl, write_jsonl
 from oracles import RecordingBackend
 
@@ -665,7 +665,7 @@ class TestDistillCorpus:
         backend = RecordingBackend(self._mock(nodes))
         cfg = DistillConfig(n_samples=1, journal_path=journal, stage_hash=wanted)
         want = f"{journal}: distilled under stage hash {written}, this run's is {wanted};"
-        with pytest.raises(StaleArtifact, match=re.escape(want)):
+        with pytest.raises(ValueError, match=re.escape(want)):
             distill_corpus(nodes, cfg, backend)
         assert backend.transcript == []
         assert journal.read_bytes() == before

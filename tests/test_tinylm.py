@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from granary import tape, tinylm, trainer
 from granary.dataset import TokenizedExample
-from granary.errors import ContextOverflow, NonFiniteLoss
+from granary.errors import NonFiniteLoss
 from granary.tinylm import (
     BOS_ID,
     EOS_ID,
@@ -115,7 +115,7 @@ class TestForward:
 
     def test_context_overflow(self):
         cfg = ModelConfig(context_window=8)
-        with pytest.raises(ContextOverflow):
+        with pytest.raises(ValueError):
             forward(init(cfg), list(range(9)))
 
     def test_empty_ids_raise_value_error(self):
@@ -573,7 +573,7 @@ class TestGreedyDecode:
         leaves, kv = tinylm.build_leaves(params, const=True), tinylm.kv_cache(cfg)
         tinylm.batched_logprobs(leaves, cfg, ids[:, :-1], kv, 0)
         tinylm.batched_logprobs(leaves, cfg, ids[:, -1:], kv, W - 1)  # the last position fits
-        with pytest.raises(ContextOverflow):
+        with pytest.raises(ValueError):
             tinylm.batched_logprobs(leaves, cfg, ids[:, -2:], kv, W - 1)
 
     def test_forward_over_const_leaves_records_no_graph(self):
