@@ -310,14 +310,17 @@ def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     params = tinylm.init(model_cfg)
     ref = tinylm.freeze_reference(tinylm.init(dataclasses.replace(model_cfg, seed=cfg.seed + 101)))
 
-    tokenizer = tinylm.ByteTokenizer()
-    probe = dataset.tokenize_and_mask(
+    # The probe is fit to the model's context window, as train fits its
+    # examples. Its reply is untagged, so it is cut from its tail: a tagged
+    # Q/T/S/A reply keeps its answer span and cannot fit the default window.
+    probe = dataset.truncate_chat_example(
         dataset.ChatExample(
             system="",
             user="State the loop law.",
-            assistant=distiller.render_assistant("sum drops", "Add voltages around the loop.", "They sum to zero."),
+            assistant="Sum the drops: add voltages around the loop. They sum to zero.",
         ),
-        tokenizer,
+        tinylm.ByteTokenizer(),
+        model_cfg.context_window,
     )
     batch = trainer.make_batch([probe], ref)
     _, analytic = trainer.loss_and_grad(params, batch, cfg.train.kl_weight)

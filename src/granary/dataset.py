@@ -326,6 +326,10 @@ def chat_example_to_record(example: ChatExample, example_id: str) -> dict:
 
 
 def chat_example_from_record(rec: dict) -> ChatExample:
+    """The ChatExample of an SFT record; a field that is not a string is a ValueError naming it."""
+    for name in ("system", "user", "assistant", "origin"):
+        if not isinstance(rec[name], str):
+            raise ValueError(f"SFT record {rec['id']!r}: {name} must be a string, got {type(rec[name]).__name__}")
     return ChatExample(
         system=rec["system"],
         user=rec["user"],

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-_ATTENTION_BLOCK = 32  # query rows per block of causal_attention
+_ATTENTION_BLOCK = 48  # query rows per block of causal_attention
 _MASKS = (np.ones((0, 0), dtype=bool),) * 2  # causal_attention's cached masks, see _causal_masks
 
 
@@ -245,11 +245,11 @@ def _causal_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int = 0) -> Tensor:
-    """softmax(scale * q kᵀ) v under a causal mask, for [..., t, d] queries.
+    """softmax(scale * q kᵀ) v under a causal mask, for [..., heads, t, d] queries.
 
-    Query row i sits at key position ``offset + i`` of the [..., n, d] keys
-    and values and gives every later key exactly zero weight; a positive
-    offset lets new rows attend to cached keys. Block [lo, hi) of
+    Query row i sits at key position ``offset + i`` of the [..., heads, n, d]
+    keys and values and gives every later key exactly zero weight; a
+    positive offset lets new rows attend to cached keys. Block [lo, hi) of
     ``_ATTENTION_BLOCK`` rows scores keys [0, offset + hi) only, which skips
     most of the masked half, and sees its whole key prefix, so no
     online-softmax rescaling is needed. Its mask is a slice of one cached
@@ -259,11 +259,18 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
     gradients once at its end; for a power-of-two scale (head_dim 4, 16,
     64, …) that rounds exactly as scaling each block's scores would. The
     VJP keeps each block's probabilities.
+
+    Blocks of 48 rows keep 0.59 of a [t, t] square at t = 256 (64 rows
+    would keep 0.625) and make 6 passes where 32 rows make 8 at the demo's
+    245 columns, which pays for training's 3-row shards (see ``trainer``).
+    The [..., heads, t, d] output is laid out in [..., t, heads, d] memory
+    order, so merging the heads back into [..., t, heads * d] is a view.
     """
     t = q.data.shape[-2]
     scaled_q = q.data * scale
     past_all, future_all = _causal_masks(offset + t)
-    out = np.empty(q.data.shape[:-1] + v.data.shape[-1:])
+    lead, heads = q.data.shape[:-3], q.data.shape[-3]
+    out = np.swapaxes(np.empty(lead + (t, heads, v.data.shape[-1])), -2, -3)
     blocks = []
     for lo in range(0, t, _ATTENTION_BLOCK):
         hi = min(lo + _ATTENTION_BLOCK, t)
@@ -395,33 +402,40 @@ def ce_kl_loss(
     out_proj: Tensor,
     targets: np.ndarray,
     weights: np.ndarray,
-    ref_logprobs: np.ndarray | None,
+    ref_hidden: np.ndarray | None,
+    ref_head: np.ndarray | None,
+    ref_lse: np.ndarray | None,
     kl_weight: float,
 ) -> tuple[Tensor, float, float]:
     """Weighted cross-entropy plus ``kl_weight`` times KL(current || reference).
 
     ``hidden`` is the [B, T, d] final residual stream and ``out_proj`` the
     [d, V] head; their product, the logits, is normalised here by a stable
-    log-softmax into ``lp``. ``targets`` holds the [B, T] ids to score,
-    ``weights`` the [B, T] averaging weights, and ``ref_logprobs`` the
-    reference model's [B, T, V] log-probabilities, held constant. With
-    ``p = exp(lp)``:
+    log-softmax into ``lp``. ``targets`` holds the [B, T] ids to score and
+    ``weights`` the [B, T] averaging weights. The reference, held constant,
+    comes as its parts: its [B, T, d] final hidden states ``ref_hidden``,
+    its [d, V] head ``ref_head`` and its [B, T, 1] log normalisers
+    ``ref_lse``, so its log-probabilities are
+    ``ref_logprobs = ref_hidden @ ref_head - ref_lse``. With ``p = exp(lp)``:
 
         ce = -sum_bt w[b,t] * lp[b, t, targets[b,t]]
         kl =  sum_bt w[b,t] * sum_v p * (lp - ref_logprobs)
 
-    The logits' buffer becomes ``lp`` and then the KL difference, in place.
-    The forward also forms the loss's gradient with respect to the logits,
-    in place in the softmax buffer, and the node keeps that one
-    vocab-sized array:
+    The logits' buffer becomes ``lp`` and then the KL difference, in place;
+    each batch row's ``ref_logprobs`` are formed in one [T, V] scratch
+    array that every row reuses and subtracted from that row, so no
+    [B, T, V] reference array is ever held. The forward also forms the
+    loss's gradient with respect to the logits, in place in the softmax
+    buffer, and the node keeps that one vocab-sized array:
 
         w * (p + kl_weight * p * (diff - kl_row) - onehot(targets))
 
     with ``diff = lp - ref_logprobs`` and ``kl_row = sum_v p * diff``; the
     VJP carries it through the head to ``hidden`` and ``out_proj``.
     Returns ``(total, ce, kl)``: the scalar loss tensor and the two terms
-    as floats. Without a reference or at ``kl_weight == 0`` the KL is not
-    computed, ``kl`` is 0.0 and ``total`` is exactly ``ce``.
+    as floats. Without a reference (``ref_hidden`` None) or at
+    ``kl_weight == 0`` the KL is not computed, ``kl`` is 0.0 and ``total``
+    is exactly ``ce``.
     """
     x = np.matmul(hidden.data, out_proj.data)
     targets = np.asarray(targets)
@@ -430,9 +444,13 @@ def ce_kl_loss(
     grad, lse = softmax_lse(x)  # grad holds the softmax p for now
     ce = -((x[(*rows, targets)] - lse[..., 0]) * weights).sum()
     kl, loss = 0.0, ce
-    if ref_logprobs is not None and kl_weight > 0:
+    if ref_hidden is not None and kl_weight > 0:
         x -= lse  # lp
-        x -= ref_logprobs  # diff
+        ref_logprobs = np.empty(x.shape[1:])
+        for b in range(x.shape[0]):
+            np.matmul(ref_hidden[b], ref_head, out=ref_logprobs)
+            ref_logprobs -= ref_lse[b]
+            x[b] -= ref_logprobs  # diff
         kl_rows = np.einsum("...v,...v->...", grad, x)
         kl = (kl_rows * weights).sum()
         loss = ce + kl * kl_weight

@@ -69,6 +69,11 @@ class ModelConfig(ModelSettings):
     vocab_size: int = VOCAB_SIZE
     seed: int = 0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
 
 def parameter_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Named views composing the flat parameter vector, in storage order."""
@@ -226,6 +231,7 @@ def hidden(
         rows = x.shape[1]
         q = _split_heads(h @ leaves[f"layer{i}.attn_q"], b, rows, heads, head_dim)
         attended = tape.causal_attention(q, k, v, scale, offset=start + first)
+        # attended is laid out [b, rows, heads, head_dim] in memory, so this merge is a view.
         context = tape.reshape(tape.swapaxes(attended, 1, 2), (b, rows, cfg.d_model))
         x = x + context @ leaves[f"layer{i}.attn_o"]
 

@@ -10,7 +10,7 @@ throughout.
 ``loss_nsc_sft`` and ``kl_term`` are per-example references for tests
 and the benchmark's checks. Training, the CLI's gradient check and the
 tests share one batched path: ``make_batch``
-returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` (4)
+returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` (3)
 rows, and ``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted
 KL on it (plain CE for cpt, sft and λ=0) through one shard runner, on up
 to one thread per CPU, adding the shards' results in shard order. The
@@ -19,8 +19,8 @@ runner forwards each shard to the model's final hidden states
 which forms and normalises the logits and keeps only their gradient, so the
 head holds one vocab-sized array per shard. The frozen reference is stored
 per shard as its final hidden states and log normalisers, d + 1 numbers a
-position instead of the vocabulary's 259; its log-probabilities are rebuilt,
-bit for bit, only while that shard's loss runs.
+position instead of the vocabulary's 259; the loss forms its
+log-probabilities, bit for bit, one batch row at a time.
 
 The loop is plain gradient descent, the only update rule, under a cosine
 schedule with linear warmup; every step records the loss breakdown and
@@ -52,6 +52,11 @@ class TrainConfig(TrainSettings):
     """The config section's training run, plus the seed."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -184,9 +189,13 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 # Batch rows per shard: one worker's forward and backward. Each worker holds
 # one shard's graph at a time, so the step's peak memory grows with this. At
-# the benchmark's training shape 4 rows peak ~30% lower than 8 at the same
-# step time; 3 and 2 rows peak lower still but cost ~10% and ~20% step time.
-_SHARD_ROWS = 4
+# the benchmark's training shape (30 rows, 2 workers) 3-row shards, with
+# tape's 48-row attention blocks and the loss's row-by-row reference, peak
+# at 76.4 MB against 86.7 MB for 4-row shards with 32-row blocks, at the same
+# 134 ms step (medians of 10 alternated runs). With 32-row blocks 3 rows cost
+# ~10% step time: the two workers take turns on the GIL between numpy calls,
+# and the larger blocks make fewer of them.
+_SHARD_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -203,8 +212,8 @@ class Shard:
     the frozen reference is kept as its final hidden states there
     (``ref_hidden``, [rows, span, d]), its head (``ref_head``, a view of its
     ``out_proj``) and its log normalisers (``ref_lse``, [rows, span, 1]),
-    else all three are None; ``ref_logprobs`` rebuilds its
-    log-probabilities from them on each read.
+    else all three are None; ``tape.ce_kl_loss`` forms its
+    log-probabilities from them, one row at a time.
     """
 
     ids: np.ndarray
@@ -214,16 +223,6 @@ class Shard:
     ref_hidden: np.ndarray | None = None
     ref_lse: np.ndarray | None = None
     ref_head: np.ndarray | None = None
-
-    @property
-    def ref_logprobs(self) -> np.ndarray | None:
-        """The reference's [rows, span, V] log-probabilities, bit for bit its
-        log-softmax; each read builds a new array."""
-        if self.ref_hidden is None:
-            return None
-        logprobs = np.matmul(self.ref_hidden, self.ref_head)
-        logprobs -= self.ref_lse
-        return logprobs
 
 
 def _workers() -> int:
@@ -298,7 +297,7 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
     ``fan_out``'s worker threads, one per shard up to the CPUs the process
     may use (inline for one shard), each take the next shard and run its
     forward to the final hidden states and the fused head and loss on them,
-    reading the shard's reference log-probabilities once. With ``backward``, a
+    which takes the shard's reference as its parts. With ``backward``, a
     shard whose loss is finite then runs its backward, and its leaves hold
     the shard's gradient; otherwise the leaves are None and the forward
     records no graph.
@@ -306,10 +305,9 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
 
     def run(shard: Shard):
         leaves = tinylm.build_leaves(params, const=not backward)
-        # The reference's log-probabilities are built for this call alone and freed when it returns.
         total, ce, kl = tape.ce_kl_loss(
             tinylm.hidden(leaves, params.config, shard.ids, span=shard.span), leaves["out_proj"],
-            shard.targets, shard.weights, shard.ref_logprobs, kl_weight,
+            shard.targets, shard.weights, shard.ref_hidden, shard.ref_head, shard.ref_lse, kl_weight,
         )
         value = float(total.data)
         if not (backward and math.isfinite(value)):

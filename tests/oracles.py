@@ -4,7 +4,8 @@ Each op function builds the same value as its fused counterpart in
 ``granary.tape`` out of separate tape primitives, one graph node per
 step, the way the model and the training loss were written before the
 fused ops existed. ``batched_logprobs`` is the whole model forward built
-that way. Tests compare the fused forwards against these to 1e-12.
+that way, and ``ref_logprobs`` a training shard's reference
+log-probabilities as one array. Tests compare the fused forwards against these to 1e-12.
 ``greedy_decode_reference`` decodes with one full ``forward`` per token,
 the way ``tinylm.greedy_decode`` did before it cached keys and values.
 ``task_ordinal_reference`` scans the node ids linearly, the way the mock
@@ -78,6 +79,17 @@ def ce_kl_loss(logprobs, targets, weights, ref_logprobs, kl_weight):
     per_position = tape.sumdim(tape.mul(tape.exp(logprobs), diff), axis=-1)
     kl = tape.sumdim(tape.mul(per_position, weights))
     return ce + tape.mul(kl, Tensor(kl_weight)), ce, kl
+
+
+def ref_logprobs(shard) -> np.ndarray | None:
+    """A training shard's reference [rows, span, V] log-probabilities, bit for
+    bit its log-softmax, built in one piece from the parts the shard stores
+    (None without a reference); ``tape.ce_kl_loss`` builds them row by row."""
+    if shard.ref_hidden is None:
+        return None
+    logprobs = np.matmul(shard.ref_hidden, shard.ref_head)
+    logprobs -= shard.ref_lse
+    return logprobs
 
 
 def batched_logprobs(leaves: dict[str, Tensor], cfg, ids: np.ndarray) -> Tensor:

@@ -29,10 +29,11 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # model.ckpt re-captured when attention began to run in blocks of rows,
 # and again when the last layer and the head began to run only the
 # batch's weighted span; both files re-captured when the step began to
-# run in shards of 8 rows, each cut to its own weighted columns, and again
-# when shards went from 8 rows to 4.
+# run in shards of 8 rows, each cut to its own weighted columns, again
+# when shards went from 8 rows to 4, and model.ckpt again when shards went
+# from 4 rows to 3 and attention blocks from 32 rows to 48.
 CPT_SHA256 = {
-    "model.ckpt": "1749d83898b706c9f30a9650b3baf9ecf8cbfbff5ab122553a9c58ba9443d4fb",
+    "model.ckpt": "7d4049ce9d16d1c5adadd4b52ae8a2c10666d8f15ecd8ce3b91ea50e0b4cce36",
     "train_report.jsonl": "d4b38594230f7e33e61e54ab8f9100bd08d6cd93286b1a90ee004a229c96b2bb",
 }
 
@@ -44,15 +45,17 @@ CPT_SHA256 = {
 # to run only the batch's weighted span; the three train outputs
 # re-captured when the step began to run in shards of 8 rows, and
 # train_report.jsonl and model.ckpt again when shards went from 8 rows to
-# 4 (train_summary.json and eval_report.json held).
+# 4 (train_summary.json and eval_report.json held), and the three train
+# outputs again when shards went from 4 rows to 3 and attention blocks
+# from 32 rows to 48 (eval_report.json held).
 MINIBOOK_SHA256 = {
     "nodes.jsonl": "b1458ec26e76aa15f6a69ef3187b652e6d521d1ad44a9a5af25d836f4e761508",
     "qtsa.jsonl": "337dfcbd69fedfcca759000bc6b682f4a887b50293143377b3e4eac64d2ebf1e",
     "sft_dataset.jsonl": "e2b4ae56cc5b7a20bfd28852ae9949fd6650f161af5dcd6c76ad2ce71acab99f",
     "cpt_dataset.jsonl": "559a34a2481ef848a8feb7befe02982ca00498a63411ed8669f3f7e59474cb17",
-    "train_report.jsonl": "7dadef350ea3835c3a297bc9adb5e62f86d8287bcf1040f54a9b98cff358d9d3",
-    "train_summary.json": "6e82b4a1c4106bfc5f27bb9eb97fb7b60ca6eb026a8a78cfd8074c10ab4fe360",
-    "model.ckpt": "e2f8fd3948d1deb42ca02fddb3396169d49e1394dbc0d5e6b7101ae7842fec90",
+    "train_report.jsonl": "8d85a7f2cc449e7dbe1675e8cf23af89fe69badac98be040eaa22485ef396f3e",
+    "train_summary.json": "ec6604ed2d2d8861fe51f649154c3775d51d3145130ca37416dd0f79335457e6",
+    "model.ckpt": "7ef371d44bd229126c22d906a47c44f20ba2eceb8ee04cca28cad6bf39e76cb9",
     "eval_report.json": "b408f087c460b617476f512e211e1359928f91754aecc76e2f966f4e4476eb10",
 }
 
@@ -537,6 +540,17 @@ class TestRefusedInputsKeepTheManifest:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert (workdir / "manifest.json").read_bytes() == before
 
+    def test_a_non_string_field_in_an_sft_record(self, done, capsys):
+        config, workdir, before = done
+        path = workdir / "sft_dataset.jsonl"
+        records = read_jsonl(path)
+        records[1]["assistant"] = 5
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run("train", "--config", str(config)) == 1
+        want = f"error: SFT record {records[1]['id']!r}: assistant must be a string, got int\n"
+        assert capsys.readouterr().err == want
+        assert (workdir / "manifest.json").read_bytes() == before
+
     def test_an_example_longer_than_the_context_window(self, done, tmp_path, capsys):
         config, workdir, before = done
         changed = write_config(tmp_path / "changed", workdir=str(workdir), model={"context_window": 2})
@@ -553,6 +567,15 @@ class TestGradcheckAndErrors:
         result = json.loads(out.splitlines()[-1])
         assert result["pass"] is True
         assert result["max_rel_err"] <= 1e-4
+
+    def test_gradcheck_passes_under_the_default_config(self, tmp_path, monkeypatch, capsys):
+        # The default window (64) is shorter than the probe example, which
+        # is fit to the window as train fits its examples.
+        monkeypatch.chdir(tmp_path)
+        assert run("gradcheck") == 0
+        result = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert result["pass"] is True and result["max_rel_err"] <= 1e-4
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, capsys):
         assert run("ingest", "--config", "/nonexistent/config.json") == 1

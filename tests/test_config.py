@@ -6,6 +6,8 @@ import json
 import pytest
 
 from granary import config as cfgmod
+from granary.tinylm import ModelConfig
+from granary.trainer import TrainConfig
 
 MALFORM_PROBLEM = "mock_malform_answer_every must be >= 1, or None for no malformed answers"
 
@@ -149,6 +151,13 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             cfgmod.config_from_dict({"seed": -1})
         assert cfgmod.config_from_dict({"seed": 0}).seed == 0
+
+    @pytest.mark.parametrize("library_config", [ModelConfig, TrainConfig])
+    def test_a_negative_seed_is_refused_by_the_library_configs(self, library_config):
+        # Each takes its seed from its own argument, not from the config file.
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            library_config(seed=-1)
+        assert library_config(seed=0).seed == 0
 
     @pytest.mark.parametrize("every", [0, -2])
     def test_grad_check_every_below_1_is_a_config_error(self, every):

@@ -376,6 +376,12 @@ class TestPersistence:
         assert loaded == records
         assert chat_example_from_record(loaded[0]) == example
 
+    @pytest.mark.parametrize("field", ["system", "user", "assistant", "origin"])
+    def test_a_non_string_field_is_refused_by_name(self, field):
+        record = {**chat_example_to_record(render_chat_template(kept_entry()), "id-0"), field: ["x"]}
+        with pytest.raises(ValueError, match=rf"^SFT record 'id-0': {field} must be a string, got list$"):
+            chat_example_from_record(record)
+
     def test_packed_binary_roundtrip(self, tmp_path):
         examples = [
             TokenizedExample(input_ids=[1, 2, 3], loss_mask=[True, False, True]),

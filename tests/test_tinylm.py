@@ -247,10 +247,13 @@ def _vjp_max_rel_err(build, inputs, n_coords=40, seed=0, reference=None):
 
 # (leading dims, query rows, offset) of causal_attention's cases: the
 # square mask of one sequence; four new rows against nine keys, the first
-# five cached; 70 rows, whose last block of 32 is ragged; and 40 new rows,
-# two blocks, against 75 keys, the first 35 cached.
-ATTENTION_CASES = [((2, 3), 7, 0), ((2, 3), 4, 5), ((1, 2), 70, 0), ((1, 2), 40, 35)]
-ATTENTION_IDS = ["square", "cached", "ragged_blocks", "cached_blocks"]
+# five cached; 70 rows, whose last block of 48 is ragged; 40 new rows, one
+# block, against 75 keys, the first 35 cached; and 60 new rows, two
+# blocks, against 95 keys, the first 35 cached.
+ATTENTION_CASES = [
+    ((2, 3), 7, 0), ((2, 3), 4, 5), ((1, 2), 70, 0), ((1, 2), 40, 35), ((1, 2), 60, 35),
+]
+ATTENTION_IDS = ["square", "cached", "ragged_blocks", "cached_block", "cached_blocks"]
 
 
 def _attention_inputs(rng, lead, rows, offset, head_dim=4):
@@ -263,11 +266,12 @@ def _attention_inputs(rng, lead, rows, offset, head_dim=4):
 
 def _loss_inputs(rng, b=3, t=5, d=4, v=11):
     """Hidden states, a head (their product: raw, unnormalised logits), targets,
-    weights and reference log-probabilities."""
+    weights and a reference as its parts: hidden states, head and log normalisers."""
     hidden = rng.normal(0.0, 1.0, size=(b, t, d))
     out_proj = rng.normal(0.0, 0.75, size=(d, v))
-    ref = rng.normal(0.0, 1.5, size=(b, t, v))
-    ref -= np.logaddexp.reduce(ref, axis=-1, keepdims=True)
+    ref_hidden = rng.normal(0.0, 1.0, size=(b, t, d))
+    ref_head = rng.normal(0.0, 0.75, size=(d, v))
+    ref = (ref_hidden, ref_head, np.logaddexp.reduce(ref_hidden @ ref_head, axis=-1, keepdims=True))
     targets = rng.integers(0, v, size=(b, t))
     weights = rng.random((b, t)) * (rng.random((b, t)) < 0.7)
     return hidden, out_proj, targets, weights, ref
@@ -286,7 +290,8 @@ def _composed_mlp(h, w_in, w_out):
 
 
 def _composed_loss(hidden, out_proj, targets, weights, ref, kl_weight):
-    return oracles.ce_kl_loss(oracles.log_softmax(hidden @ out_proj), targets, weights, ref, kl_weight)
+    ref_logprobs = None if ref is None else ref[0] @ ref[1] - ref[2]
+    return oracles.ce_kl_loss(oracles.log_softmax(hidden @ out_proj), targets, weights, ref_logprobs, kl_weight)
 
 
 class TestFusedOps:
@@ -298,10 +303,11 @@ class TestFusedOps:
         err = _vjp_max_rel_err(lambda a, b, c: tape.causal_attention(a, b, c, 0.35, offset), [q, k, v])
         assert err <= 1e-4
 
-    @pytest.mark.parametrize("rows, offset", [(20, 0), (64, 0), (246, 0), (40, 35)])
+    @pytest.mark.parametrize("rows, offset", [(20, 0), (64, 0), (96, 0), (246, 0), (40, 35)])
     def test_causal_attention_matches_composition(self, rows, offset):
-        # One block, a whole number of blocks, the demo length (ragged), and
-        # a decode-shaped block of new rows against cached keys.
+        # One block, two blocks the last ragged, a whole number of blocks,
+        # the demo length (ragged), and a decode-shaped block of new rows
+        # against cached keys.
         inputs = _attention_inputs(np.random.default_rng(rows), (2, 2), rows, offset, head_dim=8)
         weights = np.random.default_rng(0).normal(size=(2, 2, rows, 8))
         grads = []
@@ -363,7 +369,7 @@ class TestFusedOps:
         hidden, out_proj, targets, weights, ref = _loss_inputs(np.random.default_rng(5))
 
         def build(h, w):
-            return tape.ce_kl_loss(h, w, targets, weights, ref, kl_weight)[0]
+            return tape.ce_kl_loss(h, w, targets, weights, *ref, kl_weight)[0]
 
         def composed(h, w):
             return _composed_loss(h, w, targets, weights, ref, kl_weight)[0]
@@ -397,7 +403,7 @@ class TestFusedOps:
     def test_loss_matches_composition(self, kl_weight):
         hidden, out_proj, targets, weights, ref = _loss_inputs(np.random.default_rng(7))
         fused, composed = ([tape.Tensor(hidden), tape.Tensor(out_proj)] for _ in range(2))
-        total, ce, kl = tape.ce_kl_loss(*fused, targets, weights, ref, kl_weight)
+        total, ce, kl = tape.ce_kl_loss(*fused, targets, weights, *ref, kl_weight)
         want_total, want_ce, want_kl = _composed_loss(*composed, targets, weights, ref, kl_weight)
         assert abs(float(total.data) - float(want_total.data)) <= 1e-12
         assert abs(ce - float(want_ce.data)) <= 1e-12
@@ -414,37 +420,42 @@ class TestFusedOps:
     def test_loss_without_reference_is_ce_only(self):
         hidden, out_proj, targets, weights, _ = _loss_inputs(np.random.default_rng(8))
         h, w = tape.Tensor(hidden), tape.Tensor(out_proj)
-        total, ce, kl = tape.ce_kl_loss(h, w, targets, weights, None, 0.5)
+        total, ce, kl = tape.ce_kl_loss(h, w, targets, weights, None, None, None, 0.5)
         assert kl == 0.0 and float(total.data) == ce
         want_ce = _composed_loss(h, w, targets, weights, None, 0.5)[1]
         assert abs(ce - float(want_ce.data)) <= 1e-12
 
     def test_loss_keeps_one_vocab_sized_array(self):
-        # One 4-row shard's head at 160 positions, with a reference. The
+        # One 3-row shard's head at 160 positions, with the KL on. The
         # forward allocates the logits, which become the KL difference in
-        # place, and the saved logit gradient; the backward scales the saved
-        # one in place. A log_softmax node followed by a loss over its
-        # output peaks at five such arrays.
+        # place, the saved logit gradient, and one [160, V] scratch row that
+        # each batch row's reference log-probabilities pass through; the
+        # backward scales the saved gradient in place. The reference's
+        # [3, 160, V] log-probabilities built whole for the call peaked at
+        # about three such arrays, and a log_softmax node followed by a loss
+        # over its output at five.
         rng = np.random.default_rng(9)
-        hidden, out_proj = rng.normal(0.0, 1.0, size=(4, 160, 32)), rng.normal(0.0, 0.3, size=(32, 259))
-        ref = rng.normal(0.0, 1.5, size=(4, 160, 259))
-        ref -= np.logaddexp.reduce(ref, axis=-1, keepdims=True)
-        targets = rng.integers(0, 259, size=(4, 160))
-        weights = np.full((4, 160), 1.0 / 640)
+        rows, span, d, v = 3, 160, 32, 259
+        hidden, out_proj = rng.normal(0.0, 1.0, size=(rows, span, d)), rng.normal(0.0, 0.3, size=(d, v))
+        ref_hidden, ref_head = rng.normal(0.0, 1.0, size=(rows, span, d)), rng.normal(0.0, 0.3, size=(d, v))
+        ref_lse = np.logaddexp.reduce(ref_hidden @ ref_head, axis=-1, keepdims=True)
+        targets = rng.integers(0, v, size=(rows, span))
+        weights = np.full((rows, span), 1.0 / (rows * span))
         h, w = tape.Tensor(hidden), tape.Tensor(out_proj)
         tracemalloc.start()
         try:
-            total, _, _ = tape.ce_kl_loss(h, w, targets, weights, ref, 0.1)
+            total, _, _ = tape.ce_kl_loss(h, w, targets, weights, ref_hidden, ref_head, ref_lse, 0.1)
             tape.backward(total)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert h.grad is not None and w.grad is not None
-        assert peak <= 2.5 * ref.nbytes, peak / ref.nbytes
+        vocab_array = 8 * rows * span * v
+        assert peak <= 2.5 * vocab_array, peak / vocab_array
 
     @pytest.mark.parametrize("init_std", [0.0, 0.2])
     def test_model_forward_matches_composition(self, init_std):
-        # A short batch in one attention block, then 150 positions in five.
+        # A short batch in one attention block, then 150 positions in four.
         cfg = ModelConfig(seed=5, init_std=init_std, context_window=150)
         params = init(cfg)
         short = np.asarray([[BOS_ID] + TOK.encode("fused forward check"),
@@ -474,6 +485,31 @@ class TestFusedOps:
         out = tinylm.batched_logprobs(tinylm.build_leaves(init(cfg)), cfg, ids)
         square = sum(a.shape == (b, cfg.n_heads, t, t) for a in _graph_arrays(out, closures=False))
         assert square <= 2 * cfg.n_layers
+
+    @pytest.mark.parametrize("span", [None, (1, 4)])
+    def test_merged_heads_are_a_view_of_the_attention_output(self, monkeypatch, span):
+        # causal_attention lays its [b, heads, rows, head_dim] output out as
+        # [b, rows, heads, head_dim], so hidden's swapaxes + reshape merge of
+        # the heads copies nothing, on the span's last layer too.
+        cfg = ModelConfig(d_model=8, n_heads=2, n_layers=2, context_window=16, seed=1)
+        attended, merged = [], []
+
+        def recorded(op, into):
+            def wrapped(*args, **kwargs):
+                into.append(op(*args, **kwargs))
+                return into[-1]
+
+            return wrapped
+
+        monkeypatch.setattr(tape, "causal_attention", recorded(tape.causal_attention, attended))
+        monkeypatch.setattr(tape, "reshape", recorded(tape.reshape, merged))
+        ids = np.arange(15).reshape(3, 5)
+        tinylm.hidden(tinylm.build_leaves(init(cfg)), cfg, ids, span=span)
+        merged = [m for m in merged if m.data.ndim == 3]  # not _split_heads' [b, t, heads, head_dim]
+        assert len(attended) == len(merged) == cfg.n_layers
+        for attention, heads in zip(attended, merged):
+            assert heads.shape[-1] == cfg.d_model
+            assert np.shares_memory(heads.data, attention.data)
 
     def test_attention_keeps_under_six_tenths_of_a_square_per_layer(self):
         # At T = 256 the arrays that backward keeps with attention weights,
