@@ -2,9 +2,9 @@
 
 Subcommands: ingest -> distill -> build -> train -> eval, plus gradcheck.
 All artifacts live under a work directory whose manifest records the
-config hash each stage ran with, so stale upstream outputs are refused.
-Each stage's order, config slice and output files come from
-``config.STAGES``; a command here names only the files it reads.
+config slice each stage ran with and its hash, so a stale upstream output
+is refused, naming the settings that changed. Each stage's order, config
+slice and output files come from ``config.STAGES``.
 Exit codes: 0 success; 1 for an input the run cannot use, a ``ValueError``
 (a setting, a file, a record, an example longer than the context window);
 2 for a failure while the run works, a ``GranaryError`` (a non-finite
@@ -12,10 +12,10 @@ loss), or a failed gradient check.
 
 Importing this module loads only what every command needs. The model
 stack (``dataset``, ``tinylm``, ``trainer``, ``evalharness``, and numpy
-with them) is imported inside the commands that use it, after their
-``--dry-run`` return, so ``ingest``, ``distill``, ``--help`` and every
-dry run start without numpy. A stage checks upstream and its inputs before
-``config.start_stage``, and calls ``config.record_stage`` once it has written.
+with them) is imported inside the commands that use it, past the point where
+``--dry-run`` stops, so ``ingest``, ``distill``, ``--help`` and every
+dry run start without numpy. ``_run_stage`` alone keeps the order a recorded
+stage works in; each stage's body says only what it reads and writes.
 """
 
 from __future__ import annotations
@@ -107,12 +107,6 @@ def _apply_overrides(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> cf
     return dataclasses.replace(cfg, **top, **sections)
 
 
-def _workdir(cfg: cfgmod.PipelineConfig) -> Path:
-    path = Path(cfg.workdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _backend_for(cfg: cfgmod.PipelineConfig, node_ids: list[str] | None = None):
     if cfg.backend.mock:
         return MockLlmBackend(
@@ -133,52 +127,55 @@ def _model_config(cfg: cfgmod.PipelineConfig):
 def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str | Path]) -> int:
     """Print the plan: the files the run reads, and the stage's outputs from ``config.STAGES``."""
     outputs = cfgmod.STAGES[command].outputs if command in cfgmod.STAGES else ()
-    print(
-        json.dumps(
-            {
-                "command": command,
-                "dry_run": True,
-                "inputs": [str(path) for path in inputs],
-                "outputs": [str(Path(cfg.workdir) / name) for name in outputs],
-                "config": dataclasses.asdict(cfg),
-            },
-            indent=2,
-        )
-    )
+    plan = {
+        "command": command,
+        "dry_run": True,
+        "inputs": [str(path) for path in inputs],
+        "outputs": [str(Path(cfg.workdir) / name) for name in outputs],
+        "config": dataclasses.asdict(cfg),
+    }
+    print(json.dumps(plan, indent=2))
     return 0
 
 
-def _finish(workdir: Path, stage: str, cfg: cfgmod.PipelineConfig, summary: dict) -> int:
-    """Record a finished stage in the manifest and print its summary line."""
-    cfgmod.record_stage(workdir, stage, cfg)
+def _run_stage(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
+    """Run a recorded stage in the one order the manifest relies on.
+
+    A stage's body is a generator that yields three times: the files it
+    reads (a dry run stops there), once it has read and checked them, and
+    its summary once it has written. The upstream check comes before the
+    read and ``config.start_stage`` after it, so a stage refused on its
+    inputs keeps every manifest entry; ``config.record_stage`` comes last.
+    """
+    workdir = Path(cfg.workdir)
+    body = _STAGE_BODIES[args.command](cfg, args, workdir)
+    inputs = next(body)
+    if args.dry_run:
+        return _plan(args.command, cfg, inputs)
+    cfgmod.check_upstream(workdir, args.command, cfg)
+    next(body)
+    workdir.mkdir(parents=True, exist_ok=True)
+    cfgmod.start_stage(workdir, args.command, cfg)
+    summary = next(body)
+    cfgmod.record_stage(workdir, args.command, cfg)
     print(json.dumps(summary))
     return 0
 
 
-def cmd_ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    if args.dry_run:
-        return _plan("ingest", cfg, [cfg.corpus_dir, cfg.manifest])
-    decompose_cfg = corpus.DecomposeConfig(
-        min_node_tokens=cfg.min_node_tokens,
-        stop_headings=tuple(cfg.stop_headings),
-    )
+def _ingest(cfg: cfgmod.PipelineConfig, args: argparse.Namespace, workdir: Path):
+    yield [cfg.corpus_dir, cfg.manifest]
+    decompose_cfg = corpus.DecomposeConfig(min_node_tokens=cfg.min_node_tokens, stop_headings=tuple(cfg.stop_headings))
     nodes: list[corpus.LearningNode] = []
     for doc in corpus.load_corpus(cfg.corpus_dir, cfg.manifest):
-        tree = corpus.parse_markdown_tree(doc)
-        nodes.extend(corpus.decompose_to_nodes(tree, doc.doc_id, decompose_cfg))
-    workdir = _workdir(cfg)
-    cfgmod.start_stage(workdir, "ingest", cfg)
-    records = [corpus.node_to_record(n) for n in nodes]
-    write_jsonl(workdir / "nodes.jsonl", records, schema=corpus.NODE_KEYS)
-    return _finish(workdir, "ingest", cfg, dataclasses.asdict(corpus.corpus_stats(nodes)))
+        nodes.extend(corpus.decompose_to_nodes(corpus.parse_markdown_tree(doc), doc.doc_id, decompose_cfg))
+    yield
+    write_jsonl(workdir / "nodes.jsonl", [corpus.node_to_record(n) for n in nodes], schema=corpus.NODE_KEYS)
+    yield dataclasses.asdict(corpus.corpus_stats(nodes))
 
 
-def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    workdir = Path(cfg.workdir)
+def _distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace, workdir: Path):
     nodes_path = workdir / "nodes.jsonl"
-    if args.dry_run:
-        return _plan("distill", cfg, [nodes_path])
-    cfgmod.check_upstream(workdir, "distill", cfg)
+    yield [nodes_path]
     nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
     backend = _backend_for(cfg, node_ids=[n.node_id for n in nodes])
     distill_cfg = distiller.DistillConfig(
@@ -187,72 +184,54 @@ def cmd_distill(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         journal_path=workdir / "journal.jsonl",
         stage_hash=cfgmod.stage_hash(cfg, "distill"),
     )
+    # The journal is read and checked here and appended as tasks finish; each line carries its stage hash.
     entries = distiller.distill_corpus(nodes, distill_cfg, backend)
-    records = [distiller.entry_to_record(e) for e in entries]
-    cfgmod.start_stage(workdir, "distill", cfg)
-    write_jsonl(workdir / "qtsa.jsonl", records, schema=distiller.QTSA_KEYS)
+    yield
+    write_jsonl(workdir / "qtsa.jsonl", [distiller.entry_to_record(e) for e in entries], schema=distiller.QTSA_KEYS)
     kept = sum(e.kept for e in entries)
-    summary = {"attempted": len(entries), "kept": kept, "rejected": len(entries) - kept}
-    return _finish(workdir, "distill", cfg, summary)
+    yield {"attempted": len(entries), "kept": kept, "rejected": len(entries) - kept}
 
 
-def cmd_build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    workdir = Path(cfg.workdir)
+def _build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace, workdir: Path):
     qtsa_path, nodes_path = workdir / "qtsa.jsonl", workdir / "nodes.jsonl"
     general_path = cfg.dataset.general_path
-    if args.dry_run:
-        return _plan("build", cfg, [qtsa_path, nodes_path] + ([general_path] if general_path else []))
+    yield [qtsa_path, nodes_path] + ([general_path] if general_path else [])
     from . import dataset
 
-    cfgmod.check_upstream(workdir, "build", cfg)
-
     entries = [distiller.entry_from_record(r) for r in read_jsonl(qtsa_path, schema=distiller.QTSA_KEYS)]
-    domain = [
-        (e.entry_id, dataset.render_chat_template(e, cfg.dataset.system_prompt))
-        for e in entries
-        if e.kept
-    ]
+    domain = [(e.entry_id, dataset.render_chat_template(e, cfg.dataset.system_prompt)) for e in entries if e.kept]
     general = [
         (rec["id"], dataclasses.replace(dataset.chat_example_from_record(rec), origin=dataset.ORIGIN_GENERAL))
         for rec in (read_jsonl(general_path, schema=dataset.SFT_KEYS) if general_path else [])
     ]
     mixed = dataset.mix_datasets(domain, general, cfg.dataset.mix_ratio, cfg.seed) if general else domain
     nodes = [corpus.node_from_record(r) for r in read_jsonl(nodes_path, schema=corpus.NODE_KEYS)]
-    cfgmod.start_stage(workdir, "build", cfg)
+    yield
     write_jsonl(
         workdir / "sft_dataset.jsonl",
         [dataset.chat_example_to_record(ex, example_id) for example_id, ex in mixed],
         schema=dataset.SFT_KEYS,
     )
-    write_jsonl(
-        workdir / "cpt_dataset.jsonl",
-        [{"node_id": n.node_id, "text": n.text} for n in nodes],
-        schema=dataset.CPT_KEYS,
-    )
-    return _finish(workdir, "build", cfg, {"sft_examples": len(mixed), "cpt_records": len(nodes)})
+    cpt_records = [{"node_id": n.node_id, "text": n.text} for n in nodes]
+    write_jsonl(workdir / "cpt_dataset.jsonl", cpt_records, schema=dataset.CPT_KEYS)
+    yield {"sft_examples": len(mixed), "cpt_records": len(nodes)}
 
 
-def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    workdir = Path(cfg.workdir)
+def _train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace, workdir: Path):
     mode = cfg.train.mode
     data_path = workdir / ("cpt_dataset.jsonl" if mode == "cpt" else "sft_dataset.jsonl")
-    if args.dry_run:
-        return _plan("train", cfg, [data_path] + ([args.init_checkpoint] if args.init_checkpoint else []))
+    init = args.init_checkpoint
+    yield [data_path] + ([init] if init else [])
     from . import dataset, tinylm, trainer
 
-    cfgmod.check_upstream(workdir, "train", cfg)
-
-    if args.init_checkpoint:
-        init_params = tinylm.load_checkpoint(args.init_checkpoint)
-    else:
-        init_params = tinylm.init(_model_config(cfg))
+    init_params = tinylm.load_checkpoint(init) if init else tinylm.init(_model_config(cfg))
 
     # Every sequence is fit to the model's context window.
     tokenizer = tinylm.ByteTokenizer()
     window = init_params.config.context_window
     if mode == "cpt":
-        records = read_jsonl(data_path, schema=dataset.CPT_KEYS)
-        data: list = dataset.pack_cpt_texts((rec["text"] for rec in records), window)
+        texts = [dataset.cpt_text_from_record(rec) for rec in read_jsonl(data_path, schema=dataset.CPT_KEYS)]
+        data: list = dataset.pack_cpt_texts(texts, window)
     else:
         data = [
             dataset.truncate_chat_example(dataset.chat_example_from_record(rec), tokenizer, window)
@@ -262,7 +241,7 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     train_cfg = trainer.TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed)
     ref_params = tinylm.freeze_reference(init_params) if mode == "nsc_sft" else None
     report_paths = (workdir / "train_report.jsonl", workdir / "train_summary.json")
-    cfgmod.start_stage(workdir, "train", cfg)
+    yield
     try:
         report = trainer.train(train_cfg, data, init_params, ref_params=ref_params)
     except NonFiniteLoss as exc:
@@ -272,7 +251,10 @@ def cmd_train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
 
     tinylm.save_checkpoint(workdir / "model.ckpt", report.final_params)
     trainer.write_report(report, *report_paths)
-    return _finish(workdir, "train", cfg, report.summary())
+    yield report.summary()
+
+
+_STAGE_BODIES = {"ingest": _ingest, "distill": _distill, "build": _build, "train": _train}
 
 
 def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
@@ -289,7 +271,7 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     if trained_here:
         cfgmod.check_upstream(workdir, "eval", cfg)
     params = None if checkpoint is None else tinylm.load_checkpoint(checkpoint)
-    _workdir(cfg)
+    workdir.mkdir(parents=True, exist_ok=True)
     if params is None:
         report = evalharness.grade(items, _backend_for(cfg), parallelism=cfg.parallelism)
     else:
@@ -313,37 +295,20 @@ def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     # The probe is fit to the model's context window, as train fits its
     # examples. Its reply is untagged, so it is cut from its tail: a tagged
     # Q/T/S/A reply keeps its answer span and cannot fit the default window.
-    probe = dataset.truncate_chat_example(
-        dataset.ChatExample(
-            system="",
-            user="State the loop law.",
-            assistant="Sum the drops: add voltages around the loop. They sum to zero.",
-        ),
-        tinylm.ByteTokenizer(),
-        model_cfg.context_window,
-    )
+    reply = "Sum the drops: add voltages around the loop. They sum to zero."
+    probe = dataset.ChatExample(system="", user="State the loop law.", assistant=reply)
+    probe = dataset.truncate_chat_example(probe, tinylm.ByteTokenizer(), model_cfg.context_window)
     batch = trainer.make_batch([probe], ref)
     _, analytic = trainer.loss_and_grad(params, batch, cfg.train.kl_weight)
     worst, _ = tinylm.gradient_check(
-        params,
-        lambda p: trainer.loss_value(p, batch, cfg.train.kl_weight),
-        analytic,
-        n_coords=200,
-        seed=cfg.seed,
+        params, lambda p: trainer.loss_value(p, batch, cfg.train.kl_weight), analytic, n_coords=200, seed=cfg.seed
     )
     passed = worst <= 1e-4
     print(json.dumps({"max_rel_err": worst, "tolerance": 1e-4, "pass": passed}))
     return 0 if passed else 2
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "distill": cmd_distill,
-    "build": cmd_build,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-}
+_COMMANDS = {**dict.fromkeys(_STAGE_BODIES, _run_stage), "eval": cmd_eval, "gradcheck": cmd_gradcheck}
 
 
 def main(argv: list[str] | None = None) -> int:

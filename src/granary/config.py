@@ -5,10 +5,11 @@ is declared, defaulted and checked once, in its section here; the
 library configs (``tinylm.ModelConfig``, ``trainer.TrainConfig``) extend
 these sections and the HTTP backend reads ``BackendSettings``; ``jsonl``
 parses and type-checks the file. The stage contract lives in ``STAGES``
-alone: the pipeline order, each stage's config slice (hashed into the
-work-directory manifest so later stages refuse stale outputs) and the
-files it writes; ``start_stage`` forgets a stage's entries only once
-``check_upstream`` and the stage's inputs have passed.
+alone: the pipeline order, each stage's config slice (kept in the
+work-directory manifest beside its hash, so later stages refuse stale
+outputs and name the settings that changed) and the files it writes;
+``cli._run_stage`` calls ``start_stage``, which forgets a stage's
+entries, only once ``check_upstream`` and the stage's inputs have passed.
 """
 
 from __future__ import annotations
@@ -181,9 +182,12 @@ def load_stage_manifest(workdir: str | Path) -> dict:
     manifest = read_json(path)
     stages = manifest.get("stages") if isinstance(manifest, dict) else None
     if not isinstance(stages, dict) or not all(
-        isinstance(v, dict) and isinstance(v.get("config_hash"), str) for v in stages.values()
+        isinstance(v, dict) and isinstance(v.get("config_hash"), str) and isinstance(v.get("config", {}), dict)
+        for v in stages.values()
     ):
-        raise SchemaViolation(f'{path}: must be a JSON object whose "stages" maps each stage to a "config_hash"')
+        raise SchemaViolation(
+            f'{path}: must be a JSON object whose "stages" maps each stage to a "config_hash" and its "config" object'
+        )
     return manifest
 
 
@@ -195,6 +199,7 @@ def _save_manifest(workdir: str | Path, manifest: dict) -> None:
 def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
     manifest = load_stage_manifest(workdir)
     manifest["stages"][stage] = {
+        "config": stage_config_subset(cfg, stage),
         "config_hash": stage_hash(cfg, stage),
         "outputs": list(STAGES[stage].outputs),
     }
@@ -210,11 +215,22 @@ def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> dict
         if recorded is None:
             raise ValueError(f"stage {stage!r} needs {parent!r} to run first (no manifest entry)")
         if recorded["config_hash"] != stage_hash(cfg, parent):
+            # Each setting that changed, old → new; an entry recorded without its slice names none.
+            old, new = _flat(recorded.get("config", {})), _flat(stage_config_subset(cfg, parent))
+            changes = [f"{k} {json.dumps(old[k])} → {json.dumps(v)}" for k, v in new.items() if old.get(k, v) != v]
+            detail = f" ({', '.join(changes)})" if changes else ""
             raise ValueError(
-                f"stage {parent!r} output is stale: its config changed since it ran;"
-                f" re-run `granary {parent}`"
+                f"stage {parent!r} output is stale: its config changed since it ran{detail}; re-run `granary {parent}`"
             )
     return manifest
+
+
+def _flat(values: dict) -> dict:
+    """A config slice keyed by dotted field names (``train.total_steps``); sections nest one level."""
+    flat = {}
+    for key, value in values.items():
+        flat.update({f"{key}.{k}": v for k, v in value.items()} if isinstance(value, dict) else {key: value})
+    return flat
 
 
 def start_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:

@@ -19,6 +19,7 @@ mask array, of which its segments' masks are views.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections.abc import Iterable
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .distiller import QtsaEntry, parse_answer_spans, render_assistant
+from .jsonl import check_types
 from .tinylm import BOS_ID, EOS_ID, ByteTokenizer
 
 ORIGIN_DOMAIN = "domain"
@@ -301,18 +303,10 @@ def save_packed(path: str | Path, packs: list[PackedSequence], max_len: int | No
                 "length": p.total_length,
                 "segments": [{"offset": s.offset, "length": s.length} for s in p.segments],
             }
-            for offset, p in zip(_pack_offsets(packs), packs)
+            for offset, p in zip(itertools.accumulate((q.total_length for q in packs), initial=0), packs)
         ],
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
-
-
-def _pack_offsets(packs: list[PackedSequence]) -> list[int]:
-    offsets, cursor = [], 0
-    for p in packs:
-        offsets.append(cursor)
-        cursor += p.total_length
-    return offsets
 
 
 def chat_example_to_record(example: ChatExample, example_id: str) -> dict:
@@ -325,14 +319,13 @@ def chat_example_to_record(example: ChatExample, example_id: str) -> dict:
     }
 
 
+def cpt_text_from_record(rec: dict) -> str:
+    """The text of a CPT record; a field that is not a string is a SchemaViolation naming it."""
+    check_types(rec, dict.fromkeys(CPT_KEYS, (str,)), "CPT record", "node_id")
+    return rec["text"]
+
+
 def chat_example_from_record(rec: dict) -> ChatExample:
-    """The ChatExample of an SFT record; a field that is not a string is a ValueError naming it."""
-    for name in ("system", "user", "assistant", "origin"):
-        if not isinstance(rec[name], str):
-            raise ValueError(f"SFT record {rec['id']!r}: {name} must be a string, got {type(rec[name]).__name__}")
-    return ChatExample(
-        system=rec["system"],
-        user=rec["user"],
-        assistant=rec["assistant"],
-        origin=rec["origin"],
-    )
+    """The ChatExample of an SFT record; a field that is not a string is a SchemaViolation naming it."""
+    check_types(rec, dict.fromkeys(SFT_KEYS, (str,)), "SFT record", "id")
+    return ChatExample(rec["system"], rec["user"], rec["assistant"], rec["origin"])

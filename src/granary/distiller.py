@@ -24,7 +24,7 @@ from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration
-from .jsonl import LINE_ENCODER, check_keys, read_jsonl
+from .jsonl import LINE_ENCODER, check_keys, check_types, read_jsonl
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
 STATUS_KEPT = "kept"
@@ -252,6 +252,7 @@ class DistillJournal:
                         " delete the journal to distill from scratch"
                     )
                 del rec["timestamp"]
+                check_types(rec, _QTSA_TYPES, f"{self.path}: journal record", "entry_id")
                 entry = QtsaEntry(**rec)
                 self.results[(entry.node_id, entry.sample_idx)] = entry
         self._fh = self.path.open("a", encoding="utf-8")
@@ -317,6 +318,11 @@ def entry_to_record(entry: QtsaEntry) -> dict:
     return dict(vars(entry))
 
 
+_QTSA_TYPES = {**dict.fromkeys(QTSA_KEYS, (str,)), "sample_idx": (int,), "reject_reason": (str, type(None))}
+
+
 def entry_from_record(rec: dict) -> QtsaEntry:
+    """The QtsaEntry of a qtsa.jsonl record; a field of the wrong type is a SchemaViolation naming it."""
     check_keys(rec, QTSA_KEYS, "qtsa record")
+    check_types(rec, _QTSA_TYPES, "qtsa record", "entry_id")
     return QtsaEntry(**rec)

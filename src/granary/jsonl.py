@@ -36,6 +36,18 @@ def check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
         )
 
 
+_TYPE_WORDS = {str: "a string", int: "an integer", list: "a list", type(None): "null"}
+
+
+def check_types(rec: dict, types: dict[str, tuple[type, ...]], where: str, id_key: str) -> None:
+    """SchemaViolation naming the record by ``where`` and its ``id_key`` value, and the first
+    field whose exact type (a bool is no integer) is not among its ``types``; cheaper than ``from_json``."""
+    for name, allowed in types.items():
+        if type(rec[name]) not in allowed:
+            wanted = " or ".join(_TYPE_WORDS[t] for t in allowed)
+            raise SchemaViolation(f"{where} {rec[id_key]!r}: {name} must be {wanted}, got {type(rec[name]).__name__}")
+
+
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
     """Open a sibling ``.tmp`` file (``mode`` "w" for UTF-8 text, "wb" for bytes).

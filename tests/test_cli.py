@@ -551,6 +551,50 @@ class TestRefusedInputsKeepTheManifest:
         assert capsys.readouterr().err == want
         assert (workdir / "manifest.json").read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "command, target, field, value, problem",
+        [
+            (["build"], "nodes.jsonl", "text", 5, "text must be a string, got int"),
+            (["build"], "nodes.jsonl", "token_estimate", "many", "token_estimate must be an integer, got str"),
+            (["distill"], "nodes.jsonl", "heading_path", [1], "heading_path must be a list of strings"),
+            (["build"], "qtsa.jsonl", "answer", 5, "answer must be a string, got int"),
+            (["build"], "qtsa.jsonl", "thinking", ["x"], "thinking must be a string, got list"),
+            (["build"], "qtsa.jsonl", "sample_idx", True, "sample_idx must be an integer, got bool"),
+            (["build"], "qtsa.jsonl", "reject_reason", 3, "reject_reason must be a string or null, got int"),
+            (["distill"], "journal.jsonl", "answer", 5, "answer must be a string, got int"),
+            (["train", "--mode", "cpt"], "cpt_dataset.jsonl", "text", 5, "text must be a string, got int"),
+            (["train"], "sft_dataset.jsonl", "id", 5, "id must be a string, got int"),
+        ],
+        ids=[
+            "node-text",
+            "node-token-estimate",
+            "node-heading-path",
+            "qtsa-answer",
+            "qtsa-thinking",
+            "qtsa-sample-idx",
+            "qtsa-reject-reason",
+            "journal-answer",
+            "cpt-text",
+            "sft-id",
+        ],
+    )
+    def test_an_ill_typed_artifact_field(self, done, capsys, command, target, field, value, problem):
+        config, workdir, before = done
+        path = workdir / target
+        records = read_jsonl(path)
+        records[1][field] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run(*command, "--config", str(config)) == 1
+        what, key = {
+            "nodes.jsonl": ("node", "node_id"),
+            "qtsa.jsonl": ("qtsa", "entry_id"),
+            "journal.jsonl": (f"{path}: journal", "entry_id"),
+            "cpt_dataset.jsonl": ("CPT", "node_id"),
+            "sft_dataset.jsonl": ("SFT", "id"),
+        }[target]
+        assert capsys.readouterr().err == f"error: {what} record {records[1][key]!r}: {problem}\n"
+        assert (workdir / "manifest.json").read_bytes() == before
+
     def test_an_example_longer_than_the_context_window(self, done, tmp_path, capsys):
         config, workdir, before = done
         changed = write_config(tmp_path / "changed", workdir=str(workdir), model={"context_window": 2})

@@ -81,6 +81,41 @@ class TestStageContract:
         as_float = cfgmod.config_from_dict({section: {key: float(value)}})
         assert cfgmod.stage_hash(as_int, stage) == cfgmod.stage_hash(as_float, stage)
 
+    @pytest.mark.parametrize(
+        "changed, stage, changes",
+        [
+            ({"train": {"total_steps": 3}}, "train", "train.total_steps 4 → 3"),
+            (
+                {"train": {"total_steps": 3, "kl_weight": 0.2}},
+                "train",
+                "train.total_steps 4 → 3, train.kl_weight 0.1 → 0.2",
+            ),
+            ({"seed": 1}, "distill", "seed 0 → 1"),
+            ({"dataset": {"system_prompt": "Be brief."}}, "build", 'dataset.system_prompt "" → "Be brief."'),
+        ],
+        ids=["one-field", "two-fields", "top-level-field", "string-field"],
+    )
+    def test_a_stale_error_names_each_changed_setting(self, tmp_path, changed, stage, changes):
+        ran = cfgmod.config_from_dict({"train": {"total_steps": 4}})
+        for name in RECORDED:
+            cfgmod.record_stage(tmp_path, name, ran)
+        now = cfgmod.config_from_dict({"train": {"total_steps": 4}, **changed})
+        want = f"stage {stage!r} output is stale: its config changed since it ran ({changes}); re-run `granary {stage}`"
+        with pytest.raises(ValueError) as exc:
+            cfgmod.check_upstream(tmp_path, "eval", now)
+        assert str(exc.value) == want
+
+    def test_an_entry_without_its_config_slice_keeps_the_plain_stale_error(self, tmp_path):
+        ran = cfgmod.PipelineConfig()
+        cfgmod.record_stage(tmp_path, "ingest", ran)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["stages"]["ingest"] = {"config_hash": cfgmod.stage_hash(ran, "ingest"), "outputs": ["nodes.jsonl"]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as exc:
+            cfgmod.check_upstream(tmp_path, "distill", dataclasses.replace(ran, min_node_tokens=32))
+        want = "stage 'ingest' output is stale: its config changed since it ran; re-run `granary ingest`"
+        assert str(exc.value) == want
+
     def test_every_field_but_workdir_and_parallelism_makes_some_stage_stale(self):
         cfg = cfgmod.PipelineConfig()
         sliced = {key for stage in RECORDED for key in cfgmod.stage_config_subset(cfg, stage)}
