@@ -212,7 +212,7 @@ def _build(cfg: cfgmod.PipelineConfig, args: argparse.Namespace, workdir: Path):
         [dataset.chat_example_to_record(ex, example_id) for example_id, ex in mixed],
         schema=dataset.SFT_KEYS,
     )
-    cpt_records = [{"node_id": n.node_id, "text": n.text} for n in nodes]
+    cpt_records = [vars(dataset.CptRecord(n.node_id, n.text)) for n in nodes]
     write_jsonl(workdir / "cpt_dataset.jsonl", cpt_records, schema=dataset.CPT_KEYS)
     yield {"sft_examples": len(mixed), "cpt_records": len(nodes)}
 

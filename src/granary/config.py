@@ -40,7 +40,7 @@ class BackendSettings:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_backoff < 0:
+        if not self.base_backoff >= 0:
             raise ValueError("base_backoff must be >= 0")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
@@ -55,7 +55,7 @@ class DatasetSettings:
     system_prompt: str = ""
 
     def __post_init__(self):
-        if self.mix_ratio <= 0:
+        if not self.mix_ratio > 0:
             raise ValueError("ratio must be > 0")
 
 
@@ -75,7 +75,7 @@ class ModelSettings:
             raise ValueError("d_model must be divisible by n_heads")
         if self.context_window < 2:
             raise ValueError("context_window must be >= 2")
-        if self.init_std < 0:
+        if not self.init_std >= 0:
             raise ValueError("init_std must be >= 0")
 
 
@@ -101,7 +101,7 @@ class TrainSettings:
             raise ValueError("lr_max must be > 0")
         if not 0 < self.warmup_frac < 1:
             raise ValueError("warmup_frac must be in (0, 1)")
-        if self.kl_weight < 0:
+        if not self.kl_weight >= 0:
             raise ValueError("kl_weight must be >= 0")
         if self.grad_check_every is not None and self.grad_check_every < 1:
             raise ValueError("grad_check_every must be >= 1, or None for no checks")

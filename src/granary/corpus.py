@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import SchemaViolation
-from .jsonl import check_types, from_json, read_json
+from .jsonl import from_json, read_json
 
 
 class LearningStage(str, Enum):
@@ -256,12 +256,6 @@ def node_to_record(node: LearningNode) -> dict:
     return dict(vars(node))
 
 
-_NODE_TYPES = {"node_id": (str,), "doc_id": (str,), "heading_path": (list,), "text": (str,), "token_estimate": (int,)}
-
-
 def node_from_record(rec: dict) -> LearningNode:
     """The LearningNode of a nodes.jsonl record; a field of the wrong type is a SchemaViolation naming it."""
-    check_types(rec, _NODE_TYPES, "node record", "node_id")
-    if not all(type(h) is str for h in rec["heading_path"]):
-        raise SchemaViolation(f"node record {rec['node_id']!r}: heading_path must be a list of strings")
-    return LearningNode(**rec)
+    return from_json(LearningNode, rec, "node record", key="node_id")

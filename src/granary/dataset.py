@@ -23,13 +23,13 @@ import itertools
 import json
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .distiller import QtsaEntry, parse_answer_spans, render_assistant
-from .jsonl import check_types
+from .jsonl import from_json
 from .tinylm import BOS_ID, EOS_ID, ByteTokenizer
 
 ORIGIN_DOMAIN = "domain"
@@ -39,9 +39,6 @@ SYSTEM_DELIM = "\n<|system|>\n"
 USER_DELIM = "\n<|user|>\n"
 ASSISTANT_DELIM = "\n<|assistant|>\n"
 
-SFT_KEYS = ("id", "origin", "system", "user", "assistant")
-CPT_KEYS = ("node_id", "text")
-
 
 @dataclass(frozen=True)
 class ChatExample:
@@ -49,6 +46,26 @@ class ChatExample:
     user: str
     assistant: str
     origin: str = ORIGIN_DOMAIN
+
+
+# One line of sft_dataset.jsonl, and of cpt_dataset.jsonl; each lives only while its line is read or written.
+@dataclass
+class SftRecord:
+    id: str
+    origin: str
+    system: str
+    user: str
+    assistant: str
+
+
+@dataclass
+class CptRecord:
+    node_id: str
+    text: str
+
+
+SFT_KEYS = tuple(f.name for f in fields(SftRecord))
+CPT_KEYS = tuple(f.name for f in fields(CptRecord))
 
 
 @dataclass
@@ -271,7 +288,7 @@ def mix_datasets(domain: list, general: list, ratio: float, seed: int) -> list:
     The general share targets ``round(ratio * len(domain))`` items, capped
     by availability. Deterministic for a given seed.
     """
-    if ratio <= 0:
+    if not ratio > 0:
         raise ValueError("ratio must be > 0")
     rng = random.Random(seed)
     take = min(len(general), int(round(ratio * len(domain))))
@@ -310,22 +327,15 @@ def save_packed(path: str | Path, packs: list[PackedSequence], max_len: int | No
 
 
 def chat_example_to_record(example: ChatExample, example_id: str) -> dict:
-    return {
-        "id": example_id,
-        "origin": example.origin,
-        "system": example.system,
-        "user": example.user,
-        "assistant": example.assistant,
-    }
+    return vars(SftRecord(example_id, example.origin, example.system, example.user, example.assistant))
 
 
 def cpt_text_from_record(rec: dict) -> str:
     """The text of a CPT record; a field that is not a string is a SchemaViolation naming it."""
-    check_types(rec, dict.fromkeys(CPT_KEYS, (str,)), "CPT record", "node_id")
-    return rec["text"]
+    return from_json(CptRecord, rec, "CPT record", key="node_id").text
 
 
 def chat_example_from_record(rec: dict) -> ChatExample:
     """The ChatExample of an SFT record; a field that is not a string is a SchemaViolation naming it."""
-    check_types(rec, dict.fromkeys(SFT_KEYS, (str,)), "SFT record", "id")
-    return ChatExample(rec["system"], rec["user"], rec["assistant"], rec["origin"])
+    record = from_json(SftRecord, rec, "SFT record", key="id")
+    return ChatExample(record.system, record.user, record.assistant, record.origin)

@@ -24,7 +24,7 @@ from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
 from .errors import BackendError, EmptyGeneration
-from .jsonl import LINE_ENCODER, check_keys, check_types, read_jsonl
+from .jsonl import LINE_ENCODER, from_json, read_jsonl
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
 STATUS_KEPT = "kept"
@@ -229,9 +229,9 @@ class DistillJournal:
 
     A task counts as completed once its line, newline included, is on
     disk: a crash mid-append leaves a torn final line, which the next load
-    cuts off, so that task simply runs again. ``read_jsonl`` refuses a line
-    with other keys; a line written under another stage hash raises
-    ValueError, since its result came from another configuration.
+    cuts off, so that task simply runs again. ``read_jsonl`` and ``from_json``
+    refuse a line with other keys or types; one written under another stage
+    hash raises ValueError, since its result came from another configuration.
     Passing ``path=None`` keeps everything in memory.
     """
 
@@ -252,8 +252,7 @@ class DistillJournal:
                         " delete the journal to distill from scratch"
                     )
                 del rec["timestamp"]
-                check_types(rec, _QTSA_TYPES, f"{self.path}: journal record", "entry_id")
-                entry = QtsaEntry(**rec)
+                entry = from_json(QtsaEntry, rec, f"{self.path}: journal record", key="entry_id")
                 self.results[(entry.node_id, entry.sample_idx)] = entry
         self._fh = self.path.open("a", encoding="utf-8")
 
@@ -318,11 +317,6 @@ def entry_to_record(entry: QtsaEntry) -> dict:
     return dict(vars(entry))
 
 
-_QTSA_TYPES = {**dict.fromkeys(QTSA_KEYS, (str,)), "sample_idx": (int,), "reject_reason": (str, type(None))}
-
-
 def entry_from_record(rec: dict) -> QtsaEntry:
     """The QtsaEntry of a qtsa.jsonl record; a field of the wrong type is a SchemaViolation naming it."""
-    check_keys(rec, QTSA_KEYS, "qtsa record")
-    check_types(rec, _QTSA_TYPES, "qtsa record", "entry_id")
-    return QtsaEntry(**rec)
+    return from_json(QtsaEntry, rec, "qtsa record", key="entry_id")

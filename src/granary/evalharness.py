@@ -150,7 +150,7 @@ def read_quiz(path: str | Path) -> list[McqItem]:
     items = []
     for rec in read_jsonl(path, schema=QUIZ_KEYS):
         try:
-            items.append(from_json(McqItem, rec, f"{path}: quiz item {rec['item_id']!r}"))
+            items.append(from_json(McqItem, rec, f"{path}: quiz item", key="item_id"))
         except SchemaViolation:  # names the file and the item already
             raise
         except ValueError as exc:  # McqItem's own checks

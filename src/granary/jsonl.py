@@ -1,6 +1,6 @@
-"""Every JSON input, parsed and typed in one place; JSONL with exact-key
-schema checks, and the atomic file writer. Errors name the file and line,
-or the object and field."""
+"""Every JSON input, parsed and typed in one place: ``from_json`` builds each
+record and the config from its dataclass; JSONL key checks and the atomic
+writer. Errors name the file and line, or the object and field."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import json
 import os
+import sys
 import types
 import typing
 from collections.abc import Iterator
@@ -34,18 +35,6 @@ def check_keys(rec: dict, schema: tuple[str, ...], where: str) -> None:
             f"{where}: record keys do not match schema"
             f" (missing={missing}, unknown={extra})"
         )
-
-
-_TYPE_WORDS = {str: "a string", int: "an integer", list: "a list", type(None): "null"}
-
-
-def check_types(rec: dict, types: dict[str, tuple[type, ...]], where: str, id_key: str) -> None:
-    """SchemaViolation naming the record by ``where`` and its ``id_key`` value, and the first
-    field whose exact type (a bool is no integer) is not among its ``types``; cheaper than ``from_json``."""
-    for name, allowed in types.items():
-        if type(rec[name]) not in allowed:
-            wanted = " or ".join(_TYPE_WORDS[t] for t in allowed)
-            raise SchemaViolation(f"{where} {rec[id_key]!r}: {name} must be {wanted}, got {type(rec[name]).__name__}")
 
 
 @contextmanager
@@ -114,53 +103,67 @@ def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[
     return records
 
 
-# Resolving a class's annotations costs more than checking one object against them.
-_hints = functools.cache(typing.get_type_hints)
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has an annotation's type; a bool is never a number."""
+def _exact(hint):
+    """A test of a JSON value for ``hint``'s exact type: no bool is a number, an int a float holds is a float."""
     if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
-    if typing.get_origin(hint) is dict:
-        return isinstance(value, dict) and all(_fits(v, typing.get_args(hint)[1]) for v in value.values())
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
+        tests = [_exact(h) for h in typing.get_args(hint)]
+        return lambda v: any(test(v) for test in tests)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        item = _exact(args[0])
+        return lambda v: type(v) is list and all(map(item, v))
+    if origin is dict:
+        item = _exact(args[1])
+        return lambda v: type(v) is dict and all(map(item, v.values()))
+    if hint is float:
+        return lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+    return lambda v: type(v) is hint
 
 
-def from_json(cls, data, where: str):
+@functools.cache
+def _schema(cls) -> tuple[frozenset, dict, list[tuple]]:
+    """``cls``'s field names, its required keys (in field order) and each field's name, exact-type test,
+    conversion and expected type as errors word it; a dataclass field's test is None, its conversion its class."""
+    hints, fields, readers = typing.get_type_hints(cls), dataclasses.fields(cls), []
+    for f in fields:
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            readers.append((f.name, None, hint, None))
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            allowed = [member.value for member in hint]
+            readers.append((f.name, allowed.__contains__, hint, f"one of {allowed}"))
+        else:
+            readers.append((f.name, _exact(hint), float if hint is float else None, f.type))
+    required = dict.fromkeys(f.name for f in fields if f.default is dataclasses.MISSING is f.default_factory)
+    return frozenset(f.name for f in fields), required, readers
+
+
+def from_json(cls, data, where: str, key: str | None = None):
     """The dataclass ``cls`` from a JSON object, each given field checked against its annotation.
 
-    SchemaViolation names ``where`` and the field. A dataclass field is
-    read from its own object, an Enum field from its value, and an int
-    given for a float field becomes that float, so both spellings hash
-    alike.
+    SchemaViolation names ``where``, then the object's ``key`` value when
+    a ``key`` is given, and the field. A dataclass field is read from its
+    own object, an Enum field from its value, and an int given for a float
+    field becomes that float, so both spellings hash alike. A class's
+    annotations are resolved once, on its first read.
     """
     if not isinstance(data, dict):
         raise SchemaViolation(f"{where} must be a JSON object")
-    fields = dataclasses.fields(cls)
-    unknown = set(data) - {f.name for f in fields}
-    if unknown:
-        raise SchemaViolation(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [f.name for f in fields if f.name not in data and f.default is dataclasses.MISSING is f.default_factory]
-    if missing:
-        raise SchemaViolation(f"{where}: missing keys {missing}")
-    hints, kwargs = _hints(cls), {}
-    for f in fields:
-        if f.name not in data:
-            continue
-        value, hint = data[f.name], hints[f.name]
-        if dataclasses.is_dataclass(hint):
-            value = from_json(hint, value, f"{where}.{f.name}")
-        elif isinstance(hint, type) and issubclass(hint, Enum):
-            allowed = [member.value for member in hint]
-            if value not in allowed:
-                raise SchemaViolation(f"{where}.{f.name}: expected one of {allowed}, got {json.dumps(value)}")
-            value = hint(value)
-        elif not _fits(value, hint):
-            raise SchemaViolation(f"{where}.{f.name}: expected {f.type}, got {json.dumps(value)}")
-        kwargs[f.name] = float(value) if hint is float else value
+    where = where if key is None else f"{where} {data.get(key)!r}"
+    names, required, readers = _schema(cls)
+    if not names.issuperset(data):
+        raise SchemaViolation(f"{where}: unknown keys {sorted(set(data) - names)}")
+    if not data.keys() >= required.keys():
+        raise SchemaViolation(f"{where}: missing keys {[name for name in required if name not in data]}")
+    kwargs = {}
+    for name, test, convert, expected in readers:
+        if name in data:
+            value = data[name]
+            if test is None:
+                value = from_json(convert, value, f"{where}.{name}")
+            elif not test(value):
+                raise SchemaViolation(f"{where}.{name}: expected {expected}, got {json.dumps(value)}")
+            elif convert is not None:
+                value = convert(value)
+            kwargs[name] = value
     return cls(**kwargs)

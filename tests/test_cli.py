@@ -547,23 +547,23 @@ class TestRefusedInputsKeepTheManifest:
         records[1]["assistant"] = 5
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert run("train", "--config", str(config)) == 1
-        want = f"error: SFT record {records[1]['id']!r}: assistant must be a string, got int\n"
+        want = f"error: SFT record {records[1]['id']!r}.assistant: expected str, got 5\n"
         assert capsys.readouterr().err == want
         assert (workdir / "manifest.json").read_bytes() == before
 
     @pytest.mark.parametrize(
         "command, target, field, value, problem",
         [
-            (["build"], "nodes.jsonl", "text", 5, "text must be a string, got int"),
-            (["build"], "nodes.jsonl", "token_estimate", "many", "token_estimate must be an integer, got str"),
-            (["distill"], "nodes.jsonl", "heading_path", [1], "heading_path must be a list of strings"),
-            (["build"], "qtsa.jsonl", "answer", 5, "answer must be a string, got int"),
-            (["build"], "qtsa.jsonl", "thinking", ["x"], "thinking must be a string, got list"),
-            (["build"], "qtsa.jsonl", "sample_idx", True, "sample_idx must be an integer, got bool"),
-            (["build"], "qtsa.jsonl", "reject_reason", 3, "reject_reason must be a string or null, got int"),
-            (["distill"], "journal.jsonl", "answer", 5, "answer must be a string, got int"),
-            (["train", "--mode", "cpt"], "cpt_dataset.jsonl", "text", 5, "text must be a string, got int"),
-            (["train"], "sft_dataset.jsonl", "id", 5, "id must be a string, got int"),
+            (["build"], "nodes.jsonl", "text", 5, ".text: expected str, got 5"),
+            (["build"], "nodes.jsonl", "token_estimate", "many", '.token_estimate: expected int, got "many"'),
+            (["distill"], "nodes.jsonl", "heading_path", [1], ".heading_path: expected list[str], got [1]"),
+            (["build"], "qtsa.jsonl", "answer", 5, ".answer: expected str, got 5"),
+            (["build"], "qtsa.jsonl", "thinking", ["x"], '.thinking: expected str, got ["x"]'),
+            (["build"], "qtsa.jsonl", "sample_idx", True, ".sample_idx: expected int, got true"),
+            (["build"], "qtsa.jsonl", "reject_reason", 3, ".reject_reason: expected str | None, got 3"),
+            (["distill"], "journal.jsonl", "answer", 5, ".answer: expected str, got 5"),
+            (["train", "--mode", "cpt"], "cpt_dataset.jsonl", "text", 5, ".text: expected str, got 5"),
+            (["train"], "sft_dataset.jsonl", "id", 5, ".id: expected str, got 5"),
         ],
         ids=[
             "node-text",
@@ -592,7 +592,7 @@ class TestRefusedInputsKeepTheManifest:
             "cpt_dataset.jsonl": ("CPT", "node_id"),
             "sft_dataset.jsonl": ("SFT", "id"),
         }[target]
-        assert capsys.readouterr().err == f"error: {what} record {records[1][key]!r}: {problem}\n"
+        assert capsys.readouterr().err == f"error: {what} record {records[1][key]!r}{problem}\n"
         assert (workdir / "manifest.json").read_bytes() == before
 
     def test_an_example_longer_than_the_context_window(self, done, tmp_path, capsys):
@@ -833,6 +833,30 @@ class TestGradcheckAndErrors:
         config = write_config(tmp_path, **setting)
         assert run(*argv, "--dry-run", "--config", str(config)) == 1
         assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, name, problem",
+        [
+            ("train", "train", "kl_weight", "kl_weight must be >= 0"),
+            ("train", "model", "init_std", "init_std must be >= 0"),
+            ("distill", "backend", "base_backoff", "base_backoff must be >= 0"),
+            ("build", "dataset", "mix_ratio", "ratio must be > 0"),
+        ],
+        ids=["kl_weight", "init_std", "base_backoff", "mix_ratio"],
+    )
+    def test_a_nan_setting_is_refused_at_load(self, tmp_path, capsys, command, section, name, problem):
+        # A NaN kl_weight once trained nsc_sft as plain SFT (kl 0.0 at every step) and exited 0.
+        config = write_config(tmp_path, **{section: {name: float("nan")}})
+        for dry_run in (["--dry-run"], []):
+            assert run(command, "--config", str(config), *dry_run) == 1
+            assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "work").exists()
+
+    def test_an_integer_too_large_for_a_float_setting_is_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, train={"lr_max": 10**400})
+        assert run("train", "--dry-run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"error: config.train.lr_max: expected float, got {10**400}\n"
         assert not (tmp_path / "work").exists()
 
     def test_a_refused_steps_flag_keeps_the_train_entry(self, pipeline, capsys):

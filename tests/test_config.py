@@ -6,6 +6,7 @@ import json
 import pytest
 
 from granary import config as cfgmod
+from granary.errors import SchemaViolation
 from granary.tinylm import ModelConfig
 from granary.trainer import TrainConfig
 
@@ -228,3 +229,33 @@ class TestConfigTypes:
             cfgmod.config_from_dict({section: values})
         cfg = cfgmod.config_from_dict({section: allowed})
         assert {k: getattr(getattr(cfg, section), k) for k in allowed} == allowed
+
+    @pytest.mark.parametrize(
+        "section,name,problem",
+        [
+            ("train", "kl_weight", "kl_weight must be >= 0"),
+            ("train", "lr_max", "lr_max must be > 0"),
+            ("train", "warmup_frac", r"warmup_frac must be in \(0, 1\)"),
+            ("model", "init_std", "init_std must be >= 0"),
+            ("dataset", "mix_ratio", "ratio must be > 0"),
+            ("backend", "base_backoff", "base_backoff must be >= 0"),
+            ("backend", "timeout", "timeout must be > 0"),
+        ],
+    )
+    def test_nan_is_refused_by_each_float_check(self, section, name, problem):
+        # NaN fails every comparison, so only a check that asks for the good side refuses it.
+        with pytest.raises(ValueError, match=rf"^{problem}$"):
+            cfgmod.config_from_dict({section: {name: float("nan")}})
+
+    @pytest.mark.parametrize(
+        "section,name",
+        [
+            (section, f.name)
+            for section in ("backend", "dataset", "model", "train")
+            for f in dataclasses.fields(type(getattr(cfgmod.PipelineConfig(), section)))
+            if f.type == "float"
+        ],
+    )
+    def test_an_integer_too_large_for_a_float_is_a_schema_violation(self, section, name):
+        with pytest.raises(SchemaViolation, match=rf"^config\.{section}\.{name}: expected float, got 1000"):
+            cfgmod.config_from_dict({section: {name: 10**400}})

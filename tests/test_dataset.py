@@ -365,6 +365,10 @@ class TestMix:
         with pytest.raises(ValueError):
             mix_datasets([1], [2], 0.0, seed=0)
 
+    def test_nan_ratio_rejected(self):
+        with pytest.raises(ValueError, match=r"^ratio must be > 0$"):
+            mix_datasets([1], [2], float("nan"), seed=0)
+
 
 class TestPersistence:
     def test_sft_records_roundtrip(self, tmp_path):
@@ -379,7 +383,7 @@ class TestPersistence:
     @pytest.mark.parametrize("field", ["system", "user", "assistant", "origin"])
     def test_a_non_string_field_is_refused_by_name(self, field):
         record = {**chat_example_to_record(render_chat_template(kept_entry()), "id-0"), field: ["x"]}
-        with pytest.raises(ValueError, match=rf"^SFT record 'id-0': {field} must be a string, got list$"):
+        with pytest.raises(ValueError, match=rf"^SFT record 'id-0'\.{field}: expected str, got \[\"x\"\]$"):
             chat_example_from_record(record)
 
     def test_packed_binary_roundtrip(self, tmp_path):

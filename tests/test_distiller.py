@@ -719,7 +719,7 @@ class TestEntryIO:
 
     @pytest.mark.parametrize("rec", [5, None, "text", ["entry_id"]])
     def test_non_object_record_rejected(self, rec):
-        with pytest.raises(SchemaViolation, match="^qtsa record: record must be a JSON object"):
+        with pytest.raises(SchemaViolation, match="^qtsa record must be a JSON object$"):
             entry_from_record(rec)
 
 
