@@ -14,8 +14,8 @@ Importing this module loads only what every command needs. The model
 stack (``dataset``, ``tinylm``, ``trainer``, ``evalharness``, and numpy
 with them) is imported inside the commands that use it, past the point where
 ``--dry-run`` stops, so ``ingest``, ``distill``, ``--help`` and every
-dry run start without numpy. ``_run_stage`` alone keeps the order a recorded
-stage works in; each stage's body says only what it reads and writes.
+dry run start without numpy. ``_run_stage`` alone keeps the order each
+stage of ``config.STAGES`` works in; its body says what it reads and writes.
 """
 
 from __future__ import annotations
@@ -139,25 +139,26 @@ def _plan(command: str, cfg: cfgmod.PipelineConfig, inputs: list[str | Path]) ->
 
 
 def _run_stage(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    """Run a recorded stage in the one order the manifest relies on.
+    """Run a stage in the one order the manifest relies on.
 
     A stage's body is a generator that yields three times: the files it
     reads (a dry run stops there), once it has read and checked them, and
-    its summary once it has written. The upstream check comes before the
-    read and ``config.start_stage`` after it, so a stage refused on its
-    inputs keeps every manifest entry; ``config.record_stage`` comes last.
+    its summary once it has written. The upstream check of the stages that
+    wrote those files comes before the read and ``config.start_stage``
+    after it, so a stage refused on its inputs keeps every manifest entry;
+    ``config.record_stage`` comes last. Both take the manifest the check read.
     """
     workdir = Path(cfg.workdir)
     body = _STAGE_BODIES[args.command](cfg, args, workdir)
     inputs = next(body)
     if args.dry_run:
         return _plan(args.command, cfg, inputs)
-    cfgmod.check_upstream(workdir, args.command, cfg)
+    manifest = cfgmod.check_upstream(workdir, args.command, cfg, inputs)
     next(body)
     workdir.mkdir(parents=True, exist_ok=True)
-    cfgmod.start_stage(workdir, args.command, cfg)
+    cfgmod.start_stage(workdir, args.command, manifest)
     summary = next(body)
-    cfgmod.record_stage(workdir, args.command, cfg)
+    cfgmod.record_stage(workdir, args.command, cfg, manifest)
     print(json.dumps(summary))
     return 0
 
@@ -254,24 +255,16 @@ def _train(cfg: cfgmod.PipelineConfig, args: argparse.Namespace, workdir: Path):
     yield report.summary()
 
 
-_STAGE_BODIES = {"ingest": _ingest, "distill": _distill, "build": _build, "train": _train}
-
-
-def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
-    quiz_path = args.quiz or str(prompts.default_quiz_path())
-    workdir = Path(cfg.workdir)
+def _eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace, workdir: Path):
+    quiz_path = args.quiz or prompts.default_quiz_path()
     trained_here = args.checkpoint is None and cfg.backend.mock and (workdir / "model.ckpt").exists()
-    checkpoint = str(workdir / "model.ckpt") if trained_here else args.checkpoint
-    if args.dry_run:
-        return _plan("eval", cfg, [quiz_path] if checkpoint is None else [quiz_path, checkpoint])
+    checkpoint = workdir / "model.ckpt" if trained_here else args.checkpoint
+    yield [quiz_path] if checkpoint is None else [quiz_path, checkpoint]
     from . import evalharness, tinylm
 
-    # Read every input before the workdir is created, so a bad one leaves none.
     items = evalharness.read_quiz(quiz_path)
-    if trained_here:
-        cfgmod.check_upstream(workdir, "eval", cfg)
     params = None if checkpoint is None else tinylm.load_checkpoint(checkpoint)
-    workdir.mkdir(parents=True, exist_ok=True)
+    yield
     if params is None:
         report = evalharness.grade(items, _backend_for(cfg), parallelism=cfg.parallelism)
     else:
@@ -279,8 +272,10 @@ def cmd_eval(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
         report = evalharness.grade(items, evalharness.TinyLmResponder(params), parallelism=1)
     with atomic_write(workdir / "eval_report.json") as fh:
         fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    print(json.dumps({"accuracy": report.accuracy, "unparsable": report.unparsable}))
-    return 0
+    yield {"accuracy": report.accuracy, "unparsable": report.unparsable}
+
+
+_STAGE_BODIES = {"ingest": _ingest, "distill": _distill, "build": _build, "train": _train, "eval": _eval}
 
 
 def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
@@ -308,7 +303,7 @@ def cmd_gradcheck(cfg: cfgmod.PipelineConfig, args: argparse.Namespace) -> int:
     return 0 if passed else 2
 
 
-_COMMANDS = {**dict.fromkeys(_STAGE_BODIES, _run_stage), "eval": cmd_eval, "gradcheck": cmd_gradcheck}
+_COMMANDS = {**dict.fromkeys(_STAGE_BODIES, _run_stage), "gradcheck": cmd_gradcheck}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,8 +8,8 @@ parses and type-checks the file. The stage contract lives in ``STAGES``
 alone: the pipeline order, each stage's config slice (kept in the
 work-directory manifest beside its hash, so later stages refuse stale
 outputs and name the settings that changed) and the files it writes;
-``cli._run_stage`` calls ``start_stage``, which forgets a stage's
-entries, only once ``check_upstream`` and the stage's inputs have passed.
+``cli._run_stage`` reads the manifest once, in ``check_upstream``, and
+forgets a stage's entries (``start_stage``) only once its inputs pass.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class Stage:
     outputs: tuple[str, ...]
 
 
-# The pipeline runs in this order; a stage's parents are the stages before it.
+# The pipeline runs in this order; a stage needs each one before it, up to the last that wrote a file it reads.
 STAGES = {
     "ingest": Stage(("corpus_dir", "manifest", "min_node_tokens", "stop_headings"), ("nodes.jsonl",)),
     "distill": Stage(("n_samples", "seed", "backend"), ("qtsa.jsonl", "journal.jsonl")),
@@ -196,8 +196,8 @@ def _save_manifest(workdir: str | Path, manifest: dict) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
-    manifest = load_stage_manifest(workdir)
+def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig, manifest: dict) -> None:
+    """Add ``stage``'s entry to ``manifest``, the dict ``check_upstream`` returned, and write it."""
     manifest["stages"][stage] = {
         "config": stage_config_subset(cfg, stage),
         "config_hash": stage_hash(cfg, stage),
@@ -206,11 +206,15 @@ def record_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
     _save_manifest(workdir, manifest)
 
 
-def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig) -> dict:
-    """The work directory's manifest, once every ancestor stage has run under ``cfg``."""
+def check_upstream(workdir: str | Path, stage: str, cfg: PipelineConfig, inputs: list[str | Path]) -> dict:
+    """The workdir manifest, once each earlier stage up to the last that wrote one of ``inputs`` ran under ``cfg``."""
     manifest = load_stage_manifest(workdir)
     order = list(STAGES)
-    for parent in order[: order.index(stage)]:
+    upstream = order[: order.index(stage)]
+    read = {Path(path).resolve() for path in inputs}
+    while upstream and not read.intersection(Path(workdir, name).resolve() for name in STAGES[upstream[-1]].outputs):
+        upstream.pop()
+    for parent in upstream:
         recorded = manifest["stages"].get(parent)
         if recorded is None:
             raise ValueError(f"stage {stage!r} needs {parent!r} to run first (no manifest entry)")
@@ -233,11 +237,9 @@ def _flat(values: dict) -> dict:
     return flat
 
 
-def start_stage(workdir: str | Path, stage: str, cfg: PipelineConfig) -> None:
-    """``check_upstream``, then drop this stage's and every later stage's
-    manifest entries, so that until ``record_stage`` runs, no later stage
-    takes this one's outputs."""
-    manifest = check_upstream(workdir, stage, cfg)
+def start_stage(workdir: str | Path, stage: str, manifest: dict) -> None:
+    """Drop this stage's and every later stage's entries from ``manifest`` and write it, so that
+    until ``record_stage`` runs, no later stage takes this one's outputs."""
     order = list(STAGES)
     later = order[order.index(stage) :]
     kept = {name: entry for name, entry in manifest["stages"].items() if name not in later}

@@ -84,6 +84,8 @@ def read_json(path: str | Path):
         raise SchemaViolation(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SchemaViolation(f"{path}: invalid JSON: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[dict]:
@@ -104,7 +106,7 @@ def read_jsonl(path: str | Path, schema: tuple[str, ...] | None = None) -> list[
 
 
 def _exact(hint):
-    """A test of a JSON value for ``hint``'s exact type: no bool is a number, an int a float holds is a float."""
+    """A test of a JSON value for ``hint``'s exact type: no bool is a number; a float is any finite int or float."""
     if isinstance(hint, types.UnionType):
         tests = [_exact(h) for h in typing.get_args(hint)]
         return lambda v: any(test(v) for test in tests)
@@ -116,7 +118,7 @@ def _exact(hint):
         item = _exact(args[1])
         return lambda v: type(v) is dict and all(map(item, v.values()))
     if hint is float:
-        return lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+        return lambda v: type(v) in (float, int) and abs(v) <= sys.float_info.max
     return lambda v: type(v) is hint
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from granary import config as cfgmod
 from granary import dataset, evalharness, tinylm, trainer
 from granary.backend import HttpLlmBackend, MockLlmBackend
-from granary.cli import _OVERRIDES, _apply_overrides, build_parser, main
+from granary.cli import _COMMANDS, _OVERRIDES, _STAGE_BODIES, _apply_overrides, _run_stage, build_parser, main
 from granary.jsonl import read_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures" / "minibook"
@@ -225,7 +225,7 @@ class TestBuildTrainEval:
     def test_manifest_outputs_are_the_files_each_stage_creates(self, pipeline):
         config, workdir, stage = pipeline
         before: set[str] = set()
-        for name in ("ingest", "distill", "build", "train"):
+        for name in cfgmod.STAGES:
             code, _ = stage(name)
             assert code == 0, name
             files = {str(p.relative_to(workdir)) for p in workdir.rglob("*") if p.is_file()}
@@ -236,7 +236,7 @@ class TestBuildTrainEval:
 
     def test_dry_run_outputs_are_the_manifest_outputs(self, pipeline):
         config, workdir, stage = pipeline
-        for name in ("ingest", "distill", "build", "train"):
+        for name in cfgmod.STAGES:
             code, out = stage(name, "--dry-run")
             assert code == 0, name
             planned = json.loads(out)["outputs"]
@@ -361,6 +361,25 @@ class TestBuildTrainEval:
             assert set(row) == {"item_id", "extracted", "correct_flag", "response"}
             assert isinstance(row["response"], str)
 
+    def test_a_stale_workdir_checkpoint_is_refused_however_it_is_named(self, tmp_path, capsys):
+        ran = write_config(tmp_path, train={"total_steps": 2})
+        for command in ("ingest", "distill", "build", "train"):
+            assert run(command, "--config", str(ran)) == 0, command
+        workdir = tmp_path / "work"
+        now = write_config(tmp_path / "now", workdir=str(workdir), train={"total_steps": 3})
+        capsys.readouterr()
+        want = (
+            "error: stage 'train' output is stale: its config changed since it ran"
+            " (train.total_steps 2 → 3); re-run `granary train`\n"
+        )
+        # Picked by eval itself, then named with --checkpoint, plainly and through "..".
+        spellings = [str(workdir / "model.ckpt"), f"{workdir}/../work/model.ckpt"]
+        for argv in [[], *(["--checkpoint", path] for path in spellings)]:
+            assert run("eval", "--config", str(now), *argv) == 1, argv
+            assert capsys.readouterr().err == want, argv
+        assert not (workdir / "eval_report.json").exists()
+        assert "eval" not in cfgmod.load_stage_manifest(workdir)["stages"]
+
     def test_eval_responder_choice(self, pipeline, tmp_path, monkeypatch):
         config, workdir, stage = pipeline
 
@@ -390,7 +409,7 @@ class TestBuildTrainEval:
         assert run("eval", "--config", str(config)) == 1
         cfg = cfgmod.load_config(config)
         for name in ("ingest", "distill", "build", "train"):
-            cfgmod.record_stage(workdir, name, cfg)
+            cfgmod.record_stage(workdir, name, cfg, cfgmod.load_stage_manifest(workdir))
         local = evalharness.TinyLmResponder
         given_print = tinylm.load_checkpoint(given).fingerprint()
         cases = {
@@ -406,6 +425,21 @@ class TestBuildTrainEval:
         for command in ("ingest", "distill", "build", "train", "eval"):
             assert stage(command)[0] == 0, command
         assert digests(workdir, MINIBOOK_SHA256) == MINIBOOK_SHA256
+        # eval is recorded like every other stage; its config slice is empty.
+        eval_entry = {"config": {}, "config_hash": "44136fa355b3678a", "outputs": ["eval_report.json"]}
+        assert cfgmod.load_stage_manifest(workdir)["stages"]["eval"] == eval_entry
+
+    def test_a_stage_run_reads_the_manifest_once(self, pipeline, monkeypatch):
+        config, workdir, stage = pipeline
+        commands = ("ingest", "distill", "build", "train", "eval")
+        for command in commands:
+            assert stage(command)[0] == 0, command
+        read_json, reads = cfgmod.read_json, []
+        monkeypatch.setattr(cfgmod, "read_json", lambda path: reads.append(Path(path)) or read_json(path))
+        for command in commands:
+            reads.clear()
+            assert stage(command)[0] == 0, command
+            assert reads.count(workdir / "manifest.json") == 1, command
 
     @pytest.mark.parametrize(
         "command, target",
@@ -417,12 +451,15 @@ class TestBuildTrainEval:
         ],
         ids=["checkpoint", "train-summary", "manifest", "eval-report"],
     )
-    def test_a_failed_write_keeps_the_old_artifact(self, pipeline, monkeypatch, command, target):
+    def test_a_failed_write_keeps_the_old_artifact(self, pipeline, tmp_path, monkeypatch, command, target):
         # The old files come from a 2-step train and a mock-graded eval, so
         # the failing run (4 steps, or eval of the checkpoint) writes new bytes.
+        # Eval runs under a 2-step config, for which that checkpoint is current.
         config, workdir, stage = pipeline
         for argv in (["ingest"], ["distill"], ["build"], ["eval"], ["train", "--steps", "2"]):
             assert stage(*argv)[0] == 0, argv
+        if command[0] == "eval":
+            config = write_config(tmp_path / "two-steps", workdir=str(workdir), train={"total_steps": 2})
         before = (workdir / target).read_bytes()
         replace = os.replace
 
@@ -433,7 +470,7 @@ class TestBuildTrainEval:
 
         monkeypatch.setattr(os, "replace", fail_on_target)
         with pytest.raises(OSError, match="disk full"):
-            stage(*(arg.format(work=workdir) for arg in command))
+            run(*(arg.format(work=workdir) for arg in command), "--config", str(config))
         assert (workdir / target).read_bytes() == before
         assert not list(workdir.glob("*.tmp"))
 
@@ -503,7 +540,7 @@ class TestRefusedInputsKeepTheManifest:
         config, workdir, stage = pipeline
         for command in ("ingest", "distill", "build"):
             assert stage(command)[0] == 0, command
-        cfgmod.record_stage(workdir, "train", cfgmod.load_config(config))
+        cfgmod.record_stage(workdir, "train", cfgmod.load_config(config), cfgmod.load_stage_manifest(workdir))
         return config, workdir, (workdir / "manifest.json").read_bytes()
 
     def test_a_journal_from_another_distill_config(self, done, tmp_path, capsys):
@@ -680,6 +717,14 @@ class TestGradcheckAndErrors:
         assert run("eval", "--config", str(config), "--checkpoint", str(path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    def test_an_infinite_checkpoint_setting_is_named(self, pipeline, tmp_path, capsys):
+        config, workdir, stage = pipeline
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b'{"format_version": 1, "model_config": {"init_std": Infinity}}\n')
+        assert run("eval", "--config", str(config), "--checkpoint", str(path)) == 1
+        want = f"error: {path}: checkpoint model_config.init_std: expected float, got Infinity\n"
+        assert capsys.readouterr().err == want
+
     @pytest.mark.parametrize(
         "damage, problem",
         [
@@ -836,21 +881,38 @@ class TestGradcheckAndErrors:
         assert not (tmp_path / "work").exists()
 
     @pytest.mark.parametrize(
-        "command, section, name, problem",
+        "command, section, name",
         [
-            ("train", "train", "kl_weight", "kl_weight must be >= 0"),
-            ("train", "model", "init_std", "init_std must be >= 0"),
-            ("distill", "backend", "base_backoff", "base_backoff must be >= 0"),
-            ("build", "dataset", "mix_ratio", "ratio must be > 0"),
+            ("train", "train", "kl_weight"),
+            ("train", "model", "init_std"),
+            ("distill", "backend", "base_backoff"),
+            ("build", "dataset", "mix_ratio"),
         ],
         ids=["kl_weight", "init_std", "base_backoff", "mix_ratio"],
     )
-    def test_a_nan_setting_is_refused_at_load(self, tmp_path, capsys, command, section, name, problem):
+    def test_a_nan_setting_is_refused_at_load(self, tmp_path, capsys, command, section, name):
         # A NaN kl_weight once trained nsc_sft as plain SFT (kl 0.0 at every step) and exited 0.
         config = write_config(tmp_path, **{section: {name: float("nan")}})
         for dry_run in (["--dry-run"], []):
             assert run(command, "--config", str(config), *dry_run) == 1
-            assert capsys.readouterr().err == f"error: {problem}\n"
+            assert capsys.readouterr().err == f"error: config.{section}.{name}: expected float, got NaN\n"
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize(
+        "name, literal, shown",
+        [
+            ("kl_weight", "Infinity", "Infinity"),
+            ("kl_weight", "1e999", "Infinity"),
+            ("lr_max", "Infinity", "Infinity"),
+            ("lr_max", "-1e999", "-Infinity"),
+        ],
+    )
+    def test_an_infinite_float_setting_is_named(self, tmp_path, capsys, name, literal, shown):
+        # Infinity passed every range check (kl_weight >= 0, lr_max > 0), so a dry run once printed it.
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"workdir": "{tmp_path / "work"}", "train": {{"{name}": {literal}}}}}')
+        assert run("train", "--dry-run", "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"error: config.train.{name}: expected float, got {shown}\n"
         assert not (tmp_path / "work").exists()
 
     def test_an_integer_too_large_for_a_float_setting_is_named(self, tmp_path, capsys):
@@ -858,6 +920,13 @@ class TestGradcheckAndErrors:
         assert run("train", "--dry-run", "--config", str(config)) == 1
         assert capsys.readouterr().err == f"error: config.train.lr_max: expected float, got {10**400}\n"
         assert not (tmp_path / "work").exists()
+
+    def test_an_integer_literal_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        # json.loads refuses an integer of over 4300 digits with a plain ValueError, not a JSONDecodeError.
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": ' + "1" * 5000 + "}")
+        assert run("train", "--dry-run", "--config", str(config)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON: Exceeds the limit (4300 digits)")
 
     def test_a_refused_steps_flag_keeps_the_train_entry(self, pipeline, capsys):
         config, workdir, stage = pipeline
@@ -1057,6 +1126,11 @@ class TestConfigWiring:
         assert {p: _field(flagged, p) for p in FILE_VALUES} == {**FILE_VALUES, path: value}
         plain = _configured(argv[:1], config_path)
         assert {p: _field(plain, p) for p in FILE_VALUES} == FILE_VALUES
+
+    def test_every_stage_runs_through_the_runner(self):
+        # A stage with no body would need a hand-written command, which could spell the order wrong.
+        assert list(_STAGE_BODIES) == list(cfgmod.STAGES)
+        assert {name for name, command in _COMMANDS.items() if command is _run_stage} == set(cfgmod.STAGES)
 
     def test_every_override_flag_is_covered(self):
         assert {path for _, path, _ in FLAG_CASES} == set(FILE_VALUES) == set(_OVERRIDES.values())

@@ -99,23 +99,53 @@ class TestStageContract:
     def test_a_stale_error_names_each_changed_setting(self, tmp_path, changed, stage, changes):
         ran = cfgmod.config_from_dict({"train": {"total_steps": 4}})
         for name in RECORDED:
-            cfgmod.record_stage(tmp_path, name, ran)
+            cfgmod.record_stage(tmp_path, name, ran, cfgmod.load_stage_manifest(tmp_path))
         now = cfgmod.config_from_dict({"train": {"total_steps": 4}, **changed})
         want = f"stage {stage!r} output is stale: its config changed since it ran ({changes}); re-run `granary {stage}`"
         with pytest.raises(ValueError) as exc:
-            cfgmod.check_upstream(tmp_path, "eval", now)
+            cfgmod.check_upstream(tmp_path, "eval", now, [tmp_path / "model.ckpt"])
         assert str(exc.value) == want
 
     def test_an_entry_without_its_config_slice_keeps_the_plain_stale_error(self, tmp_path):
         ran = cfgmod.PipelineConfig()
-        cfgmod.record_stage(tmp_path, "ingest", ran)
+        cfgmod.record_stage(tmp_path, "ingest", ran, cfgmod.load_stage_manifest(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["stages"]["ingest"] = {"config_hash": cfgmod.stage_hash(ran, "ingest"), "outputs": ["nodes.jsonl"]}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        now = dataclasses.replace(ran, min_node_tokens=32)
         with pytest.raises(ValueError) as exc:
-            cfgmod.check_upstream(tmp_path, "distill", dataclasses.replace(ran, min_node_tokens=32))
+            cfgmod.check_upstream(tmp_path, "distill", now, [tmp_path / "nodes.jsonl"])
         want = "stage 'ingest' output is stale: its config changed since it ran; re-run `granary ingest`"
         assert str(exc.value) == want
+
+    @pytest.mark.parametrize(
+        "stage, reads, last",
+        [
+            ("distill", ["nodes.jsonl"], "ingest"),
+            ("build", ["qtsa.jsonl", "nodes.jsonl"], "distill"),
+            ("train", ["sft_dataset.jsonl"], "build"),
+            ("train", ["cpt_dataset.jsonl", "model.ckpt"], "build"),
+            ("eval", ["model.ckpt"], "train"),
+            ("eval", [], None),
+        ],
+        ids=["distill", "build", "train", "train-init-checkpoint", "eval-workdir-checkpoint", "eval-given-checkpoint"],
+    )
+    def test_a_stage_needs_each_stage_up_to_the_last_that_wrote_a_file_it_reads(self, tmp_path, stage, reads, last):
+        # A file outside the workdir never counts, nor do a stage's own outputs, so train may
+        # resume from the workdir's model.ckpt; a workdir file counts however its path is spelled.
+        cfg, workdir = cfgmod.PipelineConfig(), tmp_path / "work"
+        workdir.mkdir()
+        outside = [tmp_path / "quiz.jsonl", tmp_path / "model.ckpt"]
+        inputs = [*outside, *(f"{tmp_path}/../{tmp_path.name}/work/{name}" for name in reads)]
+        order = list(cfgmod.STAGES)
+        needed = order[: order.index(last) + 1] if last else []
+        for name in needed[:-1]:
+            cfgmod.record_stage(workdir, name, cfg, cfgmod.load_stage_manifest(workdir))
+        if last:
+            with pytest.raises(ValueError, match=rf"^stage {stage!r} needs {last!r} to run first"):
+                cfgmod.check_upstream(workdir, stage, cfg, inputs)
+            cfgmod.record_stage(workdir, last, cfg, cfgmod.load_stage_manifest(workdir))
+        assert set(cfgmod.check_upstream(workdir, stage, cfg, inputs)["stages"]) == set(needed)
 
     def test_every_field_but_workdir_and_parallelism_makes_some_stage_stale(self):
         cfg = cfgmod.PipelineConfig()
@@ -243,9 +273,12 @@ class TestConfigTypes:
         ],
     )
     def test_nan_is_refused_by_each_float_check(self, section, name, problem):
-        # NaN fails every comparison, so only a check that asks for the good side refuses it.
-        with pytest.raises(ValueError, match=rf"^{problem}$"):
+        # A config file's NaN is refused as no finite float; a section built in code meets its own check,
+        # where NaN fails every comparison, so only a check that asks for the good side refuses it.
+        with pytest.raises(SchemaViolation, match=rf"^config\.{section}\.{name}: expected float, got NaN$"):
             cfgmod.config_from_dict({section: {name: float("nan")}})
+        with pytest.raises(ValueError, match=rf"^{problem}$"):
+            type(getattr(cfgmod.PipelineConfig(), section))(**{name: float("nan")})
 
     @pytest.mark.parametrize(
         "section,name",

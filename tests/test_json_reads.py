@@ -155,7 +155,7 @@ VALID = {
 _PLAIN = {
     str: st.text(max_size=8),
     int: st.integers(),
-    float: st.floats(allow_nan=False),
+    float: st.floats(allow_nan=False, allow_infinity=False),
     bool: st.booleans(),
     type(None): st.none(),
 }
@@ -204,7 +204,7 @@ def test_a_valid_instance_reads_back_equal(cls, data):
 WRONG = {
     "str": [5, 1.5, True, None, ["x"], {"x": "y"}],
     "int": [True, 1.5, "1", None, [1]],
-    "float": [True, "1.5", None, [1.5], 10**400],
+    "float": [True, "1.5", None, [1.5], 10**400, float("inf"), float("nan")],
     "bool": [0, 1, "true", None],
     "str | None": [5, False, ["x"]],
     "int | None": [True, 1.5, "7"],

@@ -2,11 +2,11 @@
 
 A recorded stage checks upstream, reads and checks its inputs, drops its
 manifest entries with ``config.start_stage``, writes, and records itself
-with ``config.record_stage``. Only the runner calls ``start_stage`` and
-``record_stage``, so a new command cannot spell that order by hand.
-``check_upstream`` is also called by ``eval``, which is never recorded but
-refuses a stale workdir checkpoint, and by ``start_stage`` itself. Files
-are read with the stdlib ``ast`` module alone, never imported or run.
+with ``config.record_stage``. Every workdir command, ``eval`` included, is
+such a stage, and only the runner calls ``check_upstream``,
+``start_stage`` and ``record_stage``, so a new command cannot spell that
+order by hand. Files are read with the stdlib ``ast`` module alone, never
+imported or run.
 """
 
 import ast
@@ -43,7 +43,7 @@ def test_only_the_runner_starts_and_records_a_stage():
     assert callers(sources) == {
         "start_stage": ["cli._run_stage"],
         "record_stage": ["cli._run_stage"],
-        "check_upstream": ["cli._run_stage", "cli.cmd_eval", "config.start_stage"],
+        "check_upstream": ["cli._run_stage"],
     }
 
 
