@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _apply_overrides(cfgmod.load_config(args.config), args)
         return _COMMANDS[args.command](cfg, args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GranaryError as exc:

@@ -1,8 +1,10 @@
 """Exception types some caller catches by name.
 
-A file, record or setting the run cannot use is a ``ValueError`` (the
+A file, record or setting the run cannot use is a ``ValueError``, or the
+``OSError`` for a path that is missing, a directory or below a file (the
 CLI exits 1); ``SchemaViolation`` is the one ``jsonl`` raises for a JSON
-input. A failure while the run works is a ``GranaryError`` (exit 2).
+input. A failure while the run works is a ``GranaryError`` (exit 2); any
+other ``OSError``, such as a full disk, propagates.
 """
 
 

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float numpy arrays.
 
 A deliberately small op set tailored to a decoder-only transformer:
 broadcastable arithmetic, matmul, reductions and embedding gathers, plus
@@ -16,9 +16,12 @@ it replaces. ``softmax_lse`` is the numpy softmax and log normaliser that
 A tensor marked ``const`` takes no gradient: an op whose inputs are all
 ``const`` records no parents and no VJP, so a forward over ``const``
 leaves (greedy decoding) keeps no graph and frees each intermediate
-array as soon as the next op has consumed it. The tests check every
-op's VJP against central finite differences, and each fused op's
-forward against its primitive composition.
+array as soon as the next op has consumed it. A tensor keeps the dtype
+of a float array it wraps and every op computes in its inputs' dtype:
+training and the gradient checks run float64, greedy decoding float32.
+The tests check every op's VJP against central finite differences, each
+fused op's forward against its primitive composition, and every op's
+float32 run against its float64 run.
 """
 
 from __future__ import annotations
@@ -35,16 +38,19 @@ _MASKS = (np.ones((0, 0), dtype=bool),) * 2  # causal_attention's cached masks, 
 class Tensor:
     """A node in the computation graph.
 
-    ``data`` is always a float64 ndarray. ``_vjp`` maps the output
-    gradient to a tuple of parent gradients (None for parents that need
-    no gradient, e.g. integer indices held elsewhere). A result computed
-    from ``const`` parents alone is ``const`` itself and keeps neither.
+    ``data`` is a float ndarray: a float array or numpy float scalar keeps
+    its dtype, anything else (ints, lists) becomes float64. ``_vjp`` maps
+    the output gradient to a tuple of parent gradients (None for parents
+    that need no gradient, e.g. integer indices held elsewhere). A result
+    computed from ``const`` parents alone is ``const`` itself and keeps
+    neither.
     """
 
     __slots__ = ("data", "grad", "const", "_parents", "_vjp")
 
     def __init__(self, data, parents=(), vjp=None, const=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         if parents and all(p.const for p in parents):
             parents, vjp, const = (), None, True
@@ -270,7 +276,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
     scaled_q = q.data * scale
     past_all, future_all = _causal_masks(offset + t)
     lead, heads = q.data.shape[:-3], q.data.shape[-3]
-    out = np.swapaxes(np.empty(lead + (t, heads, v.data.shape[-1])), -2, -3)
+    out = np.swapaxes(np.empty(lead + (t, heads, v.data.shape[-1]), q.data.dtype), -2, -3)
     blocks = []
     for lo in range(0, t, _ATTENTION_BLOCK):
         hi = min(lo + _ATTENTION_BLOCK, t)
@@ -285,9 +291,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
         blocks.append((lo, hi, probs))
 
     def vjp(g):
-        gq = np.empty(q.data.shape)
-        gk = np.zeros(k.data.shape)
-        gv = np.zeros(v.data.shape)
+        gq = np.empty_like(q.data)
+        gk = np.zeros_like(k.data, q.data.dtype)
+        gv = np.zeros_like(v.data, q.data.dtype)
         for lo, hi, probs in blocks:
             n = offset + hi
             g_block = g[..., lo:hi, :]
@@ -439,14 +445,14 @@ def ce_kl_loss(
     """
     x = np.matmul(hidden.data, out_proj.data)
     targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=x.dtype)
     rows = np.ix_(*[np.arange(n) for n in targets.shape])
     grad, lse = softmax_lse(x)  # grad holds the softmax p for now
     ce = -((x[(*rows, targets)] - lse[..., 0]) * weights).sum()
     kl, loss = 0.0, ce
     if ref_hidden is not None and kl_weight > 0:
         x -= lse  # lp
-        ref_logprobs = np.empty(x.shape[1:])
+        ref_logprobs = np.empty(x.shape[1:], x.dtype)
         for b in range(x.shape[0]):
             np.matmul(ref_hidden[b], ref_head, out=ref_logprobs)
             ref_logprobs -= ref_lse[b]

@@ -757,6 +757,23 @@ class TestGradcheckAndErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not workdir.exists()
 
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["directory", "below-a-file"])
+    @pytest.mark.parametrize("flag", ["--quiz", "--checkpoint", "--config"])
+    def test_a_path_that_is_no_file_exits_1_naming_it(self, pipeline, tmp_path, capsys, flag, below_a_file):
+        config, workdir, stage = pipeline
+        path = tmp_path / "folder"
+        path.mkdir()
+        if below_a_file:
+            (path / "file").write_text("")
+            path = path / "file" / "input"
+        if flag == "--config":
+            argv = ["gradcheck", "--config", str(path)]
+        else:
+            argv = ["eval", "--mock-llm", "--config", str(config), flag, str(path)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+
     def test_unparsable_corpus_manifest_names_the_file_and_line(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text('{\n  not json\n')

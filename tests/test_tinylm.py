@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from granary import tape, tinylm, trainer
-from granary.dataset import TokenizedExample
+from granary.dataset import TokenizedExample, pack_cpt_texts
 from granary.errors import NonFiniteLoss
 from granary.tinylm import (
     BOS_ID,
@@ -532,6 +532,84 @@ class TestFusedOps:
         assert kept <= 0.6 * 8 * b * cfg.n_heads * t * t * cfg.n_layers
 
 
+def _ce_kl(kl_weight):
+    """ce_kl_loss over [B, T, d] hidden states and a head, its other arrays in the hidden states' dtype."""
+    _, _, targets, weights, ref = _loss_inputs(np.random.default_rng(5))
+
+    def build(hidden, out_proj):
+        dtype = hidden.data.dtype
+        return tape.ce_kl_loss(
+            hidden, out_proj, targets, weights.astype(dtype), *(r.astype(dtype) for r in ref), kl_weight
+        )[0]
+
+    return build
+
+
+# name -> (op over tensors, its inputs as float64 arrays); every op and fused op of the tape.
+_IDX = np.random.default_rng(0).integers(0, 5, size=(2, 3))
+DTYPE_CASES = {
+    "add": (tape.add, [(3, 4), (4,)]),
+    "sub": (tape.sub, [(3, 4), (3, 1)]),
+    "mul": (tape.mul, [(3, 4), (4,)]),
+    "matmul": (tape.matmul, [(2, 3, 4), (4, 5)]),
+    "exp": (tape.exp, [(3, 4)]),
+    "tanh": (tape.tanh, [(3, 4)]),
+    "power": (lambda x: tape.power(tape.exp(x), 1.5), [(3, 4)]),
+    "sumdim": (lambda x: tape.sumdim(x, axis=1), [(3, 4, 2)]),
+    "sumdim_all": (tape.sumdim, [(3, 4)]),
+    "logsumexp": (tape.logsumexp, [(3, 4)]),
+    "gather_rows": (lambda x: tape.gather_rows(x, _IDX), [(5, 4)]),
+    "take_along_last": (lambda x: tape.take_along_last(x, _IDX), [(2, 3, 5)]),
+    "slice_rows": (lambda x: tape.slice_rows(x, 1, 3), [(2, 4, 3)]),
+    "reshape": (lambda x: tape.reshape(x, (4, 3)), [(3, 4)]),
+    "swapaxes": (lambda x: tape.swapaxes(x, 0, 1), [(3, 4)]),
+    "causal_attention": (
+        lambda q, k, v: tape.causal_attention(q, k, v, 0.35, 5), [(1, 2, 60, 4), (1, 2, 65, 4), (1, 2, 65, 4)]
+    ),
+    "log_softmax": (tape.log_softmax, [(3, 4, 13)]),
+    "layer_norm": (lambda x, s, b: tape.layer_norm(x, s, b, 1e-5), [(3, 4, 6), (6,), (6,)]),
+    "mlp": (tape.mlp, [(3, 4, 6), (6, 24), (24, 6)]),
+    "ce_loss": (_ce_kl(0.0), [(3, 5, 4), (4, 11)]),
+    "ce_kl_loss": (_ce_kl(0.3), [(3, 5, 4), (4, 11)]),
+}
+
+
+class TestFloat32:
+    """The tape computes in its inputs' float dtype; anything else becomes float64."""
+
+    @staticmethod
+    def _run(build, arrays, dtype):
+        leaves = [tape.Tensor(a.astype(dtype)) for a in arrays]
+        out = build(*leaves)
+        weights = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
+        tape.backward(tape.sumdim(tape.mul(out, tape.Tensor(weights))))
+        return [out.data] + [x.grad for x in leaves]
+
+    @pytest.mark.parametrize("name", sorted(DTYPE_CASES))
+    def test_op_and_its_vjp_keep_float32(self, name):
+        build, shapes = DTYPE_CASES[name]
+        rng = np.random.default_rng(2)
+        arrays = [rng.normal(0.0, 0.7, size=shape) for shape in shapes]
+        wide, narrow = self._run(build, arrays, np.float64), self._run(build, arrays, np.float32)
+        for want, got in zip(wide, narrow):
+            assert want.dtype == np.float64 and got.dtype == np.float32
+            # float32 rounds at 6e-8 relative; a few dozen roundings stay below 1e-5.
+            assert np.max(np.abs(got - want)) <= 1e-5 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "value", [[1, 2], np.arange(3), 3, 2.5, [1.5, 2.0], np.array([1, 0], dtype=np.uint16)],
+        ids=["int-list", "int-array", "int", "float", "float-list", "uint16-array"],
+    )
+    def test_non_float_arrays_become_float64(self, value):
+        assert tape.Tensor(value).data.dtype == np.float64
+
+    def test_float_arrays_and_scalars_keep_their_dtype(self):
+        x = np.ones(3, dtype=np.float32)
+        assert tape.Tensor(x).data is x
+        assert tape.Tensor(np.float32(2.0)).data.dtype == np.float32
+        assert tape.Tensor(tape.sumdim(tape.Tensor(x)).data).data.dtype == np.float32
+
+
 def _graph_arrays(out, closures):
     """Every node's data in the graph under ``out``, plus with ``closures``
     the arrays its VJP closes over, bare or nested in lists and tuples."""
@@ -559,6 +637,22 @@ def _decode_model(n_layers, seed, window=W, d_model=16):
     cfg = ModelConfig(d_model=d_model, n_heads=2, n_layers=n_layers, context_window=window,
                       init_std=0.5, seed=seed)
     return init(cfg)
+
+
+def _decoded_rows(params, prompt, max_new_tokens, monkeypatch):
+    """``greedy_decode``'s tokens, the last row of each token's float32 forward, and the rows re-scored in float64."""
+    float32, rescored = [], []
+    scored = tinylm.batched_logprobs
+
+    def recorded(*args, **kwargs):
+        out = scored(*args, **kwargs)
+        (float32 if out.data.dtype == np.float32 else rescored).append(out.data[0, -1])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tinylm, "batched_logprobs", recorded)
+        generated = greedy_decode(params, prompt, max_new_tokens, stop_at_eos=False)
+    return generated, float32, rescored
 
 
 class TestGreedyDecode:
@@ -632,6 +726,51 @@ class TestGreedyDecode:
         prompt = [int(i) for i in np.random.default_rng(seed).integers(0, 259, prompt_len)]
         want = oracles.greedy_decode_reference(params, prompt, max_new_tokens)
         assert greedy_decode(params, prompt, max_new_tokens) == want
+
+    def test_a_close_pick_is_rescored_in_float64(self, monkeypatch):
+        # Token e + 1's head column becomes e's times 1 + 1e-12: float32
+        # rounds the two columns to one, so their log-probabilities tie
+        # (margin 0) and a float32 argmax would pick e, where float64 picks
+        # e + 1 whenever e's logit is positive.
+        params = _decode_model(2, seed=3)
+        prompt = [BOS_ID] + TOK.encode("re-scored")
+        e = next(t for t in oracles.greedy_decode_reference(params, prompt, 2 * W) if t < 250)
+        out_proj = params.view("out_proj")
+        out_proj[:, e + 1] = out_proj[:, e] * (1 + 1e-12)
+        want = oracles.greedy_decode_reference(params, prompt, 2 * W)
+        assert e + 1 in want
+        generated, _, rescored = _decoded_rows(params, prompt, 2 * W, monkeypatch)
+        assert generated == want
+        assert 0 < len(rescored) < len(want)
+
+    @pytest.mark.parametrize("kind", ["decode-tests", "benchmark", "minibook"])
+    def test_float32_errs_by_a_hundredth_of_the_margin(self, kind, minibook_nodes, tmp_path, monkeypatch):
+        # Each decoded token's float32 log-probabilities against forward's,
+        # on the decode tests' models (init_std 0.5), the benchmark's shape
+        # and a checkpoint trained on the minibook, in and past the window.
+        rng = np.random.default_rng(0)
+        if kind == "decode-tests":
+            models = [_decode_model(n_layers, seed) for n_layers in (1, 2, 3) for seed in range(3)]
+            models += [_decode_model(2, seed, window=6, d_model=8) for seed in range(3)]
+            cases = [(params, [BOS_ID, 65], 2 * params.config.context_window) for params in models]
+        elif kind == "benchmark":
+            cfg = ModelConfig(d_model=32, n_heads=2, n_layers=2, context_window=256, init_std=0.2, seed=1)
+            cases = [(init(cfg), [BOS_ID] + [int(i) for i in rng.integers(0, 256, 249)], 12)]
+        else:
+            cfg = ModelConfig(context_window=128, init_std=0.2, seed=0)
+            packs = pack_cpt_texts([node.text for node in minibook_nodes], cfg.context_window)
+            trained = trainer.train(trainer.TrainConfig(mode="cpt", total_steps=10, lr_max=1e-2), packs, init(cfg))
+            save_checkpoint(tmp_path / "model.ckpt", trained.final_params)
+            params = load_checkpoint(tmp_path / "model.ckpt")
+            text = [BOS_ID] + TOK.encode(minibook_nodes[0].text)
+            cases = [(params, text[:120], 16), (params, text[:300], 8)]
+        for params, prompt, max_new_tokens in cases:
+            generated, float32, _ = _decoded_rows(params, prompt, max_new_tokens, monkeypatch)
+            ids = prompt + generated
+            for j, row in enumerate(float32):
+                assert row.dtype == np.float32
+                want = forward(params, ids[: len(prompt) + j][-params.config.context_window :])[-1]
+                assert np.max(np.abs(row - want)) <= tinylm.DECODE_MARGIN * -row.min() / 100
 
     def test_empty_prompt_raises_value_error(self):
         with pytest.raises(ValueError, match="no token ids"):
