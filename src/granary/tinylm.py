@@ -17,12 +17,12 @@ columns to score, and the last layer's queries, residual stream and MLP
 run only those: training scores the columns that carry loss weight,
 decoding the final column, whose log-probability argmax is the next
 token.
-Decoding passes ``const`` leaves, so no graph is recorded, and a key/value
-cache. While the sequence fits the context window, each layer's keys and
-values are cached and a step runs only the new token's row. Once the
-window slides, every id moves to an earlier position; positions are
-learned embeddings added at the input, so no cached key or value stays
-valid and the window is recomputed. Training and decoding both set
+Decoding passes ``const`` leaves, so no graph is recorded. While the
+sequence fits the context window, each layer's keys and values are
+cached and a step runs only the new token's row. Once the window slides,
+every id moves to an earlier position; positions are learned embeddings
+added at the input, so no cached key or value stays valid and each step
+recomputes the window with no cache. Training and decoding both set
 glibc's allocator to keep freed memory (``keep_freed_memory``).
 Parameters and checkpoints stay float64 (``<f8`` on disk); only the
 decode casts them, once per call, to float32 leaves.
@@ -393,10 +393,10 @@ def greedy_decode(
     newly generated ids (EOS included when it stops the decode). Each
     step's token is the argmax of ``forward`` over the last ``w`` ids.
     It is computed in float32, by ``batched_logprobs`` over float32
-    ``const`` leaves with a float32 key/value cache. When the top two
-    log-probabilities differ by no more than ``DECODE_MARGIN`` times the
-    row's range, the token is re-scored in float64: ``batched_logprobs``
-    over float64 leaves, with no cache, for the last of the ``w`` ids.
+    ``const`` leaves and, until the window slides, a float32 key/value
+    cache. When the top two log-probabilities differ by no more than
+    ``DECODE_MARGIN`` times the row's range, the window's last column is
+    re-scored in float64, over float64 leaves with no cache.
     Each pick is thus ``forward``'s argmax while float32 errs by less
     than half that margin. An empty prompt or an id outside the
     vocabulary, even one the window drops, raises ValueError. It first
@@ -418,9 +418,9 @@ def greedy_decode(
             row, start = ids[cached:], cached
             cached = len(ids)
         else:
-            # The window slides: each id moves to the previous position,
-            # so every cached key and value is stale. Recompute the window.
-            row, start = ids[-w:], 0
+            # The window slides: each id moves to the previous position, so every
+            # cached key and value is stale for good. Recompute the window uncached.
+            row, start, kv = ids[-w:], 0, None
         span = (len(row) - 1, len(row))
         logprobs = batched_logprobs(leaves, cfg, np.asarray([row]), kv, start, span).data[0, -1]
         second, first = np.partition(logprobs, -2)[-2:]

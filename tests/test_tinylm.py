@@ -322,17 +322,45 @@ class TestFusedOps:
     def test_causal_attention_masks_are_slices_of_one_grown_matrix(self, monkeypatch):
         # A call whose keys outnumber the cached matrix grows it; a later,
         # smaller call slices the larger matrix and gets the same bytes.
-        monkeypatch.setattr(tape, "_MASKS", (np.ones((0, 0), dtype=bool),) * 2)
+        monkeypatch.setattr(tape, "_FUTURE", np.ones((0, 0), dtype=bool))
         rng = np.random.default_rng(11)
         small = _attention_inputs(rng, (1, 2), 40, 35)
         large = _attention_inputs(rng, (1, 2), 70, 30)
         first = tape.causal_attention(*small, 0.35, 35).data
-        assert tape._MASKS[0].shape == (75, 75)
+        assert tape._FUTURE.shape == (75, 75)
         tape.causal_attention(*large, 0.35, 30)
-        past, future = tape._MASKS
-        assert past.shape == (100, 100) and np.array_equal(past, np.tri(100, dtype=bool))
-        assert np.array_equal(future, ~past)
+        assert tape._FUTURE.shape == (100, 100)
+        assert np.array_equal(tape._FUTURE, ~np.tri(100, dtype=bool))
         assert tape.causal_attention(*small, 0.35, 35).data.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("key", ["inf", "-inf", "nan", "huge"])
+    @pytest.mark.parametrize("rows, offset, position", [(70, 0, 30), (70, 0, 60), (60, 35, 60), (60, 35, 90)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_causal_attention_masks_a_later_key_before_the_row_max(self, dtype, rows, offset, position, key):
+        # An infinite, NaN or huge key at one position reaches no earlier
+        # query's row, neither through its max nor through its exponentials:
+        # those rows' outputs match the run with an ordinary key byte for
+        # byte, and for a finite key so do their query gradients and the
+        # value gradient taken from them. Positions fall in the diagonal
+        # square of the first and of the second block of 48 rows.
+        rng = np.random.default_rng(position)
+        q, k, v = (x.data.astype(dtype) for x in _attention_inputs(rng, (1, 2), rows, offset))
+        odd = k.copy()
+        odd[..., position, :] = {"inf": np.inf, "-inf": -np.inf, "nan": np.nan, "huge": 1e4 * k[..., position, :]}[key]
+        before = position - offset  # query rows at key positions before the odd key
+        weights = np.zeros(q.shape, dtype)
+        weights[..., :before, :] = rng.normal(size=weights[..., :before, :].shape)
+        runs = []
+        for keys in (k, odd):
+            leaves = [tape.Tensor(x) for x in (q, keys, v)]
+            with np.errstate(invalid="ignore"):  # the odd key's own and later rows
+                out = tape.causal_attention(*leaves, 0.35, offset)
+                tape.backward(tape.sumdim(tape.mul(out, tape.Tensor(weights))))
+            runs.append((out.data[..., :before, :], leaves[0].grad[..., :before, :], leaves[2].grad))
+        (out, gq, gv), (odd_out, odd_gq, odd_gv) = runs
+        assert np.isfinite(out).all() and out.tobytes() == odd_out.tobytes()
+        if key == "huge":
+            assert gq.tobytes() == odd_gq.tobytes() and gv.tobytes() == odd_gv.tobytes()
 
     def test_slice_rows_vjp(self):
         x = tape.Tensor(np.random.default_rng(10).normal(size=(2, 3, 7, 4)))
