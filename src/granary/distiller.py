@@ -23,7 +23,7 @@ from pathlib import Path
 from . import prompts
 from .backend import ChatRequest, LlmBackend, fan_out
 from .corpus import LearningNode
-from .errors import BackendError, EmptyGeneration
+from .errors import BackendError
 from .jsonl import LINE_ENCODER, from_json, read_jsonl
 from .prompts import RawAnswer, parse_answer_spans, render_assistant
 
@@ -102,7 +102,7 @@ def find_dangling(text: str) -> str | None:
 
 
 def generate_question(node: LearningNode, sample_idx: int, backend: LlmBackend) -> str:
-    """Ask the question agent for one question grounded in ``node.text``."""
+    """Ask the question agent for one question grounded in ``node.text``; a blank one is ``""``."""
     if not node.text:
         raise ValueError("node text must be nonempty")
     request = ChatRequest.of(
@@ -113,12 +113,7 @@ def generate_question(node: LearningNode, sample_idx: int, backend: LlmBackend) 
         temperature=QUESTION_TEMPERATURE,
         seed=sample_seed(node.node_id, sample_idx),
     )
-    content = backend.complete(request).strip()
-    if not content:
-        raise EmptyGeneration(
-            f"question agent returned blank content for node {node.node_id[:12]}"
-        )
-    return content
+    return backend.complete(request).strip()
 
 
 def answer_question(node: LearningNode, question: str, backend: LlmBackend) -> RawAnswer:
@@ -274,9 +269,9 @@ def _run_task(
 ) -> QtsaEntry:
     try:
         question = generate_question(node, sample_idx, backend)
+        if not question:
+            return _entry(node, sample_idx, "empty_generation")
         raw = answer_question(node, question, backend)
-    except EmptyGeneration:
-        return _entry(node, sample_idx, "empty_generation")
     except BackendError:
         return _entry(node, sample_idx, "backend_failure")
     return postprocess(raw, question, node, sample_idx, backend)

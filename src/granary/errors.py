@@ -20,10 +20,6 @@ class BackendError(GranaryError):
     """A chat-completion backend failed after exhausting retries."""
 
 
-class EmptyGeneration(GranaryError):
-    """The backend returned blank content where text was required."""
-
-
 class NonFiniteLoss(GranaryError):
     """A loss evaluated to NaN or infinity.
 

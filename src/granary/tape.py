@@ -32,7 +32,8 @@ import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _ATTENTION_BLOCK = 48  # query rows per block of causal_attention
-_FUTURE = np.ones((0, 0), dtype=bool)  # causal_attention's cached mask, see _future_mask
+_FUTURE = ~np.tri(_ATTENTION_BLOCK, dtype=bool)  # [i, j] true for j > i: a block's later keys
+_FUTURE.setflags(write=False)
 
 
 class Tensor:
@@ -235,19 +236,6 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
 # Tensor operator: the tests' reference compositions call them by name, and the benchmark tracer wraps them.
 
 
-def _future_mask(n: int) -> np.ndarray:
-    """A strictly upper-triangular boolean matrix (``[i, j]`` true for j > i) of at least n rows.
-
-    It is cached and grows to the largest key count asked for, which the
-    context window bounds; worker threads may both grow it, harmlessly.
-    """
-    global _FUTURE
-    future = _FUTURE
-    if future.shape[0] < n:
-        future = _FUTURE = ~np.tri(n, dtype=bool)
-    return future
-
-
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int = 0) -> Tensor:
     """softmax(scale * q kᵀ) v under a causal mask, for [..., heads, t, d] queries.
 
@@ -257,14 +245,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
     ``_ATTENTION_BLOCK`` rows scores keys [0, offset + hi) only, which skips
     most of the masked half, and sees its whole key prefix, so no
     online-softmax rescaling is needed. Later keys lie only in the block's
-    diagonal square, keys [offset + lo, offset + hi), set to -inf through a
-    slice of one cached mask; a plain row max and exp (exp(-inf) is 0) took
-    16 and 12 µs on a [1, 2, 48, 256] float32 block, masked ones 24 and 24.
-    Float64's exp is slower over -inf entries, yet the op still runs faster.
-    ``scale`` multiplies the queries once, and the VJP's query and key
-    gradients once at its end; for a power-of-two scale (head_dim 4, 16,
-    64, …) that rounds exactly as scaling each block's scores would. The
-    VJP keeps each block's probabilities.
+    diagonal square, keys [offset + lo, offset + hi). Whatever the offset,
+    that square's mask is the strictly upper triangle of side hi - lo, so
+    every block slices the one constant ``_FUTURE`` to set those scores to
+    -inf before a plain row max and exp (exp(-inf) is 0). ``scale``
+    multiplies the queries once, and the VJP's query and key gradients once
+    at its end; for a power-of-two scale (head_dim 4, 16, 64, …) that
+    rounds exactly as scaling each block's scores would. The VJP keeps each
+    block's probabilities.
 
     Blocks of 48 rows keep 0.59 of a [t, t] square at t = 256 (64 rows
     would keep 0.625) and make 6 passes where 32 rows make 8 at the demo's
@@ -274,7 +262,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
     """
     t = q.data.shape[-2]
     scaled_q = q.data * scale
-    future = _future_mask(offset + t)
     lead, heads = q.data.shape[:-3], q.data.shape[-3]
     out = np.swapaxes(np.empty(lead + (t, heads, v.data.shape[-1]), q.data.dtype), -2, -3)
     blocks = []
@@ -282,8 +269,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
         hi = min(lo + _ATTENTION_BLOCK, t)
         n = offset + hi
         probs = scaled_q[..., lo:hi, :] @ np.swapaxes(k.data[..., :n, :], -1, -2)
-        diagonal = offset + lo
-        np.copyto(probs[..., diagonal:], -np.inf, where=future[diagonal:n, diagonal:n])
+        np.copyto(probs[..., offset + lo :], -np.inf, where=_FUTURE[: hi - lo, : hi - lo])
         probs -= np.max(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)

@@ -38,7 +38,7 @@ from granary.distiller import (
     postprocess,
     render_assistant,
 )
-from granary.errors import BackendError, EmptyGeneration, SchemaViolation
+from granary.errors import BackendError, SchemaViolation
 from granary.jsonl import read_jsonl, write_jsonl
 from oracles import RecordingBackend
 
@@ -108,9 +108,8 @@ class TestQuestionAgent:
         assert node.text in user
         assert "Variation: 3" in user
 
-    def test_blank_content_raises(self):
-        with pytest.raises(EmptyGeneration):
-            generate_question(make_node(), 0, StubBackend(content="  "))
+    def test_blank_reply_comes_back_empty(self):
+        assert generate_question(make_node(), 0, StubBackend(content=" \n ")) == ""
 
     def test_backend_error_propagates(self):
         with pytest.raises(BackendError):
@@ -460,6 +459,12 @@ class TestDistillCorpus:
             QtsaEntry(entry_id_for(node.node_id, k), node.node_id, k, "", "", "", "", "rejected", reason)
             for k in range(2)
         ]
+
+    def test_blank_question_is_rejected_before_the_answer_agent(self):
+        backend = StubBackend(content="  ")
+        distill_corpus([make_node()], DistillConfig(n_samples=2), backend)
+        # One question request per task, and no answer request.
+        assert [r.messages[0].content for r in backend.requests] == [prompts.QUESTION_PROMPT] * 2
 
     def test_null_completion_content_rejects_the_task(self):
         backend = HttpLlmBackend(
