@@ -4,10 +4,12 @@ A deliberately small op set tailored to a decoder-only transformer:
 broadcastable arithmetic, matmul, reductions and embedding gathers, plus
 fused ops for the model's hot composites: ``causal_attention`` (causal
 softmax attention, scored in blocks of query rows), ``log_softmax``,
-``layer_norm``, ``mlp`` (``gelu(h @ w_in) @ w_out`` with the tanh GELU)
-and ``ce_kl_loss`` (the weighted cross-entropy plus KL-to-reference
-training loss, which runs the output head itself, normalises the logits
-and keeps only their gradient, formed in the forward). Each fused op is
+``layer_norm``, the two residual branches ``add_matmul`` (``x + a @ w``)
+and ``mlp`` (``x + gelu(h @ w_in) @ w_out`` with the tanh GELU), which
+add the residual in place into the branch's output, and ``ce_kl_loss``
+(the weighted cross-entropy plus KL-to-reference training loss, which
+runs the output head itself one batch row at a time, normalises the
+logits and keeps only their gradient, formed in the forward). Each fused op is
 one graph node with a closed-form VJP that keeps only what it needs, and
 does the same float operations in the same order as the primitive nodes
 it replaces. ``softmax_lse`` is the numpy softmax and log normaliser that
@@ -297,13 +299,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float, offset: int 
     return Tensor(out, (q, k, v), vjp)
 
 
-def softmax_lse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def softmax_lse(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The softmax of ``x`` over its last axis, and its log normaliser ``m + log sum exp(x - m)``.
 
-    ``m`` is each row's max; the normaliser keeps the reduced axis.
+    ``m`` is each row's max; the normaliser keeps the reduced axis. The
+    softmax is written into ``out`` when given, else into a new array.
     """
     m = np.max(x, axis=-1, keepdims=True)
-    probs = x - m
+    probs = np.subtract(x, m, out=out)
     np.exp(probs, out=probs)
     total = probs.sum(axis=-1, keepdims=True)
     lse = m + np.log(total)
@@ -347,13 +350,31 @@ def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float) -> Tensor:
     return Tensor(out, (x, scale, bias), vjp)
 
 
-def mlp(h: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
-    """gelu(h @ w_in) @ w_out, with GELU's tanh approximation 0.5 x (1 + t), t = tanh(c (x + 0.044715 x³)).
+def add_matmul(x: Tensor, a: Tensor, w: Tensor) -> Tensor:
+    """x + a @ w as one node, the residual ``x`` added in place into the product's fresh buffer.
+
+    The two nodes ``x + a @ w`` keep the product beside the sum until the
+    backward; IEEE addition commutes, so the bytes are the same.
+    """
+    out = np.matmul(a.data, w.data)
+    out += x.data
+
+    def vjp(g):
+        ga = np.matmul(g, np.swapaxes(w.data, -1, -2))
+        gw = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        return _unbroadcast(g, x.data.shape), _unbroadcast(ga, a.data.shape), _unbroadcast(gw, w.data.shape)
+
+    return Tensor(out, (x, a, w), vjp)
+
+
+def mlp(x: Tensor, h: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
+    """x + gelu(h @ w_in) @ w_out, with GELU's tanh approximation 0.5 x (1 + t), t = tanh(c (x + 0.044715 x³)).
 
     The GELU chain runs in place in the pre-activation's buffer, which ends
-    as the activation. The VJP keeps that activation and the GELU slope,
-    which the forward forms only when some input takes a gradient, so a
-    forward over ``const`` leaves skips it.
+    as the activation, and the residual ``x`` is added in place to the
+    output projection, as ``add_matmul`` does. The VJP keeps that
+    activation and the GELU slope, which the forward forms only when some
+    input takes a gradient, so a forward over ``const`` leaves skips it.
     """
     act = np.matmul(h.data, w_in.data)  # the pre-activation x, until it is overwritten below
     t = act * act
@@ -363,7 +384,7 @@ def mlp(h: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
     t *= _GELU_C
     np.tanh(t, out=t)
     slope = None
-    if not all(p.const for p in (h, w_in, w_out)):
+    if not all(p.const for p in (x, h, w_in, w_out)):
         slope = t * t
         np.subtract(1.0, slope, out=slope)
         inner = act * act
@@ -377,6 +398,8 @@ def mlp(h: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
         slope += t
     act *= t
     act *= 0.5
+    out = np.matmul(act, w_out.data)
+    out += x.data
 
     def vjp(g):
         g_act = np.matmul(g, np.swapaxes(w_out.data, -1, -2))
@@ -385,9 +408,9 @@ def mlp(h: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
         g_act *= 0.5
         g_h = np.matmul(g_act, np.swapaxes(w_in.data, -1, -2))
         g_w_in = _unbroadcast(np.matmul(np.swapaxes(h.data, -1, -2), g_act), w_in.data.shape)
-        return g_h, g_w_in, g_w_out
+        return _unbroadcast(g, x.data.shape), g_h, g_w_in, g_w_out
 
-    return Tensor(np.matmul(act, w_out.data), (h, w_in, w_out), vjp)
+    return Tensor(out, (x, h, w_in, w_out), vjp)
 
 
 def ce_kl_loss(
@@ -414,45 +437,54 @@ def ce_kl_loss(
         ce = -sum_bt w[b,t] * lp[b, t, targets[b,t]]
         kl =  sum_bt w[b,t] * sum_v p * (lp - ref_logprobs)
 
-    The logits' buffer becomes ``lp`` and then the KL difference, in place;
-    each batch row's ``ref_logprobs`` are formed in one [T, V] scratch
-    array that every row reuses and subtracted from that row, so no
-    [B, T, V] reference array is ever held. The forward also forms the
-    loss's gradient with respect to the logits, in place in the softmax
-    buffer, and the node keeps that one vocab-sized array:
+    The forward runs one batch row at a time. A row's logits, formed in
+    one [T, V] scratch array that every row reuses, become ``lp`` and then
+    the KL difference in place; its ``ref_logprobs`` pass through a second
+    such scratch. Its softmax is written straight into the row of the one
+    [B, T, V] array the node keeps, where it becomes the loss's gradient
+    with respect to the logits:
 
         w * (p + kl_weight * p * (diff - kl_row) - onehot(targets))
 
     with ``diff = lp - ref_logprobs`` and ``kl_row = sum_v p * diff``; the
-    VJP carries it through the head to ``hidden`` and ``out_proj``.
+    VJP carries it through the head to ``hidden`` and ``out_proj``. The
+    CE and KL are summed once, over the whole [B, T] arrays.
     Returns ``(total, ce, kl)``: the scalar loss tensor and the two terms
     as floats. Without a reference (``ref_hidden`` None) or at
     ``kl_weight == 0`` the KL is not computed, ``kl`` is 0.0 and ``total``
     is exactly ``ce``.
     """
-    x = np.matmul(hidden.data, out_proj.data)
+    h, head = hidden.data, out_proj.data
     targets = np.asarray(targets)
-    weights = np.asarray(weights, dtype=x.dtype)
-    rows = np.ix_(*[np.arange(n) for n in targets.shape])
-    grad, lse = softmax_lse(x)  # grad holds the softmax p for now
-    ce = -((x[(*rows, targets)] - lse[..., 0]) * weights).sum()
-    kl, loss = 0.0, ce
-    if ref_hidden is not None and kl_weight > 0:
-        x -= lse  # lp
-        ref_logprobs = np.empty(x.shape[1:], x.dtype)
-        for b in range(x.shape[0]):
+    weights = np.asarray(weights, dtype=h.dtype)
+    use_kl = ref_hidden is not None and kl_weight > 0
+    grad = np.empty(targets.shape + head.shape[-1:], h.dtype)  # each row's softmax p, then its gradient
+    logits = np.empty(grad.shape[1:], h.dtype)
+    ref_logprobs = np.empty_like(logits) if use_kl else None
+    picked, lse = np.empty(targets.shape, h.dtype), np.empty(targets.shape + (1,), h.dtype)
+    kl_rows = np.empty(targets.shape, h.dtype)
+    columns = np.arange(targets.shape[1])
+    for b in range(targets.shape[0]):
+        np.matmul(h[b], head, out=logits)
+        p, lse[b] = softmax_lse(logits, out=grad[b])
+        picked[b] = logits[columns, targets[b]]
+        if use_kl:
+            logits -= lse[b]  # lp
             np.matmul(ref_hidden[b], ref_head, out=ref_logprobs)
             ref_logprobs -= ref_lse[b]
-            x[b] -= ref_logprobs  # diff
-        kl_rows = np.einsum("...v,...v->...", grad, x)
+            logits -= ref_logprobs  # diff
+            kl_rows[b] = np.einsum("...v,...v->...", p, logits)
+            logits -= kl_rows[b][:, None]
+            logits *= p
+            logits *= kl_weight
+            p += logits
+        p *= weights[b][:, None]
+        p[columns, targets[b]] -= weights[b]
+    ce = -((picked - lse[..., 0]) * weights).sum()
+    kl, loss = 0.0, ce
+    if use_kl:
         kl = (kl_rows * weights).sum()
         loss = ce + kl * kl_weight
-        x -= kl_rows[..., None]
-        x *= grad
-        x *= kl_weight
-        grad += x
-    grad *= weights[..., None]
-    grad[(*rows, targets)] -= weights
 
     def vjp(g):
         # ``backward`` runs a VJP once, so the saved gradient is scaled in place.

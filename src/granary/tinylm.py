@@ -9,7 +9,9 @@ named views so a frozen reference copy is a plain immutable snapshot.
 
 Training and greedy decoding run the same trunk, ``hidden``, which
 returns the final residual stream; its attention is one blocked tape op,
-``tape.causal_attention``, and each MLP one ``tape.mlp``. Training hands
+``tape.causal_attention``, and each residual branch one node that adds
+the residual in place: the attention's output projection
+``tape.add_matmul`` and the MLP ``tape.mlp``. Training hands
 the hidden states and the head to ``tape.ce_kl_loss``, which forms and
 normalises the logits itself; decoding runs ``batched_logprobs``, the
 log-softmax of the head over the hidden states. The ``span`` names the
@@ -236,12 +238,12 @@ def hidden(
         attended = tape.causal_attention(q, k, v, scale, offset=start + first)
         # attended is laid out [b, rows, heads, head_dim] in memory, so this merge is a view.
         context = tape.reshape(tape.swapaxes(attended, 1, 2), (b, rows, cfg.d_model))
-        x = x + context @ leaves[f"layer{i}.attn_o"]
+        x = tape.add_matmul(x, context, leaves[f"layer{i}.attn_o"])
 
         h2 = tape.layer_norm(
             x, leaves[f"layer{i}.norm2_scale"], leaves[f"layer{i}.norm2_bias"], _LN_EPS
         )
-        x = x + tape.mlp(h2, leaves[f"layer{i}.mlp_in"], leaves[f"layer{i}.mlp_out"])
+        x = tape.mlp(x, h2, leaves[f"layer{i}.mlp_in"], leaves[f"layer{i}.mlp_out"])
     return x
 
 
@@ -267,14 +269,13 @@ def forward(params: Parameters, ids) -> np.ndarray:
     return batched_logprobs(build_leaves(params, const=True), params.config, ids[None, :]).data[0]
 
 
-def collect_flat_grad(params: Parameters, shard_leaves: Sequence[dict[str, Tensor]]) -> np.ndarray:
-    """Each shard's leaf gradients added, in shard order, into one flat vector (zeros where unused)."""
+def collect_flat_grad(params: Parameters, leaves: dict[str, Tensor]) -> np.ndarray:
+    """The leaves' gradients added into one flat vector of zeros (zeros where a leaf has none)."""
     flat = np.zeros(params.count)
-    for leaves in shard_leaves:
-        for name, (offset, size, _) in params.offsets.items():
-            grad = leaves[name].grad
-            if grad is not None:
-                flat[offset : offset + size] += grad.reshape(-1)
+    for name, (offset, size, _) in params.offsets.items():
+        grad = leaves[name].grad
+        if grad is not None:
+            flat[offset : offset + size] += grad.reshape(-1)
     return flat
 
 

@@ -13,7 +13,9 @@ tests share one batched path: ``make_batch``
 returns a run's batch once, as a tuple of shards of ``_SHARD_ROWS`` (3)
 rows, and ``loss_and_grad`` / ``loss_value`` evaluate CE plus the weighted
 KL on it (plain CE for cpt, sft and λ=0) through one shard runner, on up
-to one thread per CPU, adding the shards' results in shard order. The
+to one thread per CPU. As the shards finish, the runner adds their losses
+in shard order and folds their gradients into one set, so a step holds one
+shard's graph per worker plus that set. The
 runner forwards each shard to the model's final hidden states
 (``tinylm.hidden``) and hands them, with the head, to ``tape.ce_kl_loss``,
 which forms and normalises the logits and keeps only their gradient, so the
@@ -188,13 +190,15 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 
 # Batch rows per shard: one worker's forward and backward. Each worker holds
-# one shard's graph at a time, so the step's peak memory grows with this. At
-# the benchmark's training shape (30 rows, 2 workers) 3-row shards, with
-# tape's 48-row attention blocks and the loss's row-by-row reference, peak
-# at 76.4 MB against 86.7 MB for 4-row shards with 32-row blocks, at the same
-# 134 ms step (medians of 10 alternated runs). With 32-row blocks 3 rows cost
-# ~10% step time: the two workers take turns on the GIL between numpy calls,
-# and the larger blocks make fewer of them.
+# one shard's graph at a time, beside the one folded gradient, so the step's
+# peak memory grows with this. At the benchmark's training shape (30 rows, 2
+# workers) 3-row shards with tape's 48-row attention blocks peaked at 76.4 MB
+# against 86.7 MB for 4-row shards with 32-row blocks, at the same 134 ms
+# step (medians of 10 alternated runs, BENCH_32.json); with each shard's
+# gradient folded in as it finishes, the residual adds fused and the head run
+# one row at a time, a run peaks at 71.0 MB (BENCH_40.json). With 32-row
+# blocks 3 rows cost ~10% step time: the two workers take turns on the GIL
+# between numpy calls, and the larger blocks make fewer of them.
 _SHARD_ROWS = 3
 
 
@@ -292,7 +296,7 @@ def make_batch(items: list, ref_params: Parameters | None = None) -> tuple[Shard
 
 
 def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float, backward: bool):
-    """The shards' losses added in shard order, and each shard's leaves.
+    """The shards' losses, and with ``backward`` their gradients, added in shard order.
 
     ``fan_out``'s worker threads, one per shard up to the CPUs the process
     may use (inline for one shard), each take the next shard and run its
@@ -300,7 +304,10 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
     which takes the shard's reference as its parts. With ``backward``, a
     shard whose loss is finite then runs its backward, and its leaves hold
     the shard's gradient; otherwise the leaves are None and the forward
-    records no graph.
+    records no graph. A shard that finishes before an earlier one waits;
+    once shards 0..i have all finished, shard i's losses are added to the
+    sums and its gradients folded in (``_fold``). Returns the losses and
+    the folded leaves (None when no shard ran a backward).
     """
 
     def run(shard: Shard):
@@ -315,13 +322,37 @@ def _run_shards(params: Parameters, shards: tuple[Shard, ...], kl_weight: float,
         tape.backward(total)
         return ce, kl, value, leaves
 
-    results = [result for _, result in sorted(fan_out(run, shards, _workers()))]
     ce = kl = total = 0.0
-    for part_ce, part_kl, part_total, _ in results:
-        ce += part_ce
-        kl += part_kl
-        total += part_total
-    return LossBreakdown(ce=ce, kl=kl, total=total), [leaves for *_, leaves in results]
+    folded = None
+    waiting: dict[int, tuple] = {}  # finished shards that an earlier unfinished shard holds back
+    added = 0  # shards 0..added-1 are in the sums
+    for index, result in fan_out(run, shards, _workers()):
+        waiting[index] = result
+        while added in waiting:
+            part_ce, part_kl, part_total, leaves = waiting.pop(added)
+            ce += part_ce
+            kl += part_kl
+            total += part_total
+            if leaves is not None:
+                folded = _fold(folded, leaves)
+            added += 1
+    return LossBreakdown(ce=ce, kl=kl, total=total), folded
+
+
+def _fold(folded: dict[str, tape.Tensor] | None, leaves: dict[str, tape.Tensor]) -> dict[str, tape.Tensor]:
+    """``leaves``' gradients added in place into ``folded``'s, then dropped.
+
+    The first shard's leaves become the folded set, each gradient copied
+    first, since a VJP may hand one array to two parents (``add`` does).
+    """
+    if folded is None:
+        for leaf in leaves.values():
+            leaf.grad = leaf.grad.copy()
+        return leaves
+    for name, leaf in leaves.items():
+        folded[name].grad += leaf.grad
+        leaf.grad = None
+    return folded
 
 
 def loss_value(params: Parameters, batch: tuple[Shard, ...], kl_weight: float) -> float:
@@ -334,16 +365,18 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Batch loss (kl is 0.0 when off) and its exact flat gradient.
 
-    The shards' losses are added in shard order, and one collect_flat_grad
-    call adds their gradients in that order, so no thread count moves a bit.
-    A shard whose loss is NaN or infinite runs no backward, and NonFiniteLoss
-    is raised, with no gradient, when any shard's loss or their sum is not finite.
+    The shards' losses are added in shard order, and so are their
+    gradients, folded into one set of leaves as the shards finish; one
+    collect_flat_grad call turns that set into the flat gradient, so no
+    thread count or finishing order moves a bit. A shard whose loss is
+    NaN or infinite runs no backward, and NonFiniteLoss is raised, with no
+    gradient, when any shard's loss or their sum is not finite.
     """
-    losses, shard_leaves = _run_shards(params, batch, kl_weight, backward=True)
+    losses, leaves = _run_shards(params, batch, kl_weight, backward=True)
     # A non-finite shard loss makes the sum non-finite too.
     if not math.isfinite(losses.total):
         raise NonFiniteLoss(f"loss evaluated to {losses.total}")
-    return losses, tinylm.collect_flat_grad(params, shard_leaves)
+    return losses, tinylm.collect_flat_grad(params, leaves)
 
 
 def train(

@@ -6,6 +6,8 @@ step, the way the model and the training loss were written before the
 fused ops existed. ``batched_logprobs`` is the whole model forward built
 that way, and ``ref_logprobs`` a training shard's reference
 log-probabilities as one array. Tests compare the fused forwards against these to 1e-12.
+``add_matmul`` and ``mlp`` split the two residual-fused ops back into
+their branch and a separate residual add node, which must give the same bytes.
 ``greedy_decode_reference`` decodes with one full ``forward`` per token,
 the way ``tinylm.greedy_decode`` did before it cached keys and values.
 ``task_ordinal_reference`` scans the node ids linearly, the way the mock
@@ -66,6 +68,19 @@ def gelu(x: Tensor) -> Tensor:
     cubed = tape.mul(tape.mul(x, x), x)
     inner = tape.tanh(tape.mul(x + tape.mul(Tensor(0.044715), cubed), Tensor(_GELU_C)))
     return tape.mul(Tensor(0.5), tape.mul(x, tape.add(Tensor(1.0), inner)))
+
+
+def add_matmul(x: Tensor, a: Tensor, w: Tensor) -> Tensor:
+    """``tape.add_matmul`` as the two nodes it fuses."""
+    return x + a @ w
+
+
+_FUSED_MLP = tape.mlp  # bound here, so a test may put ``mlp`` in tape's place
+
+
+def mlp(x: Tensor, h: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
+    """``tape.mlp`` as two nodes: the MLP alone (over a zero residual), then the residual add."""
+    return x + _FUSED_MLP(Tensor(0.0, const=True), h, w_in, w_out)
 
 
 def ce_kl_loss(logprobs, targets, weights, ref_logprobs, kl_weight):

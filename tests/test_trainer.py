@@ -7,6 +7,7 @@ import math
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,7 +300,7 @@ class TestWeightedSpan:
             tape.slice_rows(full, lo, hi), shard.targets, shard.weights, ref_full[:, lo:hi], 0.1
         )
         tape.backward(total)
-        want_grad = tinylm.collect_flat_grad(params, [leaves])
+        want_grad = tinylm.collect_flat_grad(params, leaves)
 
         got = tinylm.batched_logprobs(tinylm.build_leaves(params), SPAN_CFG, shard.ids, span=shard.span).data
         assert np.max(np.abs(got - full.data[:, lo:hi]), initial=0.0) <= 1e-12
@@ -400,7 +401,7 @@ class TestShards:
         ref_full = oracles.batched_logprobs(tinylm.build_leaves(ref), SPAN_CFG, ids).data
         total, ce, kl = oracles.ce_kl_loss(full, targets, weights, ref_full, 0.1)
         tape.backward(total)
-        want_grad = tinylm.collect_flat_grad(params, [leaves])
+        want_grad = tinylm.collect_flat_grad(params, leaves)
 
         # Each shard holds its rows' weighted columns, in the items' order,
         # and drops no weight; its forward matches the whole batch's there.
@@ -472,6 +473,45 @@ class TestShards:
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1] == results[2]
+
+    def test_bytes_do_not_depend_on_the_finishing_order(self, monkeypatch):
+        # Shards are folded in shard order whatever order they finish in: on
+        # one worker, on two, and with every result held back and handed
+        # over in reverse.
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        batch = trainer.make_batch(shard_batch_items("ragged"), ref)
+        fan_out = trainer.fan_out
+
+        def reversed_fan_out(fn, items, parallelism):
+            return reversed(list(fan_out(fn, items, parallelism)))
+
+        results = []
+        for workers, runner in ((1, fan_out), (2, fan_out), (1, reversed_fan_out)):
+            monkeypatch.setattr(trainer, "_workers", lambda workers=workers: workers)
+            monkeypatch.setattr(trainer, "fan_out", runner)
+            losses, grad = trainer.loss_and_grad(params, batch, 0.1)
+            results.append((losses, grad.tobytes()))
+        assert len(batch) == 3 and results[0] == results[1] == results[2]
+
+    def test_a_step_holds_one_folded_gradient_however_many_shards(self, monkeypatch):
+        # On one worker the shards run one after another, and each shard's
+        # gradient is folded in and dropped as it finishes: ten equal shards
+        # peak less than two flat gradients above one shard, where holding
+        # every shard's gradient until the step ends would add nine.
+        monkeypatch.setattr(trainer, "_workers", lambda: 1)
+        params, ref = init(SPAN_CFG), freeze_reference(init(dataclasses.replace(SPAN_CFG, seed=4)))
+        example = sft_example("a row that every shard repeats", prompt_len=4)
+        peaks = []
+        for shards in (1, 10):
+            batch = trainer.make_batch([example] * (shards * trainer._SHARD_ROWS), ref)
+            assert len(batch) == shards
+            tracemalloc.start()
+            try:
+                trainer.loss_and_grad(params, batch, 0.1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 8 * params.count, (peaks, params.count)
 
     def test_a_reference_shard_stores_hidden_states_not_vocabulary_rows(self):
         # Per weighted position a shard keeps its id, target, weight, the
@@ -745,14 +785,15 @@ class TestTrainLoop:
             assert record.fd_max_rel_err == oracles.max_rel_err(fd, gradient[coords])
 
     def test_a_multi_shard_step_collects_one_gradient_and_descends_along_it(self, fixture_examples, monkeypatch):
-        # One collect_flat_grad call per step, whatever the shard count, and
+        # One collect_flat_grad call per step, whatever the shard count, on
+        # the one set of leaves every shard's gradient was folded into, and
         # the step moves params by exactly lr times what that call returned.
         seen = []
         collect = tinylm.collect_flat_grad
 
-        def capture(params, shard_leaves):
-            gradient = collect(params, shard_leaves)
-            seen.append((params.flat.copy(), len(shard_leaves), gradient))
+        def capture(params, leaves):
+            gradient = collect(params, leaves)
+            seen.append((params.flat.copy(), leaves, gradient))
             return gradient
 
         monkeypatch.setattr(tinylm, "collect_flat_grad", capture)
@@ -764,8 +805,9 @@ class TestTrainLoop:
 
         assert len(seen) == len(report.records) == cfg.total_steps
         after = [flat for flat, _, _ in seen[1:]] + [report.final_params.flat]
-        for record, (before, shards, gradient), moved in zip(report.records, seen, after):
-            assert shards == 3
+        for record, (before, leaves, gradient), moved in zip(report.records, seen, after):
+            assert isinstance(leaves, dict) and list(leaves) == init_params.names()
+            assert all(leaf.grad is not None for leaf in leaves.values())
             assert np.array_equal(moved, before - record.lr * gradient)
 
     def test_non_finite_aborts_with_partial_report(self, fixture_examples):
